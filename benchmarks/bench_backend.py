@@ -200,14 +200,13 @@ def _available_memory_gib() -> float:
 def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     """``Q_n`` through the pooled shared-memory path, end to end.
 
-    The coordinator compiles ``Q_n`` once (pair members included), publishes
-    the topology *and* the syndrome buffer to shared memory, and ships a
-    single explicit-syndrome request as one :func:`run_batch_task` — exactly
-    the serving path's pooled dispatch.  The worker maps both segments
-    zero-copy and runs the stacked kernel; the task's compile/pair-build
-    deltas are asserted zero, which is what makes dimensions this size
-    practical: a per-worker topology walk + compile at ``Q_20`` costs more
-    than the diagnosis itself, and the pair arrays alone are hundreds of MB.
+    The coordinator compiles ``Q_n`` once, publishes the topology *and* the
+    syndrome buffer to shared memory, and ships a single explicit-syndrome
+    request as one :func:`run_batch_task` — exactly the serving path's
+    pooled dispatch.  The worker maps both segments zero-copy and runs the
+    stacked kernel; the task's compile delta is asserted zero, which is what
+    makes dimensions this size practical: a per-worker topology walk +
+    compile at ``Q_20`` costs more than the diagnosis itself.
 
     The response is verified against a coordinator-side
     ``GeneralDiagnoser.diagnose`` run on the same syndrome.
@@ -223,7 +222,6 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     cube = create_network("hypercube", dimension=n)
     csr = CSRAdjacency.from_network(cube)
     cube._csr_adjacency = csr
-    csr.pair_members()  # coordinator-side warm-up, published with the topology
     compile_s = time.perf_counter() - build_start
 
     faults = random_faults(cube, n, seed=seed)
@@ -237,7 +235,7 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     request = DiagnosisRequest(family="hypercube", params=params)
     with WorkerPool(max_workers=1) as pool:
         publish_start = time.perf_counter()
-        topology_handle = pool.publish_topology(csr, include_pair_members=True)
+        topology_handle = pool.publish_topology(csr)
         syndrome_handle = pool.publish_buffer(syndrome.values_array)
         publish_s = time.perf_counter() - publish_start
         task_start = time.perf_counter()
@@ -249,7 +247,6 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
         pool.release(syndrome_handle)
 
     assert stats["compiles"] == 0, "worker recompiled a published topology"
-    assert stats["pair_builds"] == 0, "worker rebuilt published pair arrays"
     assert stats["kernel_width"] == 1
     response = responses[0]
     assert response.error is None, response.error
@@ -272,7 +269,6 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
         "shm_publish_ms": round(publish_s * 1e3, 3),
         "pooled_diagnose_ms": round(task_s * 1e3, 3),
         "worker_compiles": stats["compiles"],
-        "worker_pair_builds": stats["pair_builds"],
         "verified_against_direct": True,
     }
 
@@ -459,9 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     results = [measure_dimension(n) for n in dimensions]
     frontier = [] if reduced else [measure_compiled_frontier(n) for n in (16, 18)]
-    # Q_20 needs the shared-memory path (publishing the pair arrays once
-    # instead of rebuilding them per worker); Q_22 only where memory allows —
-    # its pair arrays and syndrome buffer run to several GiB.
+    # Q_20 needs the shared-memory path (publishing the topology once instead
+    # of compiling it per worker); Q_22 only where memory allows — its
+    # syndrome buffer alone runs to GiB.
     shm_dimensions = [] if reduced else [20]
     if not reduced and _available_memory_gib() >= 32.0:
         shm_dimensions.append(22)
@@ -492,9 +488,9 @@ def main(argv: list[str] | None = None) -> int:
         "shm_frontier": {
             "description": (
                 "pooled shared-memory rows past the single-process frontier: "
-                "topology + pair arrays + syndrome buffer published once, one "
-                "run_batch_task per diagnosis, zero worker-side compiles and "
-                "pair builds asserted, response verified against a direct "
+                "topology + syndrome buffer published once, one "
+                "run_batch_task per diagnosis, zero worker-side compiles "
+                "asserted, response verified against a direct "
                 "coordinator-side diagnose"
             ),
             "results": shm_frontier,
@@ -538,8 +534,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['array_syndrome_generation_ms']:.0f} ms, publish "
             f"{row['shm_publish_ms']:.0f} ms, pooled diagnose "
             f"{row['pooled_diagnose_ms']:.0f} ms "
-            f"(worker compiles {row['worker_compiles']}, pair builds "
-            f"{row['worker_pair_builds']})"
+            f"(worker compiles {row['worker_compiles']})"
         )
     for row in families:
         print(

@@ -11,8 +11,8 @@ Q_12 / Q_14 / S_7 request stream with repeats:
 * **batched** — the coalescing service with its bounded topology LRU and a
   result store, batches executed in-process;
 * **batched_pooled** — the same, with batches dispatched as single
-  shared-memory `WorkerPool` tasks (pair members shipped, so workers neither
-  compile nor rebuild pair arrays — the reported deltas prove it);
+  shared-memory `WorkerPool` tasks (workers map the compiled topology and
+  never compile it — the reported deltas prove it);
 * **batched_http** — the batched service behind the stdlib HTTP/JSON
   frontend (`repro.service.http`), clients driving the real wire path
   (keep-alive connections, JSON bodies) so the transport tax is measured,
@@ -63,7 +63,6 @@ def _mode_entry(name: str, report, *, verified: bool) -> dict:
         "coalesced_batches": stats["coalesced_batches"],
         "mean_batch_size": stats["mean_batch_size"],
         "worker_compiles": stats["worker_compiles"],
-        "worker_pair_builds": stats["worker_pair_builds"],
         "topology_resolutions": stats["topology_cache"]["misses"],
         "store_hits": stats["store_hits"],
         "coalesced_duplicates": stats["coalesced_duplicates"],
@@ -230,7 +229,6 @@ def measure_width_curve() -> list[dict]:
                 "batches": stats["batches"],
                 "mean_batch_size": stats["mean_batch_size"],
                 "worker_compiles": stats["worker_compiles"],
-                "worker_pair_builds": stats["worker_pair_builds"],
                 "verified_bit_identical": report.mismatches == 0,
             }
         )
@@ -316,9 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         "target_met": speedup >= 3.0,
         "zero_recompilation": (
             by_name["batched"]["worker_compiles"] == 0
-            and by_name["batched"]["worker_pair_builds"] == 0
             and by_name["batched_pooled"]["worker_compiles"] == 0
-            and by_name["batched_pooled"]["worker_pair_builds"] == 0
         ),
         "all_modes_bit_identical": all(
             entry["verified_bit_identical"]

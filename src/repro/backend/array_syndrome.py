@@ -13,8 +13,10 @@ everything written against the abstract oracle (the baselines, the verifier,
 the lookup-count accounting of experiment E5/E6) keeps working unchanged — the
 flat buffer is the fast substrate, the ``Syndrome`` API is the thin adapter.
 
-Generation from a hidden fault set is vectorised over the whole buffer for
-healthy testers; faulty testers are filled per the configured
+Generation from a hidden fault set is *fault-sparse*: a healthy tester's
+entry is non-zero only when the tester neighbours a fault, so the buffer
+starts zeroed and only the rows of faults and their neighbours are written.
+Faulty testers are then filled per the configured
 :class:`~repro.core.syndrome.FaultyTesterBehavior` in the exact canonical
 order of ``LazySyndrome.materialize()`` (testers ascending, sorted rows, pairs
 ``(i, j)`` with ``i < j``), so an ``ArraySyndrome`` agrees entry-for-entry
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,6 +42,20 @@ __all__ = ["ArraySyndrome"]
 def pair_offset(i: int, j: int, degree: int) -> int:
     """Slot offset of the pair at sorted-row positions ``i < j`` of a tester."""
     return i * (2 * degree - i - 1) // 2 + (j - i - 1)
+
+
+@lru_cache(maxsize=None)
+def _triu(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row positions ``(i, j)``, ``i < j``, of one tester's pairs in slot order."""
+    return np.triu_indices(degree, 1)
+
+
+def _slot_tests(csr: CSRAdjacency) -> Iterator[tuple[int, int, int]]:
+    """Every test ``(u, v, w)`` of the topology, in pair-slot order."""
+    for u, row in enumerate(csr.rows):
+        for i, v in enumerate(row):
+            for w in row[i + 1:]:
+                yield u, v, w
 
 
 class ArraySyndrome(Syndrome):
@@ -61,6 +78,8 @@ class ArraySyndrome(Syndrome):
             if values.dtype != np.uint8 or values.ndim != 1:
                 raise ValueError("copy=False needs a one-dimensional uint8 array")
             buf = values
+        elif not copy and isinstance(values, bytearray):
+            buf = values  # a freshly generated buffer (from_faults)
         else:
             buf = bytearray(values)
         if len(buf) != self.csr.num_pairs:
@@ -80,13 +99,15 @@ class ArraySyndrome(Syndrome):
         behavior: FaultyTesterBehavior | str = "random",
         seed: int | None = 0,
     ) -> "ArraySyndrome":
-        """Generate the full syndrome of a hidden fault set (vectorised).
+        """Generate the full syndrome of a hidden fault set (fault-sparse).
 
         ``topology`` may be a network or an already compiled
-        :class:`CSRAdjacency`.  Healthy testers are filled in one numpy pass;
-        faulty testers consume the seeded generator in the canonical
-        materialisation order, reproducing ``LazySyndrome.materialize()``
-        entry for entry.
+        :class:`CSRAdjacency`.  A healthy tester answers ``mask[v] | mask[w]``,
+        which is non-zero only next to a fault, so the zeroed buffer is
+        written for the faults and their neighbours alone — at most
+        ``|F|·(Δ+1)`` testers, one numpy gather per degree.  Faulty testers
+        then consume the seeded generator in the canonical materialisation
+        order, reproducing ``LazySyndrome.materialize()`` entry for entry.
         """
         csr = compile_network(topology)
         fault_set = frozenset(int(f) for f in faults)
@@ -97,35 +118,49 @@ class ArraySyndrome(Syndrome):
             behavior = FaultyTesterBehavior(behavior, seed=seed)
         rng = random.Random(seed)
 
-        _, pv, pw = csr.pair_members()
+        buf = bytearray(csr.num_pairs)
+        values = np.frombuffer(buf, dtype=np.uint8)
+        indptr, indices, pair_indptr = csr.indptr, csr.indices, csr.pair_indptr
+        ordered = sorted(fault_set)
+        fault_ids = np.asarray(ordered, dtype=np.int64)
         mask = np.zeros(csr.num_nodes, dtype=bool)
-        if fault_set:
-            mask[list(fault_set)] = True
-        values = (mask[pv] | mask[pw]).astype(np.uint8)
+        mask[fault_ids] = True
 
-        pair_indptr = csr.pair_indptr
-        for u in sorted(fault_set):
-            lo, hi = int(pair_indptr[u]), int(pair_indptr[u + 1])
-            if lo == hi:
+        # Healthy answers for every tester in N[F], grouped by degree.
+        near = mask.copy()
+        near[indices[csr.row_addresses(fault_ids)[0]]] = True
+        testers = np.flatnonzero(near)
+        degrees = indptr[testers + 1] - indptr[testers]
+        for degree in sorted(set(degrees.tolist())):
+            if degree < 2:
                 continue
-            name = behavior.name
+            group = testers[degrees == degree]
+            iu, ju = _triu(degree)
+            hit = mask[indices[indptr[group][:, None] + np.arange(degree)]]
+            slots = pair_indptr[group][:, None] + np.arange(len(iu))
+            values[slots] = hit[:, iu] | hit[:, ju]
+
+        name = behavior.name
+        for u in ordered:
+            lo, hi = int(pair_indptr[u]), int(pair_indptr[u + 1])
             if name == "all_zero":
                 values[lo:hi] = 0
             elif name == "all_one":
                 values[lo:hi] = 1
             elif name == "anti_mimic":
-                values[lo:hi] = 1 - values[lo:hi]
-            elif name == "mimic":
-                pass  # the healthy values already in place are the answer
-            else:
+                values[lo:hi] ^= 1
+            elif name != "mimic":  # mimic: the healthy values are the answer
                 # Delegate per pair (consuming the rng in canonical order), so
                 # behaviours beyond the bulk-computable ones above stay in
                 # lockstep with LazySyndrome.
-                for k in range(lo, hi):
-                    values[k] = behavior.result(
-                        u, int(pv[k]), int(pw[k]), int(values[k]), rng
-                    )
-        return cls(csr, values.tobytes(), faults=fault_set)
+                row = indices[indptr[u]:indptr[u + 1]].tolist()
+                healthy = values[lo:hi].tolist()
+                pairs = [(v, w) for i, v in enumerate(row) for w in row[i + 1:]]
+                values[lo:hi] = [
+                    behavior.result(u, v, w, h, rng)
+                    for (v, w), h in zip(pairs, healthy)
+                ]
+        return cls(csr, buf, faults=fault_set, copy=False)
 
     @classmethod
     def from_syndrome(cls, topology, syndrome: Syndrome) -> "ArraySyndrome":
@@ -136,16 +171,10 @@ class ArraySyndrome(Syndrome):
         extends its cache exactly like ``materialize()`` would.
         """
         csr = compile_network(topology)
-        values = bytearray(csr.num_pairs)
-        k = 0
-        for u, row in enumerate(csr.rows):
-            d = len(row)
-            for i in range(d):
-                v = row[i]
-                for j in range(i + 1, d):
-                    values[k] = syndrome._result(u, v, row[j])
-                    k += 1
-        return cls(csr, values, faults=getattr(syndrome, "faults", frozenset()))
+        values = bytearray(syndrome._result(u, v, w) for u, v, w in _slot_tests(csr))
+        return cls(
+            csr, values, faults=getattr(syndrome, "faults", frozenset()), copy=False
+        )
 
     # ---------------------------------------------------------------- oracle
     def _result(self, u: int, v: int, w: int) -> int:
@@ -182,10 +211,7 @@ class ArraySyndrome(Syndrome):
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], int]]:
         """Iterate ``((u, v, w), result)`` pairs (table-scanning callers)."""
-        pu, pv, pw = self.csr.pair_members()
-        buf = self._buf
-        for k in range(self.csr.num_pairs):
-            yield (int(pu[k]), int(pv[k]), int(pw[k])), buf[k]
+        return zip(_slot_tests(self.csr), self._buf)
 
     def to_table(self) -> TableSyndrome:
         """Export as a dict-backed :class:`TableSyndrome` (tests, adapters)."""

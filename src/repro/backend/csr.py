@@ -18,8 +18,9 @@ distributed simulator and the baselines) operate on flat arrays:
 * the *pair layout* (``pair_indptr``) assigns every comparison test
   ``s_u(v, w)`` a dense slot, which :class:`~repro.backend.array_syndrome.\
 ArraySyndrome` uses for O(1) syndrome access without hashing;
-* ``boundary`` computes ``N(U) \\ U`` — the diagnosis output — as a single
-  vectorised pass over the edge array.
+* ``boundary_many`` computes ``N(U) \\ U`` — the diagnosis output — from
+  the rows of the nodes *outside* ``U`` only (the boundary lies in
+  ``V \\ U``), so its cost follows the fault count, not the edge count.
 
 Compilation is memoized per network instance (:func:`compile_network`) and the
 registry (:func:`repro.networks.registry.cached_network`) memoizes instances
@@ -36,7 +37,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..networks.base import InterconnectionNetwork
 
-__all__ = ["CSRAdjacency", "compile_network", "compile_count", "pair_build_count"]
+__all__ = ["CSRAdjacency", "compile_network", "compile_count"]
 
 #: Process-wide count of full topology walks (CSRAdjacency.from_network).
 #: The worker pool reports the delta observed inside each task, which is how
@@ -44,22 +45,10 @@ __all__ = ["CSRAdjacency", "compile_network", "compile_count", "pair_build_count
 #: tracked benchmark both assert the delta is 0 for shared-memory workers).
 _compile_count = 0
 
-#: Process-wide count of pair-member materialisations (pair_members()) — the
-#: other big per-topology intermediate (three num_pairs-sized arrays, used by
-#: vectorised syndrome generation).  Shipping them through shared memory
-#: (repro.parallel.shm) keeps the worker-side delta at 0, mirroring the
-#: compile-count evidence.
-_pair_build_count = 0
-
 
 def compile_count() -> int:
     """Number of full adjacency walks this process has performed."""
     return _compile_count
-
-
-def pair_build_count() -> int:
-    """Number of pair-member materialisations this process has performed."""
-    return _pair_build_count
 
 
 class CSRAdjacency:
@@ -91,8 +80,6 @@ class CSRAdjacency:
         "num_pairs",
         "_rows",
         "_pair_base",
-        "_pair_members",
-        "_edge_src",
         "_shm",
     )
 
@@ -113,8 +100,6 @@ class CSRAdjacency:
         # Lazily materialised views (see the properties below).
         self._rows: list[tuple[int, ...]] | None = None
         self._pair_base: list[int] | None = None
-        self._pair_members: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._edge_src: np.ndarray | None = None
         #: shared-memory mapping backing indptr/indices, when this instance was
         #: reconstructed by repro.parallel.shm.attach_topology (keeps the
         #: mapping alive exactly as long as the views handed out from it)
@@ -172,50 +157,22 @@ class CSRAdjacency:
             self._pair_base = self.pair_indptr.tolist()
         return self._pair_base
 
-    # ------------------------------------------------------------- pair layout
-    def pair_members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays ``(tester, left, right)`` mapping pair slot → test members.
+    def row_addresses(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``indices`` of the rows of ``nodes``, concatenated.
 
-        Slot ``k`` holds the test ``s_tester[k](left[k], right[k])`` with
-        ``left < right`` (sorted-row order).  Built once and cached; used by
-        the vectorised syndrome generator and by table exports.
+        Returns ``(addr, counts)``: ``indices[addr]`` lists each node's sorted
+        row in turn and ``counts[k]`` is the degree of ``nodes[k]``.
         """
-        if self._pair_members is None:
-            global _pair_build_count
-            _pair_build_count += 1
-            pu = np.empty(self.num_pairs, dtype=np.int32)
-            pv = np.empty(self.num_pairs, dtype=np.int32)
-            pw = np.empty(self.num_pairs, dtype=np.int32)
-            triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            indptr, indices, pair_indptr = self.indptr, self.indices, self.pair_indptr
-            for u in range(self.num_nodes):
-                lo, hi = int(pair_indptr[u]), int(pair_indptr[u + 1])
-                if lo == hi:
-                    continue
-                row = indices[indptr[u]:indptr[u + 1]]
-                d = len(row)
-                if d not in triu_cache:
-                    triu_cache[d] = np.triu_indices(d, k=1)
-                iu, ju = triu_cache[d]
-                pu[lo:hi] = u
-                pv[lo:hi] = row[iu]
-                pw[lo:hi] = row[ju]
-            self._pair_members = (pu, pv, pw)
-        return self._pair_members
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        ends = np.cumsum(counts)
+        addr = np.repeat(starts - (ends - counts), counts)
+        addr += np.arange(addr.size)
+        return addr, counts
 
     # ------------------------------------------------------------ set algebra
-    @property
-    def edge_src(self) -> np.ndarray:
-        """Source node of every directed adjacency entry (``int32``, length 2E)."""
-        if self._edge_src is None:
-            degrees = np.diff(self.indptr)
-            self._edge_src = np.repeat(
-                np.arange(self.num_nodes, dtype=np.int32), degrees
-            )
-        return self._edge_src
-
     def boundary(self, members) -> set[int]:
-        """``N(U) \\ U`` for a node set ``U`` — one vectorised pass over the edges.
+        """``N(U) \\ U`` for one node set ``U`` (see :meth:`boundary_many`).
 
         ``members`` is an iterable of node ids or a boolean mask over all
         nodes.
@@ -224,24 +181,22 @@ class CSRAdjacency:
             mask = members
         else:
             mask = np.zeros(self.num_nodes, dtype=bool)
-            member_ids = np.fromiter(members, dtype=np.int64, count=-1)
-            if member_ids.size == 0:
-                return set()
-            mask[member_ids] = True
-        hit = mask[self.edge_src] & ~mask[self.indices]
-        out = np.zeros(self.num_nodes, dtype=bool)
-        out[self.indices[hit]] = True
-        return set(np.flatnonzero(out).tolist())
+            mask[np.fromiter(members, dtype=np.int64, count=-1)] = True
+        return self.boundary_many(mask[np.newaxis])[0]
 
     def boundary_many(self, member_rows) -> list[set[int]]:
-        """``N(U) \\ U`` for a stack of membership masks in one edge pass.
+        """``N(U) \\ U`` for a stack of membership masks in one pass.
 
         ``member_rows`` is a ``(B, num_nodes)`` boolean array (or a sequence
         of per-run masks, e.g. the ``member_mask`` rows a stacked
-        ``set_builder_many`` run produces).  Row ``b`` of the result equals
-        ``boundary(member_rows[b])`` — the stacked form exists so a batched
-        diagnosis pays the edge-array gather once per batch, not once per
-        syndrome.
+        ``set_builder_many`` run produces); row ``b`` of the result is the
+        boundary of the ``b``-th set.
+
+        The boundary lies in ``V \\ U``, so only the rows of the nodes outside
+        ``U`` are read: an outside node is a boundary node iff one of its
+        neighbours is a member.  After a diagnosis ``V \\ U`` is the fault
+        set, so a mask costs ``O(n + |V \\ U|·Δ)`` rather than a gather over
+        every edge.
         """
         member_rows = np.asarray(member_rows, dtype=bool)
         if member_rows.ndim != 2 or member_rows.shape[1] != self.num_nodes:
@@ -249,13 +204,21 @@ class CSRAdjacency:
                 f"expected a (B, {self.num_nodes}) boolean stack, "
                 f"got shape {member_rows.shape}"
             )
-        hit = member_rows[:, self.edge_src] & ~member_rows[:, self.indices]
-        boundaries: list[set[int]] = []
-        for row in hit:
-            out = np.zeros(self.num_nodes, dtype=bool)
-            out[self.indices[row]] = True
-            boundaries.append(set(np.flatnonzero(out).tolist()))
-        return boundaries
+        n = self.num_nodes
+        flat = member_rows.ravel()
+        outside = np.flatnonzero(~flat)  # flat keys b·n + v, ascending
+        nodes = outside % n
+        addr, counts = self.row_addresses(nodes)
+        segment = np.repeat(np.arange(outside.size), counts)
+        hit = flat[(outside - nodes)[segment] + self.indices[addr]]
+        # A scoreboard rather than np.unique: numpy 2's first np.unique call
+        # imports numpy.ma, ~40 ms on every fresh server or pool worker.
+        adjacent = np.zeros(outside.size, dtype=bool)
+        adjacent[segment[hit]] = True
+        keys = outside[adjacent]
+        bounds = np.searchsorted(keys, np.arange(len(member_rows) + 1) * n).tolist()
+        ids = (keys % n).tolist()
+        return [set(ids[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # ---------------------------------------------------------------- dunders
     def __len__(self) -> int:

@@ -757,7 +757,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{stats['store_hits']} from store, "
           f"{stats['coalesced_duplicates']} coalesced duplicates")
     print(f"worker compiles: {stats['worker_compiles']}, "
-          f"pair builds: {stats['worker_pair_builds']}, "
           f"topology cache: {stats['topology_cache']}")
     if args.stats_json is not None:
         _write_json_atomic(args.stats_json, stats)

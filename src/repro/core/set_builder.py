@@ -700,7 +700,10 @@ def _stacked_round(csr, n, idx, member_flat, parent_flat, first0, buffers,
     # positions come out in segment order, giving one parent offset per
     # tester without a per-element companion array.
     pos_t = addr[nbr == np.repeat(parents, counts)] - ip_lo
-    assert pos_t.shape == frontier.shape  # one parent per tester, aligned
+    if pos_t.shape != frontier.shape:
+        raise RuntimeError(
+            "stacked round: a frontier tester's tree parent is not in its row"
+        )
 
     key = np.repeat(frontier_keys - frontier, counts)  # syndrome * n
     key += nbr

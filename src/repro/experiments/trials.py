@@ -12,8 +12,8 @@ and executes it against **shared compiled topologies**:
   ``(family, params)`` shares one object and one compiled
   :class:`~repro.backend.csr.CSRAdjacency`;
 * syndromes are generated straight into the flat
-  :class:`~repro.backend.array_syndrome.ArraySyndrome` layout (vectorised over
-  the compiled pair arrays), which is also the diagnosis fast path;
+  :class:`~repro.backend.array_syndrome.ArraySyndrome` layout (written only
+  around the faults), which is also the diagnosis fast path;
 * trials are grouped by topology, and groups fan out — in *chunks* — over a
   persistent shared-memory :class:`~repro.parallel.pool.WorkerPool`: the
   coordinator compiles each topology once, publishes the flat arrays to
@@ -397,8 +397,8 @@ def _run_plan_chunked(
 
     own_pool = pool is None
     pool = pool if pool is not None else WorkerPool(max_workers)
-    stats = {"chunks": 0, "worker_compiles": 0, "worker_pair_builds": 0,
-             "workers": set(), "topologies_published": 0}
+    stats = {"chunks": 0, "worker_compiles": 0, "workers": set(),
+             "topologies_published": 0}
     try:
         submissions = []
         for group in groups:
@@ -406,10 +406,7 @@ def _run_plan_chunked(
             handle = None
             if share_topology:
                 _, csr = compiled_network(first.family, **first.network_kwargs)
-                # Workers generate their chunks' syndromes, so ship the
-                # pair-member arrays too — the delta proves nobody rebuilds
-                # them per worker.
-                handle = pool.publish_topology(csr, include_pair_members=True)
+                handle = pool.publish_topology(csr)
                 stats["topologies_published"] += 1
             size = chunk_size or _chunk_size(len(group), pool.max_workers)
             for chunk in _chunked(group, size):
@@ -424,7 +421,6 @@ def _run_plan_chunked(
                 results[position] = result
             stats["chunks"] += 1
             stats["worker_compiles"] += chunk_stats["compiles"]
-            stats["worker_pair_builds"] += chunk_stats["pair_builds"]
             stats["workers"].add(chunk_stats["pid"])
     finally:
         if own_pool:

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..backend.csr import CSRAdjacency, compile_count, compile_network, pair_build_count
+from ..backend.csr import CSRAdjacency, compile_count, compile_network
 from .shm import (
     BufferHandle,
     OwnedSegment,
@@ -113,28 +113,18 @@ class WorkerPool:
         self._topologies.clear()
 
     # ------------------------------------------------------------ publishing
-    def publish_topology(
-        self, topology, *, include_pair_members: bool = False
-    ) -> TopologyHandle:
+    def publish_topology(self, topology) -> TopologyHandle:
         """Place a compiled topology in shared memory (memoized per object).
 
         Accepts a network or a :class:`CSRAdjacency`; the same object is
         published at most once per pool, so every group of a sweep that runs
-        on the same memoized instance shares one segment.  Asking for pair
-        members after a plain publication publishes a fresh segment that
-        includes them — the plain segment stays alive until shutdown, because
-        handles already handed to in-flight tasks must keep resolving — and
-        asking without them reuses a pair-carrying segment (a superset).
+        on the same memoized instance shares one segment.
         """
         csr = compile_network(topology)
         cached = self._topologies.get(id(csr))
         if cached is not None:
-            handle = cached[1]
-            if not include_pair_members or handle.num_pairs:
-                return handle
-        handle, segment = publish_topology(
-            csr, include_pair_members=include_pair_members
-        )
+            return cached[1]
+        handle, segment = publish_topology(csr)
         self._segments[handle.name] = segment
         self._topologies[id(csr)] = (csr, handle)
         return handle
@@ -249,34 +239,20 @@ def worker_topology(handle: TopologyHandle) -> CSRAdjacency:
 def adopt_worker_topology(network, handle: TopologyHandle | None) -> None:
     """Give a worker-side network object the shared compiled topology.
 
-    Two gaps to cover, both proven by the pair-build/compile deltas:
-
-    * no compiled adjacency yet (pool forked before this topology was ever
-      compiled): attach the whole CSR zero-copy;
-    * a fork-*inherited* adjacency without pair members, while the handle
-      ships them (the parent compiled before the fork but built the pair
-      arrays only at publish time): graft the shared views onto the
-      inherited object, so worker-side syndrome generation still never
-      materialises them.
-
-    The grafted views stay alive through the worker's topology cache, which
-    pins the mapping for the worker's lifetime.
+    A network without a compiled adjacency (the pool forked before this
+    topology was ever compiled) attaches the whole CSR zero-copy, which the
+    compile delta proves; a fork-inherited adjacency is kept as it is.
     """
-    if handle is None:
-        return
-    csr = getattr(network, "_csr_adjacency", None)
-    if csr is None:
+    if handle is not None and getattr(network, "_csr_adjacency", None) is None:
         network._csr_adjacency = worker_topology(handle)
-    elif handle.num_pairs and csr._pair_members is None:
-        csr._pair_members = worker_topology(handle)._pair_members
 
 
 def worker_network(family: str, params, handle: TopologyHandle | None):
     """Worker-side ``(network, csr)`` resolution shared by every pool task.
 
     The network object comes from the registry memo (persistent across the
-    worker's lifetime); its compiled adjacency — pair members included — is
-    adopted from the shared mapping when a handle is given.  ``handle=None``
+    worker's lifetime); its compiled adjacency is adopted from the shared
+    mapping when a handle is given.  ``handle=None``
     compiles locally, the per-worker-recompilation baseline the benchmarks
     keep for comparison.
     """
@@ -297,17 +273,12 @@ def compile_delta_probe() -> Callable[[], dict]:
         return results, probe()
 
     so the coordinator can aggregate per-task proof that shared-memory
-    workers neither recompiled a topology nor rebuilt its pair arrays.
+    workers never recompiled a topology.
     """
     compiles_before = compile_count()
-    pair_builds_before = pair_build_count()
 
     def stats() -> dict:
-        return {
-            "pid": os.getpid(),
-            "compiles": compile_count() - compiles_before,
-            "pair_builds": pair_build_count() - pair_builds_before,
-        }
+        return {"pid": os.getpid(), "compiles": compile_count() - compiles_before}
 
     return stats
 
@@ -332,14 +303,10 @@ def worker_health() -> dict:
     ``compiles`` is the worker's :func:`repro.backend.csr.compile_count` —
     the number expected to stay at whatever the fork inherited, because
     shared-memory attachment replaces every per-worker topology walk.
-    ``pair_builds`` is the analogous
-    :func:`~repro.backend.csr.pair_build_count`: flat whenever topologies
-    arrive with their pair members shipped through shared memory.
     """
     return {
         "pid": os.getpid(),
         "topologies_attached": len(_TOPOLOGY_CACHE),
         "buffers_attached": len(_BUFFER_CACHE),
         "compiles": compile_count(),
-        "pair_builds": pair_build_count(),
     }

@@ -66,18 +66,11 @@ _INT32 = np.dtype(np.int32)
 
 @dataclass(frozen=True)
 class TopologyHandle:
-    """Picklable reference to a compiled topology placed in shared memory.
-
-    ``num_pairs`` is nonzero when the publisher also shipped the pair-member
-    arrays (the ``(tester, left, right)`` triple behind vectorised syndrome
-    generation); attachers then view them out of the same segment instead of
-    re-materialising three ``num_pairs``-sized arrays per worker.
-    """
+    """Picklable reference to a compiled topology placed in shared memory."""
 
     name: str
     num_nodes: int
     num_entries: int
-    num_pairs: int = 0
 
 
 @dataclass(frozen=True)
@@ -180,27 +173,18 @@ def detach(segment: shared_memory.SharedMemory) -> None:
 
 
 # ------------------------------------------------------------------- topology
-def publish_topology(
-    csr: CSRAdjacency, *, include_pair_members: bool = False
-) -> tuple[TopologyHandle, OwnedSegment]:
+def publish_topology(csr: CSRAdjacency) -> tuple[TopologyHandle, OwnedSegment]:
     """Place a compiled CSR adjacency into one shared-memory segment.
 
     Layout: ``indptr`` (``int64``, ``N + 1`` entries) followed by ``indices``
-    (``int32``, ``E`` entries); with ``include_pair_members`` the three
-    pair-member arrays (``int32``, ``num_pairs`` entries each) follow.  The
-    pair *layout* (``pair_indptr``) is never stored — attachers re-derive it
-    with one cheap cumsum in :class:`CSRAdjacency.__init__`.
-
-    Pair members cost 12 bytes per comparison test, so they are opt-in:
-    workloads whose workers generate syndromes (the diagnosis service, trial
-    sweeps) ship them; shard expansion, which only reads syndromes, does not.
+    (``int32``, ``E`` entries).  The pair *layout* (``pair_indptr``) is never
+    stored — attachers re-derive it with one cheap cumsum in
+    :class:`CSRAdjacency.__init__`.
     """
     indptr_bytes = (csr.num_nodes + 1) * _INT64.itemsize
     indices_bytes = csr.num_entries * _INT32.itemsize
-    num_pairs = csr.num_pairs if include_pair_members else 0
-    pairs_bytes = 3 * num_pairs * _INT32.itemsize
     segment = shared_memory.SharedMemory(
-        create=True, size=max(1, indptr_bytes + indices_bytes + pairs_bytes)
+        create=True, size=max(1, indptr_bytes + indices_bytes)
     )
     owned = OwnedSegment(segment)
     indptr_view = np.frombuffer(segment.buf, dtype=_INT64, count=csr.num_nodes + 1)
@@ -209,19 +193,8 @@ def publish_topology(
         segment.buf, dtype=_INT32, count=csr.num_entries, offset=indptr_bytes
     )
     indices_view[:] = csr.indices
-    if include_pair_members:
-        offset = indptr_bytes + indices_bytes
-        for members in csr.pair_members():
-            view = np.frombuffer(
-                segment.buf, dtype=_INT32, count=num_pairs, offset=offset
-            )
-            view[:] = members
-            offset += num_pairs * _INT32.itemsize
     handle = TopologyHandle(
-        name=segment.name,
-        num_nodes=csr.num_nodes,
-        num_entries=csr.num_entries,
-        num_pairs=num_pairs,
+        name=segment.name, num_nodes=csr.num_nodes, num_entries=csr.num_entries
     )
     return handle, owned
 
@@ -231,9 +204,7 @@ def attach_topology(handle: TopologyHandle) -> CSRAdjacency:
 
     The returned object keeps the :class:`SharedMemory` mapping alive via the
     ``_shm`` attribute for as long as the CSR (and any array views handed out
-    from it) is referenced.  When the publisher shipped pair members, they are
-    pre-seeded as views too, so ``pair_members()`` never materialises its
-    arrays in the attaching process (``pair_build_count`` stays flat).
+    from it) is referenced.
     """
     segment = attach(handle.name)
     indptr_bytes = (handle.num_nodes + 1) * _INT64.itemsize
@@ -242,22 +213,6 @@ def attach_topology(handle: TopologyHandle) -> CSRAdjacency:
         segment.buf, dtype=_INT32, count=handle.num_entries, offset=indptr_bytes
     )
     csr = CSRAdjacency(indptr, indices)
-    if handle.num_pairs:
-        if handle.num_pairs != csr.num_pairs:
-            raise ValueError(
-                f"handle advertises {handle.num_pairs} pairs but the adjacency "
-                f"derives {csr.num_pairs}"
-            )
-        offset = indptr_bytes + handle.num_entries * _INT32.itemsize
-        members = []
-        for _ in range(3):
-            members.append(
-                np.frombuffer(
-                    segment.buf, dtype=_INT32, count=handle.num_pairs, offset=offset
-                )
-            )
-            offset += handle.num_pairs * _INT32.itemsize
-        csr._pair_members = tuple(members)
     csr._shm = segment  # keep the mapping alive alongside the views
     return csr
 

@@ -4,7 +4,6 @@ One *batch* is every coalesced request sharing a compiled topology.  The
 coordinator resolves the topology once (through the service's bounded LRU),
 then either runs the batch in-process or ships it as **one**
 :class:`~repro.parallel.pool.WorkerPool` task: the worker maps the topology
-— including the pair-member arrays behind vectorised syndrome generation —
 out of shared memory, regenerates each request's syndrome, and diagnoses.
 Either way the per-request work is exactly the direct pipeline
 (:class:`~repro.core.diagnosis.GeneralDiagnoser` over an
@@ -12,9 +11,9 @@ Either way the per-request work is exactly the direct pipeline
 bit-identical to one-off calls; the batch boundary only amortises topology
 resolution and process round-trips.
 
-Every batch reports the compile-count and pair-build deltas it caused in its
-executing process — the serving layer's zero-per-request-recompilation claim
-is asserted from these counters, not assumed.
+Every batch reports the compile-count delta it caused in its executing
+process — the serving layer's zero-per-request-recompilation claim is
+asserted from this counter, not assumed.
 """
 
 from __future__ import annotations
@@ -77,11 +76,9 @@ def resolve_topology(family: str, params: dict):
     and the naive baseline's capacity-0 configuration — measure what they
     claim to.
 
-    The entry is returned fully *warmed*: rows, pair bases and the
-    pair-member arrays behind per-request ``ArraySyndrome`` generation are
-    materialised here, once per cache entry, so repeat requests on a cached
-    topology never rebuild a pair index inside a measured batch — the
-    in-process pair-build delta stays at zero just like the pooled one.
+    The entry is returned *warmed*: the Python rows and pair bases the root
+    search reads are materialised here, once per cache entry, never inside
+    a measured batch.
     """
     network = create_network(family, **params)
     from ..backend.csr import compile_network
@@ -89,7 +86,6 @@ def resolve_topology(family: str, params: dict):
     csr = compile_network(network)
     csr.rows
     csr.pair_base
-    csr.pair_members()
     return network, csr
 
 
@@ -185,10 +181,10 @@ def run_batch_local(
 ) -> tuple[list[DiagnosisResponse], dict]:
     """Execute one batch in this process (pre-resolved topology).
 
-    The compile/pair deltas cover only the requests themselves (the topology
-    was resolved — and its pair index warmed — before the measurement
-    starts), mirroring what the pool task reports: on the serving path both
-    must be zero.  ``kernel_width`` is the stacked kernel's actual batch
+    The compile delta covers only the requests themselves (the topology was
+    resolved before the measurement starts), mirroring what the pool task
+    reports: on the serving path it must be zero.  ``kernel_width`` is the
+    stacked kernel's actual batch
     width (requests whose syndrome failed to construct never reach it).
     """
     from ..parallel.pool import compile_delta_probe
@@ -226,9 +222,9 @@ def run_batch_task(
     """Pool-side batch execution: attach the shared topology, then diagnose.
 
     The worker's network object comes from the registry memo (persistent
-    across tasks); its compiled adjacency — pair members included — is the
-    zero-copy shared-memory mapping, so the worker neither walks the
-    topology nor rebuilds the pair arrays (the reported deltas prove it).
+    across tasks); its compiled adjacency is the zero-copy shared-memory
+    mapping, so the worker never walks the topology (the reported compile
+    delta proves it).
 
     Explicit syndromes travel the same way: the coordinator concatenates
     their buffers into one published segment (``syndrome_handle``) and sends

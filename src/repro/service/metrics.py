@@ -146,7 +146,6 @@ class ServiceMetrics:
         self.batches = 0
         self.coalesced_batches = 0  # batches serving >1 request
         self.worker_compiles = 0
-        self.worker_pair_builds = 0
         #: batches the fabric declined (no live workers / all retries spent)
         #: that fell through to the local or pooled execution path
         self.fabric_fallbacks = 0
@@ -199,7 +198,6 @@ class ServiceMetrics:
         size: int,
         *,
         compiles: int,
-        pair_builds: int,
         kernel_width: int | None = None,
     ) -> None:
         """One executed batch of ``size`` coalesced requests.
@@ -218,7 +216,6 @@ class ServiceMetrics:
         if width > 0:
             self.batch_size.record(width)
         self.worker_compiles += compiles
-        self.worker_pair_builds += pair_builds
 
     def record_response(self, source: str, latency_seconds: float, *,
                         ok: bool = True, tenant: str = "default") -> None:
@@ -253,7 +250,6 @@ class ServiceMetrics:
             "coalesced_batches": self.coalesced_batches,
             "mean_batch_size": round(self.batch_size.mean, 3),
             "worker_compiles": self.worker_compiles,
-            "worker_pair_builds": self.worker_pair_builds,
             "fabric_fallbacks": self.fabric_fallbacks,
             "latency_ms": self.latency.summary(scale=1e3),
             "queue_wait_ms": self.queue_wait.summary(scale=1e3),

@@ -159,10 +159,6 @@ def render_metrics(
                "Topology compilations observed inside batch execution "
                "(the zero-recompilation evidence).")
     out.sample("worker_compiles", metrics.worker_compiles, suffix="_total")
-    out.family("worker_pair_builds", "counter",
-               "Pair-array builds observed inside batch execution.")
-    out.sample("worker_pair_builds", metrics.worker_pair_builds,
-               suffix="_total")
     out.family("fabric_fallbacks", "counter",
                "Batches the fabric declined that fell through to the "
                "local/pooled execution path.")

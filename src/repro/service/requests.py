@@ -335,7 +335,7 @@ class DiagnosisResponse:
 # --------------------------------------------------------------- fabric frames
 # The worker fabric's data-plane frames reuse the wire codecs above: a *lease*
 # ships one coalesced batch to a remote worker, a *result* brings the batch's
-# responses (plus the executing process's compile/pair-build evidence) back.
+# responses (plus the executing process's compile-count evidence) back.
 # Lease ids are coordinator-assigned and stable across retries, so a late or
 # duplicated result still names the lease it answers and the coordinator can
 # dedup completions; the payloads themselves are exactly the HTTP wire form,
@@ -371,7 +371,7 @@ def decode_lease(frame: dict) -> tuple[int, "list[DiagnosisRequest]"]:
 
 #: Batch-execution statistics a result frame must carry (the serving layer's
 #: zero-recompilation evidence travels the fabric too).
-_RESULT_STATS = ("compiles", "pair_builds", "kernel_width")
+_RESULT_STATS = ("compiles", "kernel_width")
 
 
 def encode_result(

@@ -13,7 +13,7 @@ pipeline into amortised batched work:
    within the coalescing window join one batch; the batch resolves its
    compiled topology once (through a bounded LRU) and executes as a single
    unit — in-process, or as one :class:`~repro.parallel.pool.WorkerPool`
-   task mapping the topology (pair members included) out of shared memory.
+   task mapping the topology out of shared memory.
 
 Multi-tenancy sits across all three stages: every request carries a
 ``tenant``, each topology's queue is a per-tenant deficit-round-robin
@@ -25,10 +25,9 @@ in-flight coalesced joins consume **no** queue slot from any tenant — dedup
 crosses tenant boundaries by design (the work is identical), only queueing
 is partitioned.
 
-Batches report their executing process's compile-count and pair-build
-deltas; on the serving path both stay at zero — the PR-3 counters extended
-into the serving layer, so "zero per-request recompilation" is measured,
-not claimed.  Responses are bit-identical to direct
+Batches report their executing process's compile-count delta; on the
+serving path it stays at zero, so "zero per-request recompilation" is
+measured, not claimed.  Responses are bit-identical to direct
 :meth:`~repro.core.diagnosis.GeneralDiagnoser.diagnose` calls (pinned by
 ``tests/differential``): the service reorders and amortises work, never
 changes it.
@@ -206,8 +205,8 @@ class DiagnosisService:
         #: flight on that exact compiled object (see _flush_retired)
         self._retired: list[tuple] = []
         self._inflight_csr: dict[int, int] = {}
-        #: Serialises in-process batch execution: the compile/pair counters
-        #: are process-global, so a topology resolving on one executor thread
+        #: Serialises in-process batch execution: the compile counter is
+        #: process-global, so a topology resolving on one executor thread
         #: while a batch measures its delta on another would bleed into that
         #: delta.  Pool batches measure worker-side and need no lock.
         self._local_execution = asyncio.Lock()
@@ -489,7 +488,7 @@ class DiagnosisService:
             elif self.pool is not None:
                 network, csr = await self._resolved_topology(topology, requests[0])
                 dispatch_time = loop.time()
-                handle = self.pool.publish_topology(csr, include_pair_members=True)
+                handle = self.pool.publish_topology(csr)
                 # Explicit syndromes ship through shared memory, not pickle:
                 # concatenate their buffers into one published segment and
                 # send (position, offset, size) spans; the wire requests are
@@ -550,7 +549,6 @@ class DiagnosisService:
         self.metrics.record_batch(
             len(batch),
             compiles=stats["compiles"],
-            pair_builds=stats["pair_builds"],
             kernel_width=stats.get("kernel_width"),
         )
         responses = [

@@ -6,9 +6,10 @@ import pytest
 
 from repro.backend import ArraySyndrome, compile_network
 from repro.core.diagnosis import GeneralDiagnoser
-from repro.core.faults import clustered_faults, random_faults
+from repro.core.faults import clustered_faults, random_faults, spread_faults
 from repro.core.set_builder import set_builder
 from repro.core.syndrome import FaultyTesterBehavior, LazySyndrome, generate_syndrome
+from repro.networks import ExplicitNetwork
 
 from ..conftest import ALL_FAMILIES, cached_network
 
@@ -64,6 +65,50 @@ class TestEntryAgreement:
         table = array.to_table()
         for (u, v, w), value in table.items():
             assert array._result(u, v, w) == value
+
+
+class TestSparseFillPin:
+    """The fault-sparse fill is byte-identical to a pair-by-pair reference.
+
+    ``from_syndrome`` over a ``LazySyndrome`` evaluates every test in slot
+    order from the oracle's definition alone, so it shares no code with the
+    per-degree numpy fill it checks.
+    """
+
+    @staticmethod
+    def _assert_pinned(network, faults, behavior, seed):
+        fast = ArraySyndrome.from_faults(network, faults, behavior=behavior, seed=seed)
+        lazy = LazySyndrome(network, faults, behavior=behavior, seed=seed)
+        reference = ArraySyndrome.from_syndrome(network, lazy)
+        assert bytes(fast.buffer) == bytes(reference.buffer), (faults, behavior)
+        assert fast.faults == frozenset(faults)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_every_behavior_placement_and_fault_count(self, family):
+        network = cached_network(family, "tiny")
+        delta = network.diagnosability()
+        for placement in (random_faults, clustered_faults, spread_faults):
+            for count in sorted({0, 1, delta}):
+                seed = 3 * count + 1
+                faults = placement(network, count, seed=seed) if count else set()
+                assert len(faults) == count
+                for behavior in FaultyTesterBehavior.NAMES:
+                    self._assert_pinned(network, faults, behavior, seed)
+
+    @pytest.mark.parametrize("behavior", FaultyTesterBehavior.NAMES)
+    def test_mixed_degree_topology(self, behavior):
+        # A hub over a 7-cycle, a pendant and an isolated node: degrees 0, 1,
+        # 3, 4 and 7 all occur, so the fill runs several degree groups.
+        rows = [list(range(1, 8))]
+        for v in range(1, 8):
+            rows.append([0, 1 + (v % 7), 1 + ((v - 2) % 7)])
+        rows[1].append(8)
+        rows.extend([[1], []])
+        network = ExplicitNetwork([tuple(sorted(row)) for row in rows])
+        degrees = {network.degree(v) for v in range(network.num_nodes)}
+        assert degrees == {0, 1, 3, 4, 7}
+        for seed, faults in enumerate(({0}, {8}, {1, 9}, {0, 4, 8}, {2, 3, 5})):
+            self._assert_pinned(network, faults, behavior, seed)
 
 
 class TestSyndromeApi:

@@ -77,39 +77,73 @@ class TestPairLayout:
             d * (d - 1) // 2 for d in (csr.degree(v) for v in range(csr.num_nodes))
         )
 
-    def test_pair_members_are_sorted_neighbor_pairs(self, q5):
+    def test_slots_enumerate_sorted_neighbor_pairs(self, q5):
+        from repro.backend import ArraySyndrome
+
         csr = compile_network(q5)
-        pu, pv, pw = csr.pair_members()
+        tests = [key for key, _ in ArraySyndrome(csr, bytes(csr.num_pairs)).items()]
+        assert len(tests) == csr.num_pairs
         for u in range(csr.num_nodes):
             lo, hi = int(csr.pair_indptr[u]), int(csr.pair_indptr[u + 1])
             row = csr.rows[u]
-            expected = [(row[i], row[j]) for i in range(len(row))
+            expected = [(u, row[i], row[j]) for i in range(len(row))
                         for j in range(i + 1, len(row))]
-            assert (pu[lo:hi] == u).all()
-            assert list(zip(pv[lo:hi].tolist(), pw[lo:hi].tolist())) == expected
+            assert tests[lo:hi] == expected
+
+    def test_row_addresses_concatenate_rows(self, q5):
+        csr = compile_network(q5)
+        nodes = np.array([7, 0, 31, 7])
+        addr, counts = csr.row_addresses(nodes)
+        assert counts.tolist() == [csr.degree(int(v)) for v in nodes]
+        assert csr.indices[addr].tolist() == [
+            w for v in nodes.tolist() for w in csr.rows[v]
+        ]
+
+
+def _brute_boundary(network, members: set[int]) -> set[int]:
+    return {nb for u in members for nb in network.neighbors(u) if nb not in members}
 
 
 class TestBoundary:
-    @pytest.mark.parametrize("family", ["hypercube", "star", "kary_ncube"])
-    def test_boundary_matches_bruteforce(self, family):
+    """The complement-side boundary against a brute-force neighbour scan."""
+
+    @staticmethod
+    def _member_sets(n: int, seed: int) -> list[set[int]]:
+        rng = np.random.default_rng(seed)
+        sets = [set(), set(range(n)), {0}, {n - 1}]
+        for size in (1, n // 3, n // 2, n - 2):
+            sets.append(set(rng.choice(n, size=size, replace=False).tolist()))
+        return sets
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_matches_bruteforce_on_every_family(self, family):
         network = tiny_cached_network(family, "tiny")
         csr = compile_network(network)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            members = set(
-                rng.choice(network.num_nodes, size=network.num_nodes // 3,
-                           replace=False).tolist()
-            )
-            brute = {
-                nb for u in members for nb in network.neighbors(u) if nb not in members
-            }
+        n = network.num_nodes
+        member_sets = self._member_sets(n, seed=len(family))
+        masks = np.zeros((len(member_sets), n), dtype=bool)
+        for row, members in zip(masks, member_sets):
+            row[list(members)] = True
+        expected = [_brute_boundary(network, members) for members in member_sets]
+        assert csr.boundary_many(masks) == expected
+        for members, mask, brute in zip(member_sets, masks, expected):
             assert csr.boundary(members) == brute
-            mask = np.zeros(network.num_nodes, dtype=bool)
-            mask[list(members)] = True
+            assert csr.boundary(iter(sorted(members))) == brute
             assert csr.boundary(mask) == brute
+            assert csr.boundary_many(mask[np.newaxis]) == [brute]
 
     def test_empty_members(self, q5):
         assert compile_network(q5).boundary(set()) == set()
+
+    def test_single_node_boundary_is_its_row(self, q5):
+        csr = compile_network(q5)
+        for v in (0, 13, 31):
+            assert csr.boundary({v}) == set(csr.rows[v])
+
+    def test_rejects_mask_of_wrong_length(self, q5):
+        csr = compile_network(q5)
+        with pytest.raises(ValueError, match="boolean stack"):
+            csr.boundary(np.zeros(csr.num_nodes + 1, dtype=bool))
 
 
 class TestValidation:

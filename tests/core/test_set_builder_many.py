@@ -57,6 +57,24 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="not a node"):
             set_builder_many(q5, [syndrome], [q5.num_nodes])
 
+    def test_stacked_round_rejects_parent_outside_tester_row(self, q5):
+        """The alignment check is a real raise, not an assert ``-O`` strips."""
+        from repro.core.set_builder import _stacked_round
+
+        csr = compile_network(q5)
+        n, idx = csr.num_nodes, np.int32
+        member = np.zeros(n, dtype=bool)
+        member[[0, 1]] = True
+        parent = np.full(n, -1, dtype=idx)
+        parent[1] = 2  # 1 and 2 differ in two bits: not Q_5 neighbours
+        assert not csr.has_edge(1, 2)
+        with pytest.raises(RuntimeError, match="tree parent"):
+            _stacked_round(
+                csr, n, idx, member, parent, np.full(n, np.iinfo(idx).max, dtype=idx),
+                [np.zeros(csr.num_pairs, dtype=np.uint8)],
+                np.array([1], dtype=idx), np.zeros(1, dtype=np.int64),
+            )
+
 
 class TestAgreement:
     def test_width_one_matches_vectorized_path(self, q5):
@@ -99,15 +117,16 @@ class TestLightMode:
 
 
 class TestBoundaryMany:
-    def test_matches_per_row_boundary(self, q5):
+    def test_final_masks_bound_exactly_the_faults(self, q5):
         csr = compile_network(q5)
-        masks = []
+        masks, faults = [], []
         for seed in range(3):
-            result = set_builder(q5, _syndrome(q5, seed), 0)
+            syndrome = _syndrome(q5, seed)
+            result = set_builder(q5, syndrome, 0)
+            assert result.all_healthy  # root 0 is healthy for these seeds
             masks.append(result.member_mask)
-        stacked = csr.boundary_many(np.stack(masks))
-        for mask, boundary in zip(masks, stacked):
-            assert boundary == csr.boundary(mask)
+            faults.append(set(syndrome.faults))
+        assert csr.boundary_many(np.stack(masks)) == faults
 
     def test_empty_and_full_rows(self, q5):
         csr = compile_network(q5)

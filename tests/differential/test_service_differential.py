@@ -100,7 +100,6 @@ class TestServiceDifferential:
             stats = service.stats()
         _assert_matches_direct(network, requests, responses)
         assert stats["worker_compiles"] == 0
-        assert stats["worker_pair_builds"] == 0
 
     def test_http_transport_matches_direct_on_every_family(self, tiny_network):
         """The full wire path — JSON encode, HTTP frame, parse, serve,

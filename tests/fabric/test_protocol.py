@@ -244,7 +244,7 @@ class TestLeaseCodecs:
         assert lease_id == 23
         assert decoded_stats == {
             name: stats[name]
-            for name in ("compiles", "pair_builds", "kernel_width")
+            for name in ("compiles", "kernel_width")
         }
         for sent, received in zip(responses, decoded):
             assert received.faulty == sent.faulty
@@ -264,7 +264,7 @@ class TestLeaseCodecs:
         ({"kind": "result", "lease": 1, "responses": [], "stats": {}},
          "result stats"),
         ({"kind": "result", "lease": 1, "responses": [{}],
-          "stats": {"compiles": 0, "pair_builds": 0, "kernel_width": 0}},
+          "stats": {"compiles": 0, "kernel_width": 0}},
          r"result responses\[0\]"),
         ({"kind": "welcome"}, "not a result frame"),
     ])

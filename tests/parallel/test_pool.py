@@ -41,9 +41,6 @@ class TestChunkedTrialPlan:
         stats = two_cube_plan.last_run_stats
         assert stats is not None
         assert stats["worker_compiles"] == 0
-        # Pair members ship through shared memory with the topology, so the
-        # workers' syndrome generation never rebuilds them either.
-        assert stats["worker_pair_builds"] == 0
         assert stats["topologies_published"] == 2
         assert stats["chunks"] >= 2
 
@@ -89,13 +86,12 @@ class TestChunkedDistributedPlan:
         assert plan.last_run_stats["worker_compiles"] == 0
 
 
-class TestPairMemberShipping:
-    def test_fresh_workers_attach_pair_members_without_building(self):
-        """A pool forked before any compile still never builds pair arrays.
+class TestTopologyShipping:
+    def test_fresh_workers_attach_topology_without_compiling(self):
+        """A pool forked before any compile still never compiles.
 
-        This is the case shared pair members exist for: the worker cannot
-        have inherited them through fork, so a zero delta proves they came
-        out of the shared segment.
+        The worker cannot have inherited the compiled topology through fork,
+        so a zero delta proves it came out of the shared segment.
         """
         plan = TrialPlan.from_factors(
             [("Q_6", "hypercube", {"dimension": 6})], seeds=(11, 12),
@@ -106,7 +102,6 @@ class TestPairMemberShipping:
             fresh_pool.submit(pow, 2, 2).result()
             plan.run(pool=fresh_pool)
         assert plan.last_run_stats["worker_compiles"] == 0
-        assert plan.last_run_stats["worker_pair_builds"] == 0
 
     def test_worker_topology_cache_is_bounded(self):
         """Re-published topologies must not pin one mapping per name forever."""
@@ -142,38 +137,24 @@ class TestPairMemberShipping:
             for segment in segments:
                 segment.close()
 
-    def test_worker_health_reports_pair_builds(self, pool):
+    def test_worker_health_reports_compiles(self, pool):
         for report in pool.health():
-            assert "pair_builds" in report
-            assert report["pair_builds"] >= 0
+            assert report["compiles"] >= 0
 
-    def test_publish_upgrades_to_pair_members(self):
+    def test_publish_is_memoized_per_topology(self):
+        from multiprocessing import shared_memory
+
         from repro.backend.csr import compile_network
         from repro.networks.registry import create_network
 
-        from multiprocessing import shared_memory
-
-        def exists(name):
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                return False
-            segment.close()
-            return True
-
-        csr = compile_network(create_network("hypercube", dimension=6))
+        network = create_network("hypercube", dimension=6)
         with WorkerPool(max_workers=1) as own_pool:
-            plain = own_pool.publish_topology(csr)
-            assert plain.num_pairs == 0
-            upgraded = own_pool.publish_topology(csr, include_pair_members=True)
-            assert upgraded.num_pairs == csr.num_pairs
-            assert upgraded.name != plain.name
-            # The plain segment must survive the upgrade: tasks already
-            # queued with its handle still have to attach it.
-            assert exists(plain.name)
-            # A pair-carrying segment satisfies later plain requests (superset).
-            assert own_pool.publish_topology(csr) is upgraded
-        assert not exists(plain.name) and not exists(upgraded.name)
+            handle = own_pool.publish_topology(network)
+            # The network and its compiled form share one segment.
+            assert own_pool.publish_topology(compile_network(network)) is handle
+            assert handle.num_entries == compile_network(network).num_entries
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=handle.name)
 
     def test_release_topology_drops_segment_and_memo(self):
         from multiprocessing import shared_memory
@@ -183,7 +164,7 @@ class TestPairMemberShipping:
 
         csr = compile_network(create_network("hypercube", dimension=5))
         with WorkerPool(max_workers=1) as own_pool:
-            handle = own_pool.publish_topology(csr, include_pair_members=True)
+            handle = own_pool.publish_topology(csr)
             own_pool.release_topology(csr)
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=handle.name)

@@ -59,32 +59,6 @@ class TestTopologyRoundtrip:
         finally:
             segment.close()
 
-    def test_pair_members_ship_zero_copy(self, q6_csr):
-        from repro.backend.csr import pair_build_count
-
-        handle, segment = publish_topology(q6_csr, include_pair_members=True)
-        try:
-            assert handle.num_pairs == q6_csr.num_pairs
-            attached = attach_topology(handle)
-            builds_before = pair_build_count()
-            for shipped, local in zip(attached.pair_members(), q6_csr.pair_members()):
-                assert np.array_equal(shipped, local)
-                assert shipped.base is not None  # a view over the mapping
-            # The shipped arrays satisfied pair_members() without a build.
-            assert pair_build_count() == builds_before
-        finally:
-            segment.close()
-
-    def test_plain_handles_still_derive_pair_members_locally(self, q6_csr):
-        handle, segment = publish_topology(q6_csr)
-        try:
-            assert handle.num_pairs == 0
-            attached = attach_topology(handle)
-            for shipped, local in zip(attached.pair_members(), q6_csr.pair_members()):
-                assert np.array_equal(shipped, local)
-        finally:
-            segment.close()
-
     def test_buffer_roundtrip_and_writability(self):
         payload = bytes(range(100))
         handle, segment = publish_buffer(payload)
@@ -197,7 +171,7 @@ class TestWorkerHealth:
     def test_local_invocation_shape(self):
         report = worker_health()
         assert set(report) == {"pid", "topologies_attached", "buffers_attached",
-                               "compiles", "pair_builds"}
+                               "compiles"}
         assert report["pid"] == os.getpid()
 
 

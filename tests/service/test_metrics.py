@@ -131,20 +131,20 @@ class TestServiceMetrics:
 
     def test_batch_accounting(self):
         metrics = ServiceMetrics()
-        metrics.record_batch(1, compiles=0, pair_builds=0)
-        metrics.record_batch(5, compiles=0, pair_builds=1)
+        metrics.record_batch(1, compiles=0)
+        metrics.record_batch(5, compiles=1)
         snapshot = metrics.snapshot()
         assert snapshot["batches"] == 2
         assert snapshot["coalesced_batches"] == 1
         assert snapshot["mean_batch_size"] == pytest.approx(3.0)
-        assert snapshot["worker_pair_builds"] == 1
+        assert snapshot["worker_compiles"] == 1
 
     def test_kernel_width_drives_the_batch_size_histogram(self):
         metrics = ServiceMetrics()
-        metrics.record_batch(5, compiles=0, pair_builds=0, kernel_width=3)
+        metrics.record_batch(5, compiles=0, kernel_width=3)
         # a batch whose every syndrome failed to construct: counted as a
         # batch, but no histogram sample (the kernel never ran)
-        metrics.record_batch(2, compiles=0, pair_builds=0, kernel_width=0)
+        metrics.record_batch(2, compiles=0, kernel_width=0)
         snapshot = metrics.snapshot()
         assert snapshot["batches"] == 2
         assert snapshot["coalesced_batches"] == 2

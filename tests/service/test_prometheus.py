@@ -21,7 +21,7 @@ def populated_metrics() -> ServiceMetrics:
         metrics.record_enqueue(index, tenant="acme")
     metrics.record_enqueue(5, tenant="beta")
     metrics.record_rejection(6, tenant="acme")
-    metrics.record_batch(5, compiles=0, pair_builds=0, kernel_width=5)
+    metrics.record_batch(5, compiles=0, kernel_width=5)
     for index in range(5):
         metrics.record_response("computed", 0.01 * (index + 1), tenant="acme")
     metrics.record_response("store", 0.001, tenant="beta")

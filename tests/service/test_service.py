@@ -109,6 +109,43 @@ class TestCorrectness:
         [response] = _serve(DiagnosisService(), request)
         assert response.faulty_set == faults
 
+    def test_seeded_and_explicit_forms_share_one_store_row(self):
+        """The fault-sparse build writes the same bytes the full build did.
+
+        The pinned digests were produced by the earlier full-buffer
+        generator; the explicit form of the same syndrome files onto the
+        seeded request's row instead of adding one.
+        """
+        from repro.backend.array_syndrome import ArraySyndrome
+        from repro.core.faults import clustered_faults, random_faults
+        from repro.networks.registry import create_network
+
+        pinned = {
+            ("random", "random", 5, 17):
+                "4a83e33d32dd043f651e60811b2f43b668a60f5a001a4e1721714037ab80e8cc",
+            ("clustered", "anti_mimic", 8, 4):
+                "2e85176b0bf3e982d6666126cfc84fd0ca7043b84ea6f4879b784b49c9ac2f73",
+        }
+        place = {"random": random_faults, "clustered": clustered_faults}
+        for (placement, behavior, dimension, seed), digest in pinned.items():
+            params = {"dimension": dimension}
+            seeded = DiagnosisRequest.seeded(
+                "hypercube", params, placement=placement, behavior=behavior, seed=seed
+            )
+            network = create_network("hypercube", **params)
+            faults = place[placement](network, network.diagnosability(), seed=seed)
+            syndrome = ArraySyndrome.from_faults(
+                network, faults, behavior=behavior, seed=seed
+            )
+            explicit = DiagnosisRequest.from_syndrome("hypercube", params, syndrome)
+            store = ResultStore()
+            [first] = _serve(DiagnosisService(store=store), seeded)
+            [second] = _serve(DiagnosisService(store=store), explicit)
+            assert first.syndrome_digest == second.syndrome_digest == digest
+            assert second.faulty == first.faulty == tuple(sorted(faults))
+            assert len(store) == 1 and store.request_count() == 2
+            assert store.dedup_writes == 1
+
     def test_one_bad_request_never_fails_its_batch_mates(self):
         """Batches share execution, not fate (per-request error isolation)."""
         service = DiagnosisService()
@@ -137,10 +174,6 @@ class TestCorrectness:
         _serve(service, *(_request(seed) for seed in range(5)))
         stats = service.stats()
         assert stats["worker_compiles"] == 0
-        # resolve_topology warms the pair index into the cache entry, so
-        # even the *first* batch on a fresh topology builds no pair arrays
-        # inside the measured window.
-        assert stats["worker_pair_builds"] == 0
 
     def test_batch_size_histogram_records_kernel_width(self):
         """A construction failure shrinks the stacked kernel's width; the
@@ -543,20 +576,16 @@ class TestPooledService:
         assert live_segments <= 1
         assert service.stats()["topology_cache"]["evictions"] == len(topologies) - 1
 
-    def test_fork_inherited_topology_adopts_shipped_pair_members(self):
-        """Workers that inherited a compiled (but pair-less) CSR graft the
-        shared pair members instead of rebuilding them."""
+    def test_fork_inherited_topology_serves_without_compiling(self):
+        """Workers that inherited a compiled CSR through fork keep it."""
         from repro.backend.csr import compile_network
         from repro.networks.registry import cached_network, clear_network_cache
         from repro.parallel import WorkerPool
 
-        # Compile in the parent via the registry memo, without touching the
-        # pair arrays, *before* the pool forks: workers inherit exactly the
-        # state that used to defeat the attach guard.  (Clear first so no
-        # earlier test's pair-member build rides along on the memo.)
+        # Compile in the parent via the registry memo *before* the pool
+        # forks, so the workers inherit the compiled adjacency.
         clear_network_cache()
-        csr = compile_network(cached_network("hypercube", dimension=6))
-        assert csr._pair_members is None
+        compile_network(cached_network("hypercube", dimension=6))
         with WorkerPool(max_workers=1) as pool:
             pool.submit(pow, 2, 2).result()  # fork now
             service = DiagnosisService(pool=pool)
@@ -564,7 +593,6 @@ class TestPooledService:
             stats = service.stats()
         assert all(r.ok for r in responses)
         assert stats["worker_compiles"] == 0
-        assert stats["worker_pair_builds"] == 0
 
     def test_capacity_zero_pooled_service_leaks_no_segments(self):
         """The naive baseline must not pin one shm segment per batch."""
@@ -610,7 +638,6 @@ class TestPooledService:
         assert [r.faulty for r in pooled] == [r.faulty for r in plain]
         assert [r.lookups for r in pooled] == [r.lookups for r in plain]
         assert stats["worker_compiles"] == 0
-        assert stats["worker_pair_builds"] == 0
 
     def test_pooled_explicit_syndromes_travel_shared_memory(self, q5):
         """Explicit syndrome buffers ship as one published segment with
@@ -648,7 +675,6 @@ class TestPooledService:
             assert response.lookups == direct.lookups
             assert response.syndrome_digest == direct.syndrome_digest
         assert stats["worker_compiles"] == 0
-        assert stats["worker_pair_builds"] == 0
 
     def test_pooled_wrong_size_explicit_buffer_fails_per_item(self):
         """A bad span-shipped buffer raises inside the worker exactly like
