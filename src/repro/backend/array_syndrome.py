@@ -50,6 +50,29 @@ def _triu(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(degree, 1)
 
 
+def fair_coins(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` results of ``rng.randint(0, 1)``, drawn in bulk.
+
+    CPython's ``randint(0, 1)`` is ``_randbelow(2)``: each try takes one
+    32-bit Mersenne Twister word, is rejected when the word's top bit is
+    set and otherwise answers the word's bit 30.  ``getrandbits(32·k)``
+    returns the next ``k`` words in draw order, little-endian, so keeping
+    the accepted words' bit 30 reproduces the per-call sequence exactly.
+    The generator may advance past the last needed word.
+    """
+    parts = [np.empty(0, dtype=np.uint8)]
+    have = 0
+    while have < count:
+        words = 2 * (count - have) + 64
+        raw = np.frombuffer(
+            rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
+        )
+        coins = ((raw[raw < 0x80000000] >> 30) & 1).astype(np.uint8)
+        parts.append(coins)
+        have += coins.size
+    return np.concatenate(parts)[:count]
+
+
 def _slot_tests(csr: CSRAdjacency) -> Iterator[tuple[int, int, int]]:
     """Every test ``(u, v, w)`` of the topology, in pair-slot order."""
     for u, row in enumerate(csr.rows):
@@ -141,6 +164,16 @@ class ArraySyndrome(Syndrome):
             values[slots] = hit[:, iu] | hit[:, ju]
 
         name = behavior.name
+        if name == "random" and type(behavior).result is FaultyTesterBehavior.result:
+            # The stock coin is one rng.randint(0, 1) per pair in canonical
+            # order: draw every faulty tester's coins at once and scatter
+            # them over the testers' slot spans, ascending.
+            starts = pair_indptr[fault_ids]
+            counts = pair_indptr[fault_ids + 1] - starts
+            slots = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            slots += np.arange(slots.size)
+            values[slots] = fair_coins(rng, slots.size)
+            return cls(csr, buf, faults=fault_set, copy=False)
         for u in ordered:
             lo, hi = int(pair_indptr[u]), int(pair_indptr[u + 1])
             if name == "all_zero":
@@ -151,8 +184,8 @@ class ArraySyndrome(Syndrome):
                 values[lo:hi] ^= 1
             elif name != "mimic":  # mimic: the healthy values are the answer
                 # Delegate per pair (consuming the rng in canonical order), so
-                # behaviours beyond the bulk-computable ones above stay in
-                # lockstep with LazySyndrome.
+                # behaviours beyond the bulk-computable ones above — custom
+                # coins included — stay in lockstep with LazySyndrome.
                 row = indices[indptr[u]:indptr[u + 1]].tolist()
                 healthy = values[lo:hi].tolist()
                 pairs = [(v, w) for i, v in enumerate(row) for w in row[i + 1:]]

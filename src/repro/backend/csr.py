@@ -81,6 +81,7 @@ class CSRAdjacency:
         "_rows",
         "_pair_base",
         "_shm",
+        "probe_plans",
     )
 
     def __init__(self, indptr, indices) -> None:
@@ -104,6 +105,11 @@ class CSRAdjacency:
         #: reconstructed by repro.parallel.shm.attach_topology (keeps the
         #: mapping alive exactly as long as the views handed out from it)
         self._shm = None
+        #: the diagnosis driver's root-search plans over this topology, keyed
+        #: by probes per level (partition classes, lazily built class tables);
+        #: cached here because compiled topologies outlive the per-batch
+        #: diagnosers, in the service's cache and in pool workers alike
+        self.probe_plans: dict = {}
 
     # ------------------------------------------------------------ construction
     @classmethod

@@ -39,10 +39,12 @@ from dataclasses import dataclass, field
 
 from typing import Sequence
 
+import numpy as np
+
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork, PartitionClass
 from .set_builder import (
-    SetBuilderResult,
+    ProbeScratch,
     certificate_node_budget,
     set_builder,
     set_builder_many,
@@ -190,34 +192,53 @@ class GeneralDiagnoser:
 
     # ----------------------------------------------------------- root search
     def find_healthy_root(
-        self, syndrome: Syndrome
+        self, syndrome: Syndrome, *, scratch: ProbeScratch | None = None
     ) -> tuple[int, list[ProbeRecord], int | None]:
         """Locate a certifiably healthy node.
 
         Returns ``(root, probe_records, partition_level)`` where
         ``partition_level`` is ``None`` if the fallback probing found the
         root.  Raises :class:`DiagnosisError` if every probe fails.
+
+        Over an :class:`~repro.backend.array_syndrome.ArraySyndrome` on this
+        diagnoser's compiled topology, each partition level and each
+        fallback attempt is one native ``probe_level`` call when the native
+        library is available; the records, root, level and lookup counts
+        are those of the scalar probes it replaces.  ``scratch`` lets a
+        caller diagnosing many syndromes on one thread reuse one
+        :class:`~repro.core.set_builder.ProbeScratch`.
         """
         probes: list[ProbeRecord] = []
-        budget_probes = self.delta + 1 if self.max_probes_per_level is None \
-            else self.max_probes_per_level
+        if not self._native_probes_apply(syndrome):
+            scratch = None
+        elif scratch is None:
+            scratch = ProbeScratch.create(self.csr)
 
         if self.use_partition:
-            for level in range(self.network.max_partition_level() + 1):
-                try:
-                    scheme = self.network.partition_scheme(level)
-                except ValueError:
-                    break
-                # Classes of size 1 can never certify; skip useless levels.
-                if scheme.class_size <= 1:
-                    continue
-                for cls in scheme.first(budget_probes):
-                    record, result = self._probe_class(syndrome, cls)
-                    probes.append(record)
-                    if result.all_healthy:
-                        return result.root, probes, level
+            for level in self._probe_levels():
+                table = None if scratch is None else level.class_table(self.csr)
+                if table is None:
+                    outcomes = self._scalar_probes(
+                        syndrome, level.starts.tolist(),
+                        restricts=[cls.contains for cls in level.classes],
+                    )
+                else:
+                    outcomes = _outcomes(scratch.run(
+                        syndrome, level.starts, self.delta, class_of=table,
+                    ))
+                for cls, (size, lookups, certified) in zip(level.classes, outcomes):
+                    probes.append(ProbeRecord(
+                        start=cls.representative,
+                        kind="partition",
+                        label=cls.label,
+                        certified=certified,
+                        nodes_explored=size,
+                        lookups=lookups,
+                    ))
+                    if certified:
+                        return cls.representative, probes, level.level
 
-        root = self._fallback_probe(syndrome, probes)
+        root = self._fallback_probe(syndrome, probes, scratch)
         if root is not None:
             return root, probes, None
         raise DiagnosisError(
@@ -225,30 +246,67 @@ class GeneralDiagnoser:
             "the hypotheses of Theorem 1 (or the healthy component is too small)"
         )
 
-    def _probe_class(
-        self, syndrome: Syndrome, cls: PartitionClass
-    ) -> tuple[ProbeRecord, SetBuilderResult]:
-        result = set_builder(
-            self.network,
-            syndrome,
-            cls.representative,
-            diagnosability=self.delta,
-            restrict=cls.contains,
-            stop_on_certificate=True,
-            compiled=self.compiled,
+    def _native_probes_apply(self, syndrome: Syndrome) -> bool:
+        """Whether the native probes can stand in for the array path."""
+        from ..backend.array_syndrome import ArraySyndrome
+
+        return (
+            self.csr is not None
+            and isinstance(syndrome, ArraySyndrome)
+            and syndrome.csr is self.csr
         )
-        record = ProbeRecord(
-            start=cls.representative,
-            kind="partition",
-            label=cls.label,
-            certified=result.all_healthy,
-            nodes_explored=result.size,
-            lookups=result.lookups,
-        )
-        return record, result
+
+    def _probe_levels(self) -> list["_ProbeLevel"]:
+        """The partition levels the root search probes, in order.
+
+        A level whose classes have one node can never certify and is
+        skipped; a level the network cannot build ends the list.  Compiled
+        diagnosers cache the list on the topology (see
+        :attr:`~repro.backend.csr.CSRAdjacency.probe_plans`), so a serving
+        process walks the partition schemes once per topology.
+        """
+        count = self.delta + 1 if self.max_probes_per_level is None \
+            else self.max_probes_per_level
+        plans = None if self.csr is None else self.csr.probe_plans
+        if plans is not None and count in plans:
+            return plans[count]
+        levels: list[_ProbeLevel] = []
+        for level in range(self.network.max_partition_level() + 1):
+            try:
+                scheme = self.network.partition_scheme(level)
+            except ValueError:
+                break
+            # Classes of size 1 can never certify; skip useless levels.
+            if scheme.class_size <= 1:
+                continue
+            levels.append(_ProbeLevel(level, scheme.first(count)))
+        if plans is not None:
+            plans[count] = levels
+        return levels
+
+    def _scalar_probes(self, syndrome, starts, *, restricts=None, max_nodes=None):
+        """``(nodes_explored, lookups, certified)`` of each probe from
+        ``starts`` in order, up to and including the first certified one."""
+        for k, start in enumerate(starts):
+            result = set_builder(
+                self.network,
+                syndrome,
+                start,
+                diagnosability=self.delta,
+                restrict=None if restricts is None else restricts[k],
+                max_nodes=max_nodes,
+                stop_on_certificate=True,
+                compiled=self.compiled,
+            )
+            yield result.size, result.lookups, result.all_healthy
+            if result.all_healthy:
+                return
 
     def _fallback_probe(
-        self, syndrome: Syndrome, probes: list[ProbeRecord]
+        self,
+        syndrome: Syndrome,
+        probes: list[ProbeRecord],
+        scratch: ProbeScratch | None = None,
     ) -> int | None:
         """Probe ``δ + 1`` distinct nodes with a budgeted unrestricted run."""
         network = self.network
@@ -272,27 +330,25 @@ class GeneralDiagnoser:
             starts.append(candidate)
 
         for attempt, max_nodes in enumerate((budget, None)):
-            for start in starts:
-                result = set_builder(
-                    network,
-                    syndrome,
-                    start,
-                    diagnosability=self.delta,
+            if scratch is None:
+                outcomes = self._scalar_probes(syndrome, starts, max_nodes=max_nodes)
+            else:
+                outcomes = _outcomes(scratch.run(
+                    syndrome, np.asarray(starts, dtype=np.int64), self.delta,
                     max_nodes=max_nodes,
-                    stop_on_certificate=True,
-                    compiled=self.compiled,
-                )
+                ))
+            for start, (size, lookups, certified) in zip(starts, outcomes):
                 probes.append(
                     ProbeRecord(
                         start=start,
                         kind="fallback" if attempt == 0 else "fallback-unbudgeted",
                         label=f"node={start}",
-                        certified=result.all_healthy,
-                        nodes_explored=result.size,
-                        lookups=result.lookups,
+                        certified=certified,
+                        nodes_explored=size,
+                        lookups=lookups,
                     )
                 )
-                if result.all_healthy:
+                if certified:
                     return start
         return None
 
@@ -365,6 +421,9 @@ class GeneralDiagnoser:
 
         start_time = time.perf_counter()
         outcomes: list[DiagnosisResult | Exception | None] = [None] * len(syndromes)
+        # One probe scratch per call, never per topology: batches on one
+        # topology may run concurrently on executor threads.
+        scratch = None if self.csr is None else ProbeScratch.create(self.csr)
         stacked: list[int] = []
         roots: list[int] = []
         probe_records: list[list[ProbeRecord]] = []
@@ -381,7 +440,9 @@ class GeneralDiagnoser:
                 continue
             before = syndrome.lookups
             try:
-                root, probes, level = self.find_healthy_root(syndrome)
+                root, probes, level = self.find_healthy_root(
+                    syndrome, scratch=scratch
+                )
             except (DiagnosisError, ValueError) as exc:
                 outcomes[pos] = exc
                 continue
@@ -425,6 +486,68 @@ class GeneralDiagnoser:
                 if v not in healthy:
                     boundary.add(v)
         return boundary
+
+
+def _outcomes(records: np.ndarray) -> list[tuple[int, int, bool]]:
+    """``(nodes_explored, lookups, certified)`` of native probe records."""
+    return [(size, lookups, bool(certified))
+            for size, lookups, certified, _, _ in records.tolist()]
+
+
+class _ProbeLevel:
+    """One partition level of the root search: its probed classes and,
+    built on first native use, their per-node class table."""
+
+    __slots__ = ("level", "classes", "starts", "_table")
+
+    def __init__(self, level: int, classes: list[PartitionClass]) -> None:
+        self.level = level
+        self.classes = classes
+        self.starts = np.array(
+            [cls.representative for cls in classes], dtype=np.int64
+        )
+        self._table: np.ndarray | None | bool = False  # False: not built yet
+
+    def class_table(self, csr) -> np.ndarray | None:
+        """``int32`` per node: the index of the probed class holding it, or -1.
+
+        Class ``k``'s entries come from a walk from its representative over
+        ``cls.contains`` — exactly the nodes a restricted probe from there
+        can ever add, at about ``|class|·Δ`` predicate calls rather than
+        one per node of the network.  ``None`` when a representative lies
+        outside its class or two probed classes share a reachable node: the
+        scalar probes then run the level, raising or answering exactly as
+        they always have.
+        """
+        if self._table is False:
+            self._table = _walk_classes(csr, self.classes)
+        return self._table
+
+
+def _walk_classes(csr, classes: list[PartitionClass]) -> np.ndarray | None:
+    rows = csr.rows
+    owner: dict[int, int] = {}
+    for k, cls in enumerate(classes):
+        contains = cls.contains
+        rep = cls.representative
+        if not 0 <= rep < csr.num_nodes or rep in owner or not contains(rep):
+            return None
+        owner[rep] = k
+        stack = [rep]
+        while stack:
+            for v in rows[stack.pop()]:
+                held = owner.get(v)
+                if held == k or not contains(v):
+                    continue
+                if held is not None:
+                    return None
+                owner[v] = k
+                stack.append(v)
+    table = np.full(csr.num_nodes, -1, dtype=np.int32)
+    table[np.fromiter(owner, dtype=np.int64, count=len(owner))] = np.fromiter(
+        owner.values(), dtype=np.int32, count=len(owner)
+    )
+    return table
 
 
 def diagnose(

@@ -1,14 +1,18 @@
-"""Optional native build of the stacked Set_Builder inner loop.
+"""Optional native build of the Set_Builder inner loops.
 
-The stacked kernel's hot loop is memory-bound element streaming — exactly the
-shape a C compiler turns into a single fused pass, where numpy is forced into
-one full-array sweep per operator.  When a system C compiler is available,
+``_stacked.c`` has two entry points.  ``stacked_rounds`` is the stacked
+kernel's hot loop: memory-bound element streaming, exactly the shape a C
+compiler turns into a single fused pass, where numpy is forced into one
+full-array sweep per operator.  ``probe_level`` runs the healthy-root
+search's small scalar probes, where the interpreter's per-element overhead
+dominates.  When a system C compiler is available,
 ``_stacked.c`` is built once into a tiny shared library (cached under the
 user's cache directory, keyed by source hash) and loaded through the stdlib
 ``ctypes`` — no third-party dependency, no install step, nothing added to the
 environment.  When it is not — or when ``REPRO_NO_NATIVE`` is set — callers
-fall back to the pure-numpy round in ``set_builder.py``, which the
-differential suite pins bit-identical to the native pass.
+fall back to the pure-numpy round and the scalar probe path in
+``set_builder.py``, which the test suites pin bit-identical to the native
+passes.
 
 The compile is atomic (build to a temp name, ``os.replace`` into the cache)
 so racing processes never load a half-written file, and the build itself
@@ -33,15 +37,19 @@ except ImportError:  # pragma: no cover - non-POSIX: fall back to lock-free
     fcntl = None
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
-__all__ = ["load_stacked_kernel", "native_kernel_active"]
+__all__ = [
+    "address",
+    "load_probe_kernel",
+    "load_stacked_kernel",
+    "native_kernel_active",
+]
 
 _SOURCE = Path(__file__).with_name("_stacked.c")
 _COMPILERS = ("cc", "gcc", "clang")
 
 #: tri-state memo: "unset" -> not probed yet, None -> unavailable, else the
-#: configured ctypes function.  ``REPRO_NO_NATIVE`` (any non-empty value)
+#: configured library.  ``REPRO_NO_NATIVE`` (any non-empty value)
 #: forces the numpy path; tests flip ``_forced_off`` to exercise both.
 _kernel: object = "unset"
 _forced_off = bool(os.environ.get("REPRO_NO_NATIVE"))
@@ -101,35 +109,47 @@ def _build_lock(target: Path):
             fcntl.flock(lock_file, fcntl.LOCK_UN)
 
 
-def _configure(library: ctypes.CDLL):
-    fn = library.stacked_rounds
-    fn.restype = ctypes.c_int64
-    c = "C_CONTIGUOUS"
-    fn.argtypes = [
-        ndpointer(np.int64, flags=c),                  # indptr
-        ndpointer(np.int32, flags=c),                  # indices
-        ndpointer(np.int64, flags=c),                  # pair_indptr
-        ctypes.POINTER(ctypes.POINTER(ctypes.c_ubyte)),  # buffers
-        ctypes.c_int64,                                # n
-        ctypes.c_int64,                                # num_syndromes
-        ndpointer(np.int64, flags=c),                  # frontier0
-        ctypes.c_int64,                                # frontier0_len
-        ndpointer(np.uint8, flags=c),                  # member
-        ndpointer(np.int64, flags=c),                  # parent
-        ndpointer(np.int64, flags=c),                  # lookups
-        ndpointer(np.int64, flags=c),                  # rounds
-        ndpointer(np.uint8, flags=c),                  # contributed
-        ndpointer(np.int64, flags=c),                  # contrib_count
+def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare both entry points with raw-pointer array arguments.
+
+    Arrays travel as ``c_void_p`` addresses the callers check once (dtype,
+    contiguity, length) before a call: ``ndpointer`` re-validates every
+    array on every call, which costs several times a probe's own run time.
+    """
+    p, i64 = ctypes.c_void_p, ctypes.c_int64
+    stacked = library.stacked_rounds
+    stacked.restype = i64
+    stacked.argtypes = [
+        p, p, p,    # indptr, indices, pair_indptr
+        p,          # buffers: num_syndromes buffer addresses
+        i64, i64,   # n, num_syndromes
+        p, i64,     # frontier0, frontier0_len
+        p, p,       # member, parent
+        p, p,       # lookups, rounds
+        p, p,       # contributed, contrib_count
     ]
-    return fn
+    probe = library.probe_level
+    probe.restype = i64
+    probe.argtypes = [
+        p, p, p,    # indptr, indices, pair_indptr
+        p,          # buf
+        i64, i64,   # n, delta
+        p, i64,     # starts, num_probes
+        p,          # class_of (NULL: unrestricted)
+        i64,        # max_nodes (< 0: none)
+        p, p, p,    # mark, parent, tree
+        p,          # records
+    ]
+    return library
 
 
-def load_stacked_kernel():
-    """The compiled ``stacked_rounds`` entry point, or ``None``.
+def _load_library():
+    """The configured native library, or ``None``.
 
     Any failure along the way — no source, no compiler, a build error, a
-    load error — degrades silently to ``None``: the numpy path is always
-    there and always correct, the native pass is only ever a speedup.
+    load error — degrades silently to ``None``: the numpy and scalar paths
+    are always there and always correct, the native passes are only ever a
+    speedup.
     """
     global _kernel
     if _forced_off:
@@ -153,6 +173,32 @@ def load_stacked_kernel():
     return _kernel
 
 
+def load_stacked_kernel():
+    """The compiled ``stacked_rounds`` entry point, or ``None``."""
+    library = _load_library()
+    return None if library is None else library.stacked_rounds
+
+
+def load_probe_kernel():
+    """The compiled ``probe_level`` entry point, or ``None``."""
+    library = _load_library()
+    return None if library is None else library.probe_level
+
+
+def address(array: np.ndarray, dtype, length: int) -> int:
+    """Address of a C-contiguous ``dtype`` array of at least ``length`` items.
+
+    The one check every raw-pointer argument passes before a native call;
+    a mismatch is a caller bug, so it raises rather than degrading.
+    """
+    if array.dtype != dtype or not array.flags.c_contiguous or array.size < length:
+        raise ValueError(
+            f"native call needs a contiguous {np.dtype(dtype)} array of "
+            f">= {length} items, got {array.dtype} x {array.size}"
+        )
+    return array.ctypes.data
+
+
 def native_kernel_active() -> bool:
-    """Whether stacked batches will run the native inner loop."""
-    return load_stacked_kernel() is not None
+    """Whether stacked batches and root-search probes run natively."""
+    return _load_library() is not None

@@ -50,7 +50,6 @@ sorted rows.  The ``all_healthy`` certificate is sound on every path.
 
 from __future__ import annotations
 
-import ctypes
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -59,18 +58,25 @@ import numpy as np
 
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork
-from .native import load_stacked_kernel
+from .native import address, load_probe_kernel, load_stacked_kernel
 from .syndrome import Syndrome
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import is deferred (cycle)
     from ..backend.array_syndrome import ArraySyndrome
 
 __all__ = [
+    "ProbeScratch",
     "SetBuilderResult",
     "set_builder",
     "set_builder_many",
     "certificate_node_budget",
 ]
+
+#: Scratch bound of one stacked pass: the native kernel allocates
+#: ``_STACK_BYTES_PER_KEY`` per flat ``syndrome * n + node`` key (its frontier
+#: and admission buffers), so wider stacks run in width slices below this.
+_STACK_SCRATCH_BYTES = 256 << 20
+_STACK_BYTES_PER_KEY = 24
 
 
 @dataclass
@@ -449,6 +455,86 @@ def _set_builder_array(
     )
 
 
+class ProbeScratch:
+    """Caller-owned scratch of the native root-search probes on one topology.
+
+    ``probe_level`` in ``_stacked.c`` runs :func:`_set_builder_array` probes
+    without allocating: it borrows a zeroed node mask (each probe clears
+    exactly the nodes it touched, so the mask is zero again between calls)
+    and two node-sized work arrays.  One instance serves any number of
+    consecutive calls on one thread; concurrent callers each need their own.
+    :meth:`create` returns ``None`` when the native library is unavailable,
+    and the scalar path then stays the probe path.
+    """
+
+    __slots__ = (
+        "csr", "_kernel", "_mark", "_parent", "_tree", "_topology", "_scratch",
+    )
+
+    def __init__(self, csr, kernel) -> None:
+        n = csr.num_nodes
+        self.csr = csr
+        self._kernel = kernel
+        self._mark = np.zeros(n, dtype=np.uint8)
+        self._parent = np.empty(n, dtype=np.int32)
+        self._tree = np.empty(n, dtype=np.int32)
+        self._topology = (
+            address(csr.indptr, np.int64, n + 1),
+            address(csr.indices, np.int32, csr.num_entries),
+            address(csr.pair_indptr, np.int64, n + 1),
+        )
+        self._scratch = (
+            address(self._mark, np.uint8, n),
+            address(self._parent, np.int32, n),
+            address(self._tree, np.int32, n),
+        )
+
+    @classmethod
+    def create(cls, csr) -> "ProbeScratch | None":
+        kernel = load_probe_kernel()
+        return None if kernel is None else cls(csr, kernel)
+
+    def run(
+        self,
+        syndrome: ArraySyndrome,
+        starts: np.ndarray,
+        diagnosability: int,
+        *,
+        class_of: np.ndarray | None = None,
+        max_nodes: int | None = None,
+    ) -> np.ndarray:
+        """Probe from each of ``starts`` in order until one certifies.
+
+        Probe ``k`` is ``_set_builder_array(csr, syndrome, starts[k], ...)``
+        with ``stop_on_certificate`` set, restricted to the nodes ``v`` with
+        ``class_of[v] == k`` (unrestricted when ``class_of`` is ``None``),
+        under the ``max_nodes`` budget.
+        Returns one ``(nodes_explored, lookups, certified, truncated,
+        rounds)`` row per probe run — every probe up to and including the
+        first certified one — and credits the consulted entries to
+        ``syndrome.lookups``.
+        """
+        csr = self.csr
+        n = csr.num_nodes
+        count = len(starts)
+        records = np.empty((count, 5), dtype=np.int64)
+        ran = self._kernel(
+            *self._topology,
+            address(syndrome.values_array, np.uint8, csr.num_pairs),
+            n, diagnosability,
+            address(starts, np.int64, count), count,
+            None if class_of is None else address(class_of, np.int32, n),
+            -1 if max_nodes is None else max_nodes,
+            *self._scratch,
+            address(records, np.int64, records.size),
+        )
+        if ran < 0:
+            raise ValueError("a probe start node lies outside its class or the network")
+        records = records[:ran]
+        syndrome.lookups += int(records[:, 1].sum())
+        return records
+
+
 def _expand_root_pairs(
     csr, pbuf, u0: int
 ) -> tuple[list[int], dict[int, int], int]:
@@ -803,6 +889,9 @@ def set_builder_many(
     exact.  The serving path uses this: it needs only the mask (for the
     boundary) and the counters, and per-syndrome dict/set construction would
     otherwise cap the batch speedup.
+
+    A stack whose native scratch would pass ``_STACK_SCRATCH_BYTES`` runs
+    in width slices, one pass each; the results are the same.
     """
     from ..backend.array_syndrome import ArraySyndrome
 
@@ -826,6 +915,16 @@ def set_builder_many(
     for u0 in roots:
         if not 0 <= u0 < n:
             raise ValueError(f"start node {u0} is not a node of the network")
+    width = max(1, _STACK_SCRATCH_BYTES // (_STACK_BYTES_PER_KEY * n))
+    if num_syndromes > width:
+        # Stack items are independent: slicing the width changes no result.
+        results: list[SetBuilderResult] = []
+        for lo in range(0, num_syndromes, width):
+            results.extend(set_builder_many(
+                network, syndromes[lo:lo + width], roots[lo:lo + width],
+                diagnosability=diagnosability, materialize=materialize,
+            ))
+        return results
 
     # Narrow index dtype halves the per-round memory traffic; fall back to
     # int64 only when an address space genuinely needs it.
@@ -874,17 +973,25 @@ def set_builder_many(
     # ------------------------------------------------------------ rounds >= 2
     if native is not None:
         if frontier_keys.size:
-            buf_ptr = ctypes.POINTER(ctypes.c_ubyte)
-            buf_ptrs = (buf_ptr * num_syndromes)(
-                *[b.ctypes.data_as(buf_ptr) for b in buffers]
+            keys = num_syndromes * n
+            buf_addrs = np.array(
+                [address(b, np.uint8, csr.num_pairs) for b in buffers],
+                dtype=np.uintp,
             )
+            frontier0 = frontier_keys.astype(np.int64)
             code = native(
-                csr.indptr, csr.indices, csr.pair_indptr, buf_ptrs,
+                address(csr.indptr, np.int64, n + 1),
+                address(csr.indices, np.int32, csr.num_entries),
+                address(csr.pair_indptr, np.int64, n + 1),
+                buf_addrs.ctypes.data,
                 n, num_syndromes,
-                frontier_keys.astype(np.int64), frontier_keys.size,
-                member_flat.view(np.uint8), parent_flat,
-                lookups, rounds,
-                contributed.view(np.uint8), contrib_count,
+                address(frontier0, np.int64, frontier0.size), frontier0.size,
+                address(member_flat.view(np.uint8), np.uint8, keys),
+                address(parent_flat, np.int64, keys),
+                address(lookups, np.int64, num_syndromes),
+                address(rounds, np.int64, num_syndromes),
+                address(contributed.view(np.uint8), np.uint8, keys),
+                address(contrib_count, np.int64, num_syndromes),
             )
             if code != 0:
                 raise RuntimeError(

@@ -105,6 +105,15 @@ class WorkerPool:
     def shutdown(self, *, wait: bool = True) -> None:
         """Stop the workers and unlink every segment this pool published."""
         if self._executor is not None:
+            # A worker that died while holding the call queue's reader lock
+            # leaves its siblings unable to read their shutdown sentinels,
+            # and the executor, if it has not noticed the death yet, would
+            # join them forever.  A pool with a dead worker is broken
+            # anyway: terminate the rest.
+            workers = list((self._executor._processes or {}).values())
+            if any(worker.exitcode is not None for worker in workers):
+                for worker in workers:
+                    worker.terminate()
             self._executor.shutdown(wait=wait)
             self._executor = None
         for segment in self._segments.values():

@@ -76,9 +76,13 @@ def resolve_topology(family: str, params: dict):
     and the naive baseline's capacity-0 configuration — measure what they
     claim to.
 
-    The entry is returned *warmed*: the Python rows and pair bases the root
-    search reads are materialised here, once per cache entry, never inside
-    a measured batch.
+    The entry is returned *warmed*: the Python rows and pair bases are
+    materialised here, once per cache entry, never inside a measured batch.
+    The stacked kernel's round 1 reads them on every request.  The root
+    search's native probes read only the flat CSR arrays and a per-level
+    class table, which the first search on a level builds by walking the
+    rows and caches on the compiled topology; without the native library
+    the scalar probes read the rows and pair bases directly.
     """
     network = create_network(family, **params)
     from ..backend.csr import compile_network
