@@ -30,7 +30,11 @@ Every batched response is verified bit-identical to the direct
 throughput with zero worker-side compiles.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_service.py
-(--smoke shrinks the mix for CI and skips the JSON write).
+(--smoke shrinks the mix for CI and skips the JSON write; --baseline PATH
+copies the ``batched_kernel`` row of an earlier run's JSON into
+``batched_kernel_before``, so one file carries a before/after pair measured
+by the same harness — run this script with ``PYTHONPATH`` pointing at the
+older tree's ``src`` to produce the before, and save that JSON aside).
 """
 
 from __future__ import annotations
@@ -143,12 +147,16 @@ def measure_kernel(*, smoke: bool) -> dict:
     light mode (no healthy-set materialisation — responses only carry the
     accusation set and counters).  Outcomes are verified bit-identical on
     accusations, root, probes, partition level and lookup count before any
-    time is recorded."""
+    time is recorded.  ``set_builder_many_seconds`` times the final stacked
+    ``Set_Builder`` pass alone (the ledger's ``kernel`` layer), from the
+    healthy roots the stacked call found."""
     import time
 
     from repro.backend.array_syndrome import ArraySyndrome
     from repro.core.diagnosis import GeneralDiagnoser
     from repro.core.faults import random_faults
+    from repro.core.native import native_kernel_active
+    from repro.core.set_builder import set_builder_many
     from repro.networks.registry import compiled_network
 
     family, params = "hypercube", {"dimension": 8 if smoke else 14}
@@ -174,8 +182,14 @@ def measure_kernel(*, smoke: bool) -> dict:
         for out, ref in zip(stacked, references)
     )
 
-    sequential_best = stacked_best = float("inf")
+    roots = [out.healthy_root for out in stacked]
+    sequential_best = stacked_best = layer_best = float("inf")
     for _ in range(repeats):
+        t0 = time.perf_counter()
+        set_builder_many(
+            network, syndromes, roots, diagnosability=delta, materialize=False
+        )
+        layer_best = min(layer_best, time.perf_counter() - t0)
         t0 = time.perf_counter()
         for syndrome in syndromes:
             diagnoser.diagnose(syndrome)
@@ -191,6 +205,9 @@ def measure_kernel(*, smoke: bool) -> dict:
         "num_nodes": network.num_nodes,
         "batch_width": width,
         "repeats": repeats,
+        "cpu_count": os.cpu_count(),
+        "native": native_kernel_active(),
+        "set_builder_many_seconds": round(layer_best, 4),
         "sequential_seconds": round(sequential_best, 4),
         "stacked_seconds": round(stacked_best, 4),
         "sequential_rps": round(width / sequential_best, 2),
@@ -238,6 +255,12 @@ def measure_width_curve() -> list[dict]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     smoke = "--smoke" in argv
+    baseline = None
+    if "--baseline" in argv:
+        previous = json.loads(Path(argv[argv.index("--baseline") + 1]).read_text())
+        baseline = next(
+            row for row in previous["results"] if row["mode"] == "batched_kernel"
+        )
     mix = SMOKE_MIX if smoke else DEFAULT_MIX
     spec = LoadSpec.from_mix(
         mix,
@@ -303,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         "http_transport_tax": http_transport_tax,
         "batch_width_curve": width_curve,
         "kernel_speedup_at_width_16": kernel["kernel_speedup"],
+        "batched_kernel_before": baseline,
         "kernel_target_speedup": 3.0,
         "kernel_target_met": kernel["kernel_speedup"] >= 3.0,
         "fairness_ok": (
@@ -343,7 +367,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{'batched_kernel':>15}: {kernel['stacked_rps']:>8} req/s stacked vs "
         f"{kernel['sequential_rps']} sequential on Q_{kernel['params']['dimension']} "
         f"at width {kernel['batch_width']} -> {kernel['kernel_speedup']}x "
-        f"(bit-identical {kernel['verified_bit_identical']})"
+        f"(set_builder_many {kernel['set_builder_many_seconds']} s, native "
+        f"{kernel['native']}, bit-identical {kernel['verified_bit_identical']})"
     )
     print(
         f"{'fairness':>15}: hot {fairness['hot_served']}/"

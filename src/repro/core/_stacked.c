@@ -7,7 +7,7 @@
  * bit-identical to it — the differential suite pins both paths against the
  * sequential reference pipeline:
  *
- *   - Testers are visited in frontier order (sorted flat keys
+ *   - Testers are visited in frontier order (ascending flat keys
  *     `syndrome * n + node`, so syndrome-blocked and node-ascending), and
  *     each tester's row positions in ascending order.  That flat order is
  *     what makes first-zero admission and lookup discounting deterministic.
@@ -15,32 +15,35 @@
  *     lookup budget) iff its key has not already been admitted this round;
  *     the occurrence that admits a key is its first 0-result, and it is
  *     consulted too.  Members as of round start are never candidates.
- *   - The admitted keys, sorted ascending, form the next round's frontier.
+ *   - The admitted keys, ascending, form the next round's frontier.
  *
  * `member` doubles as the per-round scoreboard: 0 = outside the set,
  * 1 = member, 2 = admitted this round (committed back to 1 before the next
- * round begins, so the caller only ever sees 0/1).
+ * round begins, so the caller only ever sees 0/1).  First-zero admission
+ * makes the admitting tester the key's only writer, so `parent` is written
+ * on the spot.
  *
- * Built with the system C compiler on first use (see native.py); everything
- * is C99 + libc, no Python API.
+ * Nothing is sorted.  An admission also sets the node's bit in its
+ * syndrome's admitted bitset (ceil(n/64) words) and widens that syndrome's
+ * touched-word span.  The commit pass walks the syndromes in ascending
+ * order and each span's words with count-trailing-zeros, clearing them as
+ * it goes, so the next frontier comes out in ascending flat-key order —
+ * the order a sort of the admissions would give.  It costs at most
+ * ceil(n/64) words per syndrome per round, and in practice only the
+ * touched span.  Scratch: 8 bytes per flat key (the frontier), one bit per
+ * flat key (the bitsets) and two words per syndrome (the spans).
+ *
+ * Built with the system C compiler on first use (see native.py).  Everything
+ * is C99 + libc, no Python API, plus the `__builtin_ctzll` intrinsic, which
+ * every compiler native.py tries (cc, gcc, clang) provides.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-typedef struct {
-    int64_t key;    /* flat syndrome * n + node */
-    int64_t tester; /* admitting tester (the new node's tree parent) */
-} admit_t;
-
-static int cmp_admit(const void *a, const void *b)
-{
-    int64_t ka = ((const admit_t *)a)->key;
-    int64_t kb = ((const admit_t *)b)->key;
-    return (ka > kb) - (ka < kb);
-}
-
-/* Returns 0 on success, a negative error code on invariant violation. */
+/* Returns 0 on success, a negative error code on a failed allocation (-1),
+ * a tester whose tree parent is not in its row (-2) or a frontier0 that is
+ * not strictly ascending flat keys below num_syndromes * n (-3). */
 int64_t stacked_rounds(
     const int64_t *indptr,          /* n + 1 */
     const int32_t *indices,         /* num_entries, rows sorted ascending */
@@ -48,7 +51,7 @@ int64_t stacked_rounds(
     const uint8_t *const *buffers,  /* num_syndromes test-result arrays */
     int64_t n,
     int64_t num_syndromes,
-    const int64_t *frontier0,       /* round-1 admissions, sorted flat keys */
+    const int64_t *frontier0,       /* round-1 admissions, ascending flat keys */
     int64_t frontier0_len,
     uint8_t *member,                /* num_syndromes * n */
     int64_t *parent,                /* num_syndromes * n */
@@ -58,22 +61,37 @@ int64_t stacked_rounds(
     int64_t *contrib_count)         /* num_syndromes */
 {
     int64_t cap = num_syndromes * n;
+    int64_t words = (n + 63) / 64;
+    for (int64_t t = 0; t < frontier0_len; t++) {
+        if (frontier0[t] < (t ? frontier0[t - 1] + 1 : 0) || frontier0[t] >= cap)
+            return -3;
+    }
     int64_t *cur = malloc((size_t)cap * sizeof(int64_t));
-    admit_t *adm = malloc((size_t)cap * sizeof(admit_t));
-    if (cur == NULL || adm == NULL) {
-        free(cur);
-        free(adm);
-        return -1;
+    uint64_t *admitted = calloc((size_t)(num_syndromes * words), sizeof(uint64_t));
+    /* Touched-word span [span_lo, span_hi) of each syndrome's bitset. */
+    int64_t *span_lo = malloc((size_t)num_syndromes * 2 * sizeof(int64_t));
+    int64_t *span_hi = span_lo + num_syndromes;
+    int64_t rc = 0;
+    if (cur == NULL || admitted == NULL || span_lo == NULL) {
+        rc = -1;
+        goto done;
+    }
+    for (int64_t b = 0; b < num_syndromes; b++) {
+        span_lo[b] = words;
+        span_hi[b] = 0;
     }
     memcpy(cur, frontier0, (size_t)frontier0_len * sizeof(int64_t));
     int64_t cur_len = frontier0_len;
 
     while (cur_len > 0) {
-        int64_t n_adm = 0;
+        int64_t b = 0, bn = 0;
         for (int64_t t = 0; t < cur_len; t++) {
             int64_t key = cur[t];
-            int64_t b = key / n;
-            int64_t u = key - b * n;
+            while (key >= bn + n) { /* ascending keys: step, never divide */
+                b++;
+                bn += n;
+            }
+            int64_t u = key - bn;
             int64_t p = parent[key];
             int64_t lo = indptr[u];
             int64_t d = indptr[u + 1] - lo;
@@ -87,17 +105,17 @@ int64_t stacked_rounds(
                 }
             }
             if (pp < 0) {
-                free(cur);
-                free(adm);
-                return -2;
+                rc = -2;
+                goto done;
             }
 
             const uint8_t *buf = buffers[b];
+            uint64_t *bits = admitted + b * words;
             int64_t base = pair_indptr[u];
-            int64_t bn = b * n;
             int64_t consulted = 0;
             for (int64_t w = 0; w < d; w++) {
-                int64_t kv = bn + indices[lo + w];
+                int64_t v = indices[lo + w];
+                int64_t kv = bn + v;
                 if (member[kv]) /* member, or already admitted this round */
                     continue;
                 consulted++;
@@ -105,43 +123,53 @@ int64_t stacked_rounds(
                 int64_t j = w < pp ? pp : w;
                 int64_t slot = base + i * (2 * d - i - 1) / 2 + (j - i - 1);
                 if (buf[slot] == 0) {
+                    int64_t word = v >> 6;
                     member[kv] = 2;
-                    adm[n_adm].key = kv;
-                    adm[n_adm].tester = u;
-                    n_adm++;
+                    parent[kv] = u;
+                    bits[word] |= (uint64_t)1 << (v & 63);
+                    if (word < span_lo[b])
+                        span_lo[b] = word;
+                    if (word >= span_hi[b])
+                        span_hi[b] = word + 1;
                 }
             }
             lookups[b] += consulted;
         }
-        if (n_adm == 0)
-            break;
 
-        /* Ascending keys == syndrome-blocked, node-ascending next frontier. */
-        qsort(adm, (size_t)n_adm, sizeof(admit_t), cmp_admit);
-        int64_t last_b = -1;
-        for (int64_t a = 0; a < n_adm; a++) {
-            int64_t kv = adm[a].key;
-            int64_t u = adm[a].tester;
-            int64_t b = kv / n;
-            member[kv] = 1;
-            parent[kv] = u;
-            cur[a] = kv;
-            if (b != last_b) {
-                rounds[b]++;
-                last_b = b;
+        /* Commit: syndromes ascending, each span's bits ascending, so the
+         * next frontier is the admissions in ascending flat-key order (empty
+         * when nothing was admitted, which ends the loop). */
+        cur_len = 0;
+        for (b = 0, bn = 0; b < num_syndromes; b++, bn += n) {
+            if (span_lo[b] >= span_hi[b])
+                continue;
+            rounds[b]++;
+            uint64_t *bits = admitted + b * words;
+            for (int64_t word = span_lo[b]; word < span_hi[b]; word++) {
+                uint64_t set = bits[word];
+                bits[word] = 0;
+                while (set) {
+                    int64_t kv = bn + word * 64 + __builtin_ctzll(set);
+                    set &= set - 1;
+                    member[kv] = 1;
+                    cur[cur_len++] = kv;
+                    int64_t cu = bn + parent[kv];
+                    if (!contributed[cu]) {
+                        contributed[cu] = 1;
+                        contrib_count[b]++;
+                    }
+                }
             }
-            int64_t cu = b * n + u;
-            if (!contributed[cu]) {
-                contributed[cu] = 1;
-                contrib_count[b]++;
-            }
+            span_lo[b] = words;
+            span_hi[b] = 0;
         }
-        cur_len = n_adm;
     }
 
+done:
     free(cur);
-    free(adm);
-    return 0;
+    free(admitted);
+    free(span_lo);
+    return rc;
 }
 
 /* ------------------------------------------------------------------------

@@ -3,9 +3,13 @@
 ``_stacked.c`` has two entry points.  ``stacked_rounds`` is the stacked
 kernel's hot loop: memory-bound element streaming, exactly the shape a C
 compiler turns into a single fused pass, where numpy is forced into one
-full-array sweep per operator.  ``probe_level`` runs the healthy-root
-search's small scalar probes, where the interpreter's per-element overhead
-dominates.  When a system C compiler is available,
+full-array sweep per operator.  It sorts nothing: each round's admissions
+are committed through a per-syndrome admitted bitset, whose set bits,
+walked in order, are already the next frontier.  ``probe_level`` runs the
+healthy-root search's small scalar probes, where the interpreter's
+per-element overhead dominates.  The source is C99 + libc plus the
+``__builtin_ctzll`` intrinsic, which every compiler tried here (``cc``,
+``gcc``, ``clang``) provides.  When a system C compiler is available,
 ``_stacked.c`` is built once into a tiny shared library (cached under the
 user's cache directory, keyed by source hash) and loaded through the stdlib
 ``ctypes`` — no third-party dependency, no install step, nothing added to the

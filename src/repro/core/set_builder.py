@@ -73,10 +73,16 @@ __all__ = [
 ]
 
 #: Scratch bound of one stacked pass: the native kernel allocates
-#: ``_STACK_BYTES_PER_KEY`` per flat ``syndrome * n + node`` key (its frontier
-#: and admission buffers), so wider stacks run in width slices below this.
+#: :func:`_stack_bytes_per_syndrome` per stacked syndrome, so wider stacks
+#: run in width slices below this.
 _STACK_SCRATCH_BYTES = 256 << 20
-_STACK_BYTES_PER_KEY = 24
+
+
+def _stack_bytes_per_syndrome(n: int) -> int:
+    """Native scratch of one stacked syndrome over ``n`` nodes: an 8-byte
+    frontier slot per node, a one-bit-per-node admitted bitset and a
+    two-word touched span."""
+    return 8 * n + 8 * ((n + 63) // 64) + 16
 
 
 @dataclass
@@ -915,7 +921,7 @@ def set_builder_many(
     for u0 in roots:
         if not 0 <= u0 < n:
             raise ValueError(f"start node {u0} is not a node of the network")
-    width = max(1, _STACK_SCRATCH_BYTES // (_STACK_BYTES_PER_KEY * n))
+    width = max(1, _STACK_SCRATCH_BYTES // _stack_bytes_per_syndrome(n))
     if num_syndromes > width:
         # Stack items are independent: slicing the width changes no result.
         results: list[SetBuilderResult] = []

@@ -84,8 +84,17 @@ def topology_key(family: str, params) -> str:
 
 
 def syndrome_digest(buffer) -> str:
-    """SHA-256 content address of a flat syndrome buffer."""
-    return hashlib.sha256(bytes(buffer)).hexdigest()
+    """SHA-256 content address of a flat syndrome buffer.
+
+    Hashes the buffer in place.  Only a non-contiguous view is copied, into
+    C order: the same bytes ``bytes(buffer)`` would give, so every buffer
+    type holding one syndrome shares one digest.
+    """
+    if not memoryview(buffer).c_contiguous:
+        import numpy as np
+
+        buffer = np.ascontiguousarray(buffer)
+    return hashlib.sha256(buffer).hexdigest()
 
 
 @dataclass(frozen=True)

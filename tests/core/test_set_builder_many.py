@@ -237,7 +237,8 @@ class TestScratchBound:
         whole = set_builder_many(q7, [_syndrome(q7, s) for s in seeds], roots)
         n = compile_network(q7).num_nodes
         monkeypatch.setattr(
-            module, "_STACK_SCRATCH_BYTES", width * module._STACK_BYTES_PER_KEY * n
+            module, "_STACK_SCRATCH_BYTES",
+            width * module._stack_bytes_per_syndrome(n),
         )
         calls = []
         real = module.set_builder_many

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.service.requests import (
@@ -33,6 +36,27 @@ class TestKeys:
         assert request_key(first) == request_key(same)
         assert request_key(first) != request_key(other)
         assert syndrome_digest(b"\x00\x01") in request_key(first)
+
+    def test_digest_is_the_same_for_every_buffer_type(self):
+        """The digest hashes a buffer in place; the value depends on the
+        bytes only, never on the object holding them."""
+        data = bytes(np.random.default_rng(3).integers(0, 2, 4099, dtype=np.uint8))
+        expected = hashlib.sha256(data).hexdigest()
+        # A shared-memory-style arena: the syndrome sits at an odd offset.
+        arena = np.zeros(len(data) + 17, dtype=np.uint8)
+        arena[5:5 + len(data)] = np.frombuffer(data, dtype=np.uint8)
+        strided = np.repeat(np.frombuffer(data, dtype=np.uint8), 2)[::2]
+        assert not strided.flags.c_contiguous
+        for buffer in (
+            data,
+            bytearray(data),
+            memoryview(data),
+            np.frombuffer(data, dtype=np.uint8),
+            arena[5:5 + len(data)],
+            strided,
+            memoryview(strided),
+        ):
+            assert syndrome_digest(buffer) == expected
 
     def test_describe_is_stable_and_compact(self):
         request = DiagnosisRequest.seeded("star", {"n": 6}, seed=2)
