@@ -10,10 +10,11 @@ Two modes:
   the 12/14-cube legacy-vs-compiled head-to-head, the compiled-only frontier
   (Q_16 and Q_18 — the legacy dict-table path is too slow to field there,
   which is itself the datum), the k-ary and star family rows, the distributed
-  engine overhead, and the shared-memory sharded-sweep comparison (serial vs
-  worker pool vs the old per-worker-recompilation fan-out).
+  engine overhead, and the shared-memory pooled-sweep comparison (serial vs
+  worker pool vs the old per-worker-recompilation fan-out; recorded under
+  the ``sharded_sweep`` key).
 
-The sharded sweep is measured *first* and its recompilation baseline runs
+The pooled sweep is measured *first* and its recompilation baseline runs
 before the coordinator ever compiles the topology: workers are forked, so a
 parent-side compile would be inherited and silently hide the recompilation
 cost being measured.
@@ -69,20 +70,6 @@ def test_array_syndrome_generation(benchmark):
 
     syndrome = benchmark(ArraySyndrome.from_faults, csr, faults, seed=12)
     assert len(syndrome) == csr.num_pairs
-
-
-def test_sharded_diagnosis(benchmark):
-    from repro.parallel import ShardedSetBuilder
-
-    cube, faults, syndrome = _instance("array")
-    sharder = ShardedSetBuilder(cube, num_shards=4)
-    diagnoser = GeneralDiagnoser(cube, sharder=sharder)
-
-    result = benchmark(diagnoser.diagnose, syndrome)
-
-    assert result.faulty == faults
-    benchmark.extra_info["experiment"] = "E1-sharded"
-    benchmark.extra_info["path"] = "sharded-4"
 
 
 def test_distributed_engine_run(benchmark):
@@ -357,7 +344,7 @@ def measure_sharded_sweep(n: int, *, workers: int = 4, trials: int = 6,
         return [dataclasses.replace(r, elapsed_seconds=0.0) for r in results]
 
     assert csr_backend.compile_count() == 0, (
-        "the sharded sweep must run before anything compiles in this process"
+        "the pooled sweep must run before anything compiles in this process"
     )
     with WorkerPool(max_workers=workers) as pool:
         respawn_start = time.perf_counter()
@@ -446,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     dimensions = [int(a) for a in (argv or [])] or [12, 14]
     reduced = max(dimensions) < 14  # CI smoke: skip the expensive frontier
 
-    # The sharded sweep must come first: its recompilation baseline is only
+    # The pooled sweep must come first: its recompilation baseline is only
     # honest while nothing has compiled in this process (see its docstring).
     sharded = measure_sharded_sweep(
         16 if not reduced else max(dimensions),

@@ -104,7 +104,7 @@ class UnseededRandomRule(Rule):
     rationale = (
         "Sweeps derive per-trial seeds via SeedSequence.spawn (PR 3); "
         "module-level random/np.random state would differ per process and "
-        "break the sharded-equals-serial differential pins."
+        "break the pooled-equals-serial differential pins."
     )
     scope = DIAGNOSIS_SCOPE
 

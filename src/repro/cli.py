@@ -5,9 +5,6 @@ Seven sub-commands cover the common workflows:
 ``repro-diagnose diagnose``
     Inject a fault set into a chosen network, generate the MM-model syndrome
     and run the paper's algorithm, printing the diagnosis and its cost.
-    ``--shards K`` runs the final network-sized ``Set_Builder`` sharded over
-    partition-class-aligned node ranges, and ``--workers W`` expands those
-    shards on a shared-memory worker pool (:mod:`repro.parallel`).
 
 ``repro-diagnose survey``
     Run one diagnosis on every family of the paper's Section 5 and print a
@@ -121,13 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--uncompiled", action="store_true",
                       help="run the object-based reference path instead of the "
                            "compiled flat-array backend (for A/B comparison)")
-    diag.add_argument("--shards", type=int, default=None, metavar="K",
-                      help="run the final Set_Builder sharded over K contiguous "
-                           "partition-class-aligned node ranges")
-    diag.add_argument("--workers", type=int, default=None, metavar="W",
-                      help="with --shards: expand the shards on a W-process pool "
-                           "mapping the topology out of shared memory "
-                           "(default: in-process shard execution)")
 
     dist = sub.add_parser(
         "distributed",
@@ -338,21 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    # Flag-combination errors must surface before the (possibly huge)
-    # topology is built or its syndrome generated.
-    if args.workers is not None and args.shards is None:
-        raise SystemExit("--workers requires --shards")
-    if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit("--shards must be at least 1")
-        if args.workers is not None and args.workers < 1:
-            raise SystemExit("--workers must be at least 1")
-        if args.uncompiled or args.syndrome != "array":
-            raise SystemExit(
-                "--shards needs the compiled backend and the array syndrome "
-                "(drop --uncompiled / use --syndrome array)"
-            )
-
     params = _parse_params(args.param)
     if not params:
         params = dict(FAMILIES[args.family].small)
@@ -365,29 +340,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         faults = clustered_faults(network, count, seed=args.seed)
     syndrome = generate_syndrome(network, faults, behavior=args.behavior, seed=args.seed,
                                  backend=args.syndrome)
-    pool = None
-    sharder = None
-    if args.shards is not None:
-        from .parallel import ShardedSetBuilder, WorkerPool
-
-        if args.workers is not None:
-            pool = WorkerPool(max_workers=args.workers)
-        sharder = ShardedSetBuilder(network, num_shards=args.shards, pool=pool)
-    try:
-        result = GeneralDiagnoser(
-            network, compiled=not args.uncompiled, sharder=sharder
-        ).diagnose(syndrome)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    result = GeneralDiagnoser(network, compiled=not args.uncompiled).diagnose(syndrome)
     correct = result.faulty == faults
 
     print(f"network          : {args.family} {params} (N={network.num_nodes}, Δ={network.max_degree})")
-    if sharder is not None:
-        mode = (f"{args.workers}-process shared-memory pool"
-                if args.workers is not None else "in-process")
-        print(f"sharding         : {sharder.num_shards} shards "
-              f"(granularity {sharder.granularity}), {mode}")
     print(f"diagnosability δ : {delta}")
     print(f"injected faults  : {sorted(faults)}")
     print(f"diagnosed faults : {sorted(result.faulty)}")

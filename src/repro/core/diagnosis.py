@@ -145,20 +145,14 @@ class GeneralDiagnoser:
         :func:`certificate_node_budget`.
     compiled:
         If True (default), compile the topology to the flat-array backend on
-        construction; every ``Set_Builder`` run and the final boundary
-        computation then operate on the compiled arrays.  ``False`` selects
-        the original object-based reference path.
-    sharder:
-        Optional :class:`~repro.parallel.sharded.ShardedSetBuilder` over the
-        same topology.  When given, the *final* unrestricted ``Set_Builder``
-        run — the only network-sized step of the algorithm — executes sharded
-        (optionally across a worker pool); the probe search stays sequential
-        because restricted probes never leave one partition class, i.e. one
-        shard.  The sharded run is property-tested equal to the sequential
-        one, so the diagnosis is unchanged — only its execution is
-        distributed.  Requires ``compiled=True`` and an
-        :class:`~repro.backend.array_syndrome.ArraySyndrome` over this
-        network's compiled topology.
+        construction; root-search probes and the final boundary computation
+        then operate on the compiled arrays, and the final ``Set_Builder``
+        over an :class:`~repro.backend.array_syndrome.ArraySyndrome` runs on
+        the stacked kernel.  ``False`` selects the original object-based
+        reference path.
+
+    :meth:`diagnose` is :meth:`diagnose_many` over a one-item stack; only
+    syndromes the stacked kernel cannot take run the sequential reference.
     """
 
     def __init__(
@@ -170,7 +164,6 @@ class GeneralDiagnoser:
         use_partition: bool = True,
         fallback_probe_budget: int | None = None,
         compiled: bool = True,
-        sharder=None,
     ) -> None:
         self.network = network
         self.delta = network.diagnosability() if diagnosability is None else int(diagnosability)
@@ -181,14 +174,6 @@ class GeneralDiagnoser:
         self.fallback_probe_budget = fallback_probe_budget
         self.compiled = compiled
         self.csr = compile_network(network) if compiled else None
-        if sharder is not None:
-            if not compiled:
-                raise ValueError("sharded final runs require the compiled backend")
-            if sharder.csr is not self.csr:
-                raise ValueError(
-                    "the sharder must be built over this network's compiled topology"
-                )
-        self.sharder = sharder
 
     # ----------------------------------------------------------- root search
     def find_healthy_root(
@@ -209,7 +194,7 @@ class GeneralDiagnoser:
         :class:`~repro.core.set_builder.ProbeScratch`.
         """
         probes: list[ProbeRecord] = []
-        if not self._native_probes_apply(syndrome):
+        if not self._on_compiled_arrays(syndrome):
             scratch = None
         elif scratch is None:
             scratch = ProbeScratch.create(self.csr)
@@ -246,8 +231,10 @@ class GeneralDiagnoser:
             "the hypotheses of Theorem 1 (or the healthy component is too small)"
         )
 
-    def _native_probes_apply(self, syndrome: Syndrome) -> bool:
-        """Whether the native probes can stand in for the array path."""
+    def _on_compiled_arrays(self, syndrome: Syndrome) -> bool:
+        """Whether ``syndrome`` is an ArraySyndrome over this diagnoser's
+        compiled topology — the only input the native probes and the
+        stacked kernel take."""
         from ..backend.array_syndrome import ArraySyndrome
 
         return (
@@ -354,39 +341,15 @@ class GeneralDiagnoser:
 
     # -------------------------------------------------------------- diagnosis
     def diagnose(self, syndrome: Syndrome) -> DiagnosisResult:
-        """Run the full algorithm and return the diagnosed fault set."""
-        start_time = time.perf_counter()
-        lookups_before = syndrome.lookups
+        """Run the full algorithm and return the diagnosed fault set.
 
-        root, probes, level = self.find_healthy_root(syndrome)
-
-        if self.sharder is not None:
-            final = self.sharder.run(syndrome, root, diagnosability=self.delta)
-        else:
-            final = set_builder(
-                self.network,
-                syndrome,
-                root,
-                diagnosability=self.delta,
-                compiled=self.compiled,
-            )
-        healthy = final.nodes
-        if self.csr is not None and final.member_mask is not None:
-            faulty = self.csr.boundary(final.member_mask)
-        else:
-            faulty = self._boundary(healthy)
-
-        elapsed = time.perf_counter() - start_time
-        return DiagnosisResult(
-            faulty=frozenset(faulty),
-            healthy_root=root,
-            healthy_nodes=frozenset(healthy),
-            tree_parent=final.parent,
-            probes=probes,
-            partition_level=level,
-            lookups=syndrome.lookups - lookups_before,
-            elapsed_seconds=elapsed,
-        )
+        The same as ``diagnose_many([syndrome])[0]``, except that a captured
+        :class:`DiagnosisError` or ``ValueError`` is raised, not returned.
+        """
+        [outcome] = self.diagnose_many([syndrome])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def diagnose_many(
         self, syndromes: Sequence[Syndrome], *, include_sets: bool = True
@@ -399,16 +362,19 @@ class GeneralDiagnoser:
         :func:`~repro.core.set_builder.set_builder_many` pass over the whole
         stack, followed by one stacked boundary computation.  Each returned
         entry is **bit-identical** to what :meth:`diagnose` produces for the
-        same syndrome: accusation set, healthy root, probe records and the
-        consulted-entry count all match (pinned by ``tests/differential``).
+        same syndrome, and to the rows-oracle diagnosis of
+        ``syndrome.to_table()``: accusation set, healthy root, probe records
+        and the consulted-entry count all match (pinned by
+        ``tests/differential``).
 
         Failures never poison batch mates: a syndrome whose root search
         raises :class:`DiagnosisError` (or a ``ValueError``) yields the
         *exception object* in its slot — the exact exception :meth:`diagnose`
-        would have raised — while the rest of the stack proceeds.  Syndromes
-        the stacked kernel cannot take (no compiled backend, a sharder
-        configured, or a non-``ArraySyndrome``) fall back to a sequential
-        :meth:`diagnose` per item, with the same per-item error capture.
+        raises — while the rest of the stack proceeds.  Syndromes the
+        stacked kernel cannot take (no compiled backend, or not an
+        ``ArraySyndrome`` over this topology) run the sequential reference
+        (object or rows ``Set_Builder``) per item, with the same per-item
+        error capture.
 
         ``include_sets=False`` skips materialising ``healthy_nodes`` and
         ``tree_parent`` (they come back empty); ``faulty``, ``lookups`` and
@@ -417,8 +383,6 @@ class GeneralDiagnoser:
         counters.  ``elapsed_seconds`` on every stacked result is the wall
         clock of the whole batch call, not a per-item time.
         """
-        from ..backend.array_syndrome import ArraySyndrome
-
         start_time = time.perf_counter()
         outcomes: list[DiagnosisResult | Exception | None] = [None] * len(syndromes)
         # One probe scratch per call, never per topology: batches on one
@@ -430,11 +394,9 @@ class GeneralDiagnoser:
         levels: list[int | None] = []
         lookups_before: list[int] = []
         for pos, syndrome in enumerate(syndromes):
-            if (self.csr is None or self.sharder is not None
-                    or not isinstance(syndrome, ArraySyndrome)
-                    or syndrome.csr is not self.csr):
+            if not self._on_compiled_arrays(syndrome):
                 try:
-                    outcomes[pos] = self.diagnose(syndrome)
+                    outcomes[pos] = self._diagnose_sequential(syndrome)
                 except (DiagnosisError, ValueError) as exc:
                     outcomes[pos] = exc
                 continue
@@ -474,6 +436,29 @@ class GeneralDiagnoser:
                     elapsed_seconds=elapsed,
                 )
         return outcomes
+
+    def _diagnose_sequential(self, syndrome: Syndrome) -> DiagnosisResult:
+        """One diagnosis on the oracle flavours of ``Set_Builder``."""
+        start_time = time.perf_counter()
+        lookups_before = syndrome.lookups
+        root, probes, level = self.find_healthy_root(syndrome)
+        final = set_builder(
+            self.network,
+            syndrome,
+            root,
+            diagnosability=self.delta,
+            compiled=self.compiled,
+        )
+        return DiagnosisResult(
+            faulty=frozenset(self._boundary(final.nodes)),
+            healthy_root=root,
+            healthy_nodes=frozenset(final.nodes),
+            tree_parent=final.parent,
+            probes=probes,
+            partition_level=level,
+            lookups=syndrome.lookups - lookups_before,
+            elapsed_seconds=time.perf_counter() - start_time,
+        )
 
     def _boundary(self, healthy: set[int]) -> set[int]:
         """Nodes adjacent to the healthy set but outside it (Theorem 1: the fault set)."""

@@ -30,16 +30,18 @@ The procedure compiles the topology on entry
 (:func:`repro.backend.csr.compile_network`, memoized per instance) and then
 selects the fastest applicable implementation:
 
-* an **array** path when the syndrome is an
-  :class:`~repro.backend.array_syndrome.ArraySyndrome` over the same compiled
-  topology — neighbour rows and test results are flat arrays, membership is a
-  byte mask, and each lookup is pure integer arithmetic;
-* a **rows** path for any other :class:`Syndrome` — adjacency comes from the
-  compiled rows (no per-call list building) while results go through the
-  abstract oracle;
-* the original **object** path (``compiled=False``) that consults
-  ``network.neighbors`` per call — kept as the reference implementation the
-  property tests and the backend benchmark compare against.
+* the **object** path (``compiled=False``) consults ``network.neighbors`` per
+  call and the **rows** path takes adjacency from the compiled rows; both
+  read results through the abstract :class:`Syndrome` oracle and together
+  form the reference (:func:`_set_builder_oracle`) that transcribes §4.1;
+* an unrestricted, unbudgeted run over an
+  :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same compiled
+  topology is a width-one :func:`set_builder_many` stack — the native C
+  kernel, or its numpy round :func:`_stacked_round` without a compiler;
+* every other run over such a syndrome takes the scalar **array** path
+  (:func:`_set_builder_array`): byte-mask membership and pair-indexed
+  buffer reads.  It is also the reference of the native root-search probes
+  (:class:`ProbeScratch`).
 
 All paths implement the same procedure and produce identical results (and
 identical lookup counts) on non-truncated runs; under a ``max_nodes`` budget
@@ -121,8 +123,9 @@ class SetBuilderResult:
     rounds: int
     lookups: int
     truncated: bool = False
-    #: boolean membership mask over all nodes (only set by the vectorised
-    #: path; lets the driver compute the boundary without rebuilding a mask)
+    #: boolean membership mask over all nodes (only set by
+    #: :func:`set_builder_many`; lets the driver compute the boundary
+    #: without rebuilding a mask)
     member_mask: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -195,10 +198,10 @@ def set_builder(
     """
     if diagnosability is None:
         diagnosability = network.diagnosability()
-    if restrict is not None and not restrict(u0):
-        raise ValueError("the start node u0 must belong to the restricted subgraph H")
     if not 0 <= u0 < network.num_nodes:
         raise ValueError(f"start node {u0} is not a node of the network")
+    if restrict is not None and not restrict(u0):
+        raise ValueError("the start node u0 must belong to the restricted subgraph H")
 
     if compiled:
         # Deferred import: backend.array_syndrome builds on core.syndrome, so a
@@ -208,10 +211,10 @@ def set_builder(
 
         csr = compile_network(network)
         if isinstance(syndrome, ArraySyndrome) and syndrome.csr is csr:
-            if restrict is None and max_nodes is None:
-                return _set_builder_array_vectorized(
-                    csr, syndrome, u0, diagnosability, stop_on_certificate,
-                )
+            if restrict is None and max_nodes is None and not stop_on_certificate:
+                return set_builder_many(
+                    network, [syndrome], [u0], diagnosability=diagnosability,
+                )[0]
             return _set_builder_array(
                 csr, syndrome, u0, diagnosability, restrict, max_nodes,
                 stop_on_certificate,
@@ -541,23 +544,19 @@ class ProbeScratch:
         return records
 
 
-def _expand_root_pairs(
-    csr, pbuf, u0: int
-) -> tuple[list[int], dict[int, int], int]:
-    """Round 1 of the array paths: scan the root's neighbour pairs (scalar).
+def _expand_root_pairs(csr, pbuf, u0: int) -> tuple[list[int], int]:
+    """Round 1 of :func:`set_builder_many`: scan the root's neighbour pairs.
 
-    Returns ``(added, parent, lookups)`` exactly as the scalar paths produce
-    them — Δ(Δ-1)/2 pair reads with the double-admission suppression.  Shared
-    by the vectorised path below and by the shard-aware builder
-    (:class:`repro.parallel.sharded.ShardedSetBuilder`), whose coordinator
-    runs round 1 locally because it is tiny.
+    Returns ``(added, lookups)`` exactly as the scalar paths produce them —
+    Δ(Δ-1)/2 pair reads with the double-admission suppression; every added
+    node's parent is ``u0``.  Each stacked syndrome runs it in Python
+    because it is tiny; the stacked rounds take over from round 2.
     """
     row0 = csr.rows[u0]
     d0 = len(row0)
     base0 = csr.pair_base[u0]
     in_added: set[int] = set()
     added: list[int] = []
-    parent: dict[int, int] = {}
     lookups = 0
     for i in range(d0):
         v = row0[i]
@@ -571,173 +570,7 @@ def _expand_root_pairs(
                     if node not in in_added:
                         in_added.add(node)
                         added.append(node)
-                        parent[node] = u0
-    return added, parent, lookups
-
-
-def _expand_frontier_segment(
-    csr,
-    buf: np.ndarray,
-    member: np.ndarray,
-    frontier: np.ndarray,
-    parents: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate occurrences of a frontier slice, in sequential visit order.
-
-    Gathers every ``(tester u, neighbour v)`` pair of the slice in
-    (u ascending, row position ascending) order — the order the scalar paths
-    visit them in — drops current members, and reads each survivor's test
-    ``s_u(v, t(u))`` from the flat buffer.  Pure function of round-start
-    state; the vectorised path calls it with the whole frontier, the
-    shard-aware builder (:mod:`repro.parallel.sharded`) with per-shard
-    slices whose concatenation is the same global order.
-
-    Returns ``(v, u, result)`` arrays in slice-local flat order.
-    """
-    empty = np.empty(0, dtype=np.int64)
-    if frontier.size == 0:
-        return empty, empty, np.empty(0, dtype=np.uint8)
-    indptr, indices, pair_indptr = csr.indptr, csr.indices, csr.pair_indptr
-
-    counts = (indptr[frontier + 1] - indptr[frontier]).astype(np.int64)
-    total = int(counts.sum())
-    row_starts = np.repeat(indptr[frontier], counts)
-    seg_ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_ends - counts, counts)
-    nbr = indices[row_starts + within].astype(np.int64)
-    src = np.repeat(frontier, counts)
-    d_el = np.repeat(counts, counts)
-
-    # Position of each tester's parent inside its sorted row (one match per
-    # tester, emitted in tester order by construction).
-    parent_el = np.repeat(parents, counts)
-    pos_t = within[nbr == parent_el]
-    pos_t_el = np.repeat(pos_t, counts)
-
-    keep = ~member[nbr]
-    v_c = nbr[keep]
-    src_c = src[keep]
-    i_c = np.minimum(within[keep], pos_t_el[keep])
-    j_c = np.maximum(within[keep], pos_t_el[keep])
-    d_c = d_el[keep]
-    slots = pair_indptr[src_c] + i_c * (2 * d_c - i_c - 1) // 2 + (j_c - i_c - 1)
-    return v_c, src_c, buf[slots]
-
-
-def _merge_frontier_candidates(
-    n: int, v_c: np.ndarray, src_c: np.ndarray, val_c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sequential admission semantics over flat-order candidate occurrences.
-
-    A node joins at its *first* 0-result occurrence (its tester becomes
-    ``t(v)`` — the least contributor, since the flat order ascends by
-    tester), and occurrences strictly after the admitting one are discounted
-    because the sequential procedure never consults tests of a node that has
-    already joined.  The reversed fancy-index assignment keeps the first
-    occurrence per node without a sort.
-
-    Returns ``(added nodes ascending, their admitting testers, lookups)``.
-    This is the single merge the vectorised path and the cross-shard
-    coordinator both use — keeping their lookup accounting identical by
-    construction.
-    """
-    m = len(v_c)
-    if m == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    idx_m = np.arange(m, dtype=np.int64)
-    first0 = np.full(n, m, dtype=np.int64)
-    zsel = val_c == 0
-    first0[v_c[zsel][::-1]] = idx_m[zsel][::-1]
-    lookups = m - int((idx_m > first0[v_c]).sum())
-    added_v = np.flatnonzero(first0 < m)
-    added_u = src_c[first0[added_v]]
-    return added_v, added_u, lookups
-
-
-def _set_builder_array_vectorized(
-    csr,
-    syndrome: ArraySyndrome,
-    u0: int,
-    diagnosability: int,
-    stop_on_certificate: bool,
-) -> SetBuilderResult:
-    """Whole-frontier array path for unrestricted, unbudgeted runs.
-
-    Each round expands the entire frontier with one
-    :func:`_expand_frontier_segment` gather and admits through
-    :func:`_merge_frontier_candidates`.  The procedure, the tie-breaking
-    (``t(v)`` is the least contributor: frontiers ascend and, per added
-    node, the first candidate parent in flat order wins) and the
-    consulted-entry accounting replicate the scalar paths exactly — a
-    candidate stops generating lookups once an earlier tester in the same
-    round has already admitted it.
-    """
-    buf = syndrome.values_array
-    lookups = 0
-
-    n = csr.num_nodes
-    member = np.zeros(n, dtype=bool)
-    member[u0] = True
-    parent_np = np.full(n, -1, dtype=np.int64)
-    tree_nodes: list[int] = [u0]
-    parent: dict[int, int] = {}
-    contributors: set[int] = set()
-    all_healthy = False
-    truncated = False
-
-    # ---------------------------------------------------------------- round 1
-    # Δ(Δ-1)/2 pairs of the root's row: scalar (tiny) — identical to the
-    # scalar paths.
-    added, parent, root_lookups = _expand_root_pairs(csr, syndrome.buffer, u0)
-    lookups += root_lookups
-    if added:
-        added_arr = np.asarray(added, dtype=np.int64)
-        member[added_arr] = True
-        parent_np[added_arr] = u0
-        tree_nodes.extend(added)
-        contributors.add(u0)
-    rounds = 1 if added else 0
-    if len(contributors) > diagnosability:
-        all_healthy = True
-
-    frontier = np.asarray(sorted(added), dtype=np.int64)
-
-    # ------------------------------------------------------------ rounds >= 2
-    while frontier.size:
-        if all_healthy and stop_on_certificate:
-            truncated = True
-            break
-        v_c, src_c, val_c = _expand_frontier_segment(
-            csr, buf, member, frontier, parent_np[frontier]
-        )
-        added_v, added_u, round_lookups = _merge_frontier_candidates(
-            n, v_c, src_c, val_c
-        )
-        lookups += round_lookups
-        if added_v.size == 0:
-            break
-        member[added_v] = True
-        parent_np[added_v] = added_u
-        parent.update(zip(added_v.tolist(), added_u.tolist()))
-        tree_nodes.extend(added_v.tolist())
-        contributors.update(added_u.tolist())
-        rounds += 1
-        if len(contributors) > diagnosability:
-            all_healthy = True
-        frontier = added_v  # already sorted ascending
-
-    syndrome.lookups += lookups
-    return SetBuilderResult(
-        root=u0,
-        all_healthy=all_healthy,
-        nodes=set(tree_nodes),
-        parent=parent,
-        contributors=contributors,
-        rounds=rounds,
-        lookups=lookups,
-        truncated=truncated,
-        member_mask=member,
-    )
+    return added, lookups
 
 
 # --------------------------------------------------------------- stacked kernel
@@ -748,7 +581,7 @@ def _stacked_round(csr, n, idx, member_flat, parent_flat, first0, buffers,
     The frontier concatenates all still-growing syndromes' round frontiers in
     syndrome-blocked, node-ascending order (flat keys ``syndrome * n + node``),
     so the flat gather order *within* one syndrome's block is exactly the
-    order the single-syndrome path visits — which is what keeps first-zero
+    order the sequential procedure visits — which is what keeps first-zero
     admission and lookup discounting bit-identical per syndrome.  First-zero
     admission runs over the flat keys: a key's first 0-result occurrence in
     the global order is also the first in its own syndrome's local order, and
@@ -871,23 +704,20 @@ def set_builder_many(
 
     One compiled topology, ``B`` syndromes, ``B`` start nodes: every round
     expands the *concatenation* of all still-active per-syndrome frontiers in
-    a single array pass (membership and parents live in flattened ``(B, n)``
-    arrays keyed by ``syndrome * n + node``).  The batch amortises the
-    per-round call overhead *and* runs a leaner per-element pipeline than
-    the single-syndrome path (narrow index dtype, position-based candidate
-    compression, touched-key scoreboard resets — see :func:`_stacked_round`),
-    which is where the serving layer's batch throughput comes from on one
-    core.  Syndromes terminate independently — one that adds no nodes in a
-    round simply stops contributing candidates while the others keep
-    growing.
+    a single pass (membership and parents live in flattened ``(B, n)``
+    arrays keyed by ``syndrome * n + node``).  The native C kernel runs the
+    rounds when a compiler is available, and :func:`_stacked_round` runs
+    them in numpy otherwise.  Syndromes terminate independently — one that
+    adds no nodes in a round simply stops contributing candidates while the
+    others keep growing.  A width-one stack is how :func:`set_builder` runs
+    every unrestricted, unbudgeted array run.
 
-    Results are **bit-identical** per syndrome to
-    :func:`_set_builder_array_vectorized` (grown set, parents, contributors,
-    rounds, the certificate, and the consulted-entry count — which is also
-    credited to each syndrome's ``lookups`` counter), pinned by the
-    differential suite.  Only unrestricted, unbudgeted runs are supported —
-    the final network-sized run of the diagnosis algorithm, which is the only
-    step worth batching.
+    Results are **bit-identical** per syndrome to the rows oracle,
+    ``set_builder(network, syndrome.to_table(), root)`` (grown set, parents,
+    contributors, rounds, the certificate, and the consulted-entry count —
+    which is also credited to each syndrome's ``lookups`` counter), pinned
+    by the differential suite.  Only unrestricted, unbudgeted runs are
+    supported — the final network-sized run of the diagnosis algorithm.
 
     ``materialize=False`` skips building the per-syndrome ``nodes`` /
     ``parent`` / ``contributors`` Python collections (they come back empty);
@@ -957,11 +787,11 @@ def set_builder_many(
 
     # ---------------------------------------------------------------- round 1
     # Per-syndrome scalar root-pair scans (Δ(Δ-1)/2 each — tiny), exactly the
-    # single path's round 1; the stacked frontier starts syndrome-blocked.
+    # sequential round 1; the stacked frontier starts syndrome-blocked.
     frontier_parts: list[np.ndarray] = []
     for b, (syndrome, u0) in enumerate(zip(syndromes, roots)):
         member_flat[b * n + u0] = True
-        added, _, root_lookups = _expand_root_pairs(csr, syndrome.buffer, u0)
+        added, root_lookups = _expand_root_pairs(csr, syndrome.buffer, u0)
         lookups[b] += root_lookups
         if added:
             arr = np.asarray(sorted(added), dtype=idx)
@@ -1032,10 +862,11 @@ def set_builder_many(
             child = owned[parent2d[b][owned] >= 0]
             parent_of = parent2d[b][child]
             nodes = set(owned.tolist())
-            parent = dict(zip(child.tolist(), parent_of.tolist()))
-            contributors = (
-                set(np.unique(parent_of).tolist()) if child.size else set()
-            )
+            parent_list = parent_of.tolist()
+            parent = dict(zip(child.tolist(), parent_list))
+            # A set, not np.unique: numpy 2's first np.unique call imports
+            # numpy.ma (~40 ms), which a process's first diagnose() would pay.
+            contributors = set(parent_list)
         else:
             nodes, parent, contributors = set(), {}, set()
         syndrome.lookups += int(lookups[b])

@@ -24,7 +24,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="fan the trial table of each diagnosis experiment out "
                              "in chunks over a shared-memory worker pool")
     parser.add_argument("--workers", type=int, default=None, metavar="W",
-                        help="pool width for experiments with a sharded mode "
+                        help="pool width for experiments with a pooled mode "
                              "(E1); implies chunked parallel execution")
     args = parser.parse_args(argv)
 

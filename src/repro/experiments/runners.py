@@ -52,7 +52,7 @@ def run_e1(*, dimensions: tuple[int, ...] = (7, 8, 9, 10, 11), seed: int = 0,
            parallel: bool = False, workers: int | None = None) -> ExperimentReport:
     """E1 (Theorem 2): exactness and O(n·2^n) scaling on hypercubes.
 
-    ``workers`` switches the sweep to *sharded mode*: the trial table fans
+    ``workers`` switches the sweep to *pooled mode*: the trial table fans
     out in chunks over a persistent shared-memory worker pool
     (:class:`~repro.parallel.pool.WorkerPool`), with every topology compiled
     once in the coordinator and mapped zero-copy by the workers.  The rows
@@ -89,13 +89,13 @@ def run_e1(*, dimensions: tuple[int, ...] = (7, 8, 9, 10, 11), seed: int = 0,
     else:
         # Pooled per-trial timings include worker cold-start (fork, first
         # attachment, row materialisation), which swamps the n·2^n signal —
-        # the scaling gate only means something serial, so sharded mode
+        # the scaling gate only means something serial, so pooled mode
         # checks exactness and the zero-recompilation evidence instead.
         stats = plan.last_run_stats
         claims &= stats["worker_compiles"] == 0
         scaling_note = (
-            "scaling fit not gated in sharded mode (pooled timings carry worker "
-            f"cold-start noise; serial runs gate the n·2^n claim).  Sharded "
+            "scaling fit not gated in pooled mode (pooled timings carry worker "
+            f"cold-start noise; serial runs gate the n·2^n claim).  Pooled "
             f"mode: {stats['chunks']} chunks over {len(stats['workers'])} "
             f"workers, {stats['worker_compiles']} worker-side topology "
             "compilations (shared-memory CSR)."

@@ -1,7 +1,7 @@
 """`repro.fabric` — the cross-machine worker fabric.
 
 This package is where the repo's two scale-out halves finally meet:
-:mod:`repro.parallel` shards within one machine over shared memory, and
+:mod:`repro.parallel` fans work out within one machine over shared memory, and
 :mod:`repro.distributed` models lossy channels — the fabric moves *real*
 diagnosis batches between machines over a framed-socket sibling of the HTTP
 wire protocol, with the channel models injected on the data plane:

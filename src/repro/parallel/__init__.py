@@ -1,30 +1,22 @@
-"""Shared-memory scale-out: shard-aware diagnosis and persistent worker pools.
+"""Shared-memory scale-out: persistent worker pools over published topologies.
 
 This package is the intra-machine scale-out layer of the reproduction (the
 inter-machine story is :mod:`repro.distributed`): one compiled topology — the
-CSR ``indptr``/``indices`` pair plus the flat syndrome buffer — is placed in
+CSR ``indptr``/``indices`` pair plus the flat syndrome buffers — is placed in
 :mod:`multiprocessing.shared_memory` once and mapped zero-copy by a
-persistent pool of workers, so neither sweeps nor single huge diagnoses ever
+persistent pool of workers, so neither trial sweeps nor served batches ever
 recompile a topology per worker.
 
 * :mod:`~repro.parallel.shm` — publish/attach compiled topologies and byte
   buffers with strict single-owner cleanup (no leaked segments, ever);
 * :mod:`~repro.parallel.pool` — :class:`WorkerPool`, the persistent process
   pool with worker-side attachment caches and health probes;
-* :mod:`~repro.parallel.sharding` — partition-class-aligned contiguous shard
-  ranges over the node ids (the paper's partition classes are contiguous
-  integer blocks — natural shard keys);
-* :mod:`~repro.parallel.sharded` — :class:`ShardedSetBuilder`, frontier
-  expansion per shard with a deterministic cross-shard merge that reproduces
-  the sequential ``Set_Builder`` exactly (same sets, same lookup counts);
 * :mod:`~repro.parallel.seeding` — positional ``SeedSequence`` seed
   derivation keeping parallel sweeps bit-identical to serial ones.
 """
 
 from .pool import WorkerPool, default_worker_count, worker_health
 from .seeding import derive_seed, spawn_seeds
-from .sharded import ShardedSetBuilder
-from .sharding import shard_granularity, shard_ranges, split_frontier
 from .shm import (
     BufferHandle,
     OwnedSegment,
@@ -39,10 +31,6 @@ __all__ = [
     "WorkerPool",
     "default_worker_count",
     "worker_health",
-    "ShardedSetBuilder",
-    "shard_granularity",
-    "shard_ranges",
-    "split_frontier",
     "spawn_seeds",
     "derive_seed",
     "TopologyHandle",

@@ -14,9 +14,9 @@ The pool owns every segment it publishes and unlinks them all on
 collected — see :class:`~repro.parallel.shm.OwnedSegment`), so a crashed or
 abandoned run leaves no segments behind.
 
-Task functions live with their callers (the shard-expansion task in
-:mod:`repro.parallel.sharded`, the trial-chunk tasks in
-:mod:`repro.experiments.trials`); this module only provides the pool, the
+Task functions live with their callers (the trial-chunk tasks in
+:mod:`repro.experiments.trials`, the batch task in
+:mod:`repro.service.executor`); this module only provides the pool, the
 worker-side attachment caches (:func:`worker_topology`,
 :func:`worker_buffer`) and :func:`worker_health` — the per-task diagnostics
 proving the zero-recompilation claim.
@@ -159,15 +159,6 @@ class WorkerPool:
         self._segments[handle.name] = segment
         return handle
 
-    def allocate_buffer(self, size: int) -> tuple[BufferHandle, np.ndarray]:
-        """A zero-filled tracked segment plus the owner's writable view."""
-        from .shm import allocate_buffer
-
-        handle, segment = allocate_buffer(size)
-        self._segments[handle.name] = segment
-        view = np.frombuffer(segment.buf, dtype=np.uint8, count=size)
-        return handle, view
-
     def release(self, handle: TopologyHandle | BufferHandle) -> None:
         """Unlink one published segment before shutdown (per-run buffers)."""
         segment = self._segments.pop(handle.name, None)
@@ -218,7 +209,7 @@ def _try_unmap(segment: shared_memory.SharedMemory) -> bool:
     detach(segment)  # already closed: this just drops the registry pin
     return True
 
-#: Attached transient buffers (syndromes, membership masks), keyed by segment
+#: Attached transient syndrome buffers, keyed by segment
 #: name.  Per-run buffers get fresh names, so the cache is bounded FIFO; the
 #: mapping object rides along with the view to keep it alive.
 _BUFFER_CACHE: "OrderedDict[str, tuple[np.ndarray, shared_memory.SharedMemory]]" = (

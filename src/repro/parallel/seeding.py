@@ -40,7 +40,7 @@ def derive_seed(base_seed: int, *path: int) -> int:
     """One derived seed for a position ``path`` under ``base_seed``.
 
     ``derive_seed(s, i, j)`` follows the spawn tree ``s -> child i -> child
-    j``; shard- or worker-local randomness (should a future component need
+    j``; chunk- or worker-local randomness (should a future component need
     any) must come from here, keyed by the *logical* position, never by the
     worker that happens to execute it.
     """

@@ -18,7 +18,7 @@ them zero-copy:
   topology, and the derived pair layout (an ``N``-element cumsum) is the only
   per-worker work;
 * :func:`publish_buffer` / :func:`attach_buffer` do the same for raw byte
-  buffers (syndrome results, shard membership masks).
+  syndrome buffers.
 
 Ownership and cleanup
 ---------------------
@@ -57,7 +57,6 @@ __all__ = [
     "attach_topology",
     "publish_buffer",
     "attach_buffer",
-    "allocate_buffer",
 ]
 
 _INT64 = np.dtype(np.int64)
@@ -219,20 +218,12 @@ def attach_topology(handle: TopologyHandle) -> CSRAdjacency:
 
 # -------------------------------------------------------------------- buffers
 def publish_buffer(data) -> tuple[BufferHandle, OwnedSegment]:
-    """Place a bytes-like object (syndrome buffer, mask) into shared memory."""
+    """Place a bytes-like object (a syndrome buffer) into shared memory."""
     view = memoryview(data).cast("B")
     size = view.nbytes
     segment = shared_memory.SharedMemory(create=True, size=max(1, size))
     owned = OwnedSegment(segment)
     segment.buf[:size] = view
-    return BufferHandle(name=segment.name, size=size), owned
-
-
-def allocate_buffer(size: int) -> tuple[BufferHandle, OwnedSegment]:
-    """Create a zero-filled shared buffer the owner will write incrementally."""
-    segment = shared_memory.SharedMemory(create=True, size=max(1, size))
-    owned = OwnedSegment(segment)
-    segment.buf[:size] = bytes(size)
     return BufferHandle(name=segment.name, size=size), owned
 
 

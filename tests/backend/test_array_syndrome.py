@@ -149,7 +149,7 @@ class TestSyndromeApi:
 
 
 class TestFastPathEquivalence:
-    """Compiled (rows/array/vectorised) paths replicate the object path."""
+    """Compiled (rows/array/stacked) paths replicate the object path."""
 
     @pytest.mark.parametrize("family", ["hypercube", "star", "pancake", "kary_ncube"])
     @pytest.mark.parametrize("placement", [random_faults, clustered_faults])

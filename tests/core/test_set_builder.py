@@ -150,8 +150,15 @@ class TestControls:
         assert result.all_healthy
 
     def test_invalid_root_rejected(self, q5):
-        with pytest.raises(ValueError):
-            set_builder(q5, healthy_syndrome(q5), q5.num_nodes + 3)
+        n = q5.num_nodes
+        owner = [True] * n  # a restriction that indexes by node
+        cls = next(iter(q5.partition_scheme()))
+        # The range check comes first, before ``restrict`` sees the node.
+        for u0, restrict in (
+            (n + 3, None), (n, lambda v: owner[v]), (n, cls.contains),
+        ):
+            with pytest.raises(ValueError, match="not a node of the network"):
+                set_builder(q5, healthy_syndrome(q5), u0, restrict=restrict)
 
     def test_default_diagnosability_taken_from_network(self, q7):
         result = set_builder(q7, healthy_syndrome(q7), 0)

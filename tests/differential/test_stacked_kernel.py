@@ -1,22 +1,25 @@
 """Stacked-kernel differential suite.
 
 ``GeneralDiagnoser.diagnose_many`` runs a whole batch of syndromes through
-one array pass of the final ``Set_Builder`` — it must be a pure throughput
+one pass of the final ``Set_Builder`` — it must be a pure throughput
 optimisation.  For every registry family this suite builds seeded syndrome
 batches at widths 1, 2, 7 and 16 and pins every stacked outcome
-bit-identical to the per-syndrome :meth:`GeneralDiagnoser.diagnose`
-reference: accusation set, healthy root, grown set, tree parents, probe
-records, partition level and syndrome lookup count — and, for items that
-fail, the exact exception ``diagnose`` raises.  Mixed batches with
+bit-identical to the rows-oracle reference,
+``GeneralDiagnoser(network).diagnose(syndrome.to_table())``: accusation
+set, healthy root, grown set, tree parents, probe records, partition level
+and syndrome lookup count — and, for items that fail, the exact exception
+the oracle raises.  Mixed batches with
 guaranteed-``DiagnosisError`` members prove per-item isolation, and a
 wider-than-``max_batch_size`` run through the service proves slicing
 changes nothing either.
 
 This is the load-bearing verification: the serving path (``run_direct``
-included) now routes through the stacked kernel, so served-vs-direct
-comparisons alone would be stacked-vs-stacked.  Here the reference is the
-sequential pipeline the cross-backend suite pins all the way down to the
-paper's object-level transcription.
+included) and :meth:`GeneralDiagnoser.diagnose` itself route through the
+stacked kernel, so comparisons against either alone would be
+stacked-vs-stacked.  Here the reference is the sequential rows oracle the
+cross-backend suite pins all the way down to the paper's object-level
+transcription; its sorted-row visiting order also reproduces the probe
+records of budgeted fallback probes.
 """
 
 from __future__ import annotations
@@ -79,13 +82,13 @@ def _outcome_signature(outcome):
 def _reference(diagnoser, spec_or_none, csr):
     syndrome = _doomed(csr) if spec_or_none is None else _build(csr, spec_or_none)
     try:
-        return _outcome_signature(diagnoser.diagnose(syndrome))
+        return _outcome_signature(diagnoser.diagnose(syndrome.to_table()))
     except DiagnosisError as exc:
         return _outcome_signature(exc)
 
 
 class TestStackedKernelDifferential:
-    def test_every_width_matches_per_syndrome_diagnose(self, tiny_network):
+    def test_every_width_matches_the_rows_oracle(self, tiny_network):
         """The headline: all registry families, widths 1/2/7/16, exact."""
         csr = compile_network(tiny_network)
         diagnoser = GeneralDiagnoser(tiny_network)
@@ -97,7 +100,7 @@ class TestStackedKernelDifferential:
             for i, outcome in enumerate(outcomes):
                 assert _outcome_signature(outcome) == references[i], (
                     f"{tiny_network.family}: stacked kernel diverged from "
-                    f"diagnose at width {width}, item {i}"
+                    f"the rows oracle at width {width}, item {i}"
                 )
 
     def test_error_items_are_isolated_and_exact(self, tiny_network):
@@ -167,7 +170,7 @@ class TestSlicingParity:
         for seed, response in zip(range(10), responses):
             faults = random_faults(network, delta, seed=seed)
             reference = diagnoser.diagnose(
-                ArraySyndrome.from_faults(csr, faults, seed=seed)
+                ArraySyndrome.from_faults(csr, faults, seed=seed).to_table()
             )
             assert response.faulty_set == reference.faulty, seed
             assert response.healthy_root == reference.healthy_root, seed

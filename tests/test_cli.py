@@ -382,41 +382,6 @@ class TestServeHttpProcess:
             assert 0 < len(reopened) <= 4
 
 
-class TestShardedDiagnose:
-    def test_sharded_in_process(self, capsys):
-        code = main(["diagnose", "--family", "hypercube", "--param", "dimension=7",
-                     "--shards", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "sharding" in out and "3 shards" in out and "in-process" in out
-
-    def test_sharded_pooled(self, capsys):
-        code = main(["diagnose", "--family", "hypercube", "--param", "dimension=7",
-                     "--shards", "2", "--workers", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "2-process shared-memory pool" in out
-
-    def test_workers_without_shards_rejected_before_any_work(self):
-        with pytest.raises(SystemExit, match="--workers requires --shards"):
-            main(["diagnose", "--family", "hypercube", "--workers", "2"])
-
-    def test_nonpositive_shards_rejected(self):
-        with pytest.raises(SystemExit, match="at least 1"):
-            main(["diagnose", "--family", "hypercube", "--shards", "0"])
-        with pytest.raises(SystemExit, match="at least 1"):
-            main(["diagnose", "--family", "hypercube", "--shards", "2",
-                  "--workers", "0"])
-
-    def test_shards_need_compiled_array_backend(self):
-        with pytest.raises(SystemExit, match="compiled backend"):
-            main(["diagnose", "--family", "hypercube", "--shards", "2",
-                  "--uncompiled"])
-        with pytest.raises(SystemExit, match="compiled backend"):
-            main(["diagnose", "--family", "hypercube", "--shards", "2",
-                  "--syndrome", "table"])
-
-
 class TestTenantFlags:
     def test_tenant_weight_parsing(self):
         from repro.cli import _parse_tenant_weights
