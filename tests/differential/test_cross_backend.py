@@ -83,6 +83,17 @@ def _signature(network, result: SetBuilderResult) -> dict:
     }
 
 
+def _outcome(result) -> tuple:
+    """A diagnosis (or its captured failure) minus the wall clock."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return (
+        result.faulty, result.healthy_root, result.healthy_nodes,
+        result.tree_parent, result.probes, result.partition_level,
+        result.lookups,
+    )
+
+
 def _all_backends(
     network, syndrome: ArraySyndrome, root: int, monkeypatch
 ) -> dict[str, dict]:
@@ -121,6 +132,23 @@ class TestSetBuilderDifferential:
                 checked += 1
         assert checked >= 8  # 2 seeds x 2 behaviors x 2 placements (x roots)
 
+    def test_bounded_array_runs_match_the_rows_oracle(self, tiny_network):
+        """Restricted, budgeted and stop-on-certificate array runs bypass the
+        stacked kernel; each must still equal the rows oracle exactly."""
+        for faults, syndrome in _triples(tiny_network):
+            for root in _roots(tiny_network, faults):
+                for options in (
+                    {"restrict": lambda v, r=root: v == r or v % 3 != 0},
+                    {"max_nodes": max(1, tiny_network.num_nodes // 2)},
+                    {"stop_on_certificate": True},
+                ):
+                    runs = [
+                        set_builder(tiny_network, s, root, **options)
+                        for s in (syndrome, syndrome.to_table())
+                    ]
+                    array, rows = (_signature(tiny_network, r) for r in runs)
+                    assert array == rows, (tiny_network.family, options, root)
+
 
 class TestDiagnosisDifferential:
     """Full-pipeline agreement: the accusation sets of whole diagnoses."""
@@ -144,14 +172,9 @@ class TestDiagnosisDifferential:
 
         def outcome(syndrome):
             try:
-                result = diagnoser.diagnose(syndrome)
+                return _outcome(diagnoser.diagnose(syndrome))
             except DiagnosisError as exc:
-                return type(exc), str(exc)
-            return (
-                result.faulty, result.healthy_root, result.healthy_nodes,
-                result.tree_parent, result.probes, result.partition_level,
-                result.lookups,
-            )
+                return _outcome(exc)
 
         for _, syndrome in _triples(tiny_network):
             assert outcome(syndrome) == outcome(syndrome.to_table())
@@ -159,6 +182,31 @@ class TestDiagnosisDifferential:
         doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
         assert outcome(doomed)[0] is DiagnosisError
         assert outcome(doomed) == outcome(doomed.to_table())
+
+    def test_numpy_fallback_preserves_the_diagnosis(self, tiny_network, monkeypatch):
+        """Native and numpy-fallback diagnoses agree exactly, or fail alike."""
+        diagnoser = GeneralDiagnoser(tiny_network)
+        for _, syndrome in _triples(tiny_network):
+            plain = _outcome(diagnoser.diagnose_many([syndrome])[0])
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "_forced_off", True)
+                assert _outcome(diagnoser.diagnose_many([syndrome])[0]) == plain
+
+    def test_mixed_batch_matches_per_item_diagnosis(self, tiny_network):
+        """A batch mixing stackable arrays, oracle-only tables and a doomed
+        syndrome gives every slot the rows-oracle diagnosis of its item."""
+        csr = compile_network(tiny_network)
+        doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
+        sources = [syndrome for _, syndrome in _triples(tiny_network)]
+        sources.insert(1, doomed)
+        batch = [s for source in sources for s in (source, source.to_table())]
+        diagnoser = GeneralDiagnoser(tiny_network)
+        results = diagnoser.diagnose_many(batch)
+        assert isinstance(results[2], DiagnosisError)
+        for pos, result in enumerate(results):
+            oracle = sources[pos // 2].to_table()
+            expected = diagnoser.diagnose_many([oracle])[0]
+            assert _outcome(result) == _outcome(expected), (tiny_network.family, pos)
 
 
 class TestHarnessInternals:
