@@ -12,7 +12,7 @@ Two modes:
   which is itself the datum), the k-ary and star family rows, the distributed
   engine overhead, and the shared-memory pooled-sweep comparison (serial vs
   worker pool vs the old per-worker-recompilation fan-out; recorded under
-  the ``sharded_sweep`` key).
+  the ``pooled_sweep`` key).
 
 The pooled sweep is measured *first* and its recompilation baseline runs
 before the coordinator ever compiles the topology: workers are forked, so a
@@ -299,8 +299,8 @@ def measure_families(*, seed: int = 1, repetitions: int = 3) -> list[dict]:
     return rows
 
 
-def measure_sharded_sweep(n: int, *, workers: int = 4, trials: int = 6,
-                          base_seed: int = 16) -> dict:
+def measure_pooled_sweep(n: int, *, workers: int = 4, trials: int = 6,
+                         base_seed: int = 16) -> dict:
     """A Q_n sweep: serial vs shared-memory pool vs per-worker recompilation.
 
     Three phases over the identical trial table (results are bit-identical —
@@ -435,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # The pooled sweep must come first: its recompilation baseline is only
     # honest while nothing has compiled in this process (see its docstring).
-    sharded = measure_sharded_sweep(
+    pooled = measure_pooled_sweep(
         16 if not reduced else max(dimensions),
         workers=4,
         trials=6 if not reduced else 3,
@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "results": families,
         },
-        "sharded_sweep": sharded,
+        "pooled_sweep": pooled,
         "distributed_engine": {
             "description": (
                 "ProtocolEngine.run_set_builder (real event-driven messages) "
@@ -529,13 +529,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['compiled_diagnose_ms']:.1f} ms, {row['lookups']} lookups"
         )
     print(
-        f"Q_{sharded['dimension']} sweep x{sharded['trials']} with "
-        f"--workers {sharded['workers']} (cpu_count {sharded['cpu_count']}): "
-        f"serial {sharded['serial_s']:.2f} s, pool {sharded['pool_s']:.2f} s "
-        f"({sharded['speedup_vs_serial']}x), respawn baseline "
-        f"{sharded['respawn_s']:.2f} s ({sharded['speedup_vs_respawn']}x vs pool); "
-        f"worker compiles: pool {sharded['worker_compiles_pool']}, "
-        f"respawn {sharded['worker_compiles_respawn']}"
+        f"Q_{pooled['dimension']} sweep x{pooled['trials']} with "
+        f"--workers {pooled['workers']} (cpu_count {pooled['cpu_count']}): "
+        f"serial {pooled['serial_s']:.2f} s, pool {pooled['pool_s']:.2f} s "
+        f"({pooled['speedup_vs_serial']}x), respawn baseline "
+        f"{pooled['respawn_s']:.2f} s ({pooled['speedup_vs_respawn']}x vs pool); "
+        f"worker compiles: pool {pooled['worker_compiles_pool']}, "
+        f"respawn {pooled['worker_compiles_respawn']}"
     )
     print(
         f"Q_{distributed['dimension']} distributed: engine "

@@ -22,7 +22,11 @@ Two further rows gate different properties: **batched_kernel** times one
 stacked `diagnose_many` call against the sequential loop, and **fairness**
 runs the adversarial multi-tenant mix (hot open-loop burst vs cold
 closed-loop tenants under a per-tenant quota) twice, requiring a
-byte-identical shed split and 100% cold-tenant completion.
+byte-identical shed split and 100% cold-tenant completion.  The **digest**
+section times the content digest per topology of the mix on four buffers
+(a seeded build, its explicit form, all-zero, all-one): the dense SHA-256
+of the whole buffer it replaced against the canonical sparse-or-dense form,
+requiring the seeded and explicit forms to agree.
 
 Every batched response is verified bit-identical to the direct
 `GeneralDiagnoser` pipeline before any number is recorded.  Results land in
@@ -217,6 +221,67 @@ def measure_kernel(*, smoke: bool) -> dict:
     }
 
 
+def measure_digest(mix) -> list[dict]:
+    """The ``digest`` rows: ms per digest, before and after, per buffer.
+
+    ``before_ms`` is SHA-256 over the whole buffer (the dense digest the
+    canonical form replaced); ``after_ms`` is
+    :func:`~repro.service.requests.syndrome_digest`.  The ``seeded`` case
+    hands over the offsets its fault-sparse build recorded, as the
+    executor does; ``explicit`` is the same syndrome as raw bytes, scanned
+    once, as an explicit request is at admission.  Both must give one
+    digest (``verified``).  Each time is the best of ``repeats`` calls.
+    """
+    import hashlib
+    import time
+
+    from repro.backend.array_syndrome import ArraySyndrome
+    from repro.core.faults import random_faults
+    from repro.core.native import native_kernel_active
+    from repro.networks.registry import compiled_network
+    from repro.service.requests import syndrome_digest
+
+    repeats = 30
+
+    def best_ms(fn) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return round(best * 1e3, 4)
+
+    rows = []
+    for family, params in mix:
+        network, csr = compiled_network(family, **params)
+        faults = random_faults(network, network.diagnosability(), seed=1)
+        syndrome = ArraySyndrome.from_faults(csr, faults, seed=1)
+        raw = bytes(syndrome.buffer)
+        seeded = syndrome_digest(syndrome.buffer, syndrome.nonzero_offsets)
+        cases = {
+            "seeded": (syndrome.buffer, syndrome.nonzero_offsets),
+            "explicit": (raw, None),
+            "all_zero": (bytes(len(raw)), None),
+            "all_one": (b"\x01" * len(raw), None),
+        }
+        for case, (buffer, offsets) in cases.items():
+            digest = syndrome_digest(buffer, offsets)
+            rows.append({
+                "family": family,
+                "params": dict(params),
+                "case": case,
+                "bytes": len(raw),
+                "nonzero": len(buffer) - bytes(buffer).count(0),
+                "scheme": digest.partition(":")[0],
+                "before_ms": best_ms(lambda: hashlib.sha256(buffer).hexdigest()),
+                "after_ms": best_ms(lambda: syndrome_digest(buffer, offsets)),
+                "cpu_count": os.cpu_count(),
+                "native": native_kernel_active(),
+                "verified": case not in ("seeded", "explicit") or digest == seeded,
+            })
+    return rows
+
+
 def measure_width_curve() -> list[dict]:
     """Throughput vs stacked-kernel width on the acceptance mix.
 
@@ -276,6 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     modes.append(kernel)
     fairness = measure_fairness(smoke=smoke)
     modes.append(fairness)
+    digest_rows = measure_digest(mix)
     by_name = {entry["mode"]: entry for entry in modes}
     speedup = round(
         by_name["batched"]["throughput_rps"]
@@ -329,6 +395,16 @@ def main(argv: list[str] | None = None) -> int:
         "batched_kernel_before": baseline,
         "kernel_target_speedup": 3.0,
         "kernel_target_met": kernel["kernel_speedup"] >= 3.0,
+        "digest": {
+            "description": (
+                "content digest per request, ms: dense SHA-256 of the whole "
+                "buffer (before) vs the canonical sparse-or-dense digest "
+                "(after); seeded hands over the build's nonzero offsets, "
+                "explicit scans the raw bytes once"
+            ),
+            "results": digest_rows,
+        },
+        "digest_verified": all(row["verified"] for row in digest_rows),
         "fairness_ok": (
             fairness["shed_split_deterministic"]
             and fairness["hot_shed_under_pressure"]
@@ -377,6 +453,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{fairness['cold_completion']:.0%}, split deterministic "
         f"{fairness['shed_split_deterministic']}"
     )
+    for row in digest_rows:
+        print(
+            f"{'digest':>15}: {row['family']}{row['params']} {row['case']:>8} "
+            f"({row['scheme']}): {row['before_ms']} ms -> {row['after_ms']} ms"
+        )
     for row in width_curve:
         print(
             f"  width {row['width']:>2}: {row['throughput_rps']:>8} req/s "
@@ -397,6 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             and payload["zero_recompilation"]
             and kernel["verified_bit_identical"]
             and payload["fairness_ok"]
+            and payload["digest_verified"]
         )
         return 0 if ok else 1
     out = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -406,6 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         payload["target_met"]
         and payload["kernel_target_met"]
         and payload["fairness_ok"]
+        and payload["digest_verified"]
         and payload["all_modes_bit_identical"]
         and all(row["verified_bit_identical"] for row in width_curve)
     )

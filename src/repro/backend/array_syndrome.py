@@ -111,6 +111,9 @@ class ArraySyndrome(Syndrome):
             )
         self._buf = buf
         self.faults = frozenset(int(f) for f in faults)
+        #: Ascending offsets of the nonzero bytes, when a build knows them
+        #: (see :meth:`from_faults`); ``None`` means "scan to find out".
+        self.nonzero_offsets: np.ndarray | None = None
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -131,6 +134,12 @@ class ArraySyndrome(Syndrome):
         ``|F|·(Δ+1)`` testers, one numpy gather per degree.  Faulty testers
         then consume the seeded generator in the canonical materialisation
         order, reproducing ``LazySyndrome.materialize()`` entry for entry.
+
+        The build also records :attr:`nonzero_offsets` from the slots it
+        wrote — O(|N[F]|·Δ²), no second pass over the buffer — so the
+        content digest need not scan the buffer.  They are left ``None``
+        when more than an eighth of the bytes are nonzero: the digest then
+        hashes the raw bytes and sorting the offsets would be wasted.
         """
         csr = compile_network(topology)
         fault_set = frozenset(int(f) for f in faults)
@@ -149,11 +158,15 @@ class ArraySyndrome(Syndrome):
         mask = np.zeros(csr.num_nodes, dtype=bool)
         mask[fault_ids] = True
 
-        # Healthy answers for every tester in N[F], grouped by degree.
-        near = mask.copy()
+        # Healthy testers next to a fault, grouped by degree.  The buffer
+        # starts zeroed, so only their nonzero answers are written; those
+        # slots are also the digest's nonzero offsets.
+        near = np.zeros(csr.num_nodes, dtype=bool)
         near[indices[csr.row_addresses(fault_ids)[0]]] = True
+        near &= ~mask
         testers = np.flatnonzero(near)
         degrees = indptr[testers + 1] - indptr[testers]
+        written = []
         for degree in sorted(set(degrees.tolist())):
             if degree < 2:
                 continue
@@ -161,7 +174,9 @@ class ArraySyndrome(Syndrome):
             iu, ju = _triu(degree)
             hit = mask[indices[indptr[group][:, None] + np.arange(degree)]]
             slots = pair_indptr[group][:, None] + np.arange(len(iu))
-            values[slots] = hit[:, iu] | hit[:, ju]
+            hot = slots[hit[:, iu] | hit[:, ju]]
+            values[hot] = 1
+            written.append(hot)
 
         name = behavior.name
         if name == "random" and type(behavior).result is FaultyTesterBehavior.result:
@@ -172,28 +187,49 @@ class ArraySyndrome(Syndrome):
             counts = pair_indptr[fault_ids + 1] - starts
             slots = np.repeat(starts - (np.cumsum(counts) - counts), counts)
             slots += np.arange(slots.size)
-            values[slots] = fair_coins(rng, slots.size)
-            return cls(csr, buf, faults=fault_set, copy=False)
+            coins = fair_coins(rng, slots.size)
+            values[slots] = coins
+            written.append(slots[coins != 0])
+            return cls._built(csr, buf, fault_set, written)
         for u in ordered:
             lo, hi = int(pair_indptr[u]), int(pair_indptr[u + 1])
             if name == "all_zero":
-                values[lo:hi] = 0
-            elif name == "all_one":
+                continue
+            if name == "all_one":
                 values[lo:hi] = 1
-            elif name == "anti_mimic":
-                values[lo:hi] ^= 1
-            elif name != "mimic":  # mimic: the healthy values are the answer
-                # Delegate per pair (consuming the rng in canonical order), so
-                # behaviours beyond the bulk-computable ones above — custom
-                # coins included — stay in lockstep with LazySyndrome.
-                row = indices[indptr[u]:indptr[u + 1]].tolist()
-                healthy = values[lo:hi].tolist()
-                pairs = [(v, w) for i, v in enumerate(row) for w in row[i + 1:]]
-                values[lo:hi] = [
-                    behavior.result(u, v, w, h, rng)
-                    for (v, w), h in zip(pairs, healthy)
-                ]
-        return cls(csr, buf, faults=fault_set, copy=False)
+            else:
+                row = indices[indptr[u]:indptr[u + 1]]
+                iu, ju = _triu(len(row))
+                hit = mask[row]
+                healthy = (hit[iu] | hit[ju]).astype(np.uint8)
+                if name == "mimic":
+                    values[lo:hi] = healthy
+                elif name == "anti_mimic":
+                    values[lo:hi] = healthy ^ 1
+                else:
+                    # Delegate per pair (consuming the rng in canonical
+                    # order), so behaviours beyond the bulk-computable ones
+                    # above — custom coins included — stay in lockstep with
+                    # LazySyndrome.
+                    row = row.tolist()
+                    pairs = [(v, w) for i, v in enumerate(row) for w in row[i + 1:]]
+                    values[lo:hi] = [
+                        behavior.result(u, v, w, h, rng)
+                        for (v, w), h in zip(pairs, healthy.tolist())
+                    ]
+            written.append(np.flatnonzero(values[lo:hi]) + lo)
+        return cls._built(csr, buf, fault_set, written)
+
+    @classmethod
+    def _built(cls, csr, buf, fault_set, written) -> "ArraySyndrome":
+        """Adopt a generated buffer with the nonzero slots its build wrote."""
+        syndrome = cls(csr, buf, faults=fault_set, copy=False)
+        count = sum(len(part) for part in written)
+        if 8 * count <= len(buf):
+            offsets = np.concatenate(written) if written else np.empty(0, np.int64)
+            offsets.sort()
+            syndrome.nonzero_offsets = offsets
+        return syndrome
 
     @classmethod
     def from_syndrome(cls, topology, syndrome: Syndrome) -> "ArraySyndrome":

@@ -97,7 +97,7 @@ def _run_requests(
     network,
     csr,
     requests: Sequence[DiagnosisRequest],
-    explicit_views: dict[int, object] | None = None,
+    explicit_views: dict[int, tuple[object, str]] | None = None,
 ) -> tuple[list[DiagnosisResponse], int]:
     """Diagnose one topology group through the stacked kernel.
 
@@ -109,22 +109,31 @@ def _run_requests(
     failures inside the kernel (a Theorem-1 violation) come back as
     exception objects and become error responses in place.
 
-    ``explicit_views`` maps request positions to flat ``uint8`` buffer views
-    for syndromes shipped out-of-band (shared memory); those requests carry
-    no ``syndrome_bytes`` of their own and their views are adopted zero-copy.
+    ``explicit_views`` maps request positions to ``(view, digest)`` pairs
+    for syndromes shipped out-of-band (shared memory): a flat ``uint8``
+    buffer view, adopted zero-copy, and the digest the coordinator already
+    computed.  Those requests carry no ``syndrome_bytes`` of their own.
+
+    Each response's digest is computed at most once per process: an
+    explicit request reuses the one it was keyed by, a seeded build hands
+    its recorded nonzero offsets to :func:`syndrome_digest`.
     """
     diagnoser = GeneralDiagnoser(network)
     delta = network.diagnosability()
     responses: list[DiagnosisResponse | None] = [None] * len(requests)
     syndromes: list[ArraySyndrome] = []
-    slots: list[tuple[int, int | None]] = []  # (position, num_faults_injected)
+    # (position, num_faults_injected, digest when already known)
+    slots: list[tuple[int, int | None, str | None]] = []
     for pos, request in enumerate(requests):
         num_injected = None
+        digest = None
         try:
             if explicit_views is not None and pos in explicit_views:
-                syndrome = ArraySyndrome(csr, explicit_views[pos], copy=False)
+                view, digest = explicit_views[pos]
+                syndrome = ArraySyndrome(csr, view, copy=False)
             elif request.is_explicit:
                 syndrome = ArraySyndrome(csr, request.syndrome_bytes)
+                digest = request.digest
             else:
                 count = delta if request.fault_count is None else request.fault_count
                 faults = PLACEMENTS[request.placement](
@@ -148,12 +157,15 @@ def _run_requests(
             )
             continue
         syndromes.append(syndrome)
-        slots.append((pos, num_injected))
+        slots.append((pos, num_injected, digest))
 
     outcomes = diagnoser.diagnose_many(syndromes, include_sets=False)
-    for (pos, num_injected), syndrome, outcome in zip(slots, syndromes, outcomes):
+    for (pos, num_injected, digest), syndrome, outcome in zip(
+        slots, syndromes, outcomes
+    ):
         request = requests[pos]
-        digest = syndrome_digest(syndrome.buffer)
+        if digest is None:
+            digest = syndrome_digest(syndrome.buffer, syndrome.nonzero_offsets)
         if isinstance(outcome, Exception):
             responses[pos] = DiagnosisResponse(
                 topology_key=request.topology_key,
@@ -221,7 +233,7 @@ def run_batch_task(
     params: tuple,
     requests: Sequence[DiagnosisRequest],
     syndrome_handle: "BufferHandle | None" = None,
-    syndrome_spans: Sequence[tuple[int, int, int]] = (),
+    syndrome_spans: Sequence[tuple[int, int, int, str]] = (),
 ) -> tuple[list[DiagnosisResponse], dict]:
     """Pool-side batch execution: attach the shared topology, then diagnose.
 
@@ -232,8 +244,9 @@ def run_batch_task(
 
     Explicit syndromes travel the same way: the coordinator concatenates
     their buffers into one published segment (``syndrome_handle``) and sends
-    ``(position, offset, size)`` spans instead of pickling the bytes per
-    task; the worker slices zero-copy views out of its attached mapping.
+    ``(position, offset, size, digest)`` spans instead of pickling the
+    bytes per task; the worker slices zero-copy views out of its attached
+    mapping and reuses the coordinator's digests, never rescanning them.
     """
     from ..parallel.pool import compile_delta_probe, worker_buffer, worker_network
 
@@ -243,8 +256,8 @@ def run_batch_task(
     if syndrome_handle is not None:
         view = worker_buffer(syndrome_handle)
         explicit_views = {
-            pos: view[offset:offset + size]
-            for pos, offset, size in syndrome_spans
+            pos: (view[offset:offset + size], digest)
+            for pos, offset, size, digest in syndrome_spans
         }
     responses, width = _run_requests(
         network, csr, requests, explicit_views=explicit_views

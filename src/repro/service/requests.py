@@ -12,8 +12,9 @@ Three canonical keys drive the serving layer:
 
 * :func:`topology_key` — what coalescing groups by: requests sharing it run
   against one compiled topology in one batch;
-* :func:`syndrome_digest` — SHA-256 of the flat syndrome buffer: the
-  content address under which the result store files an answer;
+* :func:`syndrome_digest` — SHA-256 of the buffer's canonical form (sparse
+  nonzero offsets and values, or the raw bytes when too many are nonzero):
+  the content address under which the result store files an answer;
 * :func:`request_key` — the duplicate-suppression key: identical requests
   share one in-flight computation and one stored result.
 
@@ -28,9 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_TENANT",
+    "DIGEST_SCHEMES",
     "DiagnosisRequest",
     "DiagnosisResponse",
     "topology_key",
@@ -83,18 +88,75 @@ def topology_key(family: str, params) -> str:
     return f"{family}[{inner}]"
 
 
-def syndrome_digest(buffer) -> str:
-    """SHA-256 content address of a flat syndrome buffer.
+#: The schemes a digest may name.  Each value is ``<scheme>:<hex>``, so no
+#: digest can equal a bare-hex one from before the canonical form existed.
+DIGEST_SCHEMES = ("sparse-sha256", "dense-sha256")
 
-    Hashes the buffer in place.  Only a non-contiguous view is copied, into
-    C order: the same bytes ``bytes(buffer)`` would give, so every buffer
-    type holding one syndrome shares one digest.
+
+def _byte_view(buffer) -> np.ndarray:
+    """A flat, C-contiguous ``uint8`` view of ``buffer`` (copied only when
+    strided, into the order ``bytes(buffer)`` gives)."""
+    if isinstance(buffer, np.ndarray) or not memoryview(buffer).c_contiguous:
+        return np.ascontiguousarray(buffer).reshape(-1).view(np.uint8)
+    return np.frombuffer(buffer, dtype=np.uint8)
+
+
+def _nonzero_offsets(view: np.ndarray) -> np.ndarray | None:
+    """Ascending offsets of the nonzero bytes, or ``None`` if too many.
+
+    The one full-buffer scan of the digest: a byte count picks the body
+    (its first eighth alone settles a mostly-nonzero buffer), then a
+    word-level pass finds the nonzero ``uint64`` words and only their
+    bytes (plus the ``n mod 8`` tail) are examined.  Byte-wise
+    ``np.flatnonzero`` over the whole buffer costs more than hashing it.
     """
-    if not memoryview(buffer).c_contiguous:
-        import numpy as np
+    n = view.size
+    cut = n // 8 + 1
+    count = int(np.count_nonzero(view[:cut]))
+    if 8 * count > n or 8 * (count + int(np.count_nonzero(view[cut:]))) > n:
+        return None
+    whole = n - n % 8
+    packed = view[:whole].view(np.uint64)
+    words = np.flatnonzero(packed != 0)
+    lanes = np.flatnonzero(packed[words].view(np.uint8) != 0)
+    offsets = words[lanes >> 3] * 8 + (lanes & 7)
+    if whole < n:
+        offsets = np.concatenate((offsets, np.flatnonzero(view[whole:]) + whole))
+    return offsets
 
-        buffer = np.ascontiguousarray(buffer)
-    return hashlib.sha256(buffer).hexdigest()
+
+def syndrome_digest(buffer, offsets=None) -> str:
+    """Content address of a flat syndrome buffer, over its canonical form.
+
+    The hashed form is a scheme tag, the length ``n`` as ``<u8``, then one
+    of two bodies.  With ``k`` nonzero bytes and ``8·k ≤ n`` it is
+    ``sparse-sha256``: ``k`` as ``<u8``, the ascending nonzero offsets as
+    ``<u8`` and their byte values.  Otherwise it is ``dense-sha256``: the
+    raw bytes.  Only the content picks the body, so every buffer type and
+    every way of building one syndrome share one digest.
+
+    ``offsets`` are the buffer's ascending nonzero offsets when the caller
+    already knows them (a fault-sparse build does); the buffer is then
+    never scanned.  Without them it is scanned once
+    (:func:`_nonzero_offsets`).
+    """
+    view = _byte_view(buffer)
+    n = view.size
+    if offsets is None:
+        offsets = _nonzero_offsets(view)
+    elif 8 * len(offsets) > n:
+        offsets = None
+    if offsets is None:
+        digest = hashlib.sha256(b"dense-sha256\0" + n.to_bytes(8, "little"))
+        digest.update(view)
+        return f"dense-sha256:{digest.hexdigest()}"
+    digest = hashlib.sha256(
+        b"sparse-sha256\0" + n.to_bytes(8, "little")
+        + len(offsets).to_bytes(8, "little")
+    )
+    digest.update(np.asarray(offsets, dtype="<u8"))
+    digest.update(view[offsets])
+    return f"sparse-sha256:{digest.hexdigest()}"
 
 
 @dataclass(frozen=True)
@@ -255,11 +317,24 @@ class DiagnosisRequest:
         """Duplicate-suppression key (see :func:`request_key`)."""
         return request_key(self)
 
+    @cached_property
+    def digest(self) -> str | None:
+        """:func:`syndrome_digest` of an explicit buffer; ``None`` if seeded.
+
+        Computed on first use (admission) and kept on the request, so the
+        store lookup, the in-flight key, the executor and the store commit
+        all reuse one scan of the buffer.
+        """
+        if self.syndrome_bytes is None:
+            return None
+        return syndrome_digest(self.syndrome_bytes)
+
     def describe(self) -> str:
         prefix = "" if self.tenant == DEFAULT_TENANT else f"[{self.tenant}] "
         if self.is_explicit:
+            scheme, _, hexdigest = self.digest.partition(":")
             return (f"{prefix}{self.topology_key} "
-                    f"syndrome@{syndrome_digest(self.syndrome_bytes)[:12]}")
+                    f"syndrome@{scheme}:{hexdigest[:12]}")
         count = "delta" if self.fault_count is None else str(self.fault_count)
         return (f"{prefix}{self.topology_key} {self.placement}/{count} "
                 f"{self.behavior} seed={self.seed}")
@@ -270,12 +345,13 @@ def request_key(request: DiagnosisRequest) -> str:
 
     Seeded requests key on their generation parameters (no topology work
     needed to recognise a repeat); explicit-syndrome requests key on the
-    content digest of their buffer.  The tenant is deliberately absent:
-    dedup is about the *work*, and a cross-tenant store hit or coalesced
-    join consumes no queue slot from either tenant.
+    content digest of their buffer, whose prefix names its scheme.  The
+    tenant is deliberately absent: dedup is about the *work*, and a
+    cross-tenant store hit or coalesced join consumes no queue slot from
+    either tenant.
     """
     if request.is_explicit:
-        return f"{request.topology_key}|sha256:{syndrome_digest(request.syndrome_bytes)}"
+        return f"{request.topology_key}|{request.digest}"
     return (f"{request.topology_key}|{request.placement}|{request.fault_count}"
             f"|{request.behavior}|{request.seed}")
 

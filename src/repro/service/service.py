@@ -301,6 +301,10 @@ class DiagnosisService:
         tenant = request.tenant
         loop = asyncio.get_running_loop()
         enqueued_at = loop.time()
+        # Admission keys the request: an explicit buffer's digest is
+        # computed here, once, and cached on the request for the store,
+        # the executor and the pool task.
+        key = request.key
 
         if self.store is not None:
             stored = self.store.get(request)
@@ -313,7 +317,6 @@ class DiagnosisService:
                 )
                 return response
 
-        key = request.key
         if self.coalesce and key in self._inflight:
             self.metrics.record_enqueue(self._pending_total, tenant=tenant)
             response = await asyncio.shield(self._inflight[key])
@@ -491,17 +494,19 @@ class DiagnosisService:
                 handle = self.pool.publish_topology(csr)
                 # Explicit syndromes ship through shared memory, not pickle:
                 # concatenate their buffers into one published segment and
-                # send (position, offset, size) spans; the wire requests are
-                # stripped of their bytes so the task payload stays small.
+                # send (position, offset, size, digest) spans; the wire
+                # requests are stripped of their bytes so the task payload
+                # stays small, and the admission digest rides along so the
+                # worker never rescans a buffer.
                 wire_requests = list(requests)
                 syndrome_handle = None
-                spans: list[tuple[int, int, int]] = []
+                spans: list[tuple[int, int, int, str]] = []
                 parts: list[bytes] = []
                 offset = 0
                 for pos, request in enumerate(requests):
                     if request.is_explicit:
                         blob = bytes(request.syndrome_bytes)
-                        spans.append((pos, offset, len(blob)))
+                        spans.append((pos, offset, len(blob), request.digest))
                         parts.append(blob)
                         offset += len(blob)
                         wire_requests[pos] = replace(request, syndrome_bytes=None)

@@ -3,8 +3,10 @@
 Diagnosis answers are a pure function of ``(topology, syndrome)`` — the
 algorithm is deterministic and the service regenerates seeded syndromes
 bit-identically — so results are filed under the content address
-``(topology key, SHA-256 of the flat syndrome buffer)`` in a small SQLite
-database.  A second table indexes canonical *request keys*
+``(topology key, syndrome digest)`` in a small SQLite database, the digest
+being :func:`~repro.service.requests.syndrome_digest`'s scheme-tagged
+SHA-256 of the buffer's canonical sparse-or-dense form.  A second table
+indexes canonical *request keys*
 (:func:`~repro.service.requests.request_key`) onto those addresses, so a
 repeated seeded request is recognised and served from disk **without**
 building its topology or regenerating its syndrome; two different request
@@ -37,7 +39,12 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from .requests import DiagnosisRequest, DiagnosisResponse, request_key
+from .requests import (
+    DIGEST_SCHEMES,
+    DiagnosisRequest,
+    DiagnosisResponse,
+    request_key,
+)
 
 __all__ = ["ResultStore"]
 
@@ -56,6 +63,11 @@ CREATE TABLE IF NOT EXISTS request_index (
 );
 CREATE INDEX IF NOT EXISTS results_last_used ON results (last_used);
 """
+
+#: Rows whose digest names no current scheme predate the canonical form.
+_STALE_DIGEST = " AND ".join(
+    f"syndrome_digest NOT GLOB '{scheme}:*'" for scheme in DIGEST_SCHEMES
+)
 
 
 class ResultStore:
@@ -91,7 +103,6 @@ class ResultStore:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA busy_timeout=5000")
         self._migrate()
-        self._conn.executescript(_SCHEMA)
         self._conn.commit()
         self.hits = 0
         self.misses = 0
@@ -106,11 +117,19 @@ class ResultStore:
             self.evict()
 
     def _migrate(self) -> None:
-        """Add ``last_used`` to pre-eviction databases (additive, in place).
+        """Bring an older database up to date, in place.
 
-        Inherited rows are stamped *now*, not 0: to a fresh TTL policy they
-        are "just seen", not "idle since the epoch" — otherwise enabling
-        ``ttl_seconds`` on an upgraded store would wipe it at open.
+        Pre-eviction databases gain ``last_used``.  Inherited rows are
+        stamped *now*, not 0: to a fresh TTL policy they are "just seen",
+        not "idle since the epoch" — otherwise enabling ``ttl_seconds`` on
+        an upgraded store would wipe it at open.
+
+        Rows filed under a digest without a current scheme tag (the bare
+        hex of the dense digest) are deleted, from both tables: seeded
+        request keys did not change, so such a row would serve a digest no
+        computation produces any more, and an explicit request would miss
+        it and file a duplicate.  The store only caches recomputable
+        answers, so nothing is lost.
         """
         columns = [
             row[1]
@@ -123,6 +142,9 @@ class ResultStore:
             self._conn.execute(
                 "UPDATE results SET last_used = ?", (self._clock(),)
             )
+        self._conn.executescript(_SCHEMA)
+        for table in ("results", "request_index"):
+            self._conn.execute(f"DELETE FROM {table} WHERE {_STALE_DIGEST}")
 
     # ----------------------------------------------------------------- writes
     def put(self, request: DiagnosisRequest, response: DiagnosisResponse) -> None:

@@ -36,6 +36,12 @@ def _family_requests(network) -> list[DiagnosisRequest]:
     return requests + requests[:2]  # repeats exercise coalescing/store paths
 
 
+def _small_params(network) -> dict:
+    from repro.networks.registry import FAMILIES
+
+    return dict(FAMILIES[network.family].small)
+
+
 def _serve(service: DiagnosisService, requests):
     async def run():
         async with service:
@@ -122,6 +128,49 @@ class TestServiceDifferential:
 
         responses = asyncio.run(over_the_wire())
         _assert_matches_direct(tiny_network, requests, responses)
+
+    def test_explicit_forms_share_the_seeded_digest_on_every_family(
+        self, small_network
+    ):
+        """The seeded build's recorded offsets and the explicit buffer's
+        scan reach one canonical digest, so both forms of every syndrome
+        file onto one stored row, sparse and dense bodies alike."""
+        from repro.backend.array_syndrome import ArraySyndrome
+        from repro.service.executor import PLACEMENTS
+        from tests.service.canonical import reference_digest
+
+        family = small_network.family
+        params = _small_params(small_network)
+        delta = small_network.diagnosability()
+        seeded = [
+            DiagnosisRequest.seeded(family, params, placement=placement,
+                                    behavior=behavior, seed=seed)
+            for seed, placement, behavior in (
+                (1, "random", "random"), (2, "clustered", "mimic"),
+                (3, "spread", "all_one"),
+            )
+        ]
+        explicit = []
+        for request in seeded:
+            faults = PLACEMENTS[request.placement](
+                small_network, delta, seed=request.seed
+            )
+            syndrome = ArraySyndrome.from_faults(
+                small_network, faults, behavior=request.behavior,
+                seed=request.seed,
+            )
+            explicit.append(
+                DiagnosisRequest.from_syndrome(family, params, syndrome)
+            )
+        store = ResultStore()
+        first = _serve(DiagnosisService(store=store), seeded)
+        second = _serve(DiagnosisService(store=store), explicit)
+        for request, a, b in zip(explicit, first, second):
+            assert a.syndrome_digest == b.syndrome_digest == reference_digest(
+                request.syndrome_bytes
+            ), (family, request.describe())
+            assert (a.faulty, a.lookups, a.error) == (b.faulty, b.lookups, b.error)
+        assert len(store) == len(seeded) and store.dedup_writes == len(seeded)
 
     def test_store_served_repeats_stay_identical(self, q5):
         request = DiagnosisRequest.seeded("hypercube", {"dimension": 5}, seed=17)

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 
+from repro.backend.array_syndrome import ArraySyndrome
+from repro.backend.csr import compile_network
+from repro.core.syndrome import FaultyTesterBehavior
+from repro.service.executor import PLACEMENTS
 from repro.service.requests import (
+    DIGEST_SCHEMES,
     DiagnosisRequest,
     request_key,
     syndrome_digest,
     topology_key,
 )
+from tests.service.canonical import reference_digest
 
 
 class TestKeys:
@@ -35,13 +39,17 @@ class TestKeys:
         other = DiagnosisRequest.from_syndrome("hypercube", {"dimension": 5}, b"\x01\x01")
         assert request_key(first) == request_key(same)
         assert request_key(first) != request_key(other)
-        assert syndrome_digest(b"\x00\x01") in request_key(first)
+        digest = reference_digest(b"\x00\x01")
+        assert request_key(first) == f"hypercube[dimension=5]|{digest}"
 
-    def test_digest_is_the_same_for_every_buffer_type(self):
-        """The digest hashes a buffer in place; the value depends on the
-        bytes only, never on the object holding them."""
-        data = bytes(np.random.default_rng(3).integers(0, 2, 4099, dtype=np.uint8))
-        expected = hashlib.sha256(data).hexdigest()
+    @pytest.mark.parametrize("share", [0.5, 0.01])
+    def test_digest_is_the_same_for_every_buffer_type(self, share):
+        """The digest reads a buffer in place; the value depends on the
+        bytes only, never on the object holding them (dense and sparse)."""
+        rng = np.random.default_rng(3)
+        data = bytes((rng.random(4099) < share).astype(np.uint8))
+        expected = reference_digest(data)
+        assert expected.startswith("dense" if share > 0.125 else "sparse")
         # A shared-memory-style arena: the syndrome sits at an odd offset.
         arena = np.zeros(len(data) + 17, dtype=np.uint8)
         arena[5:5 + len(data)] = np.frombuffer(data, dtype=np.uint8)
@@ -61,6 +69,125 @@ class TestKeys:
     def test_describe_is_stable_and_compact(self):
         request = DiagnosisRequest.seeded("star", {"n": 6}, seed=2)
         assert request.describe() == "star[n=6] random/delta random seed=2"
+
+    def test_explicit_describe_names_the_scheme(self):
+        request = DiagnosisRequest.from_syndrome("star", {"n": 6}, bytes(9))
+        hexdigest = reference_digest(bytes(9)).partition(":")[2]
+        assert request.describe() == f"star[n=6] syndrome@sparse-sha256:{hexdigest[:12]}"
+
+
+class TestCanonicalDigest:
+    """The canonical form: sparse below an eighth nonzero, dense above."""
+
+    LENGTHS = (0, 1, 7, 8, 9, 63, 64, 65, 4099)
+
+    @pytest.mark.parametrize("fill", [0, 1])
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_uniform_buffers_match_the_reference(self, fill, length):
+        data = bytes([fill]) * length
+        digest = syndrome_digest(data)
+        assert digest == reference_digest(data)
+        scheme = "sparse-sha256" if fill == 0 or length == 0 else "dense-sha256"
+        assert digest.startswith(scheme + ":")
+
+    @pytest.mark.parametrize("length", [64, 65, 71, 72, 4099])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_eighth_boundary_on_both_sides(self, length, extra):
+        """``8·k = n`` (or the largest ``k`` with ``8·k ≤ n``) is sparse;
+        one more nonzero byte is dense.  Nonzero bytes sit in the
+        ``n mod 8`` tail too, and carry values other than 1."""
+        count = length // 8 + extra
+        rng = np.random.default_rng(length)
+        data = np.zeros(length, dtype=np.uint8)
+        offsets = np.sort(rng.choice(length - 1, count - 1, replace=False))
+        data[offsets] = rng.integers(1, 256, offsets.size)
+        data[-1] = 7  # always one nonzero byte at the very end
+        raw = data.tobytes()
+        digest = syndrome_digest(raw)
+        assert digest == reference_digest(raw)
+        assert digest.startswith("dense-sha256:" if extra else "sparse-sha256:")
+        # Handing over the known offsets gives the same digest, unscanned.
+        assert syndrome_digest(raw, np.flatnonzero(data)) == digest
+
+    @pytest.mark.parametrize("length", [64, 65, 4099])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_front_loaded_buffers_at_the_boundary(self, length, extra):
+        """Nonzero bytes packed at the start, where the count can stop
+        early, pick the same body as the definition."""
+        raw = b"\x01" * (length // 8 + extra) + bytes(length - length // 8 - extra)
+        digest = syndrome_digest(raw)
+        assert digest == reference_digest(raw)
+        assert digest.startswith("dense-sha256:" if extra else "sparse-sha256:")
+
+    def test_values_and_length_are_part_of_the_form(self):
+        base = bytearray(100)
+        base[10] = 1
+        other = bytearray(base)
+        other[10] = 2
+        digests = {
+            syndrome_digest(bytes(base)),
+            syndrome_digest(bytes(other)),
+            syndrome_digest(bytes(base) + b"\0"),
+        }
+        assert len(digests) == 3
+
+    def test_every_digest_names_its_scheme(self):
+        for data in (bytes(64), b"\x01" * 64):
+            scheme, _, hexdigest = syndrome_digest(data).partition(":")
+            assert scheme in DIGEST_SCHEMES
+            assert len(hexdigest) == 64 and int(hexdigest, 16) >= 0
+
+    def test_explicit_requests_cache_their_digest(self, monkeypatch):
+        import repro.service.requests as requests
+
+        calls = []
+        digest = requests.syndrome_digest
+        monkeypatch.setattr(
+            requests, "syndrome_digest", lambda *a: calls.append(1) or digest(*a)
+        )
+        request = DiagnosisRequest.from_syndrome("star", {"n": 6}, bytes(720))
+        keys = {request.key, request_key(request), request.key}
+        request.describe()
+        assert len(keys) == 1 and len(calls) == 1
+        assert DiagnosisRequest.seeded("star", {"n": 6}).digest is None
+
+
+def _seeded_digests(network, count, placement, behavior, seed=3):
+    csr = compile_network(network)
+    faults = PLACEMENTS[placement](network, count, seed=seed)
+    syndrome = ArraySyndrome.from_faults(csr, faults, behavior=behavior, seed=seed)
+    raw = bytes(syndrome.buffer)
+    built = syndrome_digest(syndrome.buffer, syndrome.nonzero_offsets)
+    return syndrome, raw, built
+
+
+class TestSeededDigest:
+    """A fault-sparse build's recorded offsets give the explicit digest."""
+
+    def test_every_family_behaviour_and_placement(self, small_network):
+        for placement in PLACEMENTS:
+            for behavior in FaultyTesterBehavior.NAMES:
+                syndrome, raw, built = _seeded_digests(
+                    small_network, small_network.diagnosability(),
+                    placement, behavior,
+                )
+                case = (small_network.family, placement, behavior)
+                assert built == syndrome_digest(raw) == reference_digest(raw), case
+                nonzero = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8))
+                if syndrome.nonzero_offsets is None:
+                    assert 8 * nonzero.size > len(raw), case
+                else:
+                    assert np.array_equal(syndrome.nonzero_offsets, nonzero), case
+
+    def test_many_faults_force_the_dense_body(self, small_network):
+        count = small_network.num_nodes // 2
+        for behavior in FaultyTesterBehavior.NAMES:
+            syndrome, raw, built = _seeded_digests(
+                small_network, count, "random", behavior
+            )
+            assert syndrome.nonzero_offsets is None
+            assert built.startswith("dense-sha256:")
+            assert built == syndrome_digest(raw) == reference_digest(raw)
 
 
 class TestFromDict:

@@ -112,13 +112,17 @@ class TestCorrectness:
     def test_seeded_and_explicit_forms_share_one_store_row(self):
         """The fault-sparse build writes the same bytes the full build did.
 
-        The pinned digests were produced by the earlier full-buffer
-        generator; the explicit form of the same syndrome files onto the
-        seeded request's row instead of adding one.
+        The pinned SHA-256 values of the raw buffers were produced by the
+        earlier full-buffer generator; both forms are served the canonical
+        digest of those bytes, and the explicit form of the same syndrome
+        files onto the seeded request's row instead of adding one.
         """
+        import hashlib
+
         from repro.backend.array_syndrome import ArraySyndrome
         from repro.core.faults import clustered_faults, random_faults
         from repro.networks.registry import create_network
+        from tests.service.canonical import reference_digest
 
         pinned = {
             ("random", "random", 5, 17):
@@ -127,7 +131,7 @@ class TestCorrectness:
                 "2e85176b0bf3e982d6666126cfc84fd0ca7043b84ea6f4879b784b49c9ac2f73",
         }
         place = {"random": random_faults, "clustered": clustered_faults}
-        for (placement, behavior, dimension, seed), digest in pinned.items():
+        for (placement, behavior, dimension, seed), raw_sha256 in pinned.items():
             params = {"dimension": dimension}
             seeded = DiagnosisRequest.seeded(
                 "hypercube", params, placement=placement, behavior=behavior, seed=seed
@@ -137,10 +141,13 @@ class TestCorrectness:
             syndrome = ArraySyndrome.from_faults(
                 network, faults, behavior=behavior, seed=seed
             )
+            raw = bytes(syndrome.buffer)
+            assert hashlib.sha256(raw).hexdigest() == raw_sha256
             explicit = DiagnosisRequest.from_syndrome("hypercube", params, syndrome)
             store = ResultStore()
             [first] = _serve(DiagnosisService(store=store), seeded)
             [second] = _serve(DiagnosisService(store=store), explicit)
+            digest = reference_digest(raw)
             assert first.syndrome_digest == second.syndrome_digest == digest
             assert second.faulty == first.faulty == tuple(sorted(faults))
             assert len(store) == 1 and store.request_count() == 2
@@ -222,6 +229,85 @@ class TestStoreIntegration:
         again = _serve(DiagnosisService(store=store), DOOMED)[0]
         assert not first.ok and not again.ok
         assert again.source == "store"
+
+
+class TestHashOnce:
+    """A computed explicit request scans its buffer once per process path.
+
+    The scan is :func:`repro.service.requests._nonzero_offsets`, the only
+    place a digest reads a whole buffer it has no offsets for.  The counter
+    logs the scanning process, so a pooled worker's scans show up too.
+    """
+
+    @staticmethod
+    def _log_scans(monkeypatch, log):
+        import os
+
+        import repro.service.requests as requests
+
+        scan = requests._nonzero_offsets
+
+        def counted(view):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return scan(view)
+
+        monkeypatch.setattr(requests, "_nonzero_offsets", counted)
+
+    @staticmethod
+    def _scans(log) -> list[int]:
+        return [int(line) for line in log.read_text().split()] if log.exists() else []
+
+    @staticmethod
+    def _explicit(seed: int, dimension: int = 8) -> DiagnosisRequest:
+        from repro.backend.array_syndrome import ArraySyndrome
+        from repro.core.faults import random_faults
+        from repro.networks.registry import compiled_network
+
+        network, csr = compiled_network("hypercube", dimension=dimension)
+        faults = random_faults(network, network.diagnosability(), seed=seed)
+        syndrome = ArraySyndrome.from_faults(csr, faults, seed=seed)
+        return DiagnosisRequest.from_syndrome(
+            "hypercube", {"dimension": dimension}, syndrome
+        )
+
+    @pytest.mark.parametrize("body", ["sparse", "dense"])
+    def test_in_process_request_scans_once(self, monkeypatch, tmp_path, body):
+        import os
+
+        if body == "sparse":
+            request = self._explicit(seed=1)
+        else:  # all ones: the dense body, and a stored DiagnosisError
+            request = DiagnosisRequest.from_syndrome(
+                "hypercube", {"dimension": 6}, b"\x01" * (64 * 15)
+            )
+        log = tmp_path / "scans.log"
+        self._log_scans(monkeypatch, log)
+        store = ResultStore()
+        [response] = _serve(DiagnosisService(store=store), request)
+        request.describe()
+        assert self._scans(log) == [os.getpid()]
+        assert response.source == "computed"
+        assert response.syndrome_digest.startswith(f"{body}-sha256:")
+        assert len(store) == 1 and store.request_count() == 1
+
+    def test_pooled_batch_scans_in_the_coordinator_only(self, monkeypatch, tmp_path):
+        import os
+
+        from repro.parallel import WorkerPool
+
+        requests = [self._explicit(seed) for seed in (2, 3)]
+        log = tmp_path / "scans.log"
+        self._log_scans(monkeypatch, log)
+        with WorkerPool(max_workers=1) as pool:  # forks after the patch
+            service = DiagnosisService(pool=pool, store=ResultStore())
+            responses = _serve(service, *requests)
+            stats = service.stats()
+        scans = self._scans(log)
+        assert stats["pooled"] and stats["batches"] == 1
+        assert scans == [os.getpid()] * len(requests)
+        for request, response in zip(requests, responses):
+            assert response.syndrome_digest == run_direct(request).syndrome_digest
 
 
 class TestAdmissionControl:
@@ -641,8 +727,8 @@ class TestPooledService:
 
     def test_pooled_explicit_syndromes_travel_shared_memory(self, q5):
         """Explicit syndrome buffers ship as one published segment with
-        (position, offset, size) spans — never pickled per task — and the
-        responses stay identical to the direct pipeline."""
+        (position, offset, size, digest) spans — never pickled per task —
+        and the responses stay identical to the direct pipeline."""
         from repro.backend.array_syndrome import ArraySyndrome
         from repro.backend.csr import compile_network
         from repro.core.faults import random_faults

@@ -25,7 +25,12 @@ def _request(seed: int = 0, family: str = "hypercube") -> DiagnosisRequest:
     return DiagnosisRequest.seeded(family, {"dimension": 5}, seed=seed)
 
 
-def _response(digest: str = "d" * 64, faulty=(3, 9)) -> DiagnosisResponse:
+def _digest(char: str) -> str:
+    """A stand-in digest in the current scheme-tagged form."""
+    return f"sparse-sha256:{char * 64}"
+
+
+def _response(digest: str = _digest("d"), faulty=(3, 9)) -> DiagnosisResponse:
     return DiagnosisResponse(
         topology_key="hypercube[dimension=5]",
         syndrome_digest=digest,
@@ -55,7 +60,7 @@ class TestRoundtrip:
             request = _request()
             failure = DiagnosisResponse(
                 topology_key=request.topology_key,
-                syndrome_digest="e" * 64,
+                syndrome_digest=_digest("e"),
                 faulty=(),
                 healthy_root=None,
                 lookups=7,
@@ -91,15 +96,15 @@ class TestDedup:
 
     def test_get_by_digest(self):
         with ResultStore() as store:
-            store.put(_request(), _response(digest="a" * 64))
-            assert store.get_by_digest("hypercube[dimension=5]", "a" * 64) is not None
-            assert store.get_by_digest("hypercube[dimension=5]", "b" * 64) is None
+            store.put(_request(), _response(digest=_digest("a")))
+            assert store.get_by_digest("hypercube[dimension=5]", _digest("a")) is not None
+            assert store.get_by_digest("hypercube[dimension=5]", _digest("b")) is None
 
     def test_put_many_is_one_visible_batch(self):
         with ResultStore() as store:
             store.put_many([
-                (_request(seed=1), _response(digest="a" * 64, faulty=(1,))),
-                (_request(seed=2), _response(digest="b" * 64, faulty=(2,))),
+                (_request(seed=1), _response(digest=_digest("a"), faulty=(1,))),
+                (_request(seed=2), _response(digest=_digest("b"), faulty=(2,))),
             ])
             assert len(store) == 2
             assert store.writes == 2
@@ -131,7 +136,7 @@ class TestEviction:
         with ResultStore(max_rows=3, clock=clock) as store:
             for seed, digest in enumerate("abcd"):
                 clock.advance(1)
-                store.put(_request(seed), _response(digest=digest * 64))
+                store.put(_request(seed), _response(digest=_digest(digest)))
             assert len(store) == 3
             assert store.lru_evictions == 1
             # "a" was least recently used: its request now misses.
@@ -144,13 +149,13 @@ class TestEviction:
         """LRU means least recently *used*: a read protects a row."""
         clock = FakeClock()
         with ResultStore(max_rows=2, clock=clock) as store:
-            store.put(_request(0), _response(digest="a" * 64))
+            store.put(_request(0), _response(digest=_digest("a")))
             clock.advance(1)
-            store.put(_request(1), _response(digest="b" * 64))
+            store.put(_request(1), _response(digest=_digest("b")))
             clock.advance(1)
             assert store.get(_request(0)) is not None  # refresh row "a"
             clock.advance(1)
-            store.put(_request(2), _response(digest="c" * 64))
+            store.put(_request(2), _response(digest=_digest("c")))
             assert store.get(_request(0)) is not None  # survived: "b" went
             misses_before = store.misses
             assert store.get(_request(1)) is None
@@ -159,11 +164,11 @@ class TestEviction:
     def test_ttl_sweeps_idle_rows_at_commit_time(self):
         clock = FakeClock()
         with ResultStore(ttl_seconds=10, clock=clock) as store:
-            store.put(_request(0), _response(digest="a" * 64))
+            store.put(_request(0), _response(digest=_digest("a")))
             clock.advance(5)
-            store.put(_request(1), _response(digest="b" * 64))
+            store.put(_request(1), _response(digest=_digest("b")))
             clock.advance(8)  # row "a" idle 13 s > TTL; "b" idle 8 s
-            store.put(_request(2), _response(digest="c" * 64))
+            store.put(_request(2), _response(digest=_digest("c")))
             assert len(store) == 2
             assert store.expired_evictions == 1
             assert store.get(_request(0)) is None
@@ -173,7 +178,7 @@ class TestEviction:
         path = tmp_path / "results.db"
         clock = FakeClock()
         with ResultStore(path, ttl_seconds=10, clock=clock) as store:
-            store.put(_request(0), _response(digest="a" * 64))
+            store.put(_request(0), _response(digest=_digest("a")))
             clock.advance(60)
             assert store.evict() == 1
             assert len(store) == 0
@@ -185,15 +190,15 @@ class TestEviction:
         """Recomputing a stored result counts as use, not a no-op."""
         clock = FakeClock()
         with ResultStore(max_rows=2, clock=clock) as store:
-            store.put(_request(0), _response(digest="a" * 64))
+            store.put(_request(0), _response(digest=_digest("a")))
             clock.advance(1)
-            store.put(_request(1), _response(digest="b" * 64))
+            store.put(_request(1), _response(digest=_digest("b")))
             clock.advance(1)
-            store.put(_request(5), _response(digest="a" * 64))  # dedup onto "a"
+            store.put(_request(5), _response(digest=_digest("a")))  # dedup onto "a"
             clock.advance(1)
-            store.put(_request(2), _response(digest="c" * 64))
-            assert store.get_by_digest("hypercube[dimension=5]", "a" * 64) is not None
-            assert store.get_by_digest("hypercube[dimension=5]", "b" * 64) is None
+            store.put(_request(2), _response(digest=_digest("c")))
+            assert store.get_by_digest("hypercube[dimension=5]", _digest("a")) is not None
+            assert store.get_by_digest("hypercube[dimension=5]", _digest("b")) is None
 
     def test_restart_enforces_bound_against_inherited_rows(self, tmp_path):
         """The acceptance case: a bound holds across restarts, and unexpired
@@ -203,7 +208,7 @@ class TestEviction:
         with ResultStore(path, clock=clock) as store:  # unbounded writer
             for seed, digest in enumerate("abcdef"):
                 clock.advance(1)
-                store.put(_request(seed), _response(digest=digest * 64))
+                store.put(_request(seed), _response(digest=_digest(digest)))
             assert len(store) == 6
         with ResultStore(path, max_rows=2, clock=clock) as bounded:
             assert len(bounded) == 2  # enforced at open, before any write
@@ -211,12 +216,17 @@ class TestEviction:
             assert bounded.get(_request(5)) is not None  # most recent survived
             assert bounded.get(_request(0)) is None
             clock.advance(1)
-            bounded.put(_request(9), _response(digest="f" * 64))
+            bounded.put(_request(9), _response(digest=_digest("f")))
             assert len(bounded) <= 2
 
     @staticmethod
     def _legacy_database(path) -> None:
-        """A pre-eviction schema (no ``last_used``) holding one result."""
+        """A pre-eviction schema (no ``last_used``) holding one result.
+
+        The row carries a current-scheme digest, so these tests see the
+        column migration apart from the stale-digest purge
+        (:class:`TestDigestUpgrade`).
+        """
         import sqlite3
 
         conn = sqlite3.connect(path)
@@ -230,7 +240,8 @@ class TestEviction:
         )
         conn.execute(
             "INSERT INTO results VALUES (?, ?, ?)",
-            ("hypercube[dimension=5]", "a" * 64, _response(digest="a" * 64).to_payload()),
+            ("hypercube[dimension=5]", _digest("a"),
+             _response(digest=_digest("a")).to_payload()),
         )
         conn.commit()
         conn.close()
@@ -240,7 +251,7 @@ class TestEviction:
         self._legacy_database(path)
         with ResultStore(path) as store:
             assert len(store) == 1
-            assert store.get_by_digest("hypercube[dimension=5]", "a" * 64) is not None
+            assert store.get_by_digest("hypercube[dimension=5]", _digest("a")) is not None
 
     def test_migration_treats_inherited_rows_as_fresh_under_ttl(self, tmp_path):
         """Enabling a TTL on an upgraded store must not wipe it at open:
@@ -271,6 +282,107 @@ class TestEviction:
             assert timeout == 5000
 
 
+class TestDigestUpgrade:
+    """A store written before scheme-tagged digests opens clean.
+
+    Seeded request keys did not change, so an inherited row would answer a
+    seeded request with a bare-hex digest no computation produces any
+    more, while the explicit form of the same syndrome (whose key did
+    change) would miss it and file a duplicate.  The migration deletes
+    every row and index entry whose digest names no current scheme.
+    """
+
+    PARAMS = {"dimension": 5}
+
+    def _requests(self):
+        from repro.backend.array_syndrome import ArraySyndrome
+        from repro.core.faults import random_faults
+        from repro.networks.registry import create_network
+
+        seeded = DiagnosisRequest.seeded("hypercube", self.PARAMS, seed=17)
+        network = create_network("hypercube", **self.PARAMS)
+        faults = random_faults(network, network.diagnosability(), seed=17)
+        syndrome = ArraySyndrome.from_faults(network, faults, seed=17)
+        explicit = DiagnosisRequest.from_syndrome("hypercube", self.PARAMS, syndrome)
+        return seeded, explicit, bytes(syndrome.buffer)
+
+    def _old_database(self, path, clock) -> tuple:
+        """The tables as the dense-digest code left them: the syndrome's
+        row under its bare-hex digest, indexed by both request forms, plus
+        filler rows of other syndromes."""
+        import hashlib
+        import sqlite3
+
+        seeded, explicit, raw = self._requests()
+        old = hashlib.sha256(raw).hexdigest()
+        topology = seeded.topology_key
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE results ("
+            " topology_key TEXT NOT NULL, syndrome_digest TEXT NOT NULL,"
+            " payload TEXT NOT NULL, last_used REAL NOT NULL DEFAULT 0,"
+            " PRIMARY KEY (topology_key, syndrome_digest));"
+            "CREATE TABLE request_index ("
+            " request_key TEXT PRIMARY KEY, topology_key TEXT NOT NULL,"
+            " syndrome_digest TEXT NOT NULL);"
+        )
+        rows = [(old, seeded.key), (old, f"{topology}|sha256:{old}")]
+        rows += [("%064x" % seed, f"filler-{seed}") for seed in range(5)]
+        for digest, key in rows:
+            conn.execute(
+                "INSERT OR IGNORE INTO results VALUES (?, ?, ?, ?)",
+                (topology, digest, _response(digest=digest).to_payload(), clock()),
+            )
+            conn.execute(
+                "INSERT INTO request_index VALUES (?, ?, ?)", (key, topology, digest)
+            )
+        conn.commit()
+        conn.close()
+        return seeded, explicit, old
+
+    def test_old_rows_are_never_served(self, tmp_path):
+        import asyncio
+
+        from repro.service import DiagnosisService
+
+        path = tmp_path / "parent.db"
+        clock = FakeClock()
+        seeded, explicit, old = self._old_database(path, clock)
+        with ResultStore(path, max_rows=3, ttl_seconds=100, clock=clock) as store:
+            assert len(store) == 0 and store.request_count() == 0
+
+            async def serve(request):
+                async with DiagnosisService(store=store) as service:
+                    return await service.submit(request)
+
+            first = asyncio.run(serve(seeded))
+            second = asyncio.run(serve(explicit))
+            assert first.source == second.source == "computed"
+            assert first.syndrome_digest == second.syndrome_digest != old
+            assert first.syndrome_digest.partition(":")[0] in (
+                "sparse-sha256", "dense-sha256"
+            )
+            # Both forms file onto one row, and each is now a store hit.
+            assert len(store) == 1 and store.request_count() == 2
+            assert store.dedup_writes == 1
+            assert asyncio.run(serve(seeded)).source == "store"
+            assert asyncio.run(serve(explicit)).source == "store"
+            # The bounds still hold on the upgraded store.
+            for char in "abcd":
+                clock.advance(1)
+                store.put(_request(seed=10 + ord(char)), _response(_digest(char)))
+            assert len(store) == 3 and store.lru_evictions == 2
+            clock.advance(101)
+            assert store.evict() == 3 and len(store) == 0
+
+    def test_reopening_keeps_current_rows(self, tmp_path):
+        path = tmp_path / "current.db"
+        with ResultStore(path) as store:
+            store.put(_request(0), _response(_digest("a")))
+        with ResultStore(path) as store:
+            assert len(store) == 1 and store.get(_request(0)) is not None
+
+
 class TestClockRegression:
     """A backwards wall-clock step must not mass-expire fresh rows.
 
@@ -285,8 +397,8 @@ class TestClockRegression:
         clock = FakeClock(start=1_000.0)
         with ResultStore(ttl_seconds=100, clock=clock) as store:
             store.put_many([
-                (_request(0), _response("a" * 64)),
-                (_request(1), _response("b" * 64)),
+                (_request(0), _response(_digest("a"))),
+                (_request(1), _response(_digest("b"))),
             ])  # both stamped 1000
             clock.advance(1_000)  # forward-stepped clock
             store.get(_request(1))  # hit refreshes b's stamp to 2000
@@ -302,8 +414,8 @@ class TestClockRegression:
         clock = FakeClock(start=1_000.0)
         with ResultStore(ttl_seconds=100, clock=clock) as store:
             store.put_many([
-                (_request(0), _response("a" * 64)),
-                (_request(1), _response("b" * 64)),
+                (_request(0), _response(_digest("a"))),
+                (_request(1), _response(_digest("b"))),
             ])
             clock.advance(1_000)
             store.get(_request(1))  # b stamped 2000
@@ -318,18 +430,18 @@ class TestClockRegression:
         clock = FakeClock(start=1_000.0)
         with ResultStore(ttl_seconds=100, max_rows=2, clock=clock) as store:
             store.put_many([
-                (_request(0), _response("a" * 64)),
-                (_request(1), _response("b" * 64)),
+                (_request(0), _response(_digest("a"))),
+                (_request(1), _response(_digest("b"))),
             ])
             clock.advance(2_000)
             store.get(_request(1))  # b stamped 3000
             clock.now = 1_500.0  # skewed: TTL sweep disabled...
-            store.put(_request(2), _response("c" * 64))
+            store.put(_request(2), _response(_digest("c")))
             # ...but the order-based row bound still holds and picks the
             # oldest stamp ("a" at 1000) as the LRU victim.
             assert len(store) == 2
             assert store.get_by_digest(
-                "hypercube[dimension=5]", "a" * 64) is None
+                "hypercube[dimension=5]", _digest("a")) is None
             stats = store.stats()
             assert stats["lru_evictions"] == 1
             assert stats["clock_skew_skips"] >= 1
@@ -338,8 +450,8 @@ class TestClockRegression:
         clock = FakeClock(start=1_000.0)
         with ResultStore(ttl_seconds=100, clock=clock) as store:
             store.put_many([
-                (_request(0), _response("a" * 64)),
-                (_request(1), _response("b" * 64)),
+                (_request(0), _response(_digest("a"))),
+                (_request(1), _response(_digest("b"))),
             ])
             # evict() ran inside put_many with now == the stamps (not <).
             assert store.stats()["clock_skew_skips"] == 0
