@@ -26,7 +26,11 @@ byte-identical shed split and 100% cold-tenant completion.  The **digest**
 section times the content digest per topology of the mix on four buffers
 (a seeded build, its explicit form, all-zero, all-one): the dense SHA-256
 of the whole buffer it replaced against the canonical sparse-or-dense form,
-requiring the seeded and explicit forms to agree.
+requiring the seeded and explicit forms to agree.  The **seeded_build**
+section times one seeded syndrome per topology of the mix: the
+``from_faults`` build, the minor page faults it takes, and
+``diagnose_many`` at width 1 and 16, gated on the seeded syndromes
+diagnosing exactly as their explicit buffers.
 
 Every batched response is verified bit-identical to the direct
 `GeneralDiagnoser` pipeline before any number is recorded.  Results land in
@@ -38,7 +42,11 @@ Run with:  PYTHONPATH=src python benchmarks/bench_service.py
 copies the ``batched_kernel`` row of an earlier run's JSON into
 ``batched_kernel_before``, so one file carries a before/after pair measured
 by the same harness — run this script with ``PYTHONPATH`` pointing at the
-older tree's ``src`` to produce the before, and save that JSON aside).
+older tree's ``src`` to produce the before, and save that JSON aside;
+--seeded-build PATH runs only the seeded_build section and writes its rows
+to PATH, and --seeded-before PATH files such rows, measured against an
+older tree's ``src``, as ``seeded_build.before``, requiring both trees'
+outcome fingerprints to agree).
 """
 
 from __future__ import annotations
@@ -227,7 +235,7 @@ def measure_digest(mix) -> list[dict]:
     ``before_ms`` is SHA-256 over the whole buffer (the dense digest the
     canonical form replaced); ``after_ms`` is
     :func:`~repro.service.requests.syndrome_digest`.  The ``seeded`` case
-    hands over the offsets its fault-sparse build recorded, as the
+    hands over the offsets and values its mask-form build recorded, as the
     executor does; ``explicit`` is the same syndrome as raw bytes, scanned
     once, as an explicit request is at admission.  Both must give one
     digest (``verified``).  Each time is the best of ``repeats`` calls.
@@ -256,16 +264,17 @@ def measure_digest(mix) -> list[dict]:
         network, csr = compiled_network(family, **params)
         faults = random_faults(network, network.diagnosability(), seed=1)
         syndrome = ArraySyndrome.from_faults(csr, faults, seed=1)
+        recorded = syndrome.digest_source
         raw = bytes(syndrome.buffer)
-        seeded = syndrome_digest(syndrome.buffer, syndrome.nonzero_offsets)
+        seeded = syndrome_digest(*recorded)
         cases = {
-            "seeded": (syndrome.buffer, syndrome.nonzero_offsets),
-            "explicit": (raw, None),
-            "all_zero": (bytes(len(raw)), None),
-            "all_one": (b"\x01" * len(raw), None),
+            "seeded": (raw, recorded),
+            "explicit": (raw, (raw,)),
+            "all_zero": (bytes(len(raw)), (bytes(len(raw)),)),
+            "all_one": (b"\x01" * len(raw), (b"\x01" * len(raw),)),
         }
-        for case, (buffer, offsets) in cases.items():
-            digest = syndrome_digest(buffer, offsets)
+        for case, (buffer, args) in cases.items():
+            digest = syndrome_digest(*args)
             rows.append({
                 "family": family,
                 "params": dict(params),
@@ -274,12 +283,112 @@ def measure_digest(mix) -> list[dict]:
                 "nonzero": len(buffer) - bytes(buffer).count(0),
                 "scheme": digest.partition(":")[0],
                 "before_ms": best_ms(lambda: hashlib.sha256(buffer).hexdigest()),
-                "after_ms": best_ms(lambda: syndrome_digest(buffer, offsets)),
+                "after_ms": best_ms(lambda: syndrome_digest(*args)),
                 "cpu_count": os.cpu_count(),
                 "native": native_kernel_active(),
                 "verified": case not in ("seeded", "explicit") or digest == seeded,
             })
     return rows
+
+
+def measure_seeded_build(mix) -> list[dict]:
+    """The ``seeded_build`` rows: one topology of the mix each.
+
+    ``build_ms`` is the best ``ArraySyndrome.from_faults`` call over
+    ``rounds`` batches of ``width`` seeds; ``minor_faults_per_build`` is
+    the ``ru_minflt`` delta over those builds, per build, with each batch
+    kept alive until the next is built, as a served batch is.
+    ``diagnose_ms_width_1`` and ``diagnose_ms_width_16`` are the best
+    ``diagnose_many`` calls on prebuilt syndromes (the service's light
+    mode).  ``verified`` requires every seeded syndrome to diagnose exactly
+    as its explicit buffer; ``outcome_sha256`` fingerprints those
+    diagnoses and the buffers' digests, so rows measured against two trees
+    can be compared.
+    """
+    import hashlib
+    import resource
+    import time
+
+    from repro.backend.array_syndrome import ArraySyndrome
+    from repro.core.diagnosis import GeneralDiagnoser
+    from repro.core.faults import random_faults
+    from repro.core.native import native_kernel_active
+    from repro.networks.registry import compiled_network
+    from repro.service.requests import syndrome_digest
+
+    width, rounds, repeats = 16, 8, 15
+
+    def outcome(result):
+        return (sorted(result.faulty), result.healthy_root,
+                [(p.start, p.certified, p.lookups) for p in result.probes],
+                result.partition_level, result.lookups)
+
+    rows = []
+    for family, params in mix:
+        network, csr = compiled_network(family, **params)
+        delta = network.diagnosability()
+        faults = [random_faults(network, delta, seed=seed) for seed in range(width)]
+        diagnoser = GeneralDiagnoser(network)
+        build_best = float("inf")
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        batch = []
+        for _ in range(rounds):
+            built = []
+            for seed, fault_set in enumerate(faults):
+                t0 = time.perf_counter()
+                built.append(ArraySyndrome.from_faults(csr, fault_set, seed=seed))
+                build_best = min(build_best, time.perf_counter() - t0)
+            batch = built
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+
+        def best_ms(syndromes) -> float:
+            best = float("inf")
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                diagnoser.diagnose_many(syndromes, include_sets=False)
+                best = min(best, time.perf_counter() - t0)
+            return round(best * 1e3, 4)
+
+        width_1 = best_ms(batch[:1])
+        width_16 = best_ms(batch)
+        seeded = diagnoser.diagnose_many(batch, include_sets=False)
+        explicit = diagnoser.diagnose_many(
+            [ArraySyndrome(csr, bytes(s.buffer)) for s in batch], include_sets=False
+        )
+        fingerprint = hashlib.sha256(repr([
+            (outcome(result), syndrome_digest(bytes(s.buffer)))
+            for result, s in zip(seeded, batch)
+        ]).encode()).hexdigest()
+        rows.append({
+            "family": family,
+            "params": dict(params),
+            "bytes": csr.num_pairs,
+            "build_ms": round(build_best * 1e3, 4),
+            "minor_faults_per_build": round(minflt / (rounds * width), 1),
+            "diagnose_ms_width_1": width_1,
+            "diagnose_ms_width_16": width_16,
+            "cpu_count": os.cpu_count(),
+            "native": native_kernel_active(),
+            "outcome_sha256": fingerprint,
+            "verified": [outcome(r) for r in seeded] == [outcome(r) for r in explicit],
+        })
+    return rows
+
+
+def _seeded_build_verified(rows, before) -> bool:
+    """Every row verified, and an older tree's rows (if any) agree on the
+    outcome fingerprint of every topology."""
+    if not all(row["verified"] for row in rows):
+        return False
+    if before is None:
+        return True
+    def topology(row):
+        return row["family"], json.dumps(row["params"], sort_keys=True)
+
+    fingerprints = {topology(row): row["outcome_sha256"] for row in rows}
+    return all(
+        fingerprints.get(topology(row)) == row["outcome_sha256"] for row in before
+    )
 
 
 def measure_width_curve() -> list[dict]:
@@ -320,6 +429,17 @@ def measure_width_curve() -> list[dict]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     smoke = "--smoke" in argv
+    if "--seeded-build" in argv:
+        rows = measure_seeded_build(SMOKE_MIX if smoke else DEFAULT_MIX)
+        Path(argv[argv.index("--seeded-build") + 1]).write_text(
+            json.dumps(rows, indent=2) + "\n"
+        )
+        return 0 if all(row["verified"] for row in rows) else 1
+    seeded_before = None
+    if "--seeded-before" in argv:
+        seeded_before = json.loads(
+            Path(argv[argv.index("--seeded-before") + 1]).read_text()
+        )
     baseline = None
     if "--baseline" in argv:
         previous = json.loads(Path(argv[argv.index("--baseline") + 1]).read_text())
@@ -342,6 +462,8 @@ def main(argv: list[str] | None = None) -> int:
     fairness = measure_fairness(smoke=smoke)
     modes.append(fairness)
     digest_rows = measure_digest(mix)
+    seeded_rows = measure_seeded_build(mix)
+    seeded_ok = _seeded_build_verified(seeded_rows, seeded_before)
     by_name = {entry["mode"]: entry for entry in modes}
     speedup = round(
         by_name["batched"]["throughput_rps"]
@@ -399,12 +521,24 @@ def main(argv: list[str] | None = None) -> int:
             "description": (
                 "content digest per request, ms: dense SHA-256 of the whole "
                 "buffer (before) vs the canonical sparse-or-dense digest "
-                "(after); seeded hands over the build's nonzero offsets, "
+                "(after); seeded hands over the build's nonzero offsets "
+                "and values, "
                 "explicit scans the raw bytes once"
             ),
             "results": digest_rows,
         },
         "digest_verified": all(row["verified"] for row in digest_rows),
+        "seeded_build": {
+            "description": (
+                "one seeded syndrome per topology: best from_faults ms, minor "
+                "page faults per build (ru_minflt), best diagnose_many ms at "
+                "width 1 and 16; before = the same harness on the older "
+                "tree's src"
+            ),
+            "before": seeded_before,
+            "results": seeded_rows,
+        },
+        "seeded_build_verified": seeded_ok,
         "fairness_ok": (
             fairness["shed_split_deterministic"]
             and fairness["hot_shed_under_pressure"]
@@ -458,6 +592,14 @@ def main(argv: list[str] | None = None) -> int:
             f"{'digest':>15}: {row['family']}{row['params']} {row['case']:>8} "
             f"({row['scheme']}): {row['before_ms']} ms -> {row['after_ms']} ms"
         )
+    for row in seeded_rows:
+        print(
+            f"{'seeded_build':>15}: {row['family']}{row['params']}: build "
+            f"{row['build_ms']} ms, {row['minor_faults_per_build']} faults, "
+            f"diagnose {row['diagnose_ms_width_1']} / "
+            f"{row['diagnose_ms_width_16']} ms at width 1 / 16, "
+            f"verified {row['verified']}"
+        )
     for row in width_curve:
         print(
             f"  width {row['width']:>2}: {row['throughput_rps']:>8} req/s "
@@ -479,6 +621,7 @@ def main(argv: list[str] | None = None) -> int:
             and kernel["verified_bit_identical"]
             and payload["fairness_ok"]
             and payload["digest_verified"]
+            and seeded_ok
         )
         return 0 if ok else 1
     out = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -489,6 +632,7 @@ def main(argv: list[str] | None = None) -> int:
         and payload["kernel_target_met"]
         and payload["fairness_ok"]
         and payload["digest_verified"]
+        and seeded_ok
         and payload["all_modes_bit_identical"]
         and all(row["verified_bit_identical"] for row in width_curve)
     )

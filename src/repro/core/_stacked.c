@@ -33,6 +33,17 @@
  * touched span.  Scratch: 8 bytes per flat key (the frontier), one bit per
  * flat key (the bitsets) and two words per syndrome (the spans).
  *
+ * Read modes.  Each syndrome arrives as a `syndrome_t`.  Buffer mode
+ * (`buf` set) is the flat pair-layout buffer, tester u's row at
+ * pair_indptr[u].  Mask mode (`buf` NULL) is what a seeded build keeps:
+ * `mask` marks the faulty nodes, a healthy tester u answers
+ * s_u(v, w) = mask[v] | mask[w], and a faulty tester's row is read from
+ * the side table at side_base[k], k being its index in the ascending
+ * `fault_ids`.  `tester_row` finds a tester's row once per tester and
+ * `read_result` reads one result in either mode.  A faulty tester missing
+ * from `fault_ids`, or a side row that would overrun `side_len`, is never
+ * read: both kernels return MISSING_SIDE_ROW instead.
+ *
  * Built with the system C compiler on first use (see native.py).  Everything
  * is C99 + libc, no Python API, plus the `__builtin_ctzll` intrinsic, which
  * every compiler native.py tries (cc, gcc, clang) provides.
@@ -41,14 +52,67 @@
 #include <stdlib.h>
 #include <string.h>
 
+#define MISSING_SIDE_ROW (-4)
+
+typedef struct {
+    const uint8_t *buf;         /* buffer mode: num_pairs results; else NULL */
+    const uint8_t *mask;        /* mask mode: n bytes, nonzero = faulty */
+    const int64_t *fault_ids;   /* num_faults faulty testers, ascending */
+    const int64_t *side_base;   /* num_faults row offsets into side */
+    const uint8_t *side;        /* side_len bytes: the faulty testers' rows */
+    int64_t num_faults;
+    int64_t side_len;
+} syndrome_t;
+
+/* Tester u's results in slot order, or NULL for a healthy mask-mode tester
+ * (its results follow from the mask).  Sets *bad when u is a faulty
+ * mask-mode tester without an in-bounds side row. */
+static inline const uint8_t *tester_row(
+    const syndrome_t *s, const int64_t *pair_indptr, int64_t u, int *bad)
+{
+    if (s->buf)
+        return s->buf + pair_indptr[u];
+    if (!s->mask[u])
+        return NULL;
+    int64_t lo = 0, hi = s->num_faults;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (s->fault_ids[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    int64_t len = pair_indptr[u + 1] - pair_indptr[u];
+    if (lo == s->num_faults || s->fault_ids[lo] != u || s->side_base[lo] < 0
+        || s->side_base[lo] > s->side_len - len) {
+        *bad = 1;
+        return NULL;
+    }
+    return s->side + s->side_base[lo];
+}
+
+/* s_u(v, w) for the pair at row positions a != b of a degree-d tester
+ * whose row `tester_row` returned. */
+static inline int read_result(
+    const uint8_t *row, const uint8_t *mask,
+    int64_t a, int64_t b, int64_t d, int64_t v, int64_t w)
+{
+    if (!row)
+        return mask[v] | mask[w];
+    int64_t i = a < b ? a : b;
+    int64_t j = a < b ? b : a;
+    return row[i * (2 * d - i - 1) / 2 + (j - i - 1)];
+}
+
 /* Returns 0 on success, a negative error code on a failed allocation (-1),
- * a tester whose tree parent is not in its row (-2) or a frontier0 that is
- * not strictly ascending flat keys below num_syndromes * n (-3). */
+ * a tester whose tree parent is not in its row (-2), a frontier0 that is
+ * not strictly ascending flat keys below num_syndromes * n (-3) or a
+ * faulty tester without a side row (MISSING_SIDE_ROW). */
 int64_t stacked_rounds(
     const int64_t *indptr,          /* n + 1 */
     const int32_t *indices,         /* num_entries, rows sorted ascending */
     const int64_t *pair_indptr,     /* n + 1, per-node pair-slot base */
-    const uint8_t *const *buffers,  /* num_syndromes test-result arrays */
+    const syndrome_t *syndromes,    /* num_syndromes read descriptors */
     int64_t n,
     int64_t num_syndromes,
     const int64_t *frontier0,       /* round-1 admissions, ascending flat keys */
@@ -109,9 +173,14 @@ int64_t stacked_rounds(
                 goto done;
             }
 
-            const uint8_t *buf = buffers[b];
+            int bad = 0;
+            const uint8_t *row = tester_row(syndromes + b, pair_indptr, u, &bad);
+            if (bad) {
+                rc = MISSING_SIDE_ROW;
+                goto done;
+            }
+            const uint8_t *mask = syndromes[b].mask;
             uint64_t *bits = admitted + b * words;
-            int64_t base = pair_indptr[u];
             int64_t consulted = 0;
             for (int64_t w = 0; w < d; w++) {
                 int64_t v = indices[lo + w];
@@ -119,10 +188,7 @@ int64_t stacked_rounds(
                 if (member[kv]) /* member, or already admitted this round */
                     continue;
                 consulted++;
-                int64_t i = w < pp ? w : pp;
-                int64_t j = w < pp ? pp : w;
-                int64_t slot = base + i * (2 * d - i - 1) / 2 + (j - i - 1);
-                if (buf[slot] == 0) {
+                if (read_result(row, mask, w, pp, d, v, p) == 0) {
                     int64_t word = v >> 6;
                     member[kv] = 2;
                     parent[kv] = u;
@@ -177,8 +243,8 @@ done:
  *
  * `probe_level` runs the diagnosis driver's probes of one partition level
  * (or one fallback attempt) in order and stops at the first probe whose
- * contributor certificate fires.  Each probe is the scalar array path
- * `_set_builder_array` in set_builder.py, transcribed statement for
+ * contributor certificate fires.  Each probe is the rows oracle
+ * `_set_builder_oracle` in set_builder.py, transcribed statement for
  * statement, with stop_on_certificate set, so that budget-truncated runs
  * agree too:
  *
@@ -203,7 +269,8 @@ done:
  *
  * One record of PROBE_FIELDS int64 per probe run:
  *   (nodes_explored, lookups, certified, truncated, rounds).
- * Returns the number of probes run, or a negative code on a bad start node.
+ * Returns the number of probes run, or a negative code: -1 on a bad start
+ * node, MISSING_SIDE_ROW on a faulty tester without a side row.
  * ------------------------------------------------------------------------ */
 #define PROBE_FIELDS 5
 
@@ -243,20 +310,17 @@ static void sort_nodes(int32_t *a, int64_t len)
     }
 }
 
-static inline int64_t pair_slot(int64_t base, int64_t i, int64_t j, int64_t d)
-{
-    return base + i * (2 * d - i - 1) / 2 + (j - i - 1);
-}
-
-static void probe_one(
+/* One probe; 0, or MISSING_SIDE_ROW with `mark` cleared again. */
+static int probe_one(
     const int64_t *indptr, const int32_t *indices, const int64_t *pair_indptr,
-    const uint8_t *buf, int64_t delta, int64_t u0,
+    const syndrome_t *syn, int64_t delta, int64_t u0,
     const int32_t *class_of, int32_t cls, int64_t max_nodes,
     uint8_t *mark, int32_t *parent, int32_t *tree, int64_t *record)
 {
     const int budgeted = max_nodes >= 0;
+    const uint8_t *mask = syn->mask;
     int64_t lookups = 0, rounds = 0, contributors = 0;
-    int truncated = 0, certified = 0;
+    int truncated = 0, certified = 0, bad = 0;
 
     mark[u0] = 1;
     tree[0] = (int32_t)u0;
@@ -267,9 +331,9 @@ static void probe_one(
      * own row, so mark[v] is the `in_added` flag here. */
     int64_t lo0 = indptr[u0];
     int64_t d0 = indptr[u0 + 1] - lo0;
-    int64_t base0 = pair_indptr[u0];
+    const uint8_t *row0 = tester_row(syn, pair_indptr, u0, &bad);
     int64_t added = 0;
-    for (int64_t a = 0; a < d0; a++) {
+    for (int64_t a = 0; a < d0 && !bad; a++) {
         int32_t v = indices[lo0 + a];
         if (class_of && class_of[v] != cls)
             continue;
@@ -284,7 +348,7 @@ static void probe_one(
             if (mark[v] && mark[w])
                 continue;
             lookups++;
-            if (buf[pair_slot(base0, a, b, d0)] == 0) {
+            if (read_result(row0, mask, a, b, d0, v, w) == 0) {
                 int32_t pair[2] = {v, w};
                 for (int k = 0; k < 2; k++) {
                     int32_t node = pair[k];
@@ -298,6 +362,8 @@ static void probe_one(
         }
     }
     tree_count += added;
+    if (bad)
+        goto clear;
     if (added) {
         rounds = 1;
         contributors = 1;
@@ -322,7 +388,9 @@ static void probe_one(
             int32_t u = tree[t];
             int64_t lo = indptr[u];
             int64_t d = indptr[u + 1] - lo;
-            int64_t base = pair_indptr[u];
+            const uint8_t *row = tester_row(syn, pair_indptr, u, &bad);
+            if (bad)
+                break;
             /* bisect_left of the tester's tree parent in its sorted row */
             int32_t t_u = parent[u];
             int64_t pos_t = 0, hi = d;
@@ -344,10 +412,8 @@ static void probe_one(
                     truncated = 1;
                     break;
                 }
-                int64_t i = pos < pos_t ? pos : pos_t;
-                int64_t j = pos < pos_t ? pos_t : pos;
                 lookups++;
-                if (buf[pair_slot(base, i, j, d)] == 0) {
+                if (read_result(row, mask, pos, pos_t, d, v, t_u) == 0) {
                     mark[v] = 1;
                     tree[f_hi + new_count++] = v;
                     parent[v] = u;
@@ -357,6 +423,10 @@ static void probe_one(
             contributors += contributed;
             if (truncated)
                 break;
+        }
+        if (bad) {
+            tree_count += new_count;
+            break;
         }
         if (new_count == 0)
             break;
@@ -371,6 +441,7 @@ static void probe_one(
             break;
     }
 
+clear:
     for (int64_t t = 0; t < tree_count; t++)
         mark[tree[t]] = 0;
     record[0] = tree_count;
@@ -378,13 +449,14 @@ static void probe_one(
     record[2] = certified;
     record[3] = truncated;
     record[4] = rounds;
+    return bad ? MISSING_SIDE_ROW : 0;
 }
 
 int64_t probe_level(
     const int64_t *indptr,          /* n + 1 */
     const int32_t *indices,         /* num_entries, rows sorted ascending */
     const int64_t *pair_indptr,     /* n + 1 */
-    const uint8_t *buf,             /* one syndrome's test results */
+    const syndrome_t *syn,          /* one syndrome's read descriptor */
     int64_t n,
     int64_t delta,
     const int64_t *starts,          /* num_probes start nodes, probe order */
@@ -401,8 +473,9 @@ int64_t probe_level(
         if (u0 < 0 || u0 >= n || (class_of && class_of[u0] != k))
             return -1;
         int64_t *record = records + k * PROBE_FIELDS;
-        probe_one(indptr, indices, pair_indptr, buf, delta, u0,
-                  class_of, (int32_t)k, max_nodes, mark, parent, tree, record);
+        if (probe_one(indptr, indices, pair_indptr, syn, delta, u0, class_of,
+                      (int32_t)k, max_nodes, mark, parent, tree, record))
+            return MISSING_SIDE_ROW;
         if (record[2])
             return k + 1;
     }

@@ -189,7 +189,7 @@ class GeneralDiagnoser:
         diagnoser's compiled topology, each partition level and each
         fallback attempt is one native ``probe_level`` call when the native
         library is available; the records, root, level and lookup counts
-        are those of the scalar probes it replaces.  ``scratch`` lets a
+        are those of the rows-oracle probes it replaces.  ``scratch`` lets a
         caller diagnosing many syndromes on one thread reuse one
         :class:`~repro.core.set_builder.ProbeScratch`.
         """
@@ -203,7 +203,7 @@ class GeneralDiagnoser:
             for level in self._probe_levels():
                 table = None if scratch is None else level.class_table(self.csr)
                 if table is None:
-                    outcomes = self._scalar_probes(
+                    outcomes = self._oracle_probes(
                         syndrome, level.starts.tolist(),
                         restricts=[cls.contains for cls in level.classes],
                     )
@@ -271,7 +271,7 @@ class GeneralDiagnoser:
             plans[count] = levels
         return levels
 
-    def _scalar_probes(self, syndrome, starts, *, restricts=None, max_nodes=None):
+    def _oracle_probes(self, syndrome, starts, *, restricts=None, max_nodes=None):
         """``(nodes_explored, lookups, certified)`` of each probe from
         ``starts`` in order, up to and including the first certified one."""
         for k, start in enumerate(starts):
@@ -318,7 +318,7 @@ class GeneralDiagnoser:
 
         for attempt, max_nodes in enumerate((budget, None)):
             if scratch is None:
-                outcomes = self._scalar_probes(syndrome, starts, max_nodes=max_nodes)
+                outcomes = self._oracle_probes(syndrome, starts, max_nodes=max_nodes)
             else:
                 outcomes = _outcomes(scratch.run(
                     syndrome, np.asarray(starts, dtype=np.int64), self.delta,
@@ -501,7 +501,7 @@ class _ProbeLevel:
         can ever add, at about ``|class|·Δ`` predicate calls rather than
         one per node of the network.  ``None`` when a representative lies
         outside its class or two probed classes share a reachable node: the
-        scalar probes then run the level, raising or answering exactly as
+        rows-oracle probes then run the level, raising or answering exactly as
         they always have.
         """
         if self._table is False:

@@ -7,16 +7,26 @@ full-array sweep per operator.  It sorts nothing: each round's admissions
 are committed through a per-syndrome admitted bitset, whose set bits,
 walked in order, are already the next frontier.  ``probe_level`` runs the
 healthy-root search's small scalar probes, where the interpreter's
-per-element overhead dominates.  The source is C99 + libc plus the
-``__builtin_ctzll`` intrinsic, which every compiler tried here (``cc``,
-``gcc``, ``clang``) provides.  When a system C compiler is available,
-``_stacked.c`` is built once into a tiny shared library (cached under the
-user's cache directory, keyed by source hash) and loaded through the stdlib
-``ctypes`` — no third-party dependency, no install step, nothing added to the
-environment.  When it is not — or when ``REPRO_NO_NATIVE`` is set — callers
-fall back to the pure-numpy round and the scalar probe path in
-``set_builder.py``, which the test suites pin bit-identical to the native
-passes.
+per-element overhead dominates.
+
+Both take each syndrome as a :class:`SyndromeView`, the C ``syndrome_t``
+descriptor, in one of two read modes: a flat result buffer (explicit
+syndromes, shared-memory views), or a fault mask plus a side table of the
+faulty testers' rows (seeded builds, see
+:meth:`~repro.backend.array_syndrome.ArraySyndrome.from_faults`).  A
+healthy tester's result is then ``mask[v] | mask[w]``, so a seeded
+syndrome is diagnosed without its buffer ever being written.
+
+The source is C99 + libc plus the ``__builtin_ctzll`` intrinsic, which
+every compiler tried here (``cc``, ``gcc``, ``clang``) provides.  When a
+system C compiler is available, ``_stacked.c`` is built once into a tiny
+shared library (cached under the user's cache directory, keyed by source
+hash) and loaded through the stdlib ``ctypes`` — no third-party dependency,
+no install step, nothing added to the environment.  When it is not — or
+when ``REPRO_NO_NATIVE`` is set — callers fall back to the pure-numpy round
+and the rows-oracle probes in ``set_builder.py``, which read the syndrome's
+buffer (built on first use) and which the test suites pin bit-identical to
+the native passes.
 
 The compile is atomic (build to a temp name, ``os.replace`` into the cache)
 so racing processes never load a half-written file, and the build itself
@@ -43,6 +53,8 @@ except ImportError:  # pragma: no cover - non-POSIX: fall back to lock-free
 import numpy as np
 
 __all__ = [
+    "MISSING_SIDE_ROW",
+    "SyndromeView",
     "address",
     "load_probe_kernel",
     "load_stacked_kernel",
@@ -50,6 +62,9 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("_stacked.c")
+#: Both kernels' return code for a mask-mode read of a faulty tester whose
+#: row the side table does not hold (or holds out of bounds).
+MISSING_SIDE_ROW = -4
 _COMPILERS = ("cc", "gcc", "clang")
 
 #: tri-state memo: "unset" -> not probed yet, None -> unavailable, else the
@@ -113,6 +128,26 @@ def _build_lock(target: Path):
             fcntl.flock(lock_file, fcntl.LOCK_UN)
 
 
+class SyndromeView(ctypes.Structure):
+    """One syndrome as the kernels read it: ``syndrome_t`` in ``_stacked.c``.
+
+    Buffer mode sets ``buf`` to the flat result buffer.  Mask mode leaves
+    it NULL and sets ``mask`` (n bytes, nonzero = faulty), the ascending
+    ``fault_ids`` whose rows the side table holds, each row's offset in
+    ``side_base``, and the ``side_len``-byte table ``side``.
+    """
+
+    _fields_ = [
+        ("buf", ctypes.c_void_p),
+        ("mask", ctypes.c_void_p),
+        ("fault_ids", ctypes.c_void_p),
+        ("side_base", ctypes.c_void_p),
+        ("side", ctypes.c_void_p),
+        ("num_faults", ctypes.c_int64),
+        ("side_len", ctypes.c_int64),
+    ]
+
+
 def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     """Declare both entry points with raw-pointer array arguments.
 
@@ -125,7 +160,7 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     stacked.restype = i64
     stacked.argtypes = [
         p, p, p,    # indptr, indices, pair_indptr
-        p,          # buffers: num_syndromes buffer addresses
+        p,          # syndromes: num_syndromes SyndromeViews
         i64, i64,   # n, num_syndromes
         p, i64,     # frontier0, frontier0_len
         p, p,       # member, parent
@@ -136,7 +171,7 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     probe.restype = i64
     probe.argtypes = [
         p, p, p,    # indptr, indices, pair_indptr
-        p,          # buf
+        p,          # syndrome: one SyndromeView
         i64, i64,   # n, delta
         p, i64,     # starts, num_probes
         p,          # class_of (NULL: unrestricted)
@@ -151,7 +186,7 @@ def _load_library():
     """The configured native library, or ``None``.
 
     Any failure along the way — no source, no compiler, a build error, a
-    load error — degrades silently to ``None``: the numpy and scalar paths
+    load error — degrades silently to ``None``: the numpy and rows-oracle paths
     are always there and always correct, the native passes are only ever a
     speedup.
     """

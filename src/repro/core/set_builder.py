@@ -38,10 +38,13 @@ selects the fastest applicable implementation:
   :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same compiled
   topology is a width-one :func:`set_builder_many` stack — the native C
   kernel, or its numpy round :func:`_stacked_round` without a compiler;
-* every other run over such a syndrome takes the scalar **array** path
-  (:func:`_set_builder_array`): byte-mask membership and pair-indexed
-  buffer reads.  It is also the reference of the native root-search probes
-  (:class:`ProbeScratch`).
+* every other run over such a syndrome — restricted, budgeted or stopping
+  at the certificate — takes the rows path.  The rows path is also the
+  reference of the native root-search probes (:class:`ProbeScratch`).
+
+The native kernel and probes read a seeded syndrome's fault mask and side
+table in place; the rows path and the numpy round read its buffer, which
+the syndrome builds on first use.
 
 All paths implement the same procedure and produce identical results (and
 identical lookup counts) on non-truncated runs; under a ``max_nodes`` budget
@@ -52,7 +55,7 @@ sorted rows.  The ``all_healthy`` certificate is sound on every path.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import ctypes
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -60,7 +63,13 @@ import numpy as np
 
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork
-from .native import address, load_probe_kernel, load_stacked_kernel
+from .native import (
+    MISSING_SIDE_ROW,
+    SyndromeView,
+    address,
+    load_probe_kernel,
+    load_stacked_kernel,
+)
 from .syndrome import Syndrome
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import is deferred (cycle)
@@ -210,15 +219,13 @@ def set_builder(
         from ..backend.array_syndrome import ArraySyndrome
 
         csr = compile_network(network)
-        if isinstance(syndrome, ArraySyndrome) and syndrome.csr is csr:
-            if restrict is None and max_nodes is None and not stop_on_certificate:
-                return set_builder_many(
-                    network, [syndrome], [u0], diagnosability=diagnosability,
-                )[0]
-            return _set_builder_array(
-                csr, syndrome, u0, diagnosability, restrict, max_nodes,
-                stop_on_certificate,
-            )
+        if (
+            isinstance(syndrome, ArraySyndrome) and syndrome.csr is csr
+            and restrict is None and max_nodes is None and not stop_on_certificate
+        ):
+            return set_builder_many(
+                network, [syndrome], [u0], diagnosability=diagnosability,
+            )[0]
         rows = csr.rows
         neighbors_of: Callable[[int], Sequence[int]] = rows.__getitem__
     else:
@@ -330,150 +337,16 @@ def _set_builder_oracle(
     )
 
 
-def _set_builder_array(
-    csr,
-    syndrome: ArraySyndrome,
-    u0: int,
-    diagnosability: int,
-    restrict: Callable[[int], bool] | None,
-    max_nodes: int | None,
-    stop_on_certificate: bool,
-) -> SetBuilderResult:
-    """Flat-array hot path: byte-mask membership, O(1) pair-indexed lookups.
-
-    Mirrors :func:`_set_builder_oracle` statement for statement; the only
-    representational differences are the byte mask standing in for the
-    ``nodes`` set and direct buffer reads standing in for ``syndrome.lookup``
-    (the consulted-entry count is accumulated locally and credited to the
-    syndrome's counter on exit).
-    """
-    rows = csr.rows
-    pair_base = csr.pair_base
-    buf = syndrome.buffer
-    lookups = 0
-
-    in_tree = bytearray(csr.num_nodes)
-    in_tree[u0] = 1
-    tree_count = 1
-    tree_nodes: list[int] = [u0]
-    parent: dict[int, int] = {}
-    contributors: set[int] = set()
-    all_healthy = False
-    truncated = False
-
-    # ---------------------------------------------------------------- round 1
-    row0 = rows[u0]
-    d0 = len(row0)
-    base0 = pair_base[u0]
-    if restrict is None:
-        candidates = list(enumerate(row0))
-    else:
-        candidates = [(i, v) for i, v in enumerate(row0) if restrict(v)]
-    in_added = bytearray(csr.num_nodes)
-    added: list[int] = []
-    for a, (i, v) in enumerate(candidates):
-        if max_nodes is not None and tree_count >= max_nodes:
-            truncated = True
-            break
-        for j, w in candidates[a + 1 :]:
-            if in_added[v] and in_added[w]:
-                continue
-            lookups += 1
-            if buf[base0 + i * (2 * d0 - i - 1) // 2 + (j - i - 1)] == 0:
-                for node in (v, w):
-                    if not in_added[node] and not (
-                        max_nodes is not None and tree_count >= max_nodes
-                    ):
-                        in_added[node] = 1
-                        added.append(node)
-                        parent[node] = u0
-    for node in added:
-        in_tree[node] = 1
-    tree_count += len(added)
-    tree_nodes.extend(added)
-    rounds = 1 if added else 0
-    if added:
-        contributors.add(u0)
-    if len(contributors) > diagnosability:
-        all_healthy = True
-
-    frontier = sorted(added)
-
-    # ------------------------------------------------------------ rounds >= 2
-    while frontier:
-        if all_healthy and stop_on_certificate:
-            truncated = True
-            break
-        if max_nodes is not None and tree_count >= max_nodes:
-            truncated = True
-            break
-        new_nodes: list[int] = []
-        in_new = bytearray(csr.num_nodes)
-        new_count = 0
-        for u in frontier:  # already sorted: guarantees t(v) is the least contributor
-            row = rows[u]
-            d = len(row)
-            t_u = parent.get(u, u0)
-            pos_t = bisect_left(row, t_u)
-            base = pair_base[u]
-            for pos, v in enumerate(row):
-                if in_tree[v] or in_new[v]:
-                    continue
-                if restrict is not None and not restrict(v):
-                    continue
-                if max_nodes is not None and tree_count + new_count >= max_nodes:
-                    truncated = True
-                    break
-                if pos < pos_t:
-                    i, j = pos, pos_t
-                else:
-                    i, j = pos_t, pos
-                lookups += 1
-                if buf[base + i * (2 * d - i - 1) // 2 + (j - i - 1)] == 0:
-                    in_new[v] = 1
-                    new_count += 1
-                    new_nodes.append(v)
-                    parent[v] = u
-                    contributors.add(u)
-            if truncated:
-                break
-        if not new_nodes:
-            break
-        for node in new_nodes:
-            in_tree[node] = 1
-        tree_count += new_count
-        tree_nodes.extend(new_nodes)
-        rounds += 1
-        if len(contributors) > diagnosability:
-            all_healthy = True
-        new_nodes.sort()
-        frontier = new_nodes
-        if truncated:
-            break
-
-    syndrome.lookups += lookups
-    return SetBuilderResult(
-        root=u0,
-        all_healthy=all_healthy,
-        nodes=set(tree_nodes),
-        parent=parent,
-        contributors=contributors,
-        rounds=rounds,
-        lookups=lookups,
-        truncated=truncated,
-    )
-
-
 class ProbeScratch:
     """Caller-owned scratch of the native root-search probes on one topology.
 
-    ``probe_level`` in ``_stacked.c`` runs :func:`_set_builder_array` probes
-    without allocating: it borrows a zeroed node mask (each probe clears
-    exactly the nodes it touched, so the mask is zero again between calls)
-    and two node-sized work arrays.  One instance serves any number of
-    consecutive calls on one thread; concurrent callers each need their own.
+    ``probe_level`` in ``_stacked.c`` runs rows-oracle probes without
+    allocating: it borrows a zeroed node mask (each probe clears exactly the
+    nodes it touched, so the mask is zero again between calls) and two
+    node-sized work arrays.  One instance serves any number of consecutive
+    calls on one thread; concurrent callers each need their own.
     :meth:`create` returns ``None`` when the native library is unavailable,
-    and the scalar path then stays the probe path.
+    and the rows oracle then stays the probe path.
     """
 
     __slots__ = (
@@ -514,14 +387,18 @@ class ProbeScratch:
     ) -> np.ndarray:
         """Probe from each of ``starts`` in order until one certifies.
 
-        Probe ``k`` is ``_set_builder_array(csr, syndrome, starts[k], ...)``
-        with ``stop_on_certificate`` set, restricted to the nodes ``v`` with
-        ``class_of[v] == k`` (unrestricted when ``class_of`` is ``None``),
-        under the ``max_nodes`` budget.
+        Probe ``k`` is the rows oracle's ``set_builder(network, syndrome,
+        starts[k], ...)`` with ``stop_on_certificate`` set, restricted to
+        the nodes ``v`` with ``class_of[v] == k`` (unrestricted when
+        ``class_of`` is ``None``), under the ``max_nodes`` budget.  The
+        kernel reads the syndrome through its
+        :meth:`~repro.backend.array_syndrome.ArraySyndrome.native_view`, so
+        a seeded syndrome's buffer is never built.
         Returns one ``(nodes_explored, lookups, certified, truncated,
         rounds)`` row per probe run — every probe up to and including the
         first certified one — and credits the consulted entries to
-        ``syndrome.lookups``.
+        ``syndrome.lookups``.  A mask-mode syndrome whose side table lacks a
+        faulty tester's row raises ``RuntimeError``.
         """
         csr = self.csr
         n = csr.num_nodes
@@ -529,7 +406,7 @@ class ProbeScratch:
         records = np.empty((count, 5), dtype=np.int64)
         ran = self._kernel(
             *self._topology,
-            address(syndrome.values_array, np.uint8, csr.num_pairs),
+            ctypes.byref(syndrome.native_view()),
             n, diagnosability,
             address(starts, np.int64, count), count,
             None if class_of is None else address(class_of, np.int32, n),
@@ -537,6 +414,8 @@ class ProbeScratch:
             *self._scratch,
             address(records, np.int64, records.size),
         )
+        if ran == MISSING_SIDE_ROW:
+            raise RuntimeError("native probe read a faulty tester without a side row")
         if ran < 0:
             raise ValueError("a probe start node lies outside its class or the network")
         records = records[:ran]
@@ -544,17 +423,18 @@ class ProbeScratch:
         return records
 
 
-def _expand_root_pairs(csr, pbuf, u0: int) -> tuple[list[int], int]:
+def _expand_root_pairs(csr, results: bytes, u0: int) -> tuple[list[int], int]:
     """Round 1 of :func:`set_builder_many`: scan the root's neighbour pairs.
 
-    Returns ``(added, lookups)`` exactly as the scalar paths produce them —
+    ``results`` is the root's row of test results in slot order
+    (:meth:`~repro.backend.array_syndrome.ArraySyndrome.row_values`).
+    Returns ``(added, lookups)`` exactly as the rows oracle produces them —
     Δ(Δ-1)/2 pair reads with the double-admission suppression; every added
     node's parent is ``u0``.  Each stacked syndrome runs it in Python
     because it is tiny; the stacked rounds take over from round 2.
     """
     row0 = csr.rows[u0]
     d0 = len(row0)
-    base0 = csr.pair_base[u0]
     in_added: set[int] = set()
     added: list[int] = []
     lookups = 0
@@ -565,7 +445,7 @@ def _expand_root_pairs(csr, pbuf, u0: int) -> tuple[list[int], int]:
             if v in in_added and w in in_added:
                 continue
             lookups += 1
-            if pbuf[base0 + i * (2 * d0 - i - 1) // 2 + (j - i - 1)] == 0:
+            if results[i * (2 * d0 - i - 1) // 2 + (j - i - 1)] == 0:
                 for node in (v, w):
                     if node not in in_added:
                         in_added.add(node)
@@ -739,14 +619,12 @@ def set_builder_many(
     csr = compile_network(network)
     if diagnosability is None:
         diagnosability = network.diagnosability()
-    buffers = []
     for syndrome in syndromes:
         if not isinstance(syndrome, ArraySyndrome) or syndrome.csr is not csr:
             raise ValueError(
                 "set_builder_many needs ArraySyndromes over this network's "
                 "compiled topology"
             )
-        buffers.append(np.ascontiguousarray(syndrome.values_array))
     n = csr.num_nodes
     for u0 in roots:
         if not 0 <= u0 < n:
@@ -791,7 +669,7 @@ def set_builder_many(
     frontier_parts: list[np.ndarray] = []
     for b, (syndrome, u0) in enumerate(zip(syndromes, roots)):
         member_flat[b * n + u0] = True
-        added, root_lookups = _expand_root_pairs(csr, syndrome.buffer, u0)
+        added, root_lookups = _expand_root_pairs(csr, syndrome.row_values(u0), u0)
         lookups[b] += root_lookups
         if added:
             arr = np.asarray(sorted(added), dtype=idx)
@@ -810,16 +688,15 @@ def set_builder_many(
     if native is not None:
         if frontier_keys.size:
             keys = num_syndromes * n
-            buf_addrs = np.array(
-                [address(b, np.uint8, csr.num_pairs) for b in buffers],
-                dtype=np.uintp,
+            views = (SyndromeView * num_syndromes)(
+                *(syndrome.native_view() for syndrome in syndromes)
             )
             frontier0 = frontier_keys.astype(np.int64)
             code = native(
                 address(csr.indptr, np.int64, n + 1),
                 address(csr.indices, np.int32, csr.num_entries),
                 address(csr.pair_indptr, np.int64, n + 1),
-                buf_addrs.ctypes.data,
+                views,
                 n, num_syndromes,
                 address(frontier0, np.int64, frontier0.size), frontier0.size,
                 address(member_flat.view(np.uint8), np.uint8, keys),
@@ -834,6 +711,7 @@ def set_builder_many(
                     f"native stacked kernel failed with code {code}"
                 )
     else:
+        buffers = [np.ascontiguousarray(s.values_array) for s in syndromes]
         #: persistent first-zero scoreboard over flat keys; sentinel
         #: everywhere except the keys a round is currently admitting
         first0 = np.full(num_syndromes * n, np.iinfo(idx).max, dtype=idx)

@@ -82,7 +82,7 @@ def resolve_topology(family: str, params: dict):
     search's native probes read only the flat CSR arrays and a per-level
     class table, which the first search on a level builds by walking the
     rows and caches on the compiled topology; without the native library
-    the scalar probes read the rows and pair bases directly.
+    the rows-oracle probes read the rows and pair bases directly.
     """
     network = create_network(family, **params)
     from ..backend.csr import compile_network
@@ -116,7 +116,8 @@ def _run_requests(
 
     Each response's digest is computed at most once per process: an
     explicit request reuses the one it was keyed by, a seeded build hands
-    its recorded nonzero offsets to :func:`syndrome_digest`.
+    its recorded nonzero offsets and values to :func:`syndrome_digest`, so
+    with the native kernels a seeded syndrome's buffer is never built.
     """
     diagnoser = GeneralDiagnoser(network)
     delta = network.diagnosability()
@@ -165,7 +166,7 @@ def _run_requests(
     ):
         request = requests[pos]
         if digest is None:
-            digest = syndrome_digest(syndrome.buffer, syndrome.nonzero_offsets)
+            digest = syndrome_digest(*syndrome.digest_source)
         if isinstance(outcome, Exception):
             responses[pos] = DiagnosisResponse(
                 topology_key=request.topology_key,

@@ -125,7 +125,7 @@ def _nonzero_offsets(view: np.ndarray) -> np.ndarray | None:
     return offsets
 
 
-def syndrome_digest(buffer, offsets=None) -> str:
+def syndrome_digest(buffer, offsets=None, values=None) -> str:
     """Content address of a flat syndrome buffer, over its canonical form.
 
     The hashed form is a scheme tag, the length ``n`` as ``<u8``, then one
@@ -138,24 +138,33 @@ def syndrome_digest(buffer, offsets=None) -> str:
     ``offsets`` are the buffer's ascending nonzero offsets when the caller
     already knows them (a fault-sparse build does); the buffer is then
     never scanned.  Without them it is scanned once
-    (:func:`_nonzero_offsets`).
+    (:func:`_nonzero_offsets`).  ``values`` are the bytes at ``offsets``:
+    with both given, ``buffer`` may be just the length ``n`` — a seeded
+    mask-form syndrome hashes what its build recorded and never builds its
+    buffer.  A dense body needs the buffer itself.
     """
-    view = _byte_view(buffer)
-    n = view.size
-    if offsets is None:
-        offsets = _nonzero_offsets(view)
-    elif 8 * len(offsets) > n:
-        offsets = None
-    if offsets is None:
-        digest = hashlib.sha256(b"dense-sha256\0" + n.to_bytes(8, "little"))
-        digest.update(view)
-        return f"dense-sha256:{digest.hexdigest()}"
+    if values is None:
+        view = _byte_view(buffer)
+        n = view.size
+        if offsets is None:
+            offsets = _nonzero_offsets(view)
+        elif 8 * len(offsets) > n:
+            offsets = None
+        if offsets is None:
+            digest = hashlib.sha256(b"dense-sha256\0" + n.to_bytes(8, "little"))
+            digest.update(view)
+            return f"dense-sha256:{digest.hexdigest()}"
+        values = view[offsets]
+    else:
+        n = buffer if isinstance(buffer, int) else _byte_view(buffer).size
+        if 8 * len(offsets) > n:
+            raise ValueError("a dense digest hashes the buffer, not offsets and values")
     digest = hashlib.sha256(
         b"sparse-sha256\0" + n.to_bytes(8, "little")
         + len(offsets).to_bytes(8, "little")
     )
     digest.update(np.asarray(offsets, dtype="<u8"))
-    digest.update(view[offsets])
+    digest.update(np.ascontiguousarray(values, dtype=np.uint8))
     return f"sparse-sha256:{digest.hexdigest()}"
 
 

@@ -1,11 +1,12 @@
 """Native root-search probes and bulk faulty-tester coins.
 
-``probe_level`` (``_stacked.c``) replaces the scalar ``_set_builder_array``
-probes of the healthy-root search, and ``fair_coins`` replaces one
+``probe_level`` (``_stacked.c``) runs the healthy-root search's probes in
+place of the rows oracle, and ``fair_coins`` replaces one
 ``rng.randint(0, 1)`` per faulty-tester pair.  Both are pure speedups: the
 probe records, roots, levels, lookup counters and syndrome bytes they
-produce must equal the scalar code's exactly, which this module pins on
-every registry family.
+produce must equal the rows oracle's and the per-call coins' exactly, which
+this module pins on every registry family.  The native probes read seeded
+syndromes in mask mode; the oracle reads their buffers.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser, _ProbeLevel
 from repro.core.faults import clustered_faults, random_faults, spread_faults
 from repro.core.set_builder import (
     ProbeScratch,
-    _set_builder_array,
     certificate_node_budget,
+    set_builder,
 )
 from repro.core.syndrome import FaultyTesterBehavior
 from repro.networks.base import PartitionClass
@@ -51,8 +52,11 @@ def _syndromes(network):
                 )
 
 
-def _scalar(csr, syndrome, u0, delta, restrict=None, max_nodes=None):
-    result = _set_builder_array(csr, syndrome, u0, delta, restrict, max_nodes, True)
+def _oracle(network, syndrome, u0, delta, restrict=None, max_nodes=None):
+    result = set_builder(
+        network, syndrome, u0, diagnosability=delta, restrict=restrict,
+        max_nodes=max_nodes, stop_on_certificate=True,
+    )
     return [result.size, result.lookups, int(result.all_healthy),
             int(result.truncated), result.rounds]
 
@@ -64,7 +68,7 @@ def _native(scratch, syndrome, starts, delta, **kwargs):
 
 
 @needs_native
-class TestProbeKernelMatchesScalarPath:
+class TestProbeKernelMatchesRowsOracle:
     def test_every_family_behaviour_placement_and_run_kind(self, tiny_network):
         csr = compile_network(tiny_network)
         delta = tiny_network.diagnosability()
@@ -77,12 +81,13 @@ class TestProbeKernelMatchesScalarPath:
         for syndrome in _syndromes(tiny_network):
             for u0 in starts:
                 assert _native(scratch, syndrome, [u0], delta) == [
-                    _scalar(csr, syndrome, u0, delta)
+                    _oracle(tiny_network, syndrome, u0, delta)
                 ]
                 for budget in budgets:
                     assert _native(
                         scratch, syndrome, [u0], delta, max_nodes=budget
-                    ) == [_scalar(csr, syndrome, u0, delta, max_nodes=budget)]
+                    ) == [_oracle(tiny_network, syndrome, u0, delta,
+                                  max_nodes=budget)]
             for level in levels:
                 table = level.class_table(csr)
                 assert table is not None
@@ -90,8 +95,8 @@ class TestProbeKernelMatchesScalarPath:
                 for k, cls in enumerate(level.classes):
                     # one restricted probe on its own, certified or not ...
                     single = np.where(table == k, 0, -1).astype(np.int32)
-                    record = _scalar(csr, syndrome, cls.representative, delta,
-                                     restrict=cls.contains)
+                    record = _oracle(tiny_network, syndrome, cls.representative,
+                                     delta, restrict=cls.contains)
                     assert _native(
                         scratch, syndrome, [cls.representative], delta,
                         class_of=single,
@@ -147,8 +152,8 @@ class TestRootSearchNativeOnAndOff:
         monkeypatch.setattr(native, "_forced_off", True)
         syndromes = list(_syndromes(network))
         doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
-        scalar = [self._search(diagnoser, s) for s in syndromes + [doomed]]
-        assert with_native == scalar
+        oracle = [self._search(diagnoser, s) for s in syndromes + [doomed]]
+        assert with_native == oracle
         assert with_native[-1][0][0] == "error"
 
     def test_partition_search(self, tiny_network, monkeypatch):

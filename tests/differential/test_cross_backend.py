@@ -6,8 +6,9 @@ procedure through every execution backend the codebase has grown:
 
 * the original object path (``compiled=False`` — the reference
   implementation, transcribed from the paper);
-* the compiled-rows path (compiled adjacency, abstract syndrome oracle);
-* the scalar flat-array path (byte-mask membership, pair-indexed buffer);
+* the compiled-rows path (compiled adjacency, abstract syndrome oracle),
+  over the table and over the ``ArraySyndrome`` itself, which its
+  restricted and budgeted runs take;
 * the stacked kernel at width one, native C;
 * the same stacked kernel on its numpy fallback rounds.
 
@@ -102,9 +103,9 @@ def _all_backends(
     runs = {
         "object": set_builder(network, table, root, compiled=False),
         "rows": set_builder(network, table, root, compiled=True),
-        # An unreachable budget routes to the scalar array path without
-        # changing semantics (the run is never truncated).
-        "array-scalar": set_builder(
+        # An unreachable budget routes the array syndrome to the rows path
+        # without changing semantics (the run is never truncated).
+        "array-rows": set_builder(
             network, syndrome, root, max_nodes=network.num_nodes + 1
         ),
     }
@@ -134,7 +135,8 @@ class TestSetBuilderDifferential:
 
     def test_bounded_array_runs_match_the_rows_oracle(self, tiny_network):
         """Restricted, budgeted and stop-on-certificate array runs bypass the
-        stacked kernel; each must still equal the rows oracle exactly."""
+        stacked kernel for the rows oracle, reading the seeded syndrome's
+        lazily built buffer; each must equal the oracle over the table."""
         for faults, syndrome in _triples(tiny_network):
             for root in _roots(tiny_network, faults):
                 for options in (

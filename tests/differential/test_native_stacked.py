@@ -17,6 +17,8 @@ nodes, that finish in different rounds.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -141,10 +143,10 @@ class TestKernelRefusals:
         lookups, rounds, contrib_count = (np.zeros(1, dtype=np.int64)
                                           for _ in range(3))
         contributed = np.zeros(n, dtype=np.uint8)
-        buf_addrs = np.array([buf.ctypes.data], dtype=np.uintp)
+        view = native.SyndromeView(buf=buf.ctypes.data)
         return kernel(
             csr.indptr.ctypes.data, csr.indices.ctypes.data,
-            csr.pair_indptr.ctypes.data, buf_addrs.ctypes.data,
+            csr.pair_indptr.ctypes.data, ctypes.byref(view),
             n, 1, frontier.ctypes.data, frontier.size,
             member.ctypes.data, parent.ctypes.data,
             lookups.ctypes.data, rounds.ctypes.data,

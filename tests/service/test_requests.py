@@ -156,13 +156,12 @@ def _seeded_digests(network, count, placement, behavior, seed=3):
     csr = compile_network(network)
     faults = PLACEMENTS[placement](network, count, seed=seed)
     syndrome = ArraySyndrome.from_faults(csr, faults, behavior=behavior, seed=seed)
-    raw = bytes(syndrome.buffer)
-    built = syndrome_digest(syndrome.buffer, syndrome.nonzero_offsets)
-    return syndrome, raw, built
+    built = syndrome_digest(*syndrome.digest_source)  # as the executor does
+    return syndrome, bytes(syndrome.buffer), built
 
 
 class TestSeededDigest:
-    """A fault-sparse build's recorded offsets give the explicit digest."""
+    """A seeded build's recorded offsets and values give the explicit digest."""
 
     def test_every_family_behaviour_and_placement(self, small_network):
         for placement in PLACEMENTS:
@@ -178,6 +177,8 @@ class TestSeededDigest:
                     assert 8 * nonzero.size > len(raw), case
                 else:
                     assert np.array_equal(syndrome.nonzero_offsets, nonzero), case
+                    values = np.frombuffer(raw, dtype=np.uint8)[nonzero]
+                    assert np.array_equal(syndrome.nonzero_values, values), case
 
     def test_many_faults_force_the_dense_body(self, small_network):
         count = small_network.num_nodes // 2
