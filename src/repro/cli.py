@@ -197,9 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-capacity", type=int, default=16,
                        help="bound of the compiled-topology LRU cache")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="dispatch a batch once this many requests coalesced")
-    serve.add_argument("--batch-delay-ms", type=float, default=2.0,
-                       help="coalescing window in milliseconds")
+                       help="most requests one batch takes; a batch forms "
+                            "when an executor slot frees")
+    serve.add_argument("--batch-delay-ms", type=float, default=None,
+                       help="ignored: batches form when an executor slot "
+                            "frees, not after a timer (kept so old command "
+                            "lines still parse)")
     serve.add_argument("--stats-json", metavar="PATH", default=None,
                        help="write the service stats snapshot to PATH as JSON "
                             "(atomically: temp file + rename)")
@@ -518,8 +521,11 @@ def _validate_serve_args(args: argparse.Namespace) -> None:
         raise SystemExit("--cache-capacity must be non-negative")
     if args.max_batch < 1:
         raise SystemExit("--max-batch must be at least 1")
-    if args.batch_delay_ms < 0:
-        raise SystemExit("--batch-delay-ms must be non-negative")
+    if args.batch_delay_ms is not None:
+        if args.batch_delay_ms < 0:
+            raise SystemExit("--batch-delay-ms must be non-negative")
+        print("note: --batch-delay-ms is ignored; batches form when an "
+              "executor slot frees", file=sys.stderr)
     if args.max_queue is not None and args.max_queue < 1:
         raise SystemExit("--max-queue must be at least 1")
     if args.max_queue_per_tenant is not None and args.max_queue_per_tenant < 1:
@@ -575,7 +581,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         service = DiagnosisService(
             pool=pool,
             max_batch_size=args.max_batch,
-            batch_delay=args.batch_delay_ms / 1e3,
             topology_cache_capacity=args.cache_capacity,
             store=store,
             max_queue_depth=args.max_queue,
@@ -671,7 +676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         async with DiagnosisService(
             pool=pool,
             max_batch_size=args.max_batch,
-            batch_delay=args.batch_delay_ms / 1e3,
             topology_cache_capacity=args.cache_capacity,
             store=store,
             max_queue_depth=args.max_queue,

@@ -16,9 +16,9 @@ random arrival sequences against an independent reference model and lets
 the load generator pin fairness splits byte-for-byte across runs.
 
 :class:`DiagnosisService` keeps one :class:`TenantQueues` per topology —
-fairness is scheduled *within* each topology's coalescing window, feeding
-the existing batch dispatcher, so DRR changes who fills a batch, never what
-a batch is.
+fairness is scheduled *within* each topology's queue, which the dispatcher
+drains one batch at a time as execution slots free, so DRR changes who
+fills a batch, never what a batch is.
 """
 
 from __future__ import annotations

@@ -325,7 +325,6 @@ def run_load_sync(
     store=None,
     topology_cache_capacity: int | None = None,
     max_batch_size: int = 64,
-    batch_delay: float = 0.002,
     verify: bool = False,
 ) -> LoadReport:
     """Build a service for ``spec``, run the load, and return the report.
@@ -344,7 +343,6 @@ def run_load_sync(
             pool=pool,
             coalesce=True,
             max_batch_size=max_batch_size,
-            batch_delay=batch_delay,
             topology_cache_capacity=capacity,
             store=store,
         )
@@ -370,11 +368,11 @@ class FairnessSpec:
     The hot tenant submits ``hot_requests`` all at once and never retries a
     shed; each of ``cold_tenants`` cold tenants runs a closed-loop stream of
     ``cold_requests_per_tenant`` requests.  ``max_queue_per_tenant`` is the
-    quota the burst slams into.  ``batch_delay`` must comfortably exceed the
-    time to submit the burst (the default 50 ms is thousands of submissions'
-    worth) so the whole burst meets admission control before any dispatch
-    frees a slot — that is what makes the shed split a pure function of
-    submission order.
+    quota the burst slams into.  The whole burst is submitted in one loop
+    tick, and a dispatcher yields a tick before it forms a batch, so every
+    burst request meets admission control before any dispatch frees a
+    slot — that is what makes the shed split a pure function of submission
+    order.
     """
 
     instances: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
@@ -387,7 +385,6 @@ class FairnessSpec:
     seed: int = 0
     seed_pool: int = 8
     max_batch_size: int = 8
-    batch_delay: float = 0.05
 
     @classmethod
     def from_mix(
@@ -403,7 +400,6 @@ class FairnessSpec:
         seed: int = 0,
         seed_pool: int = 8,
         max_batch_size: int = 8,
-        batch_delay: float = 0.05,
     ) -> "FairnessSpec":
         if cold_tenants < 1:
             raise ValueError("cold_tenants must be at least 1")
@@ -427,7 +423,6 @@ class FairnessSpec:
             seed=seed,
             seed_pool=seed_pool,
             max_batch_size=max_batch_size,
-            batch_delay=batch_delay,
         )
 
     def cold_tenant(self, index: int) -> str:
@@ -531,7 +526,6 @@ async def run_fairness(
         store=store,
         coalesce=True,
         max_batch_size=spec.max_batch_size,
-        batch_delay=spec.batch_delay,
         max_queue_per_tenant=spec.max_queue_per_tenant,
         tenant_weights=dict(spec.tenant_weights) or None,
     )

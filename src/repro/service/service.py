@@ -9,11 +9,12 @@ pipeline into amortised batched work:
    touching a topology.
 2. **In-flight coalescing** — identical concurrent requests share one
    computation: the first registers a future, the rest await it.
-3. **Batch coalescing** — distinct requests on the *same topology* submitted
-   within the coalescing window join one batch; the batch resolves its
-   compiled topology once (through a bounded LRU) and executes as a single
-   unit — in-process, or as one :class:`~repro.parallel.pool.WorkerPool`
-   task mapping the topology out of shared memory.
+3. **Batch coalescing** — a topology's batch forms when an execution slot
+   frees, from what queued meanwhile (up to ``max_batch_size``); it
+   resolves its compiled topology once (through a bounded LRU) and
+   executes as a single unit — in-process, or as one
+   :class:`~repro.parallel.pool.WorkerPool` task mapping the topology out
+   of shared memory.
 
 Multi-tenancy sits across all three stages: every request carries a
 ``tenant``, each topology's queue is a per-tenant deficit-round-robin
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cache import LRUCache
 from .executor import resolve_topology, run_batch_local, run_batch_task, validate_request
@@ -100,29 +101,27 @@ class DiagnosisService:
         Optional persistent :class:`~repro.parallel.pool.WorkerPool`; batches
         then execute as single pool tasks over shared-memory topologies.
         ``None`` executes batches in-process (on the default thread executor,
-        so the event loop keeps accepting requests mid-batch).
+        so the event loop keeps accepting requests mid-batch).  The executor
+        sets the number of batches in flight: one in-process, the pool's
+        ``max_workers`` pooled.
     remote:
         Optional :class:`~repro.fabric.coordinator.FabricCoordinator` (or
         anything with its ``has_workers()``/``execute()`` face).  The
         dispatch policy then prefers the fabric whenever it has live
-        workers, falling back to the pool / in-process path when it does
-        not — or when it raises
+        workers (its batches wait for no local slot), falling back to the
+        pool / in-process path when it does not — or when it raises
         :class:`~repro.fabric.protocol.FabricUnavailableError` mid-batch
         (all workers died, retry budget exhausted), so fabric trouble
         degrades throughput, never loses a request.  Like the pool, the
         coordinator stays caller-owned: :meth:`close` does not close it.
     coalesce:
         The serving discipline.  ``True`` (default) enables in-flight
-        duplicate sharing and the batching window; ``False`` serves every
-        request individually the moment it arrives — the "naive
-        one-at-a-time" baseline the benchmark compares against.
+        duplicate sharing and batching; ``False`` serves every request as
+        its own batch of one — the "naive one-at-a-time" baseline the
+        benchmark compares against.  Both wait for the same execution slots.
     max_batch_size:
-        Dispatch a topology's batch immediately once this many requests are
-        waiting (the window otherwise closes after ``batch_delay``).
-    batch_delay:
-        Coalescing window in seconds.  Even ``0.0`` yields to the event loop
-        once, so requests submitted in the same tick (e.g. via
-        ``asyncio.gather``) coalesce into one batch.
+        Most requests one batch takes; the overflow waits for the next free
+        slot.
     topology_cache_capacity:
         Bound of the compiled-topology LRU.  ``0`` disables topology reuse
         entirely (every batch re-resolves — the naive baseline's setting).
@@ -159,7 +158,6 @@ class DiagnosisService:
         remote=None,
         coalesce: bool = True,
         max_batch_size: int = 64,
-        batch_delay: float = 0.002,
         topology_cache_capacity: int = 16,
         store: ResultStore | None = None,
         metrics: ServiceMetrics | None = None,
@@ -169,8 +167,6 @@ class DiagnosisService:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
-        if batch_delay < 0:
-            raise ValueError("batch_delay must be non-negative")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be at least 1 (or None)")
         if max_queue_per_tenant is not None and max_queue_per_tenant < 1:
@@ -181,7 +177,6 @@ class DiagnosisService:
         self.remote = remote
         self.coalesce = coalesce
         self.max_batch_size = max_batch_size
-        self.batch_delay = batch_delay
         self.max_queue_depth = max_queue_depth
         self.max_queue_per_tenant = max_queue_per_tenant
         # Validated eagerly (TenantQueues rejects bad weights) so a typo'd
@@ -205,17 +200,16 @@ class DiagnosisService:
         #: flight on that exact compiled object (see _flush_retired)
         self._retired: list[tuple] = []
         self._inflight_csr: dict[int, int] = {}
-        #: Serialises in-process batch execution: the compile counter is
-        #: process-global, so a topology resolving on one executor thread
-        #: while a batch measures its delta on another would bleed into that
-        #: delta.  Pool batches measure worker-side and need no lock.
-        self._local_execution = asyncio.Lock()
+        #: Execution slots, one per pool worker or a single one in-process
+        #: (where it also keeps a resolve on one executor thread from
+        #: bleeding into the process-global compile delta a batch measures
+        #: on another); a batch holds one from before it forms until answered.
+        self._slots = asyncio.Semaphore(1 if pool is None else pool.max_workers)
         self._pending: dict[str, TenantQueues] = {}
         self._pending_total = 0
         #: queued-but-undispatched requests per tenant, across topologies —
         #: the number the per-tenant quota is enforced against
         self._tenant_pending: dict[str, int] = {}
-        self._full: dict[str, asyncio.Event] = {}
         self._dispatchers: dict[str, asyncio.Task] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._closed = False
@@ -358,7 +352,7 @@ class DiagnosisService:
         if self.coalesce:
             self._enqueue(pending)
         else:
-            await self._execute_batch(request.topology_key, [pending])
+            await self._dispatch(request.topology_key, lambda: [pending])
         response = await asyncio.shield(future)
         latency = loop.time() - enqueued_at
         response = replace(response, elapsed_seconds=latency)
@@ -386,12 +380,9 @@ class DiagnosisService:
         self._pending_total += 1
         self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
         if topology not in self._dispatchers:
-            self._full[topology] = asyncio.Event()
             self._dispatchers[topology] = asyncio.create_task(
                 self._dispatch_loop(topology)
             )
-        if len(queues) >= self.max_batch_size:
-            self._full[topology].set()
 
     def _take_batch(self, topology: str) -> list[_Pending]:
         """Drain up to one batch from a topology's queues (DRR order)."""
@@ -410,34 +401,40 @@ class DiagnosisService:
         return batch
 
     async def _dispatch_loop(self, topology: str) -> None:
-        """Per-topology dispatcher: hold the window open, drain, repeat.
+        """Per-topology dispatcher: one batch at a time until the queue empties.
 
         The task lives as long as its topology has queued requests (so
-        :meth:`drain` need only await the registered dispatchers), draining
-        at most ``max_batch_size`` per batch in deficit-round-robin tenant
-        order — a full window dispatches immediately and the overflow opens
-        the next one.
+        :meth:`drain` need only await the registered dispatchers).
         """
         try:
-            while True:
-                full = self._full[topology]
-                try:
-                    await asyncio.wait_for(full.wait(), timeout=self.batch_delay)
-                except TimeoutError:
-                    pass  # window closed by its timer, not by filling up
-                batch = self._take_batch(topology)
-                self._full[topology] = asyncio.Event()
-                queues = self._pending.get(topology)
-                if queues is not None and len(queues) >= self.max_batch_size:
-                    self._full[topology].set()
-                if batch:
-                    await self._execute_batch(topology, batch)
-                if not self._pending.get(topology):
-                    return
+            while self._pending.get(topology):
+                await self._dispatch(topology, lambda: self._take_batch(topology))
         finally:
             self._pending.pop(topology, None)
             self._dispatchers.pop(topology, None)
-            self._full.pop(topology, None)
+
+    async def _dispatch(self, topology: str, take: Callable[[], list]) -> None:
+        """Run one batch, formed by ``take`` only once an executor can start it.
+
+        A fabric with live workers takes it at once; any other batch, or one
+        the fabric hands back, first waits for a free slot.
+        """
+        batch = None
+        if self.remote is not None and self.remote.has_workers():
+            await asyncio.sleep(0)  # same-tick submissions join, as below
+            batch = take()
+            if await self._execute_remote(topology, batch):
+                return
+        # repro: allow[RPR009] the slot stands for the executor itself: a
+        # batch holds it for exactly as long as it occupies that executor,
+        # and the requests queued behind it form the next batch
+        async with self._slots:
+            if batch is None:
+                # One tick first, so submissions made in the same tick (a
+                # batched /diagnose body, submit_many) share this batch.
+                await asyncio.sleep(0)
+                batch = take()
+            await self._execute_batch(topology, batch)
 
     # -------------------------------------------------------------- execution
     async def _resolved_topology(self, topology: str, request: DiagnosisRequest):
@@ -461,36 +458,38 @@ class DiagnosisService:
                 self._topologies.put(topology, entry)
         return entry
 
+    async def _execute_remote(self, topology: str, batch: list[_Pending]) -> bool:
+        """Run ``batch`` on the fabric; False, answering nothing, to fall back.
+
+        The coordinator owns retries, requeues and dedup; a lease it still
+        cannot complete runs locally instead of failing its requests.
+        """
+        from ..fabric.protocol import FabricUnavailableError
+
+        dispatch_time = asyncio.get_running_loop().time()
+        try:
+            responses, stats = await self.remote.execute(
+                topology, [pending.request for pending in batch]
+            )
+        except FabricUnavailableError:
+            # Leave evidence: an operator watching a fleet that quietly
+            # degrades to local execution needs a counter, not silence.
+            self.metrics.fabric_fallbacks += 1
+            return False
+        except Exception as exc:
+            self._fail_batch(batch, exc)
+            return True
+        self._answer_batch(batch, dispatch_time, responses, stats)
+        return True
+
     async def _execute_batch(self, topology: str, batch: list[_Pending]) -> None:
+        """Run ``batch`` on the pool, or in-process, and answer its futures."""
         loop = asyncio.get_running_loop()
         requests = [pending.request for pending in batch]
         try:
-            executed = False
-            if self.remote is not None and self.remote.has_workers():
-                # Dispatch policy: prefer the fabric while it has live
-                # workers.  The coordinator owns retries, requeues and
-                # dedup; if it still cannot complete the lease the batch
-                # falls through to the local/pooled path below — the fabric
-                # never turns its own trouble into failed requests.
-                from ..fabric.protocol import FabricUnavailableError
-
-                dispatch_time = loop.time()
-                try:
-                    responses, stats = await self.remote.execute(
-                        topology, requests
-                    )
-                    executed = True
-                except FabricUnavailableError:
-                    # Fall through to the local/pooled path below — but
-                    # leave evidence: an operator watching a fleet that
-                    # quietly degrades to local execution needs a counter,
-                    # not silence.
-                    self.metrics.fabric_fallbacks += 1
-            if executed:
-                pass
-            elif self.pool is not None:
-                network, csr = await self._resolved_topology(topology, requests[0])
-                dispatch_time = loop.time()
+            network, csr = await self._resolved_topology(topology, requests[0])
+            dispatch_time = loop.time()
+            if self.pool is not None:
                 handle = self.pool.publish_topology(csr)
                 # Explicit syndromes ship through shared memory, not pickle:
                 # concatenate their buffers into one published segment and
@@ -531,26 +530,25 @@ class DiagnosisService:
                         self.pool.release(syndrome_handle)
                     self._flush_retired()
             else:
-                # repro: allow[RPR009] deliberate serialization: without a
-                # pool there is one executor thread's worth of CPU; running
-                # batches concurrently would interleave kernels and wreck
-                # the per-batch operation accounting
-                async with self._local_execution:
-                    network, csr = await self._resolved_topology(
-                        topology, requests[0]
-                    )
-                    dispatch_time = loop.time()
-                    responses, stats = await loop.run_in_executor(
-                        None, run_batch_local, network, csr, requests
-                    )
-            for pending in batch:
-                self.metrics.queue_wait.record(dispatch_time - pending.enqueued_at)
+                responses, stats = await loop.run_in_executor(
+                    None, run_batch_local, network, csr, requests
+                )
         except Exception as exc:
-            for pending in batch:
-                self._inflight.pop(pending.key, None)
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
+            self._fail_batch(batch, exc)
             return
+        self._answer_batch(batch, dispatch_time, responses, stats)
+
+    def _fail_batch(self, batch: list[_Pending], exc: Exception) -> None:
+        for pending in batch:
+            self._inflight.pop(pending.key, None)
+            if not pending.future.done():
+                pending.future.set_exception(exc)
+
+    def _answer_batch(
+        self, batch: list[_Pending], dispatch_time: float, responses, stats: dict
+    ) -> None:
+        for pending in batch:
+            self.metrics.queue_wait.record(dispatch_time - pending.enqueued_at)
         self.metrics.record_batch(
             len(batch),
             compiles=stats["compiles"],

@@ -98,7 +98,7 @@ def test_sigkill_mid_batch_completes_via_requeue(tmp_path, survivor_channel):
         )
         await coordinator.start()
         service = DiagnosisService(
-            remote=coordinator, batch_delay=0.005, store=store
+            remote=coordinator, store=store
         )
         loop = asyncio.get_running_loop()
         try:

@@ -41,7 +41,7 @@ async def fabric(worker_configs, *, service_kwargs=None, **coord_kwargs):
     coordinator = FabricCoordinator(port=0, **merged)
     await coordinator.start()
     service = DiagnosisService(
-        remote=coordinator, batch_delay=0.005, **(service_kwargs or {})
+        remote=coordinator, **(service_kwargs or {})
     )
     workers: dict[str, tuple[asyncio.Task, asyncio.Event]] = {}
     try:
@@ -142,7 +142,7 @@ class TestDispatch:
         async def scenario():
             coordinator = FabricCoordinator(port=0, **{**FAST, "lease_timeout": 0.1})
             await coordinator.start()
-            service = DiagnosisService(remote=coordinator, batch_delay=0.005)
+            service = DiagnosisService(remote=coordinator)
             try:
                 # has_workers() is False -> the service never even waits on
                 # the fabric; the local path answers.
@@ -392,7 +392,7 @@ class TestFallbackEvidence:
 
         async def scenario():
             service = DiagnosisService(
-                remote=DecliningRemote(), batch_delay=0.005
+                remote=DecliningRemote()
             )
             try:
                 requests = _requests(count=3)

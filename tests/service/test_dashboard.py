@@ -75,7 +75,7 @@ def _populated_stats() -> dict:
 
     async def drive():
         service = DiagnosisService(
-            store=ResultStore(), batch_delay=0.005,
+            store=ResultStore(),
             topology_cache_capacity=2, tenant_weights={"gold": 3},
         )
         async with service:

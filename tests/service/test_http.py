@@ -213,9 +213,9 @@ class TestAdmissionControl:
     def test_shed_single_requests_answer_429_with_retry_after(self):
         # One keep-alive connection serialises its requests, so saturation
         # needs several connections — one client per request, fired together
-        # into a long (0.2 s) coalescing window so the queue bound engages.
+        # at a single executor slot so the queue bound engages.
         async def saturate():
-            service = DiagnosisService(max_queue_depth=2, batch_delay=0.2)
+            service = DiagnosisService(max_queue_depth=2)
             async with HttpFrontend(service) as frontend:
                 clients = [
                     HttpClient(frontend.host, frontend.port) for _ in range(5)
@@ -250,9 +250,7 @@ class TestAdmissionControl:
             body = {"requests": [_request(seed).to_wire() for seed in range(5)]}
             return await client.request("POST", "/diagnose", body)
 
-        status, payload = _run(
-            _with_frontend(inner, max_queue_depth=2, batch_delay=0.05)
-        )
+        status, payload = _run(_with_frontend(inner, max_queue_depth=2))
         assert status == 200
         entries = payload["responses"]
         served = [entry for entry in entries if "faulty" in entry]
@@ -267,21 +265,40 @@ class TestAdmissionControl:
 
 
 class TestLifecycle:
-    def test_graceful_drain_finishes_inflight_requests(self):
+    def test_graceful_drain_finishes_inflight_requests(self, monkeypatch):
+        import threading
+
+        from repro.service import service as service_module
+
+        entered, release = threading.Event(), threading.Event()
+        run_batch_local = service_module.run_batch_local
+
+        def held_batch(*args):
+            entered.set()
+            release.wait(10)
+            return run_batch_local(*args)
+
+        monkeypatch.setattr(service_module, "run_batch_local", held_batch)
+
         async def scenario():
-            service = DiagnosisService(batch_delay=0.05)
+            service = DiagnosisService()
             frontend = HttpFrontend(service)
             await frontend.start()
             client = HttpClient(frontend.host, frontend.port)
             await client.connect()
             post = asyncio.create_task(client.diagnose(_request(0)))
-            # Handshake, not a nap: close only once the request is really
-            # pending inside the service's open batch window.
+            # Handshake, not a nap: close only once the request's batch is
+            # really running in the executor, and let it finish only after
+            # the drain has begun.
             deadline = asyncio.get_running_loop().time() + 10
-            while service._pending_total == 0:
+            while not entered.is_set():
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.001)
-            await frontend.close()
+            closing = asyncio.create_task(frontend.close())
+            await asyncio.sleep(0)  # the drain begins, and waits for the batch
+            assert frontend._closing and not closing.done()
+            release.set()
+            await closing
             status, response = await post
             await client.close()
             await service.close()
@@ -539,9 +556,7 @@ class TestTenantHeader:
             rejected = [e for e in payload["responses"] if e.get("rejected")]
             return rejected, await client.stats()
 
-        rejected, stats = _run(_with_frontend(
-            inner, max_queue_per_tenant=2, batch_delay=0.05
-        ))
+        rejected, stats = _run(_with_frontend(inner, max_queue_per_tenant=2))
         assert len(rejected) == 2
         assert all("hot" in entry["error"] for entry in rejected)
         assert stats["tenants"]["hot"]["rejected"] == 2

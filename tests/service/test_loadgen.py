@@ -111,7 +111,7 @@ class TestHttpTransport:
 
         spec = _spec(clients=4, requests_per_client=3)
         with BackgroundHttpServer(
-            lambda: DiagnosisService(max_queue_depth=1, batch_delay=0.05)
+            lambda: DiagnosisService(max_queue_depth=1)
         ) as server:
             report = run_load_http_sync(
                 spec, server.address, verify=True, retry_delay=0.01
@@ -120,7 +120,7 @@ class TestHttpTransport:
         assert report.requests == 12
         assert report.mismatches == 0
         # ...and the saturating spec (4 concurrent clients, queue bound 1,
-        # a 50 ms window) forced at least one 429 along the way.
+        # one executor slot) forced at least one 429 along the way.
         assert report.rejections >= 1
         assert report.stats["rejected"] == report.rejections
 

@@ -312,7 +312,7 @@ class TestHashOnce:
 
 class TestAdmissionControl:
     def test_overflow_requests_are_shed_deterministically(self):
-        service = DiagnosisService(max_queue_depth=2, batch_delay=0.05)
+        service = DiagnosisService(max_queue_depth=2)
 
         async def run():
             async with service:
@@ -335,7 +335,7 @@ class TestAdmissionControl:
         assert stats["computed"] == 2
 
     def test_rejection_carries_depth_and_limit(self):
-        service = DiagnosisService(max_queue_depth=1, batch_delay=0.05)
+        service = DiagnosisService(max_queue_depth=1)
 
         async def run():
             async with service:
@@ -356,9 +356,7 @@ class TestAdmissionControl:
         async def run():
             async with DiagnosisService(store=store) as warm:
                 await warm.submit(_request(0))
-            service = DiagnosisService(
-                store=store, max_queue_depth=1, batch_delay=0.05
-            )
+            service = DiagnosisService(store=store, max_queue_depth=1)
             async with service:
                 filler = asyncio.create_task(service.submit(_request(1)))
                 await asyncio.sleep(0)  # filler takes the only slot
@@ -374,7 +372,7 @@ class TestAdmissionControl:
         assert joined.source == "coalesced"
 
     def test_queue_drains_and_admits_again(self):
-        service = DiagnosisService(max_queue_depth=1, batch_delay=0.01)
+        service = DiagnosisService(max_queue_depth=1)
 
         async def run():
             async with service:
@@ -387,7 +385,7 @@ class TestAdmissionControl:
         assert service.stats()["rejected"] == 0
 
     def test_unbounded_by_default(self):
-        service = DiagnosisService(batch_delay=0.01)
+        service = DiagnosisService()
         responses = _serve(service, *(_request(seed) for seed in range(20)))
         assert all(r.ok for r in responses)
         assert service.stats()["rejected"] == 0
@@ -399,7 +397,7 @@ class TestAdmissionControl:
 
 class TestTenantAdmission:
     def test_tenant_quota_sheds_deterministically(self):
-        service = DiagnosisService(max_queue_per_tenant=2, batch_delay=0.05)
+        service = DiagnosisService(max_queue_per_tenant=2)
 
         async def run():
             async with service:
@@ -423,7 +421,7 @@ class TestTenantAdmission:
         assert stats["tenants"]["cold"]["rejected"] == 0
 
     def test_tenant_rejection_names_the_tenant(self):
-        service = DiagnosisService(max_queue_per_tenant=1, batch_delay=0.05)
+        service = DiagnosisService(max_queue_per_tenant=1)
 
         async def run():
             async with service:
@@ -443,9 +441,7 @@ class TestTenantAdmission:
         assert "acme" in str(error) and "max_queue_per_tenant" in str(error)
 
     def test_global_bound_checked_before_tenant_quota(self):
-        service = DiagnosisService(
-            max_queue_depth=1, max_queue_per_tenant=5, batch_delay=0.05
-        )
+        service = DiagnosisService(max_queue_depth=1, max_queue_per_tenant=5)
 
         async def run():
             async with service:
@@ -468,9 +464,7 @@ class TestTenantAdmission:
         async def run():
             async with DiagnosisService(store=store) as warm:
                 await warm.submit(_request(0, tenant="hot"))
-            service = DiagnosisService(
-                store=store, max_queue_per_tenant=1, batch_delay=0.05
-            )
+            service = DiagnosisService(store=store, max_queue_per_tenant=1)
             async with service:
                 filler = asyncio.create_task(
                     service.submit(_request(1, tenant="hot"))
@@ -486,7 +480,7 @@ class TestTenantAdmission:
         assert stats["tenants"]["hot"]["store_hits"] == 1
 
     def test_coalesced_joins_never_consume_tenant_quota(self):
-        service = DiagnosisService(max_queue_per_tenant=1, batch_delay=0.05)
+        service = DiagnosisService(max_queue_per_tenant=1)
 
         async def run():
             async with service:
@@ -533,7 +527,7 @@ class TestTenantAdmission:
         # Two backlogged tenants, weight 2:1, one batch of width 3 per
         # dispatch: each batch takes two hot slots then one cold slot.
         service = DiagnosisService(
-            max_batch_size=3, batch_delay=0.05, tenant_weights={"hot": 2}
+            max_batch_size=3, tenant_weights={"hot": 2}
         )
 
         async def run():
@@ -561,13 +555,13 @@ class TestTenantAdmission:
 
 class TestCancellation:
     def test_cancelling_one_client_leaves_the_batch_intact(self):
-        service = DiagnosisService(batch_delay=0.05)
+        service = DiagnosisService()
 
         async def run():
             async with service:
                 doomed_task = asyncio.create_task(service.submit(_request(0)))
                 survivor_task = asyncio.create_task(service.submit(_request(1)))
-                await asyncio.sleep(0)  # both enqueue into the open window
+                await asyncio.sleep(0)  # both enqueue before the batch forms
                 doomed_task.cancel()
                 survivor = await survivor_task
                 with pytest.raises(asyncio.CancelledError):
@@ -579,7 +573,7 @@ class TestCancellation:
         assert survivor.faulty == run_direct(_request(1)).faulty
 
     def test_cancelling_a_coalesced_waiter_keeps_the_computation(self):
-        service = DiagnosisService(batch_delay=0.05)
+        service = DiagnosisService()
 
         async def run():
             async with service:
@@ -624,8 +618,6 @@ class TestLifecycleAndValidation:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             DiagnosisService(max_batch_size=0)
-        with pytest.raises(ValueError):
-            DiagnosisService(batch_delay=-1)
 
     def test_topology_cache_eviction_under_pressure(self):
         service = DiagnosisService(topology_cache_capacity=1)
@@ -633,6 +625,131 @@ class TestLifecycleAndValidation:
         cache = service.stats()["topology_cache"]
         assert cache["evictions"] >= 1
         assert cache["size"] == 1
+
+
+class TestWorkConservingDispatch:
+    """Batches form when an execution slot frees, never when a timer fires."""
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    def test_idle_service_starts_a_lone_request_without_a_timed_wait(
+        self, monkeypatch, pooled
+    ):
+        import contextlib
+
+        from repro.parallel import WorkerPool
+        from repro.service import service as service_module
+
+        events = []
+        sleep, wait_for = asyncio.sleep, asyncio.wait_for
+
+        async def logged_sleep(delay, *args, **kwargs):
+            events.append(("sleep", delay))
+            return await sleep(delay, *args, **kwargs)
+
+        async def logged_wait_for(awaitable, timeout):
+            events.append(("wait_for", timeout))
+            return await wait_for(awaitable, timeout)
+
+        def entering(run):
+            def entered(*args):
+                events.append(("executor", None))
+                return run(*args)
+            return entered
+
+        monkeypatch.setattr(asyncio, "sleep", logged_sleep)
+        monkeypatch.setattr(asyncio, "wait_for", logged_wait_for)
+        executor = WorkerPool(max_workers=1) if pooled else contextlib.nullcontext()
+        with executor as pool:
+            if pooled:
+                monkeypatch.setattr(pool, "submit", entering(pool.submit))
+            else:
+                monkeypatch.setattr(service_module, "run_batch_local",
+                                    entering(service_module.run_batch_local))
+            (response,) = _serve(DiagnosisService(pool=pool), _request(0))
+        assert response.ok and response.batch_size == 1
+        before = events[:events.index(("executor", None))]
+        assert not [e for e in before if e[0] == "wait_for" or e[1]], before
+
+    def test_arrivals_while_the_executor_is_busy_form_the_next_batch(
+        self, monkeypatch
+    ):
+        import threading
+
+        from repro.service import service as service_module
+
+        entered, release = threading.Event(), threading.Event()
+        run_batch_local = service_module.run_batch_local
+
+        def first_batch_held(*args):
+            if not entered.is_set():
+                entered.set()
+                release.wait(10)
+            return run_batch_local(*args)
+
+        monkeypatch.setattr(service_module, "run_batch_local", first_batch_held)
+        service = DiagnosisService(max_batch_size=3)
+
+        async def run():
+            async with service:
+                blocker = asyncio.create_task(service.submit(_request(0)))
+                deadline = asyncio.get_running_loop().time() + 10
+                while not entered.is_set():
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.001)
+                # Five arrivals on another topology, each in its own tick,
+                # while the only slot is busy: none is taken before it frees.
+                arrivals = []
+                for seed in range(5):
+                    arrivals.append(
+                        asyncio.create_task(service.submit(_request(seed, S5)))
+                    )
+                    for _ in range(3):
+                        await asyncio.sleep(0)
+                assert service.stats()["pending"] == 5
+                release.set()
+                return await blocker, await asyncio.gather(*arrivals)
+
+        blocker, arrivals = asyncio.run(run())
+        assert blocker.batch_size == 1
+        assert [r.batch_size for r in arrivals] == [3, 3, 3, 2, 2]
+        assert all(r.ok for r in arrivals)
+        assert service.stats()["batches"] == 3
+
+    def test_pooled_batches_in_flight_never_exceed_the_workers(self, monkeypatch):
+        import threading
+
+        from repro.parallel import WorkerPool
+
+        instances = [Q6, S5, ("pancake", {"n": 5}), ("hypercube", {"dimension": 5}),
+                     ("star", {"n": 4})]
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+
+        def done(_future):
+            with lock:
+                in_flight[0] -= 1
+
+        with WorkerPool(max_workers=2) as pool:
+            submit = pool.submit
+
+            def counted(*args):
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                future = submit(*args)
+                future.add_done_callback(done)
+                return future
+
+            monkeypatch.setattr(pool, "submit", counted)
+            service = DiagnosisService(pool=pool)
+            responses = _serve(service, *(
+                _request(seed, instance)
+                for instance in instances for seed in range(2)
+            ))
+        assert all(r.ok for r in responses)
+        assert service.stats()["batches"] == len(instances)
+        assert 1 <= peak[0] <= pool.max_workers
 
 
 class TestPooledService:

@@ -91,6 +91,13 @@ class TestServeCommand:
         assert "served 6 requests" in out
         assert "worker compiles: 0" in out
 
+    def test_batch_delay_flag_still_parses_but_is_ignored(self, capsys):
+        code = main(["serve", "--demo-requests", "2", "--batch-delay-ms", "50"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "served 2 requests" in captured.out
+        assert "--batch-delay-ms is ignored" in captured.err
+
     def test_requests_file_with_store_and_stats_json(self, capsys, tmp_path):
         import json
 
@@ -166,8 +173,7 @@ class TestServeCommand:
 
     def test_stream_overflowing_its_own_max_queue_exits_cleanly(self):
         with pytest.raises(SystemExit, match="raise --max-queue"):
-            main(["serve", "--demo-requests", "8", "--max-queue", "1",
-                  "--batch-delay-ms", "50"])
+            main(["serve", "--demo-requests", "8", "--max-queue", "1"])
 
     def test_store_bounds_apply_to_stream_serving(self, capsys, tmp_path):
         import json
@@ -287,7 +293,7 @@ class TestLoadCommand:
         from repro.service import BackgroundHttpServer, DiagnosisService
 
         with BackgroundHttpServer(
-            lambda: DiagnosisService(max_queue_depth=1, batch_delay=0.05)
+            lambda: DiagnosisService(max_queue_depth=1)
         ) as server:
             code = main(["load", "--clients", "4", "--requests", "3",
                          "--instance", "hypercube:dimension=6",
@@ -349,7 +355,7 @@ class TestServeHttpProcess:
         server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--http", "0",
              "--ready-file", str(ready), "--max-queue", "1",
-             "--batch-delay-ms", "50", "--store", str(store),
+             "--store", str(store),
              "--store-max-rows", "4", "--stats-json", str(stats)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True,
