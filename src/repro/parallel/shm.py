@@ -26,14 +26,25 @@ Every segment has exactly one owner: the process that published it.  The
 :class:`OwnedSegment` wrapper unlinks the segment when closed and carries a
 ``weakref.finalize`` guard so that segments are reclaimed even if the owner
 forgets (or crashes through an exception path) — the lifecycle tests assert
-that no segment survives a pool shutdown.
+that no segment survives a pool shutdown.  Two kinds of owner use them:
+
+* :class:`~repro.parallel.pool.WorkerPool` records every segment published
+  through it and unlinks whatever is left on ``shutdown()``;
+* the diagnosis service publishes through its pool and unlinks earlier:
+  a topology when its cache evicts it and no batch still carries it, and
+  its syndrome *staging* segments — one per batch in flight, refilled in
+  place between batches — on ``close()``, or at once when a batch outgrows
+  one (an idle segment is held by no task).
 
 Workers never unlink segments they merely attached.  The pool's workers are
-*forked* (the Linux default), so they share the owner's ``resource_tracker``
-process: a worker's attach re-registers the same name into the same tracker
-set (a no-op), and the owner's ``unlink()`` — which unregisters as a side
-effect — keeps the tracker exactly balanced with no spurious cleanup when a
-worker exits.  Attached mappings are pinned in a process-level registry
+*forked*, and the pool starts the owner's ``resource_tracker`` before the
+first fork, so every worker shares it: a worker's attach re-registers the
+same name into the same tracker set (a no-op), and the owner's ``unlink()``
+— which unregisters as a side effect — keeps the tracker exactly balanced
+with no spurious cleanup when a worker exits.  (A worker that started a
+tracker of its own would unlink every segment it attached when it exits.)
+An unlinked name survives in the workers that still map it until they
+detach.  Attached mappings are pinned in a process-level registry
 (:data:`_ATTACHED`) until :func:`detach` releases them, so their wrapper
 objects never race live numpy views at garbage-collection time.
 """
@@ -144,11 +155,12 @@ _ATTACHED: list[shared_memory.SharedMemory] = []
 def attach(name: str) -> shared_memory.SharedMemory:
     """Map an existing segment without adopting ownership.
 
-    Workers are forked (the Linux default the pool relies on), so they share
-    the owner's ``resource_tracker`` process: attaching re-registers the same
-    name into the same tracker set (a no-op), and the owner's ``unlink()``
-    (which unregisters as a side effect) keeps the tracker exactly balanced —
-    no spurious unlinks when a worker exits, no leak warnings at shutdown.
+    Workers are forked after the pool has started the owner's
+    ``resource_tracker``, so they share that process: attaching
+    re-registers the same name into the same tracker set (a no-op), and the
+    owner's ``unlink()`` (which unregisters as a side effect) keeps the
+    tracker exactly balanced — no spurious unlinks when a worker exits, no
+    leak warnings at shutdown.
     """
     segment = shared_memory.SharedMemory(name=name)
     _ATTACHED.append(segment)

@@ -243,11 +243,12 @@ def run_batch_task(
     mapping, so the worker never walks the topology (the reported compile
     delta proves it).
 
-    Explicit syndromes travel the same way: the coordinator concatenates
-    their buffers into one published segment (``syndrome_handle``) and sends
-    ``(position, offset, size, digest)`` spans instead of pickling the
-    bytes per task; the worker slices zero-copy views out of its attached
-    mapping and reuses the coordinator's digests, never rescanning them.
+    Explicit syndromes travel the same way: the coordinator lays their
+    buffers end to end in one of its reused staging segments
+    (``syndrome_handle``) and sends ``(position, offset, size, digest)``
+    spans instead of pickling the bytes per task; the worker slices
+    zero-copy views out of its cached mapping and reuses the coordinator's
+    digests, never rescanning them.
     """
     from ..parallel.pool import compile_delta_probe, worker_buffer, worker_network
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -401,10 +401,8 @@ class DiagnosisResponse:
     # ------------------------------------------------------------ store codec
     def to_payload(self) -> str:
         """JSON payload stored under ``(topology_key, syndrome_digest)``."""
-        record = asdict(self)
         # Store only what re-serving needs; source/batch/latency are per-serve.
-        for transient in ("source", "batch_size", "elapsed_seconds"):
-            record.pop(transient)
+        record = {name: getattr(self, name) for name in _STORED_FIELDS}
         return json.dumps(record, sort_keys=True)
 
     @classmethod
@@ -415,8 +413,12 @@ class DiagnosisResponse:
 
     # ------------------------------------------------------------- wire codec
     def to_wire(self) -> dict:
-        """The full JSON object the HTTP frontend returns (all fields)."""
-        return asdict(self)
+        """The full JSON object the HTTP frontend returns (all fields).
+
+        Read field by field: every value is immutable, so the deep copy
+        ``dataclasses.asdict`` makes would only cost time.
+        """
+        return {name: getattr(self, name) for name in _RESPONSE_FIELDS}
 
     @classmethod
     def from_wire(cls, record: dict) -> "DiagnosisResponse":
@@ -425,6 +427,13 @@ class DiagnosisResponse:
         record["faulty"] = tuple(record["faulty"])
         return cls(**record)
 
+
+#: Field names in declaration order: the key order of both codecs.
+_RESPONSE_FIELDS = tuple(f.name for f in fields(DiagnosisResponse))
+_STORED_FIELDS = tuple(
+    name for name in _RESPONSE_FIELDS
+    if name not in ("source", "batch_size", "elapsed_seconds")
+)
 
 # --------------------------------------------------------------- fabric frames
 # The worker fabric's data-plane frames reuse the wire codecs above: a *lease*

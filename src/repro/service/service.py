@@ -200,6 +200,9 @@ class DiagnosisService:
         #: flight on that exact compiled object (see _flush_retired)
         self._retired: list[tuple] = []
         self._inflight_csr: dict[int, int] = {}
+        #: idle syndrome staging segments (BufferHandles); a pooled batch
+        #: with explicit syndromes borrows one, so at most one per slot exist
+        self._staging: list = []
         #: Execution slots, one per pool worker or a single one in-process
         #: (where it also keeps a resolve on one executor thread from
         #: bleeding into the process-global compile delta a batch measures
@@ -232,11 +235,15 @@ class DiagnosisService:
         """Refuse new requests, drain the queues, release published segments.
 
         The pool itself stays caller-owned (it may be serving other users);
-        only the topology segments *this* service published are unlinked.
+        only the topology and staging segments *this* service published are
+        unlinked.
         """
         self._closed = True
         await self.drain()
         if self.pool is not None:
+            for handle in self._staging:
+                self.pool.release(handle)
+            self._staging.clear()
             self._flush_retired()
             for key in list(self._topologies):
                 entry = self._topologies.get(key)
@@ -491,43 +498,26 @@ class DiagnosisService:
             dispatch_time = loop.time()
             if self.pool is not None:
                 handle = self.pool.publish_topology(csr)
-                # Explicit syndromes ship through shared memory, not pickle:
-                # concatenate their buffers into one published segment and
-                # send (position, offset, size, digest) spans; the wire
-                # requests are stripped of their bytes so the task payload
-                # stays small, and the admission digest rides along so the
-                # worker never rescans a buffer.
-                wire_requests = list(requests)
-                syndrome_handle = None
-                spans: list[tuple[int, int, int, str]] = []
-                parts: list[bytes] = []
-                offset = 0
-                for pos, request in enumerate(requests):
-                    if request.is_explicit:
-                        blob = bytes(request.syndrome_bytes)
-                        spans.append((pos, offset, len(blob), request.digest))
-                        parts.append(blob)
-                        offset += len(blob)
-                        wire_requests[pos] = replace(request, syndrome_bytes=None)
-                if parts:
-                    syndrome_handle = self.pool.publish_buffer(b"".join(parts))
+                wire_requests, syndrome_handle, spans = self._stage(requests)
                 self._inflight_csr[id(csr)] = self._inflight_csr.get(id(csr), 0) + 1
+                task = None
                 try:
-                    responses, stats = await asyncio.wrap_future(
-                        self.pool.submit(
-                            run_batch_task, handle, requests[0].family,
-                            requests[0].params, wire_requests,
-                            syndrome_handle, spans,
-                        )
+                    task = self.pool.submit(
+                        run_batch_task, handle, requests[0].family,
+                        requests[0].params, wire_requests, syndrome_handle, spans,
                     )
+                    responses, stats = await asyncio.wrap_future(task)
                 finally:
                     remaining = self._inflight_csr[id(csr)] - 1
                     if remaining:
                         self._inflight_csr[id(csr)] = remaining
                     else:
                         del self._inflight_csr[id(csr)]
-                    if syndrome_handle is not None:
-                        self.pool.release(syndrome_handle)
+                    # A cancelled wait leaves the task reading the segment:
+                    # it must not be refilled (the pool unlinks it at
+                    # shutdown instead).
+                    if syndrome_handle is not None and (task is None or task.done()):
+                        self._staging.append(syndrome_handle)
                     self._flush_retired()
             else:
                 responses, stats = await loop.run_in_executor(
@@ -537,6 +527,44 @@ class DiagnosisService:
             self._fail_batch(batch, exc)
             return
         self._answer_batch(batch, dispatch_time, responses, stats)
+
+    def _stage(self, requests: list[DiagnosisRequest]):
+        """Copy a batch's explicit syndromes into an idle staging segment.
+
+        Explicit syndromes ship through shared memory, not pickle: their
+        buffers are laid end to end in one segment and the task carries
+        ``(position, offset, size, digest)`` spans instead; the wire
+        requests are stripped of their bytes so the task payload stays
+        small, and the admission digest rides along so the worker never
+        rescans a buffer.  The segment is borrowed from the idle list,
+        refilled in place (a worker's attach cache keeps its mapping across
+        batches) and grown, under a fresh name, when the batch needs more
+        room than it has.  The caller returns it to the idle list once the
+        batch's task has answered.
+        """
+        wire_requests = list(requests)
+        spans: list[tuple[int, int, int, str]] = []
+        offset = 0
+        for pos, request in enumerate(requests):
+            if request.is_explicit:
+                size = len(request.syndrome_bytes)
+                spans.append((pos, offset, size, request.digest))
+                offset += size
+                wire_requests[pos] = replace(request, syndrome_bytes=None)
+        if not spans:
+            return wire_requests, None, spans
+        handle = self._staging.pop() if self._staging else None
+        if handle is None or handle.size < offset:
+            # Idle means no task holds it: the old segment can go at once.
+            capacity = offset
+            if handle is not None:
+                self.pool.release(handle)
+                capacity = max(offset, 2 * handle.size)
+            handle = self.pool.publish_buffer(bytes(capacity))
+        staging = self.pool.buffer(handle)
+        for pos, start, size, _ in spans:
+            staging[start:start + size] = requests[pos].syndrome_bytes
+        return wire_requests, handle, spans
 
     def _fail_batch(self, batch: list[_Pending], exc: Exception) -> None:
         for pending in batch:

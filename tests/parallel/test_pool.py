@@ -1,8 +1,13 @@
-"""Worker-pool execution tests: chunked plans, zero recompilation, persistence."""
+"""Worker-pool tests: chunked plans, zero recompilation, transport, worker death."""
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import signal
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -184,3 +189,147 @@ class TestPoolBasics:
 
     def test_submit_plain_callables(self, pool):
         assert pool.submit(pow, 2, 10).result() == 1024
+
+
+# ------------------------------------------------- transport and worker death
+#: Generous bound on how long a dead worker may take to fail its futures.
+DEADLINE_S = 30
+
+
+class _Unrebuildable(Exception):
+    """Pickles, but cannot be rebuilt: ``__init__`` wants two arguments."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def _raise_unpicklable():
+    error = RuntimeError("carries a lock")
+    error.lock = threading.Lock()
+    raise error
+
+
+def _raise_unrebuildable():
+    raise _Unrebuildable(7, "no")
+
+
+def _return_unpicklable():
+    return threading.Lock()
+
+
+def _sleep_then(seconds, value):
+    # repro: allow[RPR011] the sleep is the task's work, not a wait on state
+    time.sleep(seconds)
+    return value
+
+
+class TestTransport:
+    def test_idle_pool_routes_one_probe_to_each_worker(self):
+        with WorkerPool(max_workers=2) as own_pool:
+            own_pool.submit(pow, 2, 2).result()  # fork
+            assert len(own_pool.health()) == 2
+
+    @pytest.mark.parametrize(
+        "task", [_raise_unpicklable, _raise_unrebuildable, _return_unpicklable]
+    )
+    def test_unpicklable_outcomes_fail_only_their_own_future(self, task):
+        with WorkerPool(max_workers=1) as own_pool:
+            before = own_pool.submit(pow, 2, 3)
+            failed = own_pool.submit(task)
+            after = own_pool.submit(pow, 2, 4)
+            assert before.result(DEADLINE_S) == 8
+            assert isinstance(failed.exception(DEADLINE_S), Exception)
+            assert after.result(DEADLINE_S) == 16
+            assert own_pool.submit(pow, 2, 5).result(DEADLINE_S) == 32
+
+    def test_concurrent_submitters_get_their_own_replies(self):
+        """Replies pair with futures by pipe order: threads racing to submit
+        (more workers than cores, a short switch interval) must never see
+        another task's result."""
+        import sys
+
+        results: dict[int, object] = {}
+
+        def submitter(base):
+            futures = [(i, own_pool.submit(pow, i, 1))
+                       for i in range(base, base + 150)]
+            for i, future in futures:
+                results[i] = future.result(DEADLINE_S)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(max_workers=3) as own_pool:
+                threads = [threading.Thread(target=submitter, args=(k * 1000,))
+                           for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(DEADLINE_S)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4 * 150
+        assert all(value == key for key, value in results.items())
+
+    def test_task_exceptions_carry_the_worker_traceback(self):
+        with WorkerPool(max_workers=1) as own_pool:
+            error = own_pool.submit(int, "x").exception(DEADLINE_S)
+        assert isinstance(error, ValueError)
+        assert "Traceback" in str(error.__cause__)
+
+    def test_shutdown_waits_for_queued_tasks(self):
+        own_pool = WorkerPool(max_workers=1)
+        futures = [own_pool.submit(_sleep_then, 0.02, i) for i in range(5)]
+        own_pool.shutdown(wait=True)
+        assert [future.result(0) for future in futures] == list(range(5))
+
+    def test_pool_restarts_workers_after_shutdown(self):
+        own_pool = WorkerPool(max_workers=1)
+        first = own_pool.submit(os.getpid).result(DEADLINE_S)
+        own_pool.shutdown()
+        with own_pool:
+            assert own_pool.submit(os.getpid).result(DEADLINE_S) != first
+
+
+class TestWorkerDeath:
+    def test_killed_worker_breaks_the_pool(self):
+        from multiprocessing import shared_memory
+
+        with WorkerPool(max_workers=2) as own_pool:
+            names = [own_pool.publish_buffer(b"\x01" * 64).name]
+            pids = [report["pid"] for report in own_pool.health()]
+            assert len(pids) == 2
+            # One task in flight on each worker (idle pool: one apiece).
+            in_flight = [own_pool.submit(_sleep_then, 60, i) for i in range(2)]
+            os.kill(pids[0], signal.SIGKILL)
+            for future in in_flight:
+                assert isinstance(
+                    future.exception(DEADLINE_S), BrokenProcessPool
+                )
+            with pytest.raises(BrokenProcessPool):
+                own_pool.submit(pow, 2, 2)
+            # shutdown returns (nothing waits on the dead worker's siblings)
+            # and unlinks every segment.
+            stopper = threading.Thread(target=own_pool.shutdown)
+            stopper.start()
+            stopper.join(DEADLINE_S)
+            assert not stopper.is_alive()
+            for name in names:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+            # A shut-down pool forks fresh workers on its next submit.
+            assert own_pool.submit(pow, 2, 6).result(DEADLINE_S) == 64
+
+    def test_idle_worker_death_breaks_later_submits(self):
+        with WorkerPool(max_workers=1) as own_pool:
+            (report,) = own_pool.health()
+            victim = own_pool._workers[0].process
+            os.kill(report["pid"], signal.SIGKILL)
+            victim.join(DEADLINE_S)
+            deadline = time.monotonic() + DEADLINE_S
+            while not own_pool._broken:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with pytest.raises(BrokenProcessPool):
+                own_pool.submit(pow, 2, 2)

@@ -118,11 +118,53 @@ class TestPoolLifecycle:
             handle = pool.publish_topology(q6_csr)
             pool.submit(_attach_in_worker, handle).result()
             # Recycle the worker so its exit path runs while the segment lives.
-            pool._executor.shutdown(wait=True)
-            pool._executor = None
+            pool._stop_workers(wait=True)
             assert _segment_exists(handle.name)
             attached = attach_topology(handle)
             assert attached.num_nodes == q6_csr.num_nodes
+
+    def test_workers_forked_before_any_publish_share_the_tracker(self):
+        """The trap with no tracker running yet: a worker forked before the
+        owner's first publish must still not own what it attaches.
+
+        Runs in a fresh interpreter, where no resource tracker has started.
+        """
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent("""
+            from multiprocessing import resource_tracker, shared_memory
+            from repro.backend.csr import compile_network
+            from repro.networks.registry import cached_network
+            from repro.parallel import WorkerPool
+            from repro.parallel.pool import worker_topology
+
+            def attach(handle):
+                worker_topology(handle)
+                return resource_tracker._resource_tracker._pid
+
+            tracker = resource_tracker._resource_tracker
+            assert tracker._pid is None
+            csr = compile_network(cached_network("hypercube", dimension=5))
+            with WorkerPool(max_workers=1) as pool:
+                pool.submit(pow, 2, 2).result()  # fork first
+                handle = pool.publish_topology(csr)
+                # the attach registered with the owner's tracker, not a new one
+                assert pool.submit(attach, handle).result() == tracker._pid
+                pool._stop_workers(wait=True)  # the worker exits attached
+                shared_memory.SharedMemory(name=handle.name).close()
+            print("ok")
+        """)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
     def test_killed_worker_leaves_no_leaked_segments(self, q6_csr):
         """Crash path: SIGKILL a worker mid-pool, then clean up normally."""
@@ -132,8 +174,8 @@ class TestPoolLifecycle:
         victims = [report["pid"] for report in pool.health()]
         assert victims
         victim = next(
-            process for process in pool.executor._processes.values()
-            if process.pid == victims[0]
+            worker.process for worker in pool._workers
+            if worker.process.pid == victims[0]
         )
         os.kill(victims[0], signal.SIGKILL)
         # Deadline-bounded handshake on the actual death, not a fixed nap.

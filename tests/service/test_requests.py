@@ -12,6 +12,7 @@ from repro.service.executor import PLACEMENTS
 from repro.service.requests import (
     DIGEST_SCHEMES,
     DiagnosisRequest,
+    DiagnosisResponse,
     request_key,
     syndrome_digest,
     topology_key,
@@ -284,3 +285,38 @@ class TestTenant:
             validate_tenant("no spaces")
         with pytest.raises(ValueError, match="forbidden"):
             validate_tenant('quo"te')
+
+
+class TestResponseCodecs:
+    """The direct field codecs stay byte-identical to ``dataclasses.asdict``."""
+
+    RESPONSES = [
+        DiagnosisResponse(
+            topology_key="hypercube(dimension=6)", syndrome_digest="b3:ab",
+            faulty=(3, 9, 40), healthy_root=0, lookups=812, num_probes=2,
+            partition_level=1, num_faults_injected=3, source="coalesced",
+            batch_size=4, elapsed_seconds=0.0125,
+        ),
+        DiagnosisResponse(
+            topology_key="pancake(n=4)", syndrome_digest="", faulty=(),
+            healthy_root=None, lookups=0, num_probes=0, partition_level=None,
+            num_faults_injected=14, error="DiagnosisError: no healthy root",
+        ),
+        DiagnosisResponse(
+            topology_key="star(n=5)", syndrome_digest="b3:cd", faulty=(),
+            healthy_root=None, lookups=0, num_probes=0, partition_level=None,
+        ),
+    ]
+
+    @pytest.mark.parametrize("response", RESPONSES, ids=["ok", "error", "none"])
+    def test_wire_and_payload_match_asdict(self, response):
+        import dataclasses
+        import json
+
+        reference = dataclasses.asdict(response)
+        assert response.to_wire() == reference
+        assert json.dumps(response.to_wire()) == json.dumps(reference)
+        for transient in ("source", "batch_size", "elapsed_seconds"):
+            reference.pop(transient)
+        assert response.to_payload() == json.dumps(reference, sort_keys=True)
+        assert DiagnosisResponse.from_wire(response.to_wire()) == response

@@ -17,7 +17,7 @@ from repro.service import (
     RejectedError,
     ResultStore,
 )
-from repro.service.executor import run_direct
+from repro.service.executor import PLACEMENTS, run_direct
 
 Q6 = ("hypercube", {"dimension": 6})
 S5 = ("star", {"n": 5})
@@ -843,9 +843,10 @@ class TestPooledService:
         assert stats["worker_compiles"] == 0
 
     def test_pooled_explicit_syndromes_travel_shared_memory(self, q5):
-        """Explicit syndrome buffers ship as one published segment with
+        """Explicit syndrome buffers ship in a reused staging segment with
         (position, offset, size, digest) spans — never pickled per task —
-        and the responses stay identical to the direct pipeline."""
+        the responses stay identical to the direct pipeline, and the
+        service's close releases its staging and topology segments."""
         from repro.backend.array_syndrome import ArraySyndrome
         from repro.backend.csr import compile_network
         from repro.core.faults import random_faults
@@ -867,9 +868,8 @@ class TestPooledService:
             service = DiagnosisService(pool=pool)
             responses = _serve(service, *mixed)
             stats = service.stats()
-            # the per-batch syndrome segment was released as its batch
-            # completed and the service close retired the topology segment;
-            # a leaked syndrome segment would still be registered here
+            # the service close released its staging segment and retired
+            # the topology segment; a leaked one would still be registered
             segments = len(pool._segments)
         assert segments == 0
         for request, response in zip(mixed, responses):
@@ -896,3 +896,161 @@ class TestPooledService:
         assert good_r.ok
         assert good_r.faulty == run_direct(good).faulty
         assert bad_r.error == run_direct(bad).error
+
+
+def _explicit(seed: int, instance=Q6) -> DiagnosisRequest:
+    """A seeded request's syndrome, sent as an explicit buffer."""
+    from repro.backend.array_syndrome import ArraySyndrome
+    from repro.networks.registry import compiled_network
+
+    family, params = instance
+    network, csr = compiled_network(family, **params)
+    faults = PLACEMENTS["random"](network, network.diagnosability(), seed=seed)
+    syndrome = ArraySyndrome.from_faults(csr, faults, seed=seed)
+    return DiagnosisRequest.from_syndrome(family, params, syndrome)
+
+
+#: Inherited by the pool's forked workers: both batches must be running
+#: before either may finish (set per test, before the pool forks).
+_OVERLAP = None
+
+
+def _overlapping_batch_task(*args):
+    """The pool batch task, held until the other batch is in flight too."""
+    from repro.service.executor import run_batch_task
+
+    _OVERLAP.wait(timeout=30)
+    return run_batch_task(*args)
+
+
+def _assert_direct(requests, responses):
+    for request, response in zip(requests, responses):
+        direct = run_direct(request)
+        assert response.ok
+        assert response.faulty == direct.faulty
+        assert response.lookups == direct.lookups
+        assert response.syndrome_digest == direct.syndrome_digest
+
+
+class TestSyndromeStaging:
+    """Explicit syndromes reuse one staging segment per in-flight batch."""
+
+    @staticmethod
+    def _instrument(monkeypatch, pool):
+        """Log every published buffer and every in-flight staging handle."""
+        import threading
+
+        lock = threading.Lock()
+        log = {"published": [], "in_flight": [], "peak": 0, "overlaps": []}
+        publish_buffer, submit = pool.publish_buffer, pool.submit
+
+        def published(data):
+            handle = publish_buffer(data)
+            log["published"].append(handle)
+            return handle
+
+        def submitted(fn, *args):
+            staging = args[4]
+            with lock:
+                if staging is not None:
+                    log["overlaps"].append(
+                        [h.name for h in log["in_flight"]] + [staging.name]
+                    )
+                log["in_flight"].append(staging)
+                log["peak"] = max(log["peak"], len(log["in_flight"]))
+            future = submit(fn, *args)
+
+            def done(_future):
+                with lock:
+                    log["in_flight"].remove(staging)
+
+            future.add_done_callback(done)
+            return future
+
+        monkeypatch.setattr(pool, "publish_buffer", published)
+        monkeypatch.setattr(pool, "submit", submitted)
+        return log
+
+    def test_batches_reuse_at_most_one_segment_per_batch_in_flight(
+        self, monkeypatch
+    ):
+        from repro.parallel import WorkerPool
+
+        requests = [_explicit(seed) for seed in range(8)]
+        with WorkerPool(max_workers=2) as pool:
+            log = self._instrument(monkeypatch, pool)
+            # coalesce=False: every request is its own batch, dispatched at
+            # once, so up to max_workers batches run side by side.
+            service = DiagnosisService(pool=pool, coalesce=False)
+
+            async def run():
+                async with service:
+                    first = await service.submit_many(requests)
+                    again = await service.serve_sequence(requests[:3])
+                    return first + again
+
+            responses = asyncio.run(run())
+            live = len(pool._segments)
+        assert service.stats()["batches"] == len(responses) == 11
+        assert 1 <= len(log["published"]) <= log["peak"] <= pool.max_workers
+        assert live == 0  # close() released the staging segments
+        _assert_direct(requests + requests[:3], responses)
+
+    def test_larger_batch_grows_the_segment_and_unlinks_the_old_one(
+        self, monkeypatch
+    ):
+        from multiprocessing import shared_memory
+
+        from repro.parallel import WorkerPool
+
+        small = _explicit(1, ("hypercube", {"dimension": 5}))
+        large = _explicit(2)
+        with WorkerPool(max_workers=1) as pool:
+            log = self._instrument(monkeypatch, pool)
+            service = DiagnosisService(pool=pool)
+
+            async def run():
+                async with service:
+                    responses = [await service.submit(small)]
+                    responses.append(await service.submit(large))
+                    grown = [h.name for h in log["published"]]
+                    responses.append(await service.submit(small))
+                    existing = []
+                    for name in grown:
+                        try:
+                            shared_memory.SharedMemory(name=name).close()
+                            existing.append(name)
+                        except FileNotFoundError:
+                            pass
+                    return responses, existing
+
+            responses, existing = asyncio.run(run())
+        first, second = log["published"]
+        assert first.size < len(large.syndrome_bytes) <= second.size
+        assert existing == [second.name]  # the outgrown segment is gone
+        _assert_direct([small, large, small], responses)
+
+    def test_concurrent_batches_never_share_a_segment(self, monkeypatch):
+        from repro.parallel import WorkerPool
+        from repro.service import service as service_module
+
+        import multiprocessing
+        import sys
+
+        monkeypatch.setattr(
+            sys.modules[__name__], "_OVERLAP",
+            multiprocessing.get_context("fork").Barrier(2),
+        )
+        monkeypatch.setattr(
+            service_module, "run_batch_task", _overlapping_batch_task
+        )
+        requests = [_explicit(seed) for seed in range(4)]
+        with WorkerPool(max_workers=2) as pool:
+            log = self._instrument(monkeypatch, pool)
+            service = DiagnosisService(pool=pool, coalesce=False)
+            responses = _serve(service, *requests)
+        assert log["peak"] == 2
+        for names in log["overlaps"]:
+            assert len(set(names)) == len(names), names
+        assert any(len(names) == 2 for names in log["overlaps"])
+        _assert_direct(requests, responses)
