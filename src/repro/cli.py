@@ -45,10 +45,10 @@ Seven sub-commands cover the common workflows:
     Seeded closed-loop load generator: ``--clients N`` clients each issue
     ``--requests M`` requests against a freshly built service; reports
     throughput, latency percentiles and coalescing/cache evidence, with
-    ``--naive`` and ``--compare`` baselines and ``--verify`` checking every
-    answer against the direct pipeline.  ``--http URL`` drives the same
-    closed-loop load over the wire against a running ``serve --http``
-    frontend, counting (and retrying) 429-shed requests.
+    ``--verify`` checking every answer against the direct pipeline.
+    ``--http URL`` drives the same closed-loop load over the wire against a
+    running ``serve --http`` frontend, counting (and retrying) 429-shed
+    requests.
 """
 
 from __future__ import annotations
@@ -295,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--store", metavar="PATH", default=None,
                       help="SQLite result store path ('' for in-memory); "
                            "default: in-memory store")
-    load.add_argument("--naive", action="store_true",
-                      help="serve one-at-a-time with no coalescing/caching "
-                           "(the baseline) instead of the batched service")
-    load.add_argument("--compare", action="store_true",
-                      help="run naive then batched and report the speedup")
     load.add_argument("--verify", action="store_true",
                       help="check every response against the direct pipeline")
     load.add_argument("--expect-coalesced", type=int, default=None, metavar="N",
@@ -802,12 +797,13 @@ def _cmd_load_fairness(args: argparse.Namespace) -> int:
     import json
 
     for flag, present in (("--http", args.http is not None),
-                          ("--naive", args.naive),
-                          ("--compare", args.compare),
                           ("--verify", args.verify),
                           ("--workers", args.workers is not None),
                           ("--store", args.store is not None),
-                          ("--tenant", args.tenant is not None)):
+                          ("--tenant", args.tenant is not None),
+                          ("--expect-coalesced", args.expect_coalesced is not None),
+                          ("--expect-store-hits", args.expect_store_hits is not None),
+                          ("--expect-rejections", args.expect_rejections is not None)):
         if present:
             raise SystemExit(f"--fairness runs its own in-process scenario; "
                              f"drop {flag}")
@@ -877,20 +873,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
         raise SystemExit("--seed-pool must be at least 1")
     if args.workers is not None and args.workers < 1:
         raise SystemExit("--workers must be at least 1")
-    if args.naive and args.compare:
-        raise SystemExit("--naive and --compare are mutually exclusive")
     if args.fairness:
         return _cmd_load_fairness(args)
-    if args.naive and args.workers is not None:
-        raise SystemExit("--naive serves in-process; drop --workers")
-    if args.naive and args.store is not None:
-        raise SystemExit("--naive never consults a store; drop --store")
     if args.http is not None:
         # The server at URL owns the service configuration; flags that
         # would build a local service contradict the wire transport.
-        for flag, present in (("--naive", args.naive),
-                              ("--compare", args.compare),
-                              ("--workers", args.workers is not None),
+        for flag, present in (("--workers", args.workers is not None),
                               ("--store", args.store is not None)):
             if present:
                 raise SystemExit(f"--http drives a remote server; drop {flag}")
@@ -916,7 +904,18 @@ def _cmd_load(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
 
-    def _batched_report():
+    if args.http is not None:
+        from .service import HttpError, run_load_http_sync
+
+        mode = "http"
+        try:
+            report = run_load_http_sync(spec, args.http, verify=args.verify)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        except (HttpError, OSError) as exc:
+            raise SystemExit(f"HTTP load against {args.http} failed: {exc}")
+    else:
+        mode = "batched"
         pool = None
         if args.workers is not None:
             from .parallel import WorkerPool
@@ -924,79 +923,51 @@ def _cmd_load(args: argparse.Namespace) -> int:
             pool = WorkerPool(max_workers=args.workers)
         store = ResultStore(args.store if args.store else ":memory:")
         try:
-            return run_load_sync(spec, pool=pool, store=store, verify=args.verify)
+            report = run_load_sync(spec, pool=pool, store=store, verify=args.verify)
         finally:
             if pool is not None:
                 pool.shutdown()
             store.close()
 
-    reports = {}
-    if args.http is not None:
-        from .service import HttpError, run_load_http_sync
-
-        try:
-            reports["http"] = run_load_http_sync(
-                spec, args.http, verify=args.verify
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        except (HttpError, OSError) as exc:
-            raise SystemExit(f"HTTP load against {args.http} failed: {exc}")
-    else:
-        if args.naive or args.compare:
-            reports["naive"] = run_load_sync(spec, naive=True, verify=args.verify)
-        if not args.naive:
-            reports["batched"] = _batched_report()
-
-    for mode, report in reports.items():
-        summary = report.summary()
-        print(f"{mode}: {summary['requests']} requests / "
-              f"{summary['wall_seconds']} s = {summary['throughput_rps']} req/s "
-              f"(sources {summary['sources']}, errors {summary['errors']}, "
-              f"rejections {summary['rejections']})")
-        stats = summary["stats"]
-        print(f"  batches {stats['batches']} ({stats['coalesced_batches']} coalesced, "
-              f"mean size {stats['mean_batch_size']}), store hits "
-              f"{stats['store_hits']}, coalesced duplicates "
-              f"{stats['coalesced_duplicates']}, worker compiles "
-              f"{stats['worker_compiles']}, latency p50/p99 "
-              f"{stats['latency_ms'].get('p50')}/{stats['latency_ms'].get('p99')} ms")
-        if args.verify:
-            print(f"  verified against the direct pipeline: "
-                  f"{summary['mismatches']} mismatches")
-    if "naive" in reports and "batched" in reports:
-        speedup = (reports["batched"].throughput_rps
-                   / max(reports["naive"].throughput_rps, 1e-9))
-        print(f"batched vs naive throughput: {speedup:.2f}x")
+    summary = report.summary()
+    print(f"{mode}: {summary['requests']} requests / "
+          f"{summary['wall_seconds']} s = {summary['throughput_rps']} req/s "
+          f"(sources {summary['sources']}, errors {summary['errors']}, "
+          f"rejections {summary['rejections']})")
+    stats = summary["stats"]
+    print(f"  batches {stats['batches']} ({stats['coalesced_batches']} coalesced, "
+          f"mean size {stats['mean_batch_size']}), store hits "
+          f"{stats['store_hits']}, coalesced duplicates "
+          f"{stats['coalesced_duplicates']}, worker compiles "
+          f"{stats['worker_compiles']}, latency p50/p99 "
+          f"{stats['latency_ms'].get('p50')}/{stats['latency_ms'].get('p99')} ms")
+    if args.verify:
+        print(f"  verified against the direct pipeline: "
+              f"{summary['mismatches']} mismatches")
 
     if args.stats_json is not None:
-        _write_json_atomic(
-            args.stats_json,
-            {mode: report.summary() for mode, report in reports.items()},
-        )
+        _write_json_atomic(args.stats_json, {mode: summary})
         print(f"report -> {args.stats_json}")
 
     exit_code = 0
-    primary = (reports.get("http") or reports.get("batched")
-               or reports.get("naive"))
-    if args.verify and any(report.mismatches for report in reports.values()):
+    if args.verify and report.mismatches:
         print("FAIL: served responses diverged from the direct pipeline")
         exit_code = 1
     if args.expect_coalesced is not None:
-        coalesced = primary.stats["coalesced_batches"]
+        coalesced = stats["coalesced_batches"]
         if coalesced < args.expect_coalesced:
             print(f"FAIL: expected >= {args.expect_coalesced} coalesced batches, "
                   f"saw {coalesced}")
             exit_code = 1
     if args.expect_store_hits is not None:
-        hits = primary.stats["store_hits"]
+        hits = stats["store_hits"]
         if hits < args.expect_store_hits:
             print(f"FAIL: expected >= {args.expect_store_hits} store hits, saw {hits}")
             exit_code = 1
     if args.expect_rejections is not None:
-        if primary.rejections < args.expect_rejections:
+        if report.rejections < args.expect_rejections:
             print(f"FAIL: expected >= {args.expect_rejections} 429-shed "
-                  f"requests, saw {primary.rejections}")
+                  f"requests, saw {report.rejections}")
             exit_code = 1
     return exit_code
 

@@ -31,7 +31,7 @@ into a throughput engine for *streams* of requests:
 * :mod:`~repro.service.dashboard` — the stdlib-rendered HTML operator
   dashboard over ``/stats``;
 * :mod:`~repro.service.loadgen` — the seeded closed-loop load generator
-  behind ``repro load`` and ``benchmarks/bench_service.py``, with an HTTP
+  behind ``repro load``, with an HTTP
   transport (``run_load_http_sync``) exercising the real wire path and a
   fairness harness (``run_fairness_sync``) pitting a saturating tenant
   against cold ones.

@@ -73,8 +73,8 @@ def resolve_topology(family: str, params: dict):
 
     Deliberately bypasses the registry memo: the service's bounded cache is
     the *only* topology cache on the serving path, so its eviction policy —
-    and the naive baseline's capacity-0 configuration — measure what they
-    claim to.
+    and its capacity-0 configuration (``serve --cache-capacity 0``) — do
+    what they claim to.
 
     The entry is returned *warmed*: the Python rows and pair bases are
     materialised here, once per cache entry, never inside a measured batch.

@@ -462,7 +462,11 @@ def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
     content_length = headers.get("content-length")
-    if content_length is not None and not content_length.isdigit():
+    # isdigit() alone admits non-ASCII digits such as "\xb2", which int()
+    # then rejects.
+    if content_length is not None and not (
+        content_length.isascii() and content_length.isdigit()
+    ):
         raise HttpError(400, f"malformed Content-Length {content_length!r}")
     return method, path.split("?", 1)[0], headers
 

@@ -10,9 +10,9 @@ across clients is exactly what exercises in-flight coalescing and the
 persistent result store.
 
 :func:`run_load` drives an existing service; :func:`run_load_sync` is the
-one-call form the CLI and ``benchmarks/bench_service.py`` use, building the
-service (batched or naive), running the load under ``asyncio.run`` and
-returning the :class:`LoadReport`.
+one-call form the CLI uses, building the service (optionally pooled and
+store-backed), running the load under ``asyncio.run`` and returning the
+:class:`LoadReport`.
 
 :func:`run_fairness` is the adversarial multi-tenant harness: one *hot*
 tenant fires its whole burst open-loop (no waiting, no retrying) against a
@@ -320,32 +320,12 @@ def verify_against_direct(spec: LoadSpec, report: LoadReport) -> int:
 def run_load_sync(
     spec: LoadSpec,
     *,
-    naive: bool = False,
     pool=None,
     store=None,
-    topology_cache_capacity: int | None = None,
-    max_batch_size: int = 64,
     verify: bool = False,
 ) -> LoadReport:
-    """Build a service for ``spec``, run the load, and return the report.
-
-    ``naive=True`` configures the one-at-a-time baseline: no coalescing, no
-    topology cache, no store — every request is served from scratch, the way
-    a fresh CLI invocation would.
-    """
-    if naive:
-        service = DiagnosisService(
-            pool=pool, coalesce=False, topology_cache_capacity=0, store=None,
-        )
-    else:
-        capacity = 16 if topology_cache_capacity is None else topology_cache_capacity
-        service = DiagnosisService(
-            pool=pool,
-            coalesce=True,
-            max_batch_size=max_batch_size,
-            topology_cache_capacity=capacity,
-            store=store,
-        )
+    """Build a service for ``spec``, run the load, and return the report."""
+    service = DiagnosisService(pool=pool, store=store)
 
     async def _run() -> LoadReport:
         async with service:
@@ -512,9 +492,7 @@ class FairnessReport:
         }
 
 
-async def run_fairness(
-    spec: FairnessSpec, *, pool=None, store=None
-) -> FairnessReport:
+async def run_fairness(spec: FairnessSpec) -> FairnessReport:
     """Run the adversarial mix on a fresh service; see :class:`FairnessSpec`.
 
     The hot burst's submissions are scheduled (in order) before any cold
@@ -522,9 +500,6 @@ async def run_fairness(
     """
     hot_stream, cold_streams = spec.streams()
     service = DiagnosisService(
-        pool=pool,
-        store=store,
-        coalesce=True,
         max_batch_size=spec.max_batch_size,
         max_queue_per_tenant=spec.max_queue_per_tenant,
         tenant_weights=dict(spec.tenant_weights) or None,
@@ -568,8 +543,6 @@ async def run_fairness(
     return report
 
 
-def run_fairness_sync(
-    spec: FairnessSpec, *, pool=None, store=None
-) -> FairnessReport:
+def run_fairness_sync(spec: FairnessSpec) -> FairnessReport:
     """One-call form of :func:`run_fairness` (``asyncio.run`` wrapper)."""
-    return asyncio.run(run_fairness(spec, pool=pool, store=store))
+    return asyncio.run(run_fairness(spec))

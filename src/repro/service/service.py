@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cache import LRUCache
 from .executor import resolve_topology, run_batch_local, run_batch_task, validate_request
@@ -114,17 +114,12 @@ class DiagnosisService:
         (all workers died, retry budget exhausted), so fabric trouble
         degrades throughput, never loses a request.  Like the pool, the
         coordinator stays caller-owned: :meth:`close` does not close it.
-    coalesce:
-        The serving discipline.  ``True`` (default) enables in-flight
-        duplicate sharing and batching; ``False`` serves every request as
-        its own batch of one — the "naive one-at-a-time" baseline the
-        benchmark compares against.  Both wait for the same execution slots.
     max_batch_size:
         Most requests one batch takes; the overflow waits for the next free
         slot.
     topology_cache_capacity:
         Bound of the compiled-topology LRU.  ``0`` disables topology reuse
-        entirely (every batch re-resolves — the naive baseline's setting).
+        entirely (every batch re-resolves).
     store:
         Optional :class:`~repro.service.store.ResultStore` for persistent
         request dedup.
@@ -156,7 +151,6 @@ class DiagnosisService:
         *,
         pool=None,
         remote=None,
-        coalesce: bool = True,
         max_batch_size: int = 64,
         topology_cache_capacity: int = 16,
         store: ResultStore | None = None,
@@ -175,7 +169,6 @@ class DiagnosisService:
             )
         self.pool = pool
         self.remote = remote
-        self.coalesce = coalesce
         self.max_batch_size = max_batch_size
         self.max_queue_depth = max_queue_depth
         self.max_queue_per_tenant = max_queue_per_tenant
@@ -270,7 +263,8 @@ class DiagnosisService:
         """Drop idle resolution locks for topologies no longer cached/queued.
 
         Covers what the eviction hook cannot: a capacity-0 cache evicts a
-        topology while its own resolution lock is still held.
+        topology while its own resolution lock is still held.  Runs as a
+        topology's dispatcher retires, once its queue is gone.
         """
         for key in list(self._topology_locks):
             if (not self._topology_locks[key].locked()
@@ -318,7 +312,7 @@ class DiagnosisService:
                 )
                 return response
 
-        if self.coalesce and key in self._inflight:
+        if key in self._inflight:
             self.metrics.record_enqueue(self._pending_total, tenant=tenant)
             response = await asyncio.shield(self._inflight[key])
             latency = loop.time() - enqueued_at
@@ -351,15 +345,10 @@ class DiagnosisService:
         self.metrics.record_enqueue(self._pending_total, tenant=tenant)
 
         future: asyncio.Future = loop.create_future()
-        if self.coalesce:
-            self._inflight[key] = future
-        pending = _Pending(
+        self._inflight[key] = future
+        self._enqueue(_Pending(
             request=request, key=key, future=future, enqueued_at=enqueued_at
-        )
-        if self.coalesce:
-            self._enqueue(pending)
-        else:
-            await self._dispatch(request.topology_key, lambda: [pending])
+        ))
         response = await asyncio.shield(future)
         latency = loop.time() - enqueued_at
         response = replace(response, elapsed_seconds=latency)
@@ -415,13 +404,14 @@ class DiagnosisService:
         """
         try:
             while self._pending.get(topology):
-                await self._dispatch(topology, lambda: self._take_batch(topology))
+                await self._dispatch(topology)
         finally:
             self._pending.pop(topology, None)
             self._dispatchers.pop(topology, None)
+            self._prune_locks()
 
-    async def _dispatch(self, topology: str, take: Callable[[], list]) -> None:
-        """Run one batch, formed by ``take`` only once an executor can start it.
+    async def _dispatch(self, topology: str) -> None:
+        """Run one batch, taken from the queue once an executor can start it.
 
         A fabric with live workers takes it at once; any other batch, or one
         the fabric hands back, first waits for a free slot.
@@ -429,7 +419,7 @@ class DiagnosisService:
         batch = None
         if self.remote is not None and self.remote.has_workers():
             await asyncio.sleep(0)  # same-tick submissions join, as below
-            batch = take()
+            batch = self._take_batch(topology)
             if await self._execute_remote(topology, batch):
                 return
         # repro: allow[RPR009] the slot stands for the executor itself: a
@@ -440,7 +430,7 @@ class DiagnosisService:
                 # One tick first, so submissions made in the same tick (a
                 # batched /diagnose body, submit_many) share this batch.
                 await asyncio.sleep(0)
-                batch = take()
+                batch = self._take_batch(topology)
             await self._execute_batch(topology, batch)
 
     # -------------------------------------------------------------- execution
@@ -594,7 +584,6 @@ class DiagnosisService:
             self._inflight.pop(pending.key, None)
             if not pending.future.done():
                 pending.future.set_result(response)
-        self._prune_locks()
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> dict:
@@ -611,7 +600,6 @@ class DiagnosisService:
             tenant: weight
             for tenant, weight in sorted(self.tenant_weights.items())
         }
-        body["coalescing"] = self.coalesce
         body["pooled"] = self.pool is not None
         body["topology_cache"] = self._topologies.stats().as_dict()
         body["store"] = self.store.stats() if self.store is not None else None

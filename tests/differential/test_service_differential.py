@@ -2,9 +2,8 @@
 
 The serving layer reorders, batches, caches and remembers — it must never
 *change* an answer.  For every registry family this suite submits seeded
-request mixes through :class:`~repro.service.DiagnosisService` (coalesced
-in-process, naive, and — for a spot check — over a real shared-memory worker
-pool) and pins every response bit-identical to the direct
+request mixes through :class:`~repro.service.DiagnosisService` (in-process,
+and — for a spot check — over a real shared-memory worker pool) and pins every response bit-identical to the direct
 :class:`~repro.core.diagnosis.GeneralDiagnoser` pipeline: accusation set,
 healthy root, syndrome lookup count, syndrome digest, and the agreed
 ``DiagnosisError`` failures.
@@ -82,12 +81,19 @@ class TestServiceDifferential:
         assert stats["worker_compiles"] == 0
         assert stats["coalesced_batches"] >= 1  # the mix shares topologies
 
-    def test_naive_service_matches_direct_on_every_family(self, tiny_network):
+    def test_unbatched_uncached_service_matches_direct_on_every_family(
+        self, tiny_network
+    ):
+        """Batches of one with no topology cache: every request resolves its
+        topology afresh and runs alone, and the answers must not move."""
         requests = _family_requests(tiny_network)[:4]
-        responses = _serve(
-            DiagnosisService(coalesce=False, topology_cache_capacity=0), requests
-        )
+        service = DiagnosisService(max_batch_size=1, topology_cache_capacity=0)
+        responses = _serve(service, requests)
         _assert_matches_direct(tiny_network, requests, responses)
+        assert all(r.batch_size == 1 for r in responses)
+        stats = service.stats()
+        assert stats["coalesced_batches"] == 0
+        assert stats["topology_cache"]["misses"] == len(requests)
 
     def test_pooled_service_matches_direct_spot_check(self):
         from repro.networks.registry import compiled_network

@@ -149,6 +149,24 @@ class TestErrors:
         assert status == 400
         assert payload["error"].startswith("body:2:3:")
 
+    @pytest.mark.parametrize("length", ["abc", "-1", "\xb2", "1 2"])
+    def test_malformed_content_length_400(self, length):
+        async def inner(client, frontend, service):
+            client._writer.write(
+                f"POST /diagnose HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                .encode("latin-1")
+            )
+            await client._writer.drain()
+            answer = await asyncio.wait_for(client._read_response(), 5)
+            async with HttpClient(frontend.host, frontend.port) as fresh:
+                health = await asyncio.wait_for(fresh.healthz(), 5)
+            return answer, health
+
+        (status, payload), health = _run(_with_frontend(inner))
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert health["ok"] is True
+
     def test_bad_request_fields_400(self):
         async def inner(client, frontend, service):
             single = await client.request(

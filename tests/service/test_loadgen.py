@@ -55,22 +55,6 @@ class TestRuns:
         # deduplicated (from the store or an in-flight computation).
         assert sources["store"] + sources["coalesced"] > 0
 
-    def test_naive_run_computes_every_request(self):
-        report = run_load_sync(_spec(), naive=True, verify=True)
-        assert report.source_counts() == {"computed": 12, "store": 0, "coalesced": 0}
-        assert report.mismatches == 0
-        assert report.stats["coalesced_batches"] == 0
-
-    def test_naive_and_batched_agree_answer_for_answer(self):
-        batched = run_load_sync(_spec(), store=ResultStore())
-        naive = run_load_sync(_spec(), naive=True)
-        assert [r.faulty for r in batched.responses] == [
-            r.faulty for r in naive.responses
-        ]
-        assert [r.lookups for r in batched.responses] == [
-            r.lookups for r in naive.responses
-        ]
-
     def test_summary_shape(self):
         report = run_load_sync(_spec())
         summary = report.summary()

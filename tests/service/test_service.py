@@ -20,6 +20,9 @@ from repro.service import (
 from repro.service.executor import PLACEMENTS, run_direct
 
 Q6 = ("hypercube", {"dimension": 6})
+#: Another topology with Q6's 960-byte pair layout, so batches of the two
+#: can trade staging segments without outgrowing them.
+CQ6 = ("crossed_cube", {"dimension": 6})
 S5 = ("star", {"n": 5})
 #: A deterministic Theorem-1-violating instance: 14 faults on the 24-node
 #: pancake P_4 leave no certifiable healthy component.
@@ -72,9 +75,9 @@ class TestCoalescing:
         assert all(r.batch_size <= 2 for r in responses)
         assert service.stats()["batches"] == 2
 
-    def test_naive_mode_serves_one_at_a_time(self):
-        service = DiagnosisService(coalesce=False, topology_cache_capacity=0)
-        responses = _serve(service, _request(0), _request(1), _request(0))
+    def test_batch_of_one_without_topology_cache(self):
+        service = DiagnosisService(max_batch_size=1, topology_cache_capacity=0)
+        responses = _serve(service, _request(0), _request(1), _request(2))
         assert all(r.source == "computed" for r in responses)
         assert all(r.batch_size == 1 for r in responses)
         stats = service.stats()
@@ -798,13 +801,12 @@ class TestPooledService:
         assert stats["worker_compiles"] == 0
 
     def test_capacity_zero_pooled_service_leaks_no_segments(self):
-        """The naive baseline must not pin one shm segment per batch."""
+        """A service without a topology cache (``serve --cache-capacity 0``)
+        must not pin one shm segment per batch."""
         from repro.parallel import WorkerPool
 
         with WorkerPool(max_workers=1) as pool:
-            service = DiagnosisService(
-                pool=pool, coalesce=False, topology_cache_capacity=0
-            )
+            service = DiagnosisService(pool=pool, topology_cache_capacity=0)
 
             async def run():
                 async with service:
@@ -976,12 +978,12 @@ class TestSyndromeStaging:
     ):
         from repro.parallel import WorkerPool
 
-        requests = [_explicit(seed) for seed in range(8)]
+        requests = [_explicit(seed, (Q6, CQ6)[seed % 2]) for seed in range(8)]
         with WorkerPool(max_workers=2) as pool:
             log = self._instrument(monkeypatch, pool)
-            # coalesce=False: every request is its own batch, dispatched at
-            # once, so up to max_workers batches run side by side.
-            service = DiagnosisService(pool=pool, coalesce=False)
+            # Batches of one over two topologies: each topology's dispatcher
+            # runs one batch at a time, so the two run side by side.
+            service = DiagnosisService(pool=pool, max_batch_size=1)
 
             async def run():
                 async with service:
@@ -1044,10 +1046,10 @@ class TestSyndromeStaging:
         monkeypatch.setattr(
             service_module, "run_batch_task", _overlapping_batch_task
         )
-        requests = [_explicit(seed) for seed in range(4)]
+        requests = [_explicit(seed, (Q6, CQ6)[seed % 2]) for seed in range(4)]
         with WorkerPool(max_workers=2) as pool:
             log = self._instrument(monkeypatch, pool)
-            service = DiagnosisService(pool=pool, coalesce=False)
+            service = DiagnosisService(pool=pool, max_batch_size=1)
             responses = _serve(service, *requests)
         assert log["peak"] == 2
         for names in log["overlaps"]:

@@ -245,13 +245,12 @@ class TestServeCommand:
 
 
 class TestLoadCommand:
-    def test_compare_reports_speedup_and_verifies(self, capsys):
+    def test_verify_reports_no_mismatches(self, capsys):
         code = main(["load", "--clients", "2", "--requests", "3", "--seed-pool", "2",
-                     "--instance", "hypercube:dimension=6", "--compare", "--verify"])
+                     "--instance", "hypercube:dimension=6", "--verify"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "naive:" in out and "batched:" in out
-        assert "batched vs naive throughput:" in out
+        assert "batched:" in out
         assert "0 mismatches" in out
 
     def test_expectations_enforced(self, capsys):
@@ -267,13 +266,6 @@ class TestLoadCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
-
-    def test_naive_mode(self, capsys):
-        code = main(["load", "--clients", "2", "--requests", "2", "--naive",
-                     "--instance", "star:n=5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "naive:" in out
 
     def test_http_load_drives_a_live_server(self, capsys):
         from repro.service import BackgroundHttpServer, DiagnosisService, ResultStore
@@ -318,18 +310,11 @@ class TestLoadCommand:
             main(["load", "--seed-pool", "0"])
         with pytest.raises(SystemExit, match="--workers"):
             main(["load", "--workers", "0"])
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["load", "--naive", "--compare"])
-        with pytest.raises(SystemExit, match="drop --workers"):
-            main(["load", "--naive", "--workers", "2"])
-        with pytest.raises(SystemExit, match="drop --store"):
-            main(["load", "--naive", "--store", "x.db"])
         with pytest.raises(SystemExit, match="unknown network family"):
             main(["load", "--instance", "mesh:n=3"])
         with pytest.raises(SystemExit, match="bad instance"):
             main(["load", "--instance", "hypercube:dimension"])
-        for flag in (["--naive"], ["--compare"], ["--workers", "2"],
-                     ["--store", "x.db"]):
+        for flag in (["--workers", "2"], ["--store", "x.db"]):
             with pytest.raises(SystemExit, match="drives a remote server"):
                 main(["load", "--http", "http://127.0.0.1:1", *flag])
         with pytest.raises(SystemExit, match="needs --http"):
@@ -472,14 +457,16 @@ class TestFairnessCommand:
     def test_fairness_conflicts_with_transport_flags(self):
         with pytest.raises(SystemExit, match="drop --http"):
             main(list(self._BASE) + ["--http", ":1"])
-        with pytest.raises(SystemExit, match="drop --naive"):
-            main(list(self._BASE) + ["--naive"])
         with pytest.raises(SystemExit, match="drop --verify"):
             main(list(self._BASE) + ["--verify"])
         with pytest.raises(SystemExit, match="drop --tenant"):
             main(list(self._BASE) + ["--tenant", "x"])
         with pytest.raises(SystemExit, match="drop --store"):
             main(list(self._BASE) + ["--store", "x.db"])
+        for flag in ("--expect-coalesced", "--expect-store-hits",
+                     "--expect-rejections"):
+            with pytest.raises(SystemExit, match=f"drop {flag}"):
+                main(list(self._BASE) + [flag, "999"])
 
     def test_fairness_validates_counts(self):
         with pytest.raises(SystemExit, match="--hot-requests"):
