@@ -27,8 +27,7 @@ A syndrome is held in one of two read modes:
 
 A mask-form syndrome builds its buffer lazily, once, the first time
 :attr:`buffer`, :attr:`values_array`, the oracle ``_result``, :meth:`items`
-or :meth:`to_table` needs it; the numpy fallback rounds and the rows oracle
-read it that way.  The bytes equal a buffer-mode build entry for entry:
+or :meth:`to_table` needs it; the rows oracle reads it that way.  The bytes equal a buffer-mode build entry for entry:
 faulty testers draw their results per the configured
 :class:`~repro.core.syndrome.FaultyTesterBehavior` in the exact canonical
 order of ``LazySyndrome.materialize()`` (testers ascending, sorted rows,

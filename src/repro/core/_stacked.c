@@ -2,10 +2,10 @@
  * and the healthy-root search probes (`probe_level`, further below).
  *
  * One `stacked_rounds` call runs every expansion round (round 2 onward) for a whole batch of
- * syndromes over one compiled CSR topology.  The semantics are transcribed
- * from the numpy `_stacked_round` in set_builder.py and must stay
- * bit-identical to it — the differential suite pins both paths against the
- * sequential reference pipeline:
+ * syndromes over one compiled CSR topology.  Per syndrome it must stay
+ * bit-identical to the rows oracle, `_set_builder_oracle` in set_builder.py
+ * — the differential suite pins it on every family.  The flat order that
+ * keeps a whole stack's rounds identical to the sequential procedure:
  *
  *   - Testers are visited in frontier order (ascending flat keys
  *     `syndrome * n + node`, so syndrome-blocked and node-ascending), and

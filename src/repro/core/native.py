@@ -2,7 +2,7 @@
 
 ``_stacked.c`` has two entry points.  ``stacked_rounds`` is the stacked
 kernel's hot loop: memory-bound element streaming, exactly the shape a C
-compiler turns into a single fused pass, where numpy is forced into one
+compiler turns into a single fused pass, where numpy would need one
 full-array sweep per operator.  It sorts nothing: each round's admissions
 are committed through a per-syndrome admitted bitset, whose set bits,
 walked in order, are already the next frontier.  ``probe_level`` runs the
@@ -23,8 +23,8 @@ system C compiler is available, ``_stacked.c`` is built once into a tiny
 shared library (cached under the user's cache directory, keyed by source
 hash) and loaded through the stdlib ``ctypes`` — no third-party dependency,
 no install step, nothing added to the environment.  When it is not — or
-when ``REPRO_NO_NATIVE`` is set — callers fall back to the pure-numpy round
-and the rows-oracle probes in ``set_builder.py``, which read the syndrome's
+when ``REPRO_NO_NATIVE`` is set — both the final run and the probes fall
+back to the rows oracle in ``set_builder.py``, which reads the syndrome's
 buffer (built on first use) and which the test suites pin bit-identical to
 the native passes.
 
@@ -69,7 +69,7 @@ _COMPILERS = ("cc", "gcc", "clang")
 
 #: tri-state memo: "unset" -> not probed yet, None -> unavailable, else the
 #: configured library.  ``REPRO_NO_NATIVE`` (any non-empty value)
-#: forces the numpy path; tests flip ``_forced_off`` to exercise both.
+#: forces the rows oracle; tests flip ``_forced_off`` to exercise both.
 _kernel: object = "unset"
 _forced_off = bool(os.environ.get("REPRO_NO_NATIVE"))
 
@@ -186,9 +186,8 @@ def _load_library():
     """The configured native library, or ``None``.
 
     Any failure along the way — no source, no compiler, a build error, a
-    load error — degrades silently to ``None``: the numpy and rows-oracle paths
-    are always there and always correct, the native passes are only ever a
-    speedup.
+    load error — degrades silently to ``None``: the rows oracle is always
+    there and always correct, the native passes are only ever a speedup.
     """
     global _kernel
     if _forced_off:

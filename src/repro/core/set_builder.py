@@ -37,14 +37,14 @@ selects the fastest applicable implementation:
 * an unrestricted, unbudgeted run over an
   :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same compiled
   topology is a width-one :func:`set_builder_many` stack — the native C
-  kernel, or its numpy round :func:`_stacked_round` without a compiler;
+  kernel, or the rows path when no C compiler is found;
 * every other run over such a syndrome — restricted, budgeted or stopping
   at the certificate — takes the rows path.  The rows path is also the
   reference of the native root-search probes (:class:`ProbeScratch`).
 
-The native kernel and probes read a seeded syndrome's fault mask and side
-table in place; the rows path and the numpy round read its buffer, which
-the syndrome builds on first use.
+So there are two implementations: the native kernel and probes, which
+read a seeded syndrome's fault mask and side table in place, and the rows
+path, which reads the syndrome's buffer, built on first use.
 
 All paths implement the same procedure and produce identical results (and
 identical lookup counts) on non-truncated runs; under a ``max_nodes`` budget
@@ -453,123 +453,18 @@ def _expand_root_pairs(csr, results: bytes, u0: int) -> tuple[list[int], int]:
     return added, lookups
 
 
-# --------------------------------------------------------------- stacked kernel
-def _stacked_round(csr, n, idx, member_flat, parent_flat, first0, buffers,
-                   frontier_keys, lookups):
-    """One expansion round over the concatenation of every active frontier.
-
-    The frontier concatenates all still-growing syndromes' round frontiers in
-    syndrome-blocked, node-ascending order (flat keys ``syndrome * n + node``),
-    so the flat gather order *within* one syndrome's block is exactly the
-    order the sequential procedure visits — which is what keeps first-zero
-    admission and lookup discounting bit-identical per syndrome.  First-zero
-    admission runs over the flat keys: a key's first 0-result occurrence in
-    the global order is also the first in its own syndrome's local order, and
-    the comparisons behind the lookup discount never cross syndromes because
-    ``first0`` entries only ever point at occurrences of their own key.
-
-    The hot loop is memory-bound, not call-bound, so the layout is built for
-    traffic: element arrays use the narrow ``idx`` dtype, the candidate
-    subset is carried as *positions* (one ``flatnonzero``, then narrow
-    gathers) instead of repeated boolean compressions, per-tester metadata is
-    fetched through a segment index rather than repeated out to full element
-    width, and the persistent ``first0`` scoreboard is reset per round only
-    at the keys it actually touched (never rescanned end to end).
-
-    Mutates ``member_flat``/``parent_flat``/``first0``/``lookups`` in place
-    and returns the admitted keys (ascending — directly the next frontier)
-    with their admitting testers.
-    """
-    indices = csr.indices
-    empty = np.empty(0, dtype=idx)
-    num_syndromes = len(buffers)
-    sentinel = np.iinfo(idx).max
-
-    syn_of = frontier_keys // n
-    frontier = frontier_keys - syn_of * n
-    parents = parent_flat[frontier_keys]
-    ip_lo = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - ip_lo
-    seg_ends = np.cumsum(counts)
-    total = int(seg_ends[-1])
-    ip_lo = ip_lo.astype(idx)
-    counts_n = counts.astype(idx)
-
-    # Flat address into ``indices`` of every (tester, row position) element:
-    # one repeat of the per-segment shift plus a single arange, in place.
-    addr = np.repeat(ip_lo - (seg_ends - counts).astype(idx), counts)
-    addr += np.arange(total, dtype=idx)
-    nbr = indices[addr].astype(idx, copy=False)
-
-    # Each tester's sorted row holds its tree parent exactly once; the match
-    # positions come out in segment order, giving one parent offset per
-    # tester without a per-element companion array.
-    pos_t = addr[nbr == np.repeat(parents, counts)] - ip_lo
-    if pos_t.shape != frontier.shape:
-        raise RuntimeError(
-            "stacked round: a frontier tester's tree parent is not in its row"
-        )
-
-    key = np.repeat(frontier_keys - frontier, counts)  # syndrome * n
-    key += nbr
-    keep_pos = np.flatnonzero(~member_flat[key])
-    kept = keep_pos.size
-    if kept == 0:
-        return empty, empty
-
-    # Candidate attributes: per-element values sliced by position, per-tester
-    # values through the segment index (narrow gathers, no full-width copies).
-    seg_idx = np.repeat(np.arange(frontier.size, dtype=idx), counts)[keep_pos]
-    keys_c = key[keep_pos]
-    within_c = addr[keep_pos]
-    within_c -= ip_lo[seg_idx]
-    pos_c = pos_t[seg_idx]
-    i_c = np.minimum(within_c, pos_c)
-    j_c = np.maximum(within_c, pos_c)
-    d_c = counts_n[seg_idx]
-    slots = csr.pair_indptr[frontier].astype(idx)[seg_idx]
-    slots += i_c * (2 * d_c - i_c - 1) // 2 + (j_c - i_c - 1)
-
-    # Gather each candidate's test result from its own syndrome's buffer.
-    # Candidates are syndrome-blocked, so the per-syndrome slices fall out of
-    # the block boundaries: frontier-level ends (a searchsorted over the
-    # sorted frontier keys) -> element-level ends (prefix sums) -> kept-level
-    # ends (a searchsorted over the sorted positions).  B binary searches,
-    # never a per-candidate syndrome-id array.
-    fb = np.searchsorted(
-        frontier_keys, np.arange(1, num_syndromes + 1, dtype=np.int64) * n
+def _oracle_final(csr, syndrome, u0, diagnosability, materialize):
+    """One :func:`set_builder_many` item on the rows oracle (no native
+    library): the same run, plus the ``member_mask`` the kernel's results
+    carry.  The oracle credits ``syndrome.lookups`` itself."""
+    result = _set_builder_oracle(
+        csr.rows.__getitem__, syndrome, u0, diagnosability, None, None, False,
     )
-    elem_ends = np.concatenate(([0], seg_ends))[fb]
-    kb = np.concatenate(([0], np.searchsorted(keep_pos, elem_ends)))
-    val_c = np.empty(kept, dtype=np.uint8)
-    for b in range(num_syndromes):
-        lo, hi = kb[b], kb[b + 1]
-        if lo < hi:
-            val_c[lo:hi] = buffers[b][slots[lo:hi]]
-
-    # First-zero admission: the reversed assignment leaves each admitted
-    # key's *earliest* 0-result position; later occurrences of an admitted
-    # key are not consulted (the <= comparison is the lookup discount, and
-    # one running sum sliced at the block bounds credits it per syndrome).
-    zpos = np.flatnonzero(val_c == 0).astype(idx, copy=False)
-    zk = keys_c[zpos]
-    first0[zk[::-1]] = zpos[::-1]
-    counted = np.arange(kept, dtype=idx) <= first0[keys_c]
-    csum = np.concatenate(([0], np.cumsum(counted, dtype=np.int64)))
-    lookups += csum[kb[1:]] - csum[kb[:-1]]
-
-    # The admitted set is exactly the keys whose scoreboard entry left the
-    # sentinel this round — a linear scan of the (small, cache-resident)
-    # scoreboard, already ascending (= syndrome-blocked), instead of a sort
-    # over every zero-valued candidate.
-    added_keys = np.flatnonzero(first0 != sentinel).astype(idx, copy=False)
-    if added_keys.size == 0:
-        return empty, empty
-    added_u = frontier[seg_idx[first0[added_keys]]]
-    first0[added_keys] = sentinel  # reset only the touched keys
-    member_flat[added_keys] = True
-    parent_flat[added_keys] = added_u
-    return added_keys, added_u
+    result.member_mask = np.zeros(csr.num_nodes, dtype=bool)
+    result.member_mask[list(result.nodes)] = True
+    if not materialize:
+        result.nodes, result.parent, result.contributors = set(), {}, set()
+    return result
 
 
 def set_builder_many(
@@ -585,12 +480,12 @@ def set_builder_many(
     One compiled topology, ``B`` syndromes, ``B`` start nodes: every round
     expands the *concatenation* of all still-active per-syndrome frontiers in
     a single pass (membership and parents live in flattened ``(B, n)``
-    arrays keyed by ``syndrome * n + node``).  The native C kernel runs the
-    rounds when a compiler is available, and :func:`_stacked_round` runs
-    them in numpy otherwise.  Syndromes terminate independently — one that
-    adds no nodes in a round simply stops contributing candidates while the
-    others keep growing.  A width-one stack is how :func:`set_builder` runs
-    every unrestricted, unbudgeted array run.
+    arrays keyed by ``syndrome * n + node``) in the native C kernel.
+    Syndromes terminate independently — one that adds no nodes in a round
+    simply stops contributing candidates while the others keep growing.  A
+    width-one stack is how :func:`set_builder` runs every unrestricted,
+    unbudgeted array run.  Without the native library each syndrome runs
+    on the rows oracle instead, one after another.
 
     Results are **bit-identical** per syndrome to the rows oracle,
     ``set_builder(network, syndrome.to_table(), root)`` (grown set, parents,
@@ -640,22 +535,15 @@ def set_builder_many(
             ))
         return results
 
-    # Narrow index dtype halves the per-round memory traffic; fall back to
-    # int64 only when an address space genuinely needs it.
-    wide = max(
-        num_syndromes * n,
-        num_syndromes * csr.num_entries,
-        csr.num_pairs,
-    ) >= np.iinfo(np.int32).max
-    idx = np.int64 if wide else np.int32
-
     native = load_stacked_kernel()
+    if native is None:
+        return [
+            _oracle_final(csr, syndrome, int(u0), diagnosability, materialize)
+            for syndrome, u0 in zip(syndromes, roots)
+        ]
+
     member_flat = np.zeros(num_syndromes * n, dtype=bool)
-    # The native pass works in int64 throughout; the numpy rounds keep the
-    # narrow dtype for memory traffic.
-    parent_flat = np.full(
-        num_syndromes * n, -1, dtype=np.int64 if native is not None else idx
-    )
+    parent_flat = np.full(num_syndromes * n, -1, dtype=np.int64)
     rounds = np.zeros(num_syndromes, dtype=np.int64)
     lookups = np.zeros(num_syndromes, dtype=np.int64)
     #: flat ``syndrome * n + tester`` flags of testers already counted as
@@ -672,63 +560,37 @@ def set_builder_many(
         added, root_lookups = _expand_root_pairs(csr, syndrome.row_values(u0), u0)
         lookups[b] += root_lookups
         if added:
-            arr = np.asarray(sorted(added), dtype=idx)
+            arr = np.asarray(sorted(added), dtype=np.int64)
             member_flat[b * n + arr] = True
             parent_flat[b * n + arr] = u0
             rounds[b] = 1
             contributed[b * n + u0] = True
             contrib_count[b] = 1
             frontier_parts.append(b * n + arr)
-    frontier_keys = (
-        np.concatenate(frontier_parts) if frontier_parts
-        else np.empty(0, dtype=idx)
-    )
 
     # ------------------------------------------------------------ rounds >= 2
-    if native is not None:
-        if frontier_keys.size:
-            keys = num_syndromes * n
-            views = (SyndromeView * num_syndromes)(
-                *(syndrome.native_view() for syndrome in syndromes)
-            )
-            frontier0 = frontier_keys.astype(np.int64)
-            code = native(
-                address(csr.indptr, np.int64, n + 1),
-                address(csr.indices, np.int32, csr.num_entries),
-                address(csr.pair_indptr, np.int64, n + 1),
-                views,
-                n, num_syndromes,
-                address(frontier0, np.int64, frontier0.size), frontier0.size,
-                address(member_flat.view(np.uint8), np.uint8, keys),
-                address(parent_flat, np.int64, keys),
-                address(lookups, np.int64, num_syndromes),
-                address(rounds, np.int64, num_syndromes),
-                address(contributed.view(np.uint8), np.uint8, keys),
-                address(contrib_count, np.int64, num_syndromes),
-            )
-            if code != 0:
-                raise RuntimeError(
-                    f"native stacked kernel failed with code {code}"
-                )
-    else:
-        buffers = [np.ascontiguousarray(s.values_array) for s in syndromes]
-        #: persistent first-zero scoreboard over flat keys; sentinel
-        #: everywhere except the keys a round is currently admitting
-        first0 = np.full(num_syndromes * n, np.iinfo(idx).max, dtype=idx)
-        while frontier_keys.size:
-            added_keys, added_u = _stacked_round(
-                csr, n, idx, member_flat, parent_flat, first0, buffers,
-                frontier_keys, lookups,
-            )
-            if added_keys.size == 0:
-                break
-            syn_added = added_keys // n
-            rounds += np.bincount(syn_added, minlength=num_syndromes) > 0
-            fresh = np.unique(syn_added * n + added_u)
-            fresh = fresh[~contributed[fresh]]
-            contributed[fresh] = True
-            contrib_count += np.bincount(fresh // n, minlength=num_syndromes)
-            frontier_keys = added_keys  # sorted: blocked, nodes ascending
+    if frontier_parts:
+        keys = num_syndromes * n
+        views = (SyndromeView * num_syndromes)(
+            *(syndrome.native_view() for syndrome in syndromes)
+        )
+        frontier0 = np.concatenate(frontier_parts)
+        code = native(
+            address(csr.indptr, np.int64, n + 1),
+            address(csr.indices, np.int32, csr.num_entries),
+            address(csr.pair_indptr, np.int64, n + 1),
+            views,
+            n, num_syndromes,
+            address(frontier0, np.int64, frontier0.size), frontier0.size,
+            address(member_flat.view(np.uint8), np.uint8, keys),
+            address(parent_flat, np.int64, keys),
+            address(lookups, np.int64, num_syndromes),
+            address(rounds, np.int64, num_syndromes),
+            address(contributed.view(np.uint8), np.uint8, keys),
+            address(contrib_count, np.int64, num_syndromes),
+        )
+        if code != 0:
+            raise RuntimeError(f"native stacked kernel failed with code {code}")
 
     # ----------------------------------------------------------------- results
     member2d = member_flat.reshape(num_syndromes, n)

@@ -8,6 +8,7 @@ the whole zoo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,6 +66,22 @@ PAPER_FAMILIES: tuple[str, ...] = (
 EXTENSION_FAMILIES: tuple[str, ...] = ("locally_twisted_cube", "mobius_cube")
 
 
+# Node-count formulas, keyed by the constructor's parameters.  Exponents and
+# permutation lengths are clamped at 64 and bases at 2^64: a count past that
+# is far past any serving bound either way, and the clamp keeps a hostile
+# parameter from building a huge integer.
+def _binary_cube(dimension, **_):
+    return 2 ** min(dimension, 64)
+
+
+def _kary_cube(n, k):
+    return min(k, 1 << 64) ** min(n, 64)
+
+
+def _permutations(n, k=None):
+    return math.perm(min(n, 1 << 64), min(n if k is None else k, 64))
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Metadata describing one network family of the paper's Section 5."""
@@ -73,6 +90,10 @@ class FamilySpec:
     constructor: Callable[..., InterconnectionNetwork]
     description: str
     paper_theorem: str
+    #: node count of an instance, from its constructor parameters (2^d for
+    #: the binary cubes, k^n for the k-ary cubes, n!/(n-k)! for the
+    #: permutation graphs), computed without building it
+    node_count: Callable[..., int]
     #: keyword arguments for a small instance used in documentation/tests
     small: dict = field(default_factory=dict)
     #: keyword arguments for a benchmark-sized instance
@@ -87,6 +108,7 @@ FAMILIES: dict[str, FamilySpec] = {
             Hypercube,
             "binary n-cube Q_n",
             "Theorem 2",
+            _binary_cube,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -95,6 +117,7 @@ FAMILIES: dict[str, FamilySpec] = {
             CrossedCube,
             "crossed cube CQ_n",
             "Theorem 3",
+            _binary_cube,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -103,6 +126,7 @@ FAMILIES: dict[str, FamilySpec] = {
             TwistedCube,
             "twisted cube TQ_n (odd n)",
             "Theorem 3",
+            _binary_cube,
             small={"dimension": 7},
             medium={"dimension": 9},
         ),
@@ -111,6 +135,7 @@ FAMILIES: dict[str, FamilySpec] = {
             FoldedHypercube,
             "folded hypercube FQ_n",
             "Theorem 3",
+            _binary_cube,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -119,6 +144,7 @@ FAMILIES: dict[str, FamilySpec] = {
             EnhancedHypercube,
             "enhanced hypercube Q_{n,k}",
             "Theorem 3",
+            _binary_cube,
             small={"dimension": 7, "k": 4},
             medium={"dimension": 10, "k": 6},
         ),
@@ -127,6 +153,7 @@ FAMILIES: dict[str, FamilySpec] = {
             AugmentedCube,
             "augmented cube AQ_n",
             "Theorem 3",
+            _binary_cube,
             small={"dimension": 6},
             medium={"dimension": 9},
         ),
@@ -135,6 +162,7 @@ FAMILIES: dict[str, FamilySpec] = {
             ShuffleCube,
             "shuffle-cube SQ_n (n = 4k + 2)",
             "Theorem 3",
+            _binary_cube,
             small={"dimension": 6},
             medium={"dimension": 10},
         ),
@@ -143,6 +171,7 @@ FAMILIES: dict[str, FamilySpec] = {
             TwistedNCube,
             "twisted N-cube TQ'_n",
             "Theorem 3",
+            _binary_cube,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -151,6 +180,7 @@ FAMILIES: dict[str, FamilySpec] = {
             KAryNCube,
             "k-ary n-cube Q^k_n",
             "Theorem 4",
+            _kary_cube,
             small={"n": 3, "k": 5},
             medium={"n": 3, "k": 8},
         ),
@@ -159,6 +189,7 @@ FAMILIES: dict[str, FamilySpec] = {
             AugmentedKAryNCube,
             "augmented k-ary n-cube AQ_{n,k}",
             "Theorem 4 (corollary)",
+            _kary_cube,
             small={"n": 3, "k": 4},
             medium={"n": 3, "k": 8},
         ),
@@ -167,6 +198,7 @@ FAMILIES: dict[str, FamilySpec] = {
             NKStarGraph,
             "(n,k)-star graph S_{n,k}",
             "Theorem 5",
+            _permutations,
             small={"n": 5, "k": 3},
             medium={"n": 7, "k": 4},
         ),
@@ -175,6 +207,7 @@ FAMILIES: dict[str, FamilySpec] = {
             StarGraph,
             "star graph S_n",
             "Theorem 5",
+            _permutations,
             small={"n": 5},
             medium={"n": 7},
         ),
@@ -183,6 +216,7 @@ FAMILIES: dict[str, FamilySpec] = {
             PancakeGraph,
             "pancake graph P_n",
             "Theorem 6",
+            _permutations,
             small={"n": 5},
             medium={"n": 7},
         ),
@@ -191,6 +225,7 @@ FAMILIES: dict[str, FamilySpec] = {
             ArrangementGraph,
             "arrangement graph A_{n,k}",
             "Theorem 7",
+            _permutations,
             small={"n": 6, "k": 3},
             medium={"n": 7, "k": 3},
         ),
@@ -199,6 +234,7 @@ FAMILIES: dict[str, FamilySpec] = {
             LocallyTwistedCube,
             "locally twisted cube LTQ_n",
             "extension (Section 5 style)",
+            _binary_cube,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -207,6 +243,7 @@ FAMILIES: dict[str, FamilySpec] = {
             MobiusCube,
             "Möbius cube MQ_n",
             "extension (Section 5 style)",
+            _binary_cube,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),

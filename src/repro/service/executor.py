@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..parallel.shm import BufferHandle, TopologyHandle
 
 __all__ = [
+    "MAX_TOPOLOGY_NODES",
     "PLACEMENTS",
     "validate_request",
     "resolve_topology",
@@ -46,12 +47,35 @@ PLACEMENTS = {
 }
 
 
+#: Largest topology a request may name.  Resolving one runs on the
+#: service's execution slot, so a bigger one would stall all serving while
+#: it builds (Q_16 takes about 0.5 s and 100 MB; S_10 or Q_22 take tens of
+#: seconds and gigabytes).  The largest topology served here is Q_14.
+MAX_TOPOLOGY_NODES = 1 << 16
+
+
 def validate_request(request: DiagnosisRequest) -> None:
-    """Reject malformed requests before they reach a queue (fail fast)."""
-    if request.family not in FAMILIES:
+    """Reject malformed requests before they reach a queue (fail fast).
+
+    Nothing is constructed here: the size check uses the family's
+    node-count formula.  Each formula accepts every parameter set its
+    constructor accepts, so one that raises ``TypeError`` (a wrong
+    parameter name) names a request the constructor refuses as well.
+    """
+    spec = FAMILIES.get(request.family)
+    if spec is None:
         raise ValueError(
             f"unknown network family {request.family!r}; "
             f"available: {', '.join(sorted(FAMILIES))}"
+        )
+    try:
+        nodes = spec.node_count(**request.network_kwargs)
+    except TypeError:
+        nodes = 0  # the constructor reports the bad name when it runs
+    if nodes > MAX_TOPOLOGY_NODES:
+        raise ValueError(
+            f"this {request.family} instance has more than "
+            f"{MAX_TOPOLOGY_NODES} nodes, the most this service builds"
         )
     if not request.is_explicit:
         if request.placement not in PLACEMENTS:
@@ -64,8 +88,14 @@ def validate_request(request: DiagnosisRequest) -> None:
                 f"unknown behavior {request.behavior!r}; "
                 f"choose from {FaultyTesterBehavior.NAMES}"
             )
-        if request.fault_count is not None and request.fault_count < 1:
-            raise ValueError("fault_count must be at least 1 (or None for delta)")
+        count = request.fault_count
+        if count is not None and (
+            isinstance(count, bool) or not isinstance(count, int) or count < 1
+        ):
+            raise ValueError(
+                f"fault_count must be an integer of at least 1 (or None for "
+                f"delta), got {count!r}"
+            )
 
 
 def resolve_topology(family: str, params: dict):

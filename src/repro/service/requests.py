@@ -81,6 +81,11 @@ def validate_tenant(tenant) -> str:
     return tenant
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass; reject it explicitly.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def topology_key(family: str, params) -> str:
     """Canonical ``family[name=value,...]`` key of one compiled topology."""
     items = sorted(dict(params).items())
@@ -253,8 +258,7 @@ class DiagnosisRequest:
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object of name -> integer")
         for name, value in params.items():
-            # bool is an int subclass; reject it explicitly.
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(
                     f"param {name!r} must be an integer, got {value!r}"
                 )
@@ -273,13 +277,19 @@ class DiagnosisRequest:
             return cls.from_syndrome(
                 payload["family"], dict(params), buffer, tenant=tenant
             )
+        fault_count = payload.get("fault_count")
+        seed = payload.get("seed", 0)
+        if not (fault_count is None or _is_int(fault_count)):
+            raise ValueError(f"'fault_count' must be an integer, got {fault_count!r}")
+        if not _is_int(seed):
+            raise ValueError(f"'seed' must be an integer, got {seed!r}")
         return cls.seeded(
             payload["family"],
             dict(params),
             placement=payload.get("placement", "random"),
-            fault_count=payload.get("fault_count"),
+            fault_count=fault_count,
             behavior=payload.get("behavior", "random"),
-            seed=int(payload.get("seed", 0)),
+            seed=seed,
             tenant=tenant,
         )
 

@@ -59,24 +59,6 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="not a node"):
             set_builder_many(q5, [syndrome], [q5.num_nodes])
 
-    def test_stacked_round_rejects_parent_outside_tester_row(self, q5):
-        """The alignment check is a real raise, not an assert ``-O`` strips."""
-        from repro.core.set_builder import _stacked_round
-
-        csr = compile_network(q5)
-        n, idx = csr.num_nodes, np.int32
-        member = np.zeros(n, dtype=bool)
-        member[[0, 1]] = True
-        parent = np.full(n, -1, dtype=idx)
-        parent[1] = 2  # 1 and 2 differ in two bits: not Q_5 neighbours
-        assert not csr.has_edge(1, 2)
-        with pytest.raises(RuntimeError, match="tree parent"):
-            _stacked_round(
-                csr, n, idx, member, parent, np.full(n, np.iinfo(idx).max, dtype=idx),
-                [np.zeros(csr.num_pairs, dtype=np.uint8)],
-                np.array([1], dtype=idx), np.zeros(1, dtype=np.int64),
-            )
-
 
 def _oracle(network, seed: int, root: int):
     """The rows oracle's run: the reference every kernel result must equal."""
@@ -192,9 +174,9 @@ class TestZeroCopyAdoption:
 
 
 class TestNativeKernel:
-    """The optional C inner loop and its pure-numpy fallback are the same
-    kernel: every output field agrees exactly, and losing the compiler (or
-    setting ``REPRO_NO_NATIVE``) degrades silently to the numpy rounds."""
+    """The optional C inner loop and the rows oracle it falls back to agree
+    on every output field, and losing the compiler (or setting
+    ``REPRO_NO_NATIVE``) degrades silently to the oracle."""
 
     def test_forced_off_disables_native(self, monkeypatch):
         from repro.core import native
@@ -218,7 +200,7 @@ class TestNativeKernel:
             pytest.skip("no C compiler available in this environment")
         assert native.load_stacked_kernel() is first
 
-    def test_native_and_numpy_paths_agree_exactly(self, q7, monkeypatch):
+    def test_native_and_oracle_paths_agree_exactly(self, q7, monkeypatch):
         from repro.core import native
 
         if not native.native_kernel_active():
@@ -229,10 +211,10 @@ class TestNativeKernel:
             q7, [_syndrome(q7, s) for s in seeds], roots
         )
         monkeypatch.setattr(native, "_forced_off", True)
-        with_numpy = set_builder_many(
+        with_oracle = set_builder_many(
             q7, [_syndrome(q7, s) for s in seeds], roots
         )
-        for a, b in zip(with_native, with_numpy):
+        for a, b in zip(with_native, with_oracle):
             assert _signature(a) == _signature(b)
             assert np.array_equal(a.member_mask, b.member_mask)
 

@@ -10,7 +10,8 @@ procedure through every execution backend the codebase has grown:
   over the table and over the ``ArraySyndrome`` itself, which its
   restricted and budgeted runs take;
 * the stacked kernel at width one, native C;
-* the same stacked kernel on its numpy fallback rounds.
+* the same width-one call with the native library off, which runs the
+  rows oracle.
 
 Every backend must agree **exactly** — grown sets, tree parents,
 contributors, round counts, the ``all_healthy`` certificate, the syndrome
@@ -113,7 +114,7 @@ def _all_backends(
         runs["native"] = set_builder(network, syndrome, root)
     with monkeypatch.context() as patch:
         patch.setattr(native, "_forced_off", True)
-        runs["numpy-fallback"] = set_builder(network, syndrome, root)
+        runs["native-off"] = set_builder(network, syndrome, root)
     return {name: _signature(network, result) for name, result in runs.items()}
 
 
@@ -185,8 +186,8 @@ class TestDiagnosisDifferential:
         assert outcome(doomed)[0] is DiagnosisError
         assert outcome(doomed) == outcome(doomed.to_table())
 
-    def test_numpy_fallback_preserves_the_diagnosis(self, tiny_network, monkeypatch):
-        """Native and numpy-fallback diagnoses agree exactly, or fail alike."""
+    def test_native_off_preserves_the_diagnosis(self, tiny_network, monkeypatch):
+        """Native and native-off diagnoses agree exactly, or fail alike."""
         diagnoser = GeneralDiagnoser(tiny_network)
         for _, syndrome in _triples(tiny_network):
             plain = _outcome(diagnoser.diagnose_many([syndrome])[0])

@@ -1,12 +1,15 @@
-"""Native ≡ numpy stacked ``Set_Builder`` on every registry family.
+"""Native stacked ``Set_Builder`` ≡ the rows oracle on every registry family.
 
-The C ``stacked_rounds`` kernel and the numpy ``_stacked_round`` fallback
-are one kernel with two implementations.  This suite runs
-``set_builder_many`` both ways on every family's tiny instance (and the
-registry's ``small`` instance of a few, whose node counts are not multiples
-of 64, so the kernel's admitted-bitset tail words are exercised) at widths
-1, 3 and 16, and pins every output field equal: member masks, tree parents,
-contributors, rounds, lookups and the certificate.
+The C ``stacked_rounds`` kernel must give each syndrome of a stack exactly
+the run of the rows oracle, ``set_builder(network, s.to_table(), root)``,
+which transcribes paper §4.1.  This suite runs ``set_builder_many`` on
+every family's tiny instance (and the registry's ``small`` instance of a
+few, whose node counts are not multiples of 64, so the kernel's
+admitted-bitset tail words are exercised) at widths 1, 3 and 16, and pins
+every output field equal: member masks, tree parents, contributors,
+rounds, lookups and the certificate.  Without the native library
+``set_builder_many`` itself runs the rows oracle, and the suite then pins
+that path's member masks and lookup crediting.
 
 Each stack mixes the corners of the round loop: an all-ones syndrome (no
 test passes, so the frontier dies in round 1), an all-zero syndrome (every
@@ -26,7 +29,7 @@ from repro.backend.array_syndrome import ArraySyndrome
 from repro.backend.csr import compile_network
 from repro.core import native
 from repro.core.faults import clustered_faults, random_faults
-from repro.core.set_builder import set_builder_many
+from repro.core.set_builder import set_builder, set_builder_many
 
 from ..conftest import cached_network
 
@@ -66,41 +69,36 @@ def _build(network, csr, kind: str, spec) -> ArraySyndrome:
     return ArraySyndrome.from_faults(csr, faults, behavior=behavior, seed=seed)
 
 
-def _run(network, stack, roots):
-    csr = compile_network(network)
-    syndromes = [_build(network, csr, kind, spec) for kind, spec in stack]
-    return set_builder_many(network, syndromes, roots)
-
-
 def _roots(n: int, width: int) -> list[int]:
     return [(7919 * b + 3) % n for b in range(width)]
 
 
-def _assert_native_matches_numpy(network, stack, roots, monkeypatch):
-    if not native.native_kernel_active():
-        pytest.skip("no C compiler available in this environment")
-    with_native = _run(network, stack, roots)
-    with monkeypatch.context() as patch:
-        patch.setattr(native, "_forced_off", True)
-        with_numpy = _run(network, stack, roots)
-    for a, b in zip(with_native, with_numpy, strict=True):
-        assert np.array_equal(a.member_mask, b.member_mask)
+def _assert_stack_matches_oracle(network, stack, roots):
+    csr = compile_network(network)
+    syndromes = [_build(network, csr, kind, spec) for kind, spec in stack]
+    stacked = set_builder_many(network, syndromes, roots)
+    for syndrome, root, a in zip(syndromes, roots, stacked, strict=True):
+        assert syndrome.lookups == a.lookups
+        b = set_builder(network, syndrome.to_table(), root)
+        mask = np.zeros(network.num_nodes, dtype=bool)
+        mask[list(b.nodes)] = True
+        assert np.array_equal(a.member_mask, mask)
         assert a.nodes == b.nodes
         assert a.parent == b.parent
         assert a.contributors == b.contributors
         assert a.rounds == b.rounds
         assert a.lookups == b.lookups
         assert a.all_healthy == b.all_healthy
-    return with_native
+    return stacked
 
 
-class TestNativeMatchesNumpy:
+class TestNativeMatchesOracle:
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_tiny_instances(self, tiny_network, width, monkeypatch):
+    def test_tiny_instances(self, tiny_network, width):
         n = tiny_network.num_nodes
         for stack in _stacks(tiny_network, width):
-            results = _assert_native_matches_numpy(
-                tiny_network, stack, _roots(n, len(stack)), monkeypatch
+            results = _assert_stack_matches_oracle(
+                tiny_network, stack, _roots(n, len(stack))
             )
             for (kind, _), result in zip(stack, results):
                 if kind == "ones":
@@ -113,12 +111,11 @@ class TestNativeMatchesNumpy:
 
     @pytest.mark.parametrize("family", SMALL_FAMILIES)
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_small_instances(self, family, width, monkeypatch):
+    def test_small_instances(self, family, width):
         network = cached_network(family, "small")
         for stack in _stacks(network, width):
-            _assert_native_matches_numpy(
-                network, stack, _roots(network.num_nodes, len(stack)),
-                monkeypatch,
+            _assert_stack_matches_oracle(
+                network, stack, _roots(network.num_nodes, len(stack))
             )
 
 

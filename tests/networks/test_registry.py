@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import networkx as nx
 import pytest
 
@@ -48,6 +50,38 @@ class TestRegistry:
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             default_instances("huge")
+
+    @pytest.mark.parametrize("size", ["small", "medium"])
+    def test_node_count_formula_matches_the_instance(self, size):
+        for name, net in default_instances(size).items():
+            params = getattr(FAMILIES[name], size)
+            assert FAMILIES[name].node_count(**params) == net.num_nodes, name
+
+    def test_node_count_accepts_every_constructor_parameter(self):
+        """A formula never refuses what its constructor accepts, so a
+        ``TypeError`` from it always means a request the constructor
+        refuses too (the size check may then skip it safely)."""
+        for name, spec in FAMILIES.items():
+            params = dict(spec.small)
+            signature = inspect.signature(spec.constructor)
+            for parameter in signature.parameters.values():
+                if parameter.default is not parameter.empty:
+                    params.setdefault(parameter.name, parameter.default)
+            net = spec.constructor(**params)
+            assert spec.node_count(**params) == net.num_nodes, name
+
+    def test_node_count_stays_small_for_hostile_parameters(self):
+        # Clamped: a huge parameter gives a count past any bound, not a
+        # huge integer.
+        huge = 10 ** 4000
+        for name, params in [
+            ("hypercube", {"dimension": huge}),
+            ("kary_ncube", {"n": huge, "k": huge}),
+            ("star", {"n": huge}),
+            ("arrangement", {"n": huge, "k": huge}),
+        ]:
+            count = FAMILIES[name].node_count(**params)
+            assert 1 << 64 <= count and count.bit_length() <= 1 << 13, name
 
     def test_specs_carry_paper_theorem(self):
         from repro.networks import PAPER_FAMILIES

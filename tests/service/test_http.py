@@ -204,6 +204,28 @@ class TestErrors:
         assert status == 400
         assert "dim" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "instance", [("star", {"n": 10}), ("hypercube", {"dimension": 22})]
+    )
+    def test_oversized_topology_is_400_before_it_is_built(self, instance):
+        async def inner(client, frontend, service):
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            refused = await client.request(
+                "POST", "/diagnose",
+                {"family": instance[0], "params": instance[1]},
+            )
+            elapsed = loop.time() - started
+            return refused, elapsed, await client.diagnose(_request(2))
+
+        (status, payload), elapsed, (next_status, response) = _run(
+            _with_frontend(inner)
+        )
+        assert status == 400 and "nodes" in payload["error"]
+        assert elapsed < 2.0  # building either one takes tens of seconds
+        assert next_status == 200
+        assert response.faulty == run_direct(_request(2)).faulty
+
     def test_execution_errors_stay_in_band(self):
         """A Theorem-1 violation is an error *response* (200), not an HTTP error."""
         doomed = DiagnosisRequest.seeded("pancake", {"n": 4}, fault_count=14)

@@ -224,6 +224,20 @@ class TestFromDict:
         with pytest.raises(ValueError, match="must be an object"):
             DiagnosisRequest.from_dict({"family": "hypercube", "params": [7]})
 
+    @pytest.mark.parametrize("field", ["fault_count", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.9, True, "3", [1]])
+    def test_non_integer_seeded_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+            DiagnosisRequest.from_dict({"family": "hypercube", field: value})
+
+    def test_null_fault_count_means_delta_but_null_seed_is_rejected(self):
+        parsed = DiagnosisRequest.from_dict(
+            {"family": "hypercube", "fault_count": None}
+        )
+        assert parsed.fault_count is None
+        with pytest.raises(ValueError, match="'seed' must be an integer"):
+            DiagnosisRequest.from_dict({"family": "hypercube", "seed": None})
+
 
 class TestTenant:
     def test_default_tenant(self):

@@ -168,6 +168,25 @@ class TestCorrectness:
         # The direct pipeline agrees on the failure, too.
         assert run_direct(oversized).error == bad.error
 
+    @pytest.mark.parametrize("fault_count", [2.5, True, "3"])
+    def test_non_integer_fault_count_is_refused_before_its_batch(self, fault_count):
+        """A request built in Python skips ``from_dict``; validation still
+        refuses it at submit, so it never reaches (and fails) a batch."""
+        service = DiagnosisService()
+        healthy = _request(1)
+
+        async def run():
+            async with service:
+                return await asyncio.gather(
+                    service.submit(_request(0, fault_count=fault_count)),
+                    service.submit(healthy),
+                    return_exceptions=True,
+                )
+
+        bad, good = asyncio.run(run())
+        assert isinstance(bad, ValueError) and "fault_count" in str(bad)
+        assert good.ok and good.faulty == run_direct(healthy).faulty
+
     def test_diagnosis_error_becomes_error_response(self):
         service = DiagnosisService()
         ok_request = _request(0)
