@@ -369,6 +369,10 @@ class WorkerPool:
         Raises :class:`~concurrent.futures.process.BrokenProcessPool` once a
         worker has died; a task that does not pickle fails its future.
         """
+        return self._submit(None, fn, args, kwargs)
+
+    def _submit(self, index: int | None, fn: Callable, args, kwargs) -> Future:
+        """Send a task to worker ``index``, or to the least-loaded one."""
         future: Future = Future()
         future.set_running_or_notify_cancel()
         try:
@@ -380,7 +384,10 @@ class WorkerPool:
             if self._broken:
                 raise BrokenProcessPool(_BROKEN)
             workers = self._workers or self._start_workers()
-            worker = min(workers, key=lambda w: len(w.futures))
+            if index is None:
+                worker = min(workers, key=lambda w: len(w.futures))
+            else:
+                worker = workers[index]
         # The queue order must be the pipe order: append and send together.
         with worker.send_lock:
             with self._lock:
@@ -394,16 +401,16 @@ class WorkerPool:
         return future
 
     def health(self) -> list[dict]:
-        """One :func:`worker_health` report per worker (best effort).
+        """One :func:`worker_health` report per worker, sorted by pid.
 
-        Submits ``max_workers`` probes; an idle pool routes one to each
-        worker, but a busy one may route two to the same worker, so reports
-        are deduplicated by pid — the point is visibility (attachment cache
-        sizes, compile counts), not an exact census.
+        Each probe goes down its own worker's pipe, bypassing least-loaded
+        routing, so every worker answers exactly once, busy or idle.
         """
-        futures = [self.submit(worker_health) for _ in range(self.max_workers)]
-        reports = {report["pid"]: report for report in (f.result() for f in futures)}
-        return sorted(reports.values(), key=lambda r: r["pid"])
+        futures = [
+            self._submit(index, worker_health, (), {})
+            for index in range(self.max_workers)
+        ]
+        return sorted((f.result() for f in futures), key=lambda r: r["pid"])
 
 
 # ----------------------------------------------------------- worker-side state

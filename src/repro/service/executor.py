@@ -62,6 +62,10 @@ def validate_request(request: DiagnosisRequest) -> None:
     constructor accepts, so one that raises ``TypeError`` (a wrong
     parameter name) names a request the constructor refuses as well.
     """
+    for name in ("family", "placement", "behavior"):
+        value = getattr(request, name)
+        if not isinstance(value, str):
+            raise ValueError(f"{name!r} must be a string, got {value!r}")
     spec = FAMILIES.get(request.family)
     if spec is None:
         raise ValueError(

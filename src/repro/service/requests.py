@@ -254,6 +254,9 @@ class DiagnosisRequest:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
         if "family" not in payload:
             raise ValueError("request needs a 'family' field")
+        for name in ("family", "placement", "behavior"):
+            if name in payload and not isinstance(payload[name], str):
+                raise ValueError(f"{name!r} must be a string, got {payload[name]!r}")
         params = payload.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object of name -> integer")

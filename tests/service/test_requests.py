@@ -224,10 +224,15 @@ class TestFromDict:
         with pytest.raises(ValueError, match="must be an object"):
             DiagnosisRequest.from_dict({"family": "hypercube", "params": [7]})
 
-    @pytest.mark.parametrize("field", ["fault_count", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 1.9, True, "3", [1]])
+    @pytest.mark.parametrize("field, value", [
+        *[(field, value) for field in ("fault_count", "seed")
+          for value in (2.5, 1.9, True, "3", [1])],
+        *[(field, value) for field in ("family", "placement", "behavior")
+          for value in ([1], {"a": 1}, 7, None)],
+    ])
     def test_non_integer_seeded_fields_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+        kind = "an integer" if field in ("fault_count", "seed") else "a string"
+        with pytest.raises(ValueError, match=f"'{field}' must be {kind}"):
             DiagnosisRequest.from_dict({"family": "hypercube", field: value})
 
     def test_null_fault_count_means_delta_but_null_seed_is_rejected(self):

@@ -8,6 +8,7 @@ throughout: :func:`repro.service.executor.run_direct`, the plain pipeline.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -636,6 +637,14 @@ class TestLifecycleAndValidation:
             _serve(DiagnosisService(), _request(0, behavior="chaotic"))
         with pytest.raises(ValueError, match="fault_count"):
             _serve(DiagnosisService(), _request(0, fault_count=0))
+
+    @pytest.mark.parametrize("field", ["family", "placement", "behavior"])
+    def test_non_string_field_built_in_python_rejected(self, field):
+        # from_dict refuses these on the wire; a request built in Python
+        # meets the same check before any registry lookup hashes the value.
+        bad = dataclasses.replace(_request(0), **{field: [1]})
+        with pytest.raises(ValueError, match=f"'{field}' must be a string"):
+            _serve(DiagnosisService(), bad)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -131,6 +133,13 @@ class TestServeCommand:
         bad.write_text('{"family": "hypercube", "params": {"dimension": "7"}}\n')
         with pytest.raises(SystemExit, match="must be an integer"):
             main(["serve", "--requests", str(bad)])
+        for field in ("family", "placement", "behavior"):
+            bad.write_text(
+                f'{{"family": "hypercube", "params": {{"dimension": 6}}, '
+                f'"{field}": [1]}}\n'
+            )
+            with pytest.raises(SystemExit, match=re.escape(f"{bad}:1: bad request")):
+                main(["serve", "--requests", str(bad)])
         # A wrong param *name* only surfaces when the constructor runs; it
         # must still exit cleanly, not with a raw traceback.
         bad.write_text('{"family": "hypercube", "params": {"dim": 7}}\n')
