@@ -22,8 +22,9 @@ A syndrome is held in one of two read modes:
   testers' rows are stored, in a side table, plus the ascending nonzero
   offsets and their values for the content digest.  Diagnosis consults
   O(nΔ) of the nΔ(Δ−1)/2 results (paper §6), so the whole buffer is never
-  written on the native path: both kernels in ``_stacked.c`` read the mask
-  and the side table in place (:meth:`native_view`).
+  written on the native path: the root search and the final run in
+  ``_stacked.c`` read the mask and the side table in place
+  (:meth:`native_view`).
 
 A mask-form syndrome builds its buffer lazily, once, the first time
 :attr:`buffer`, :attr:`values_array`, the oracle ``_result``, :meth:`items`
@@ -40,12 +41,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.native import SyndromeView, address
+from ..core.native import (
+    MORE_WORDS, SyndromeView, address, check, load_kernel, topology_args,
+)
 from ..core.syndrome import FaultyTesterBehavior, Syndrome, TableSyndrome
 from .csr import CSRAdjacency, compile_network
 
@@ -57,41 +59,97 @@ def pair_offset(i: int, j: int, degree: int) -> int:
     return i * (2 * degree - i - 1) // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=None)
-def _triu(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row positions ``(i, j)``, ``i < j``, of one tester's pairs in slot order."""
-    return np.triu_indices(degree, 1)
-
-
-def fair_coins(rng: random.Random, count: int) -> np.ndarray:
-    """The next ``count`` results of ``rng.randint(0, 1)``, drawn in bulk.
-
-    CPython's ``randint(0, 1)`` is ``_randbelow(2)``: each try takes one
-    32-bit Mersenne Twister word, is rejected when the word's top bit is
-    set and otherwise answers the word's bit 30.  ``getrandbits(32·k)``
-    returns the next ``k`` words in draw order, little-endian, so keeping
-    the accepted words' bit 30 reproduces the per-call sequence exactly.
-    The generator may advance past the last needed word.
-    """
-    parts = [np.empty(0, dtype=np.uint8)]
-    have = 0
-    while have < count:
-        words = 2 * (count - have) + 64
-        raw = np.frombuffer(
-            rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
-        )
-        coins = ((raw[raw < 0x80000000] >> 30) & 1).astype(np.uint8)
-        parts.append(coins)
-        have += coins.size
-    return np.concatenate(parts)[:count]
-
-
 def _slot_tests(csr: CSRAdjacency) -> Iterator[tuple[int, int, int]]:
     """Every test ``(u, v, w)`` of the topology, in pair-slot order."""
     for u, row in enumerate(csr.rows):
         for i, v in enumerate(row):
             for w in row[i + 1:]:
                 yield u, v, w
+
+
+def _native_slot_pass(kernel, csr: CSRAdjacency, ordered: list[int], name: str, rng):
+    """``seeded_build`` for a stock behaviour: the arrays
+    :func:`_reference_slot_pass` returns, from one native call.
+
+    The ``random`` coins come from ``rng``'s next 32-bit words, about two
+    per coin since ``randint(0, 1)`` rejects half of them.  When a draw
+    falls short, the pass runs again over a longer stream; the generator
+    may advance past the last word used.
+    """
+    n = csr.num_nodes
+    base = csr.pair_base
+    side_len = sum(base[f + 1] - base[f] for f in ordered)
+    fault_ids = np.array(ordered, dtype=np.int64)
+    mask = np.empty(n, dtype=np.uint8)
+    side_base = np.empty(len(ordered), dtype=np.int64)
+    side = np.empty(side_len, dtype=np.uint8)
+    # Nonzero slots: the side table's, plus at most Δ-1 per fault per
+    # neighbouring healthy tester.
+    degree = csr.max_degree
+    capacity = min(csr.num_pairs, side_len + len(ordered) * degree * (degree - 1))
+    offsets = np.empty(capacity, dtype=np.int64)
+    values = np.empty(capacity, dtype=np.uint8)
+    coins = b""
+    while True:
+        if name == "random":
+            draw = 2 * side_len + 64
+            coins += rng.getrandbits(32 * draw).to_bytes(4 * draw, "little")
+        count = kernel(
+            *topology_args(csr), n,
+            fault_ids.ctypes.data, len(ordered),
+            FaultyTesterBehavior.NAMES.index(name),
+            coins, len(coins) // 4,
+            mask.ctypes.data, side_base.ctypes.data,
+            side.ctypes.data, side_len,
+            offsets.ctypes.data, values.ctypes.data, capacity,
+        )
+        if count != MORE_WORDS:
+            break
+    check(count, "seeded_build")
+    return mask, side_base, side, offsets[:count], values[:count]
+
+
+def _reference_slot_pass(csr: CSRAdjacency, ordered: list[int], behavior, rng):
+    """The seeded slot pass in plain Python: the reference of ``seeded_build``.
+
+    Walks the faulty testers ``ordered`` (ascending) and their neighbours in
+    ascending tester order, each tester's pairs in slot order.  A faulty
+    tester's result is ``behavior.result(u, v, w, healthy, rng)``, drawn in
+    the canonical materialisation order; a healthy one's is ``mask[v] |
+    mask[w]``.  Returns the fault mask, each faulty tester's offset in the
+    side table, the side table, and the ascending nonzero slots and their
+    values.
+    """
+    rows, base = csr.rows, csr.pair_base
+    mask = bytearray(csr.num_nodes)
+    for f in ordered:
+        mask[f] = 1
+    testers = sorted({u for f in ordered for u in rows[f]}.union(ordered))
+    side_base: list[int] = []
+    side = bytearray()
+    offsets: list[int] = []
+    values: list[int] = []
+    for u in testers:
+        row, slot, faulty = rows[u], base[u], mask[u]
+        if faulty:
+            side_base.append(len(side))
+        for i, v in enumerate(row):
+            for w in row[i + 1:]:
+                result = mask[v] | mask[w]
+                if faulty:
+                    result = behavior.result(u, v, w, result, rng)
+                    side.append(result)
+                if result:
+                    offsets.append(slot)
+                    values.append(result)
+                slot += 1
+    return (
+        np.frombuffer(mask, dtype=np.uint8),
+        np.array(side_base, dtype=np.int64),
+        np.frombuffer(side, dtype=np.uint8),
+        np.array(offsets, dtype=np.int64),
+        np.array(values, dtype=np.uint8),
+    )
 
 
 class ArraySyndrome(Syndrome):
@@ -143,23 +201,29 @@ class ArraySyndrome(Syndrome):
         """The full syndrome of a hidden fault set, in mask mode.
 
         ``topology`` may be a network or an already compiled
-        :class:`CSRAdjacency`.  No buffer is written.  The build keeps:
+        :class:`CSRAdjacency`.  No buffer is written.  One slot pass over
+        the faulty testers and their neighbours, in ascending tester order,
+        keeps:
 
         * the fault mask, from which a healthy tester answers
           ``mask[v] | mask[w]``;
         * a side table of the faulty testers' rows, drawn from the seeded
           generator in the canonical materialisation order, so the bytes
           reproduce ``LazySyndrome.materialize()`` entry for entry;
-        * every nonzero slot and its value: the healthy answers of the
-          testers next to a fault (at most ``|F|·Δ`` testers, one numpy
-          gather per degree) and the side table's nonzero entries.
+        * every nonzero slot and its value, already ascending because the
+          pair layout is tester-major: the healthy answers of the testers
+          next to a fault and the side table's nonzero entries.
 
-        When at most an eighth of the slots are nonzero, those offsets are
-        sorted and exposed as :attr:`nonzero_offsets` and
-        :attr:`nonzero_values`, which is all the content digest reads.
-        Otherwise the digest hashes the raw bytes, and sorting would be
-        wasted.  Either way the lazily built buffer is the zeroed layout with
-        the recorded slots written.
+        The pass is ``seeded_build`` in ``_stacked.c`` for the five stock
+        behaviours (Python draws the ``random`` behaviour's generator words,
+        the kernel keeps CPython's ``randint(0, 1)`` answers), or its
+        plain-Python transcription (:func:`_reference_slot_pass`) when the
+        native library is not loaded or the behaviour is a custom subclass.
+
+        When at most an eighth of the slots are nonzero, the content digest
+        reads only :attr:`nonzero_offsets` and :attr:`nonzero_values`;
+        otherwise it hashes the raw bytes.  Either way the lazily built
+        buffer is the zeroed layout with the recorded slots written.
         """
         csr = compile_network(topology)
         fault_set = frozenset(int(f) for f in faults)
@@ -169,95 +233,22 @@ class ArraySyndrome(Syndrome):
         if isinstance(behavior, str):
             behavior = FaultyTesterBehavior(behavior, seed=seed)
         rng = random.Random(seed)
-
-        indptr, indices, pair_indptr = csr.indptr, csr.indices, csr.pair_indptr
         ordered = sorted(fault_set)
-        fault_ids = np.asarray(ordered, dtype=np.int64)
-        mask = np.zeros(csr.num_nodes, dtype=np.uint8)
-        mask[fault_ids] = 1
-        hit_of = mask.view(bool)
-
-        # Healthy testers next to a fault, grouped by degree: their nonzero
-        # answers, all 1.
-        near = np.zeros(csr.num_nodes, dtype=bool)
-        near[indices[csr.row_addresses(fault_ids)[0]]] = True
-        near &= ~hit_of
-        testers = np.flatnonzero(near)
-        degrees = indptr[testers + 1] - indptr[testers]
-        written = []
-        for degree in sorted(set(degrees.tolist())):
-            if degree < 2:
-                continue
-            group = testers[degrees == degree]
-            iu, ju = _triu(degree)
-            hit = hit_of[indices[indptr[group][:, None] + np.arange(degree)]]
-            slots = pair_indptr[group][:, None] + np.arange(len(iu))
-            written.append(slots[hit[:, iu] | hit[:, ju]])
-
-        # The faulty testers' rows, ascending: the side table, and the
-        # layout slots those rows occupy.
-        starts = pair_indptr[fault_ids]
-        counts = pair_indptr[fault_ids + 1] - starts
-        side_base = np.cumsum(counts) - counts
-        fault_slots = np.repeat(starts - side_base, counts)
-        fault_slots += np.arange(fault_slots.size)
-        name = behavior.name
-        if name == "random" and type(behavior).result is FaultyTesterBehavior.result:
-            # The stock coin is one rng.randint(0, 1) per pair in canonical
-            # order: draw every faulty tester's coins at once.
-            side = fair_coins(rng, fault_slots.size)
+        kernel = load_kernel("seeded_build")
+        if kernel is None or type(behavior).result is not FaultyTesterBehavior.result:
+            built = _reference_slot_pass(csr, ordered, behavior, rng)
         else:
-            side = np.zeros(fault_slots.size, dtype=np.uint8)
-            for u, lo, count in zip(ordered, side_base.tolist(), counts.tolist()):
-                if name == "all_zero":
-                    continue
-                if name == "all_one":
-                    side[lo:lo + count] = 1
-                    continue
-                row = indices[indptr[u]:indptr[u + 1]]
-                iu, ju = _triu(len(row))
-                hit = hit_of[row]
-                healthy = (hit[iu] | hit[ju]).astype(np.uint8)
-                if name == "mimic":
-                    side[lo:lo + count] = healthy
-                elif name == "anti_mimic":
-                    side[lo:lo + count] = healthy ^ 1
-                else:
-                    # Delegate per pair (consuming the rng in canonical
-                    # order), so behaviours beyond the bulk-computable ones
-                    # above — custom coins included — stay in lockstep with
-                    # LazySyndrome.
-                    row = row.tolist()
-                    pairs = [(v, w) for i, v in enumerate(row) for w in row[i + 1:]]
-                    side[lo:lo + count] = [
-                        behavior.result(u, v, w, h, rng)
-                        for (v, w), h in zip(pairs, healthy.tolist())
-                    ]
+            built = _native_slot_pass(kernel, csr, ordered, behavior.name, rng)
 
         syndrome = cls.__new__(cls)
         Syndrome.__init__(syndrome)
         syndrome.csr = csr
         syndrome.faults = fault_set
-        syndrome.fault_mask = mask
-        syndrome.side_ids = fault_ids
-        syndrome.side_base = side_base
-        syndrome.side = side
+        syndrome.side_ids = np.array(ordered, dtype=np.int64)
+        syndrome.fault_mask, syndrome.side_base, syndrome.side, *nonzero = built
+        syndrome._nonzero = tuple(nonzero)
         syndrome._buf = None
         syndrome._view = None
-
-        hot = np.flatnonzero(side)
-        healthy_count = sum(part.size for part in written)
-        written.append(fault_slots[hot])
-        offsets = np.concatenate(written)
-        values = np.ones(offsets.size, dtype=np.uint8)
-        values[healthy_count:] = side[hot]
-        if 8 * offsets.size <= csr.num_pairs:
-            if side.size and side.max() > 1:
-                order = np.argsort(offsets)
-                offsets, values = offsets[order], values[order]
-            else:  # every recorded value is 1: sorting the offsets suffices
-                offsets.sort()
-        syndrome._nonzero = (offsets, values)
         return syndrome
 
     @classmethod
@@ -328,26 +319,6 @@ class ArraySyndrome(Syndrome):
                 )
             self._view = view
         return view
-
-    def row_values(self, u: int) -> bytes:
-        """Tester ``u``'s results, in slot order, without building the buffer."""
-        csr = self.csr
-        lo, hi = int(csr.pair_indptr[u]), int(csr.pair_indptr[u + 1])
-        mask = self.fault_mask
-        if mask is None:
-            return bytes(self._buf[lo:hi])
-        if not mask[u]:
-            row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]]
-            iu, ju = _triu(len(row))
-            hit = mask[row]
-            return (hit[iu] | hit[ju]).tobytes()
-        k = int(np.searchsorted(self.side_ids, u))
-        base = int(self.side_base[k]) if k < self.side_ids.size else -1
-        if self.side_ids[k:k + 1].tolist() != [u] or not (
-            0 <= base <= self.side.size - (hi - lo)
-        ):
-            raise RuntimeError(f"faulty tester {u} has no side-table row")
-        return self.side[base:base + hi - lo].tobytes()
 
     def _materialize(self) -> bytearray:
         """Build the buffer of a mask-form syndrome: the zeroed layout with

@@ -106,7 +106,7 @@ class CSRAdjacency:
         #: mapping alive exactly as long as the views handed out from it)
         self._shm = None
         #: the diagnosis driver's root-search plans over this topology, keyed
-        #: by probes per level (partition classes, lazily built class tables);
+        #: by the diagnoser's settings (probe order, lazily built native form);
         #: cached here because compiled topologies outlive the per-batch
         #: diagnosers, in the service's cache and in pool workers alike
         self.probe_plans: dict = {}

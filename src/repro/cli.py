@@ -54,6 +54,7 @@ Seven sub-commands cover the common workflows:
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .analysis.reporting import format_table
@@ -66,13 +67,38 @@ from .networks.registry import FAMILIES, available_families, cached_network
 __all__ = ["main", "build_parser"]
 
 
-def _parse_params(pairs: list[str]) -> dict[str, int]:
-    params = {}
+def _usage_error(message: str) -> SystemExit:
+    """A malformed command line: one line on stderr, then exit status 2,
+    as argparse's own usage errors."""
+    print(f"repro-diagnose: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def _family_params(family: str, pairs: list[str], *, context: str = "") -> dict[str, int]:
+    """``name=value`` pairs as constructor parameters of ``family``.
+
+    Every name must be one the family's constructor takes, every value an
+    integer, and every parameter without a default present; otherwise a
+    one-line usage error names the family's parameters.  No pairs means
+    the registry's small instance.
+    """
+    if not pairs:
+        return dict(FAMILIES[family].small)
+    signature = inspect.signature(FAMILIES[family].constructor).parameters
+    takes = f"{family} takes " + ", ".join(f"{name}=INT" for name in signature)
+    params: dict[str, int] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise argparse.ArgumentTypeError(f"parameter {pair!r} must have the form name=value")
-        key, value = pair.split("=", 1)
-        params[key] = int(value)
+        name, sep, value = pair.partition("=")
+        try:
+            if not sep or name not in signature:
+                raise ValueError(pair)
+            params[name] = int(value)
+        except ValueError:
+            raise _usage_error(f"{context}bad parameter {pair!r}; {takes}") from None
+    missing = [name for name, parameter in signature.items()
+               if parameter.default is inspect.Parameter.empty and name not in params]
+    if missing:
+        raise _usage_error(f"{context}missing parameter {missing[0]!r}; {takes}")
     return params
 
 
@@ -80,17 +106,12 @@ def _parse_instance(spec: str) -> tuple[str, dict[str, int]]:
     """Parse ``family`` or ``family:name=value,name=value`` mix entries."""
     family, _, rest = spec.partition(":")
     if family not in available_families():
-        raise SystemExit(
+        raise _usage_error(
             f"unknown network family {family!r} in instance {spec!r}; "
             f"available: {', '.join(available_families())}"
         )
-    if not rest:
-        return family, dict(FAMILIES[family].small)
-    try:
-        params = _parse_params(rest.split(","))
-    except argparse.ArgumentTypeError as exc:
-        raise SystemExit(f"bad instance {spec!r}: {exc}")
-    return family, params
+    pairs = rest.split(",") if rest else []
+    return family, _family_params(family, pairs, context=f"bad instance {spec!r}: ")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    params = _parse_params(args.param)
-    if not params:
-        params = dict(FAMILIES[args.family].small)
+    params = _family_params(args.family, args.param)
     network = cached_network(args.family, **params)
     delta = network.diagnosability()
     count = delta if args.faults is None else args.faults
@@ -357,9 +376,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     from .distributed import ChannelConfig, ProtocolEngine, spread_roots
     from .networks.registry import compiled_network
 
-    params = _parse_params(args.param)
-    if not params:
-        params = dict(FAMILIES[args.family].small)
+    params = _family_params(args.family, args.param)
     network, csr = compiled_network(args.family, **params)
     count = network.diagnosability() if args.faults is None else args.faults
     if args.placement == "random":
@@ -996,9 +1013,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_properties(args: argparse.Namespace) -> int:
-    params = _parse_params(args.param)
-    if not params:
-        params = dict(FAMILIES[args.family].small)
+    params = _family_params(args.family, args.param)
     network = cached_network(args.family, **params)
     report = verify_theorem1_preconditions(network, compute_connectivity=args.exact_connectivity)
     print(format_table(

@@ -1,37 +1,10 @@
-/* Native inner loops of Set_Builder: the stacked kernel (`stacked_rounds`)
- * and the healthy-root search probes (`probe_level`, further below).
- *
- * One `stacked_rounds` call runs every expansion round (round 2 onward) for a whole batch of
- * syndromes over one compiled CSR topology.  Per syndrome it must stay
- * bit-identical to the rows oracle, `_set_builder_oracle` in set_builder.py
- * — the differential suite pins it on every family.  The flat order that
- * keeps a whole stack's rounds identical to the sequential procedure:
- *
- *   - Testers are visited in frontier order (ascending flat keys
- *     `syndrome * n + node`, so syndrome-blocked and node-ascending), and
- *     each tester's row positions in ascending order.  That flat order is
- *     what makes first-zero admission and lookup discounting deterministic.
- *   - A candidate occurrence is *consulted* (counted against its syndrome's
- *     lookup budget) iff its key has not already been admitted this round;
- *     the occurrence that admits a key is its first 0-result, and it is
- *     consulted too.  Members as of round start are never candidates.
- *   - The admitted keys, ascending, form the next round's frontier.
- *
- * `member` doubles as the per-round scoreboard: 0 = outside the set,
- * 1 = member, 2 = admitted this round (committed back to 1 before the next
- * round begins, so the caller only ever sees 0/1).  First-zero admission
- * makes the admitting tester the key's only writer, so `parent` is written
- * on the spot.
- *
- * Nothing is sorted.  An admission also sets the node's bit in its
- * syndrome's admitted bitset (ceil(n/64) words) and widens that syndrome's
- * touched-word span.  The commit pass walks the syndromes in ascending
- * order and each span's words with count-trailing-zeros, clearing them as
- * it goes, so the next frontier comes out in ascending flat-key order —
- * the order a sort of the admissions would give.  It costs at most
- * ceil(n/64) words per syndrome per round, and in practice only the
- * touched span.  Scratch: 8 bytes per flat key (the frontier), one bit per
- * flat key (the bitsets) and two words per syndrome (the spans).
+/* Native stages of a seeded diagnosis, one call each: the seeded slot pass
+ * (`seeded_build`), the healthy-root search (`probe_plan`) and the final
+ * stacked Set_Builder run (`stacked_rounds`).  Each must stay bit-identical
+ * to its reference in Python — the slot pass to `_reference_slot_pass` in
+ * array_syndrome.py, the other two to the rows oracle `_set_builder_oracle`
+ * in set_builder.py — and the differential suite pins all three on every
+ * family.
  *
  * Read modes.  Each syndrome arrives as a `syndrome_t`.  Buffer mode
  * (`buf` set) is the flat pair-layout buffer, tester u's row at
@@ -42,7 +15,11 @@
  * `fault_ids`.  `tester_row` finds a tester's row once per tester and
  * `read_result` reads one result in either mode.  A faulty tester missing
  * from `fault_ids`, or a side row that would overrun `side_len`, is never
- * read: both kernels return MISSING_SIDE_ROW instead.
+ * read: the kernels return MISSING_SIDE_ROW instead.
+ *
+ * Every entry checks the inputs it cannot bound before it reads through
+ * them and answers a violation with one of the negative codes below
+ * (mirrored in native.py).
  *
  * Built with the system C compiler on first use (see native.py).  Everything
  * is C99 + libc, no Python API, plus the `__builtin_ctzll` intrinsic, which
@@ -52,7 +29,16 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define MISSING_SIDE_ROW (-4)
+#define NO_MEMORY (-1)          /* a scratch allocation failed */
+#define PARENT_NOT_IN_ROW (-2)  /* a tester's tree parent is not its neighbour */
+#define BAD_NODE (-3)           /* a root, start or fault id outside [0, n), or
+                                   fault ids not strictly ascending */
+#define MISSING_SIDE_ROW (-4)   /* a faulty tester without an in-bounds side row */
+#define BAD_PLAN (-5)           /* probe levels out of order, a class table index
+                                   out of range, or a start outside its class */
+#define SHORT_BUFFER (-6)       /* an output the caller sized too small */
+#define BAD_BEHAVIOR (-7)       /* a behaviour code outside the stock five */
+#define MORE_WORDS (-8)         /* the coin words ran out: draw more, call again */
 
 typedef struct {
     const uint8_t *buf;         /* buffer mode: num_pairs results; else NULL */
@@ -104,10 +90,257 @@ static inline int read_result(
     return row[i * (2 * d - i - 1) / 2 + (j - i - 1)];
 }
 
-/* Returns 0 on success, a negative error code on a failed allocation (-1),
- * a tester whose tree parent is not in its row (-2), a frontier0 that is
- * not strictly ascending flat keys below num_syndromes * n (-3) or a
- * faulty tester without a side row (MISSING_SIDE_ROW). */
+/* ------------------------------------------------------------------------
+ * The seeded slot pass.
+ *
+ * `seeded_build` writes the mask form of the syndrome a fault set produces:
+ * the n-byte fault mask, each faulty tester's side-table offset, the side
+ * table itself, and every nonzero slot of the pair layout with its value.
+ * Only a faulty tester or a neighbour of a fault has a nonzero slot, so it
+ * marks those testers in a one-bit-per-node set and walks the set's words
+ * with count-trailing-zeros: testers come out ascending, each tester's pairs
+ * in slot order, so the offsets are emitted already sorted.
+ *
+ * The behaviour codes are the stock FaultyTesterBehavior names in order.
+ * RANDOM draws one CPython `randint(0, 1)` per faulty-tester pair, in the
+ * canonical order, from the Mersenne Twister words the caller drew with
+ * `getrandbits` (little-endian, 4 bytes each): `randint(0, 1)` is
+ * `_randbelow(2)`, which rejects a word whose top bit is set and otherwise
+ * answers its bit 30, so only each word's last byte is read.  The other
+ * four behaviours are computed from the mask.
+ *
+ * Returns the number of nonzero slots written, or NO_MEMORY, BAD_NODE
+ * (fault ids not strictly ascending in [0, n)), BAD_BEHAVIOR, SHORT_BUFFER
+ * (side_len is not the faulty testers' pair count, or the nonzero slots
+ * outnumber `capacity`) or MORE_WORDS (RANDOM ran out of coin words; the
+ * caller appends the generator's next words and calls again).
+ * ------------------------------------------------------------------------ */
+enum { RANDOM, ALL_ZERO, ALL_ONE, MIMIC, ANTI_MIMIC };
+
+int64_t seeded_build(
+    const int64_t *indptr,          /* n + 1 */
+    const int32_t *indices,         /* num_entries, rows sorted ascending */
+    const int64_t *pair_indptr,     /* n + 1 */
+    int64_t n,
+    const int64_t *fault_ids,       /* num_faults, strictly ascending */
+    int64_t num_faults,
+    int64_t behavior,               /* RANDOM .. ANTI_MIMIC */
+    const uint8_t *coins,           /* RANDOM: num_coins coin words, 4 bytes each */
+    int64_t num_coins,
+    uint8_t *mask,                  /* n, written whole */
+    int64_t *side_base,             /* num_faults */
+    uint8_t *side,                  /* side_len */
+    int64_t side_len,
+    int64_t *offsets,               /* capacity */
+    uint8_t *values,                /* capacity */
+    int64_t capacity)
+{
+    if (behavior < RANDOM || behavior > ANTI_MIMIC)
+        return BAD_BEHAVIOR;
+    int64_t need = 0;
+    for (int64_t k = 0; k < num_faults; k++) {
+        int64_t f = fault_ids[k];
+        if (f < 0 || f >= n || (k && f <= fault_ids[k - 1]))
+            return BAD_NODE;
+        side_base[k] = need;
+        need += pair_indptr[f + 1] - pair_indptr[f];
+    }
+    if (need != side_len)
+        return SHORT_BUFFER;
+    int64_t words = (n + 63) / 64, max_degree = 0;
+    uint64_t *near = calloc((size_t)words + 1, sizeof(uint64_t));
+    if (near == NULL)
+        return NO_MEMORY;
+    memset(mask, 0, (size_t)n);
+    for (int64_t k = 0; k < num_faults; k++) {
+        int64_t f = fault_ids[k];
+        mask[f] = 1;
+        near[f >> 6] |= (uint64_t)1 << (f & 63);
+        for (int64_t e = indptr[f]; e < indptr[f + 1]; e++) {
+            int64_t u = indices[e];
+            near[u >> 6] |= (uint64_t)1 << (u & 63);
+            if (indptr[u + 1] - indptr[u] > max_degree)
+                max_degree = indptr[u + 1] - indptr[u];
+        }
+    }
+    /* A healthy tester's row positions that hold a fault. */
+    int64_t *hits = malloc((size_t)(max_degree + 1) * sizeof(int64_t));
+    if (hits == NULL) {
+        free(near);
+        return NO_MEMORY;
+    }
+
+#define EMIT(slot, value)                     \
+    do {                                      \
+        if (count == capacity)                \
+            goto short_buffer;                \
+        offsets[count] = (slot);              \
+        values[count++] = (uint8_t)(value);   \
+    } while (0)
+
+    int64_t count = 0, k = 0, next_coin = 0;
+    for (int64_t word = 0; word < words; word++) {
+        for (uint64_t set = near[word]; set; set &= set - 1) {
+            int64_t u = word * 64 + __builtin_ctzll(set);
+            int64_t lo = indptr[u];
+            int64_t d = indptr[u + 1] - lo;
+            int64_t slot = pair_indptr[u];
+            if (mask[u]) {
+                /* Testers ascend, so the k-th faulty one is fault_ids[k]. */
+                uint8_t *row = side + side_base[k++];
+                for (int64_t i = 0; i < d; i++) {
+                    int hv = mask[indices[lo + i]];
+                    for (int64_t j = i + 1; j < d; j++, slot++, row++) {
+                        int r = hv | mask[indices[lo + j]];
+                        if (behavior == RANDOM) {
+                            uint8_t top;
+                            do {
+                                if (next_coin == num_coins)
+                                    goto more_words;
+                                top = coins[4 * next_coin++ + 3];
+                            } while (top & 0x80);
+                            r = top >> 6;
+                        } else if (behavior == ALL_ZERO)
+                            r = 0;
+                        else if (behavior == ALL_ONE)
+                            r = 1;
+                        else if (behavior == ANTI_MIMIC)
+                            r ^= 1;
+                        *row = (uint8_t)r;
+                        if (r)
+                            EMIT(slot, r);
+                    }
+                }
+                continue;
+            }
+            /* Healthy: pair (i, j) answers 1 iff position i or j holds a
+             * fault; pair (i, i + 1) sits at slot + i(2d - i - 1)/2. */
+            int64_t h = 0, next = 0;
+            for (int64_t i = 0; i < d; i++) {
+                if (mask[indices[lo + i]])
+                    hits[h++] = i;
+            }
+            for (int64_t i = 0; i + 1 < d; i++) {
+                int64_t base = slot + i * (2 * d - i - 1) / 2;
+                while (next < h && hits[next] <= i)
+                    next++;
+                if (mask[indices[lo + i]]) {
+                    for (int64_t j = i + 1; j < d; j++)
+                        EMIT(base + (j - i - 1), 1);
+                } else {
+                    for (int64_t q = next; q < h; q++)
+                        EMIT(base + (hits[q] - i - 1), 1);
+                }
+            }
+        }
+    }
+#undef EMIT
+    free(near);
+    free(hits);
+    return count;
+
+short_buffer:
+    free(near);
+    free(hits);
+    return SHORT_BUFFER;
+
+more_words:
+    free(near);
+    free(hits);
+    return MORE_WORDS;
+}
+
+/* ------------------------------------------------------------------------
+ * The stacked Set_Builder kernel.
+ *
+ * One `stacked_rounds` call runs every round, the root's pair scan
+ * included, for a whole batch of syndromes over one compiled CSR topology.
+ * Per syndrome it must stay bit-identical to the rows oracle.  The flat
+ * order that keeps a whole stack's rounds identical to the sequential
+ * procedure:
+ *
+ *   - Round 1 scans each root's neighbour pairs (i, j), i < j, in slot
+ *     order, skips a pair whose members were both admitted already, and
+ *     admits both members of a 0-result.
+ *   - Later rounds visit testers in frontier order (ascending flat keys
+ *     `syndrome * n + node`, so syndrome-blocked and node-ascending), and
+ *     each tester's row positions in ascending order.  That flat order is
+ *     what makes first-zero admission and lookup discounting deterministic.
+ *   - A candidate occurrence is *consulted* (counted against its syndrome's
+ *     lookup budget) iff its key has not already been admitted this round;
+ *     the occurrence that admits a key is its first 0-result, and it is
+ *     consulted too.  Members as of round start are never candidates.
+ *   - The admitted keys, ascending, form the next round's frontier.
+ *
+ * `member` doubles as the per-round scoreboard: 0 = outside the set,
+ * 1 = member, 2 = admitted this round (committed back to 1 before the next
+ * round begins, so the caller only ever sees 0/1).  First-zero admission
+ * makes the admitting tester the key's only writer, so `parent` is written
+ * on the spot.
+ *
+ * Nothing is sorted.  An admission also sets the node's bit in its
+ * syndrome's admitted bitset (ceil(n/64) words) and widens that syndrome's
+ * touched-word span.  The commit pass walks the syndromes in ascending
+ * order and each span's words with count-trailing-zeros, clearing them as
+ * it goes, so the next frontier comes out in ascending flat-key order —
+ * the order a sort of the admissions would give.  It costs at most
+ * ceil(n/64) words per syndrome per round, and in practice only the
+ * touched span.  Scratch: 8 bytes per flat key (the frontier), one bit per
+ * flat key (the bitsets) and two words per syndrome (the spans).
+ * ------------------------------------------------------------------------ */
+/* Admit node v of the syndrome whose flat keys start at bn, with tester u;
+ * `bits` is that syndrome's admitted bitset, `lo`/`hi` its touched span. */
+static inline void admit(
+    uint8_t *member, int64_t *parent, uint64_t *bits, int64_t *lo, int64_t *hi,
+    int64_t bn, int64_t v, int64_t u)
+{
+    int64_t word = v >> 6;
+    member[bn + v] = 2;
+    parent[bn + v] = u;
+    bits[word] |= (uint64_t)1 << (v & 63);
+    if (word < *lo)
+        *lo = word;
+    if (word >= *hi)
+        *hi = word + 1;
+}
+
+/* Commit a round: syndromes ascending, each span's bits ascending, so the
+ * next frontier `cur` is the admissions in ascending flat-key order (empty
+ * when nothing was admitted, which ends the run).  Returns its length. */
+static int64_t commit(
+    int64_t n, int64_t num_syndromes, int64_t words, uint64_t *admitted,
+    int64_t *span_lo, int64_t *span_hi, uint8_t *member, const int64_t *parent,
+    int64_t *cur, int64_t *rounds, uint8_t *contributed, int64_t *contrib_count)
+{
+    int64_t cur_len = 0;
+    for (int64_t b = 0, bn = 0; b < num_syndromes; b++, bn += n) {
+        if (span_lo[b] >= span_hi[b])
+            continue;
+        rounds[b]++;
+        uint64_t *bits = admitted + b * words;
+        for (int64_t word = span_lo[b]; word < span_hi[b]; word++) {
+            uint64_t set = bits[word];
+            bits[word] = 0;
+            while (set) {
+                int64_t kv = bn + word * 64 + __builtin_ctzll(set);
+                set &= set - 1;
+                member[kv] = 1;
+                cur[cur_len++] = kv;
+                int64_t cu = bn + parent[kv];
+                if (!contributed[cu]) {
+                    contributed[cu] = 1;
+                    contrib_count[b]++;
+                }
+            }
+        }
+        span_lo[b] = words;
+        span_hi[b] = 0;
+    }
+    return cur_len;
+}
+
+/* Returns 0 on success, or NO_MEMORY, PARENT_NOT_IN_ROW, BAD_NODE (a root
+ * outside [0, n)) or MISSING_SIDE_ROW. */
 int64_t stacked_rounds(
     const int64_t *indptr,          /* n + 1 */
     const int32_t *indices,         /* num_entries, rows sorted ascending */
@@ -115,38 +348,74 @@ int64_t stacked_rounds(
     const syndrome_t *syndromes,    /* num_syndromes read descriptors */
     int64_t n,
     int64_t num_syndromes,
-    const int64_t *frontier0,       /* round-1 admissions, ascending flat keys */
-    int64_t frontier0_len,
-    uint8_t *member,                /* num_syndromes * n */
+    const int64_t *roots,           /* num_syndromes start nodes */
+    uint8_t *member,                /* num_syndromes * n, zero on entry */
     int64_t *parent,                /* num_syndromes * n */
     int64_t *lookups,               /* num_syndromes */
     int64_t *rounds,                /* num_syndromes */
     uint8_t *contributed,           /* num_syndromes * n */
     int64_t *contrib_count)         /* num_syndromes */
 {
-    int64_t cap = num_syndromes * n;
-    int64_t words = (n + 63) / 64;
-    for (int64_t t = 0; t < frontier0_len; t++) {
-        if (frontier0[t] < (t ? frontier0[t - 1] + 1 : 0) || frontier0[t] >= cap)
-            return -3;
+    for (int64_t b = 0; b < num_syndromes; b++) {
+        if (roots[b] < 0 || roots[b] >= n)
+            return BAD_NODE;
     }
-    int64_t *cur = malloc((size_t)cap * sizeof(int64_t));
+    int64_t words = (n + 63) / 64;
+    int64_t *cur = malloc((size_t)(num_syndromes * n) * sizeof(int64_t));
     uint64_t *admitted = calloc((size_t)(num_syndromes * words), sizeof(uint64_t));
     /* Touched-word span [span_lo, span_hi) of each syndrome's bitset. */
     int64_t *span_lo = malloc((size_t)num_syndromes * 2 * sizeof(int64_t));
     int64_t *span_hi = span_lo + num_syndromes;
     int64_t rc = 0;
     if (cur == NULL || admitted == NULL || span_lo == NULL) {
-        rc = -1;
+        rc = NO_MEMORY;
         goto done;
     }
     for (int64_t b = 0; b < num_syndromes; b++) {
         span_lo[b] = words;
         span_hi[b] = 0;
     }
-    memcpy(cur, frontier0, (size_t)frontier0_len * sizeof(int64_t));
-    int64_t cur_len = frontier0_len;
 
+    /* Round 1: each root's pair scan.  member is 2 exactly for the nodes
+     * this scan admitted (the root is 1 and not in its own row). */
+    for (int64_t b = 0, bn = 0; b < num_syndromes; b++, bn += n) {
+        int64_t u0 = roots[b];
+        int64_t lo = indptr[u0];
+        int64_t d = indptr[u0 + 1] - lo;
+        int bad = 0;
+        const uint8_t *row = tester_row(syndromes + b, pair_indptr, u0, &bad);
+        if (bad) {
+            rc = MISSING_SIDE_ROW;
+            goto done;
+        }
+        const uint8_t *mask = syndromes[b].mask;
+        uint64_t *bits = admitted + b * words;
+        member[bn + u0] = 1;
+        int64_t consulted = 0;
+        for (int64_t i = 0; i < d; i++) {
+            int64_t v = indices[lo + i];
+            for (int64_t j = i + 1; j < d; j++) {
+                int64_t w = indices[lo + j];
+                if (member[bn + v] == 2 && member[bn + w] == 2)
+                    continue;
+                consulted++;
+                if (read_result(row, mask, i, j, d, v, w) == 0) {
+                    if (member[bn + v] != 2)
+                        admit(member, parent, bits, span_lo + b, span_hi + b,
+                              bn, v, u0);
+                    if (member[bn + w] != 2)
+                        admit(member, parent, bits, span_lo + b, span_hi + b,
+                              bn, w, u0);
+                }
+            }
+        }
+        lookups[b] += consulted;
+    }
+    int64_t cur_len = commit(n, num_syndromes, words, admitted, span_lo,
+                             span_hi, member, parent, cur, rounds, contributed,
+                             contrib_count);
+
+    /* Rounds >= 2. */
     while (cur_len > 0) {
         int64_t b = 0, bn = 0;
         for (int64_t t = 0; t < cur_len; t++) {
@@ -169,7 +438,7 @@ int64_t stacked_rounds(
                 }
             }
             if (pp < 0) {
-                rc = -2;
+                rc = PARENT_NOT_IN_ROW;
                 goto done;
             }
 
@@ -184,51 +453,18 @@ int64_t stacked_rounds(
             int64_t consulted = 0;
             for (int64_t w = 0; w < d; w++) {
                 int64_t v = indices[lo + w];
-                int64_t kv = bn + v;
-                if (member[kv]) /* member, or already admitted this round */
+                if (member[bn + v]) /* member, or already admitted this round */
                     continue;
                 consulted++;
-                if (read_result(row, mask, w, pp, d, v, p) == 0) {
-                    int64_t word = v >> 6;
-                    member[kv] = 2;
-                    parent[kv] = u;
-                    bits[word] |= (uint64_t)1 << (v & 63);
-                    if (word < span_lo[b])
-                        span_lo[b] = word;
-                    if (word >= span_hi[b])
-                        span_hi[b] = word + 1;
-                }
+                if (read_result(row, mask, w, pp, d, v, p) == 0)
+                    admit(member, parent, bits, span_lo + b, span_hi + b,
+                          bn, v, u);
             }
             lookups[b] += consulted;
         }
-
-        /* Commit: syndromes ascending, each span's bits ascending, so the
-         * next frontier is the admissions in ascending flat-key order (empty
-         * when nothing was admitted, which ends the loop). */
-        cur_len = 0;
-        for (b = 0, bn = 0; b < num_syndromes; b++, bn += n) {
-            if (span_lo[b] >= span_hi[b])
-                continue;
-            rounds[b]++;
-            uint64_t *bits = admitted + b * words;
-            for (int64_t word = span_lo[b]; word < span_hi[b]; word++) {
-                uint64_t set = bits[word];
-                bits[word] = 0;
-                while (set) {
-                    int64_t kv = bn + word * 64 + __builtin_ctzll(set);
-                    set &= set - 1;
-                    member[kv] = 1;
-                    cur[cur_len++] = kv;
-                    int64_t cu = bn + parent[kv];
-                    if (!contributed[cu]) {
-                        contributed[cu] = 1;
-                        contrib_count[b]++;
-                    }
-                }
-            }
-            span_lo[b] = words;
-            span_hi[b] = 0;
-        }
+        cur_len = commit(n, num_syndromes, words, admitted, span_lo, span_hi,
+                         member, parent, cur, rounds, contributed,
+                         contrib_count);
     }
 
 done:
@@ -239,12 +475,12 @@ done:
 }
 
 /* ------------------------------------------------------------------------
- * Healthy-root search probes.
+ * The healthy-root search.
  *
- * `probe_level` runs the diagnosis driver's probes of one partition level
- * (or one fallback attempt) in order and stops at the first probe whose
- * contributor certificate fires.  Each probe is the rows oracle
- * `_set_builder_oracle` in set_builder.py, transcribed statement for
+ * `probe_plan` runs the diagnosis driver's whole probe plan — every
+ * partition level, then the fallback attempts — in order and stops at the
+ * first probe whose contributor certificate fires.  Each probe is the rows
+ * oracle `_set_builder_oracle` in set_builder.py, transcribed statement for
  * statement, with stop_on_certificate set, so that budget-truncated runs
  * agree too:
  *
@@ -257,9 +493,13 @@ done:
  *   - A round commits its admissions, then updates the certificate; the
  *     certificate stop and the budget stop are checked at round start.
  *
- * A restricted probe k admits only nodes v with class_of[v] == k (the
- * caller's per-level table of probed classes); class_of == NULL runs
- * unrestricted.  max_nodes < 0 means no budget.
+ * The plan is `num_levels` rows of PLAN_FIELDS int64: (end, table, budget).
+ * Level l runs the probes starts[end of level l-1 .. end); its probe k
+ * admits only nodes v with class_tables[table * n + v] == k, or every node
+ * when table is -1; budget < 0 means no node budget.  A plan may hold
+ * only the levels whose class tables the caller has built so far (the
+ * driver walks a level's classes only when a search first reaches it); it
+ * then resumes with a longer plan from probe `first`.
  *
  * Scratch is caller-owned and never allocated here: `mark` (n bytes) must
  * be all zero on entry and is all zero again on return, because each probe
@@ -267,11 +507,13 @@ done:
  * carry no state between calls.  `tree` holds the probe's nodes in
  * admission-round order, so each round's frontier is one sorted segment.
  *
- * One record of PROBE_FIELDS int64 per probe run:
- *   (nodes_explored, lookups, certified, truncated, rounds).
- * Returns the number of probes run, or a negative code: -1 on a bad start
- * node, MISSING_SIDE_ROW on a faulty tester without a side row.
+ * Probes run from index `first`.  Record t holds probe t's PROBE_FIELDS
+ * int64: (nodes_explored, lookups, certified, truncated, rounds).  Returns
+ * the index after the last probe run — the certified one or the plan's
+ * last — or BAD_PLAN, BAD_NODE (both checked before any probe runs) or
+ * MISSING_SIDE_ROW.
  * ------------------------------------------------------------------------ */
+#define PLAN_FIELDS 3
 #define PROBE_FIELDS 5
 
 static void sort_nodes(int32_t *a, int64_t len)
@@ -452,32 +694,59 @@ clear:
     return bad ? MISSING_SIDE_ROW : 0;
 }
 
-int64_t probe_level(
+int64_t probe_plan(
     const int64_t *indptr,          /* n + 1 */
     const int32_t *indices,         /* num_entries, rows sorted ascending */
     const int64_t *pair_indptr,     /* n + 1 */
     const syndrome_t *syn,          /* one syndrome's read descriptor */
     int64_t n,
     int64_t delta,
-    const int64_t *starts,          /* num_probes start nodes, probe order */
+    const int64_t *starts,          /* num_probes start nodes, plan order */
     int64_t num_probes,
-    const int32_t *class_of,        /* n probed-class indices, -1, or NULL */
-    int64_t max_nodes,              /* node budget; < 0 for none */
+    int64_t first,                  /* the probe to resume from */
+    const int64_t *levels,          /* num_levels * PLAN_FIELDS */
+    int64_t num_levels,
+    const int32_t *class_tables,    /* num_tables * n probed-class indices */
+    int64_t num_tables,
     uint8_t *mark,                  /* n, zero on entry and on return */
     int32_t *parent,                /* n */
     int32_t *tree,                  /* n */
     int64_t *records)               /* num_probes * PROBE_FIELDS */
 {
-    for (int64_t k = 0; k < num_probes; k++) {
-        int64_t u0 = starts[k];
-        if (u0 < 0 || u0 >= n || (class_of && class_of[u0] != k))
-            return -1;
-        int64_t *record = records + k * PROBE_FIELDS;
-        if (probe_one(indptr, indices, pair_indptr, syn, delta, u0, class_of,
-                      (int32_t)k, max_nodes, mark, parent, tree, record))
-            return MISSING_SIDE_ROW;
-        if (record[2])
-            return k + 1;
+    int64_t begin = 0;
+    if (first < 0 || first > num_probes)
+        return BAD_PLAN;
+    for (int64_t l = 0; l < num_levels; l++) {
+        const int64_t *level = levels + l * PLAN_FIELDS;
+        if (level[0] < begin || level[0] > num_probes || level[1] < -1
+            || level[1] >= num_tables)
+            return BAD_PLAN;
+        const int32_t *class_of = level[1] < 0 ? NULL : class_tables + level[1] * n;
+        for (int64_t t = begin; t < level[0]; t++) {
+            if (starts[t] < 0 || starts[t] >= n)
+                return BAD_NODE;
+            if (class_of && class_of[starts[t]] != t - begin)
+                return BAD_PLAN;
+        }
+        begin = level[0];
+    }
+    if (begin != num_probes)
+        return BAD_PLAN;
+
+    begin = 0;
+    for (int64_t l = 0; l < num_levels; l++) {
+        const int64_t *level = levels + l * PLAN_FIELDS;
+        const int32_t *class_of = level[1] < 0 ? NULL : class_tables + level[1] * n;
+        for (int64_t t = begin > first ? begin : first; t < level[0]; t++) {
+            int64_t *record = records + t * PROBE_FIELDS;
+            if (probe_one(indptr, indices, pair_indptr, syn, delta, starts[t],
+                          class_of, (int32_t)(t - begin), level[2], mark,
+                          parent, tree, record))
+                return MISSING_SIDE_ROW;
+            if (record[2])
+                return t + 1;
+        }
+        begin = level[0];
     }
     return num_probes;
 }

@@ -34,6 +34,7 @@ completes on.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ import numpy as np
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork, PartitionClass
 from .set_builder import (
+    ProbePlan,
     ProbeScratch,
     certificate_node_budget,
     set_builder,
@@ -185,47 +187,38 @@ class GeneralDiagnoser:
         ``partition_level`` is ``None`` if the fallback probing found the
         root.  Raises :class:`DiagnosisError` if every probe fails.
 
+        The probes follow this diagnoser's :class:`_RootSearchPlan`: every
+        partition level, then the budgeted and the unbudgeted fallback.
         Over an :class:`~repro.backend.array_syndrome.ArraySyndrome` on this
-        diagnoser's compiled topology, each partition level and each
-        fallback attempt is one native ``probe_level`` call when the native
-        library is available; the records, root, level and lookup counts
-        are those of the rows-oracle probes it replaces.  ``scratch`` lets a
-        caller diagnosing many syndromes on one thread reuse one
+        diagnoser's compiled topology the whole search is one native
+        ``probe_plan`` call when the native library is available, plus one
+        more each time a search on the topology first reaches a level whose
+        class table is not built yet; the records, root, level and lookup
+        counts are those of the rows-oracle probes it replaces.  ``scratch``
+        lets a caller diagnosing many syndromes on one thread reuse one
         :class:`~repro.core.set_builder.ProbeScratch`.
         """
-        probes: list[ProbeRecord] = []
+        plan = self._root_search_plan()
         if not self._on_compiled_arrays(syndrome):
             scratch = None
         elif scratch is None:
             scratch = ProbeScratch.create(self.csr)
-
-        if self.use_partition:
-            for level in self._probe_levels():
-                table = None if scratch is None else level.class_table(self.csr)
-                if table is None:
-                    outcomes = self._oracle_probes(
-                        syndrome, level.starts.tolist(),
-                        restricts=[cls.contains for cls in level.classes],
-                    )
-                else:
-                    outcomes = _outcomes(scratch.run(
-                        syndrome, level.starts, self.delta, class_of=table,
-                    ))
-                for cls, (size, lookups, certified) in zip(level.classes, outcomes):
-                    probes.append(ProbeRecord(
-                        start=cls.representative,
-                        kind="partition",
-                        label=cls.label,
-                        certified=certified,
-                        nodes_explored=size,
-                        lookups=lookups,
-                    ))
-                    if certified:
-                        return cls.representative, probes, level.level
-
-        root = self._fallback_probe(syndrome, probes, scratch)
-        if root is not None:
-            return root, probes, None
+        probes: list[ProbeRecord] = []
+        while scratch is not None and (native := plan.native) is not None:
+            first = len(probes)
+            records = scratch.run_plan(syndrome, native, self.delta, first)
+            probes += [
+                ProbeRecord(start, kind, label, bool(certified), size, lookups)
+                for (start, kind, label, _, _, _), (size, lookups, certified, _, _)
+                in zip(plan.probes[first:], records.tolist())
+            ]
+            if len(probes) == len(plan.probes) or (probes and probes[-1].certified):
+                break
+            plan.extend(self.csr, native)  # the run reached the unbuilt levels
+        else:  # no native plan (any more): the rows oracle runs the rest
+            probes += self._oracle_probes(syndrome, plan, len(probes))
+        if probes and probes[-1].certified:
+            return probes[-1].start, probes, plan.probes[len(probes) - 1][3]
         raise DiagnosisError(
             "no probe produced the all-healthy certificate; the instance violates "
             "the hypotheses of Theorem 1 (or the healthy component is too small)"
@@ -247,16 +240,10 @@ class GeneralDiagnoser:
         """The partition levels the root search probes, in order.
 
         A level whose classes have one node can never certify and is
-        skipped; a level the network cannot build ends the list.  Compiled
-        diagnosers cache the list on the topology (see
-        :attr:`~repro.backend.csr.CSRAdjacency.probe_plans`), so a serving
-        process walks the partition schemes once per topology.
+        skipped; a level the network cannot build ends the list.
         """
         count = self.delta + 1 if self.max_probes_per_level is None \
             else self.max_probes_per_level
-        plans = None if self.csr is None else self.csr.probe_plans
-        if plans is not None and count in plans:
-            return plans[count]
         levels: list[_ProbeLevel] = []
         for level in range(self.network.max_partition_level() + 1):
             try:
@@ -267,77 +254,71 @@ class GeneralDiagnoser:
             if scheme.class_size <= 1:
                 continue
             levels.append(_ProbeLevel(level, scheme.first(count)))
-        if plans is not None:
-            plans[count] = levels
         return levels
 
-    def _oracle_probes(self, syndrome, starts, *, restricts=None, max_nodes=None):
-        """``(nodes_explored, lookups, certified)`` of each probe from
-        ``starts`` in order, up to and including the first certified one."""
-        for k, start in enumerate(starts):
+    def _root_search_plan(self) -> "_RootSearchPlan":
+        """This diagnoser's probe plan, cached on the compiled topology
+        (:attr:`~repro.backend.csr.CSRAdjacency.probe_plans`), so a serving
+        process walks the partition schemes once per topology.
+
+        The partition levels (unless ``use_partition`` is off), then the
+        fallback: ``δ + 1`` distinct start nodes spread across the node
+        range — at most ``δ`` of them can be faulty — probed with an
+        unrestricted run under the node budget of
+        :func:`~repro.core.set_builder.certificate_node_budget`, then once
+        more without a budget.
+        """
+        network = self.network
+        n = network.num_nodes
+        budget = self.fallback_probe_budget
+        if budget is None:
+            max_degree = self.csr.max_degree if self.csr is not None else network.max_degree
+            budget = certificate_node_budget(self.delta, max_degree)
+        budget = min(budget, n)
+        key = (self.max_probes_per_level, self.delta, self.use_partition, budget)
+        plans = None if self.csr is None else self.csr.probe_plans
+        if plans is not None and key in plans:
+            return plans[key]
+        count = min(self.delta + 1, n)
+        stride = max(1, n // count)
+        seen: set[int] = set()
+        starts: list[int] = []
+        for i in range(count):
+            candidate = (i * stride) % n
+            while candidate in seen:  # distinct even when the stride wraps
+                candidate = (candidate + 1) % n
+            seen.add(candidate)
+            starts.append(candidate)
+        plan = _RootSearchPlan(
+            n, self._probe_levels() if self.use_partition else [], starts, budget
+        )
+        if plans is not None:
+            plans[key] = plan
+        return plan
+
+    def _oracle_probes(
+        self, syndrome, plan: "_RootSearchPlan", first: int = 0
+    ) -> list[ProbeRecord]:
+        """The plan's probes from ``first`` on, on the oracle flavours of
+        ``Set_Builder``, up to and including the first certified one."""
+        probes: list[ProbeRecord] = []
+        for start, kind, label, _, restrict, max_nodes in plan.probes[first:]:
             result = set_builder(
                 self.network,
                 syndrome,
                 start,
                 diagnosability=self.delta,
-                restrict=None if restricts is None else restricts[k],
+                restrict=restrict,
                 max_nodes=max_nodes,
                 stop_on_certificate=True,
                 compiled=self.compiled,
             )
-            yield result.size, result.lookups, result.all_healthy
+            probes.append(ProbeRecord(
+                start, kind, label, result.all_healthy, result.size, result.lookups,
+            ))
             if result.all_healthy:
-                return
-
-    def _fallback_probe(
-        self,
-        syndrome: Syndrome,
-        probes: list[ProbeRecord],
-        scratch: ProbeScratch | None = None,
-    ) -> int | None:
-        """Probe ``δ + 1`` distinct nodes with a budgeted unrestricted run."""
-        network = self.network
-        budget = self.fallback_probe_budget
-        if budget is None:
-            max_degree = self.csr.max_degree if self.csr is not None else network.max_degree
-            budget = certificate_node_budget(self.delta, max_degree)
-        budget = min(budget, network.num_nodes)
-        # δ + 1 distinct start nodes spread across the node range: at most δ
-        # of them can be faulty.
-        count = min(self.delta + 1, network.num_nodes)
-        stride = max(1, network.num_nodes // count)
-        candidates = [(i * stride) % network.num_nodes for i in range(count)]
-        # Ensure distinctness even when the stride wraps.
-        seen: set[int] = set()
-        starts: list[int] = []
-        for candidate in candidates:
-            while candidate in seen:
-                candidate = (candidate + 1) % network.num_nodes
-            seen.add(candidate)
-            starts.append(candidate)
-
-        for attempt, max_nodes in enumerate((budget, None)):
-            if scratch is None:
-                outcomes = self._oracle_probes(syndrome, starts, max_nodes=max_nodes)
-            else:
-                outcomes = _outcomes(scratch.run(
-                    syndrome, np.asarray(starts, dtype=np.int64), self.delta,
-                    max_nodes=max_nodes,
-                ))
-            for start, (size, lookups, certified) in zip(starts, outcomes):
-                probes.append(
-                    ProbeRecord(
-                        start=start,
-                        kind="fallback" if attempt == 0 else "fallback-unbudgeted",
-                        label=f"node={start}",
-                        certified=certified,
-                        nodes_explored=size,
-                        lookups=lookups,
-                    )
-                )
-                if certified:
-                    return start
-        return None
+                break
+        return probes
 
     # -------------------------------------------------------------- diagnosis
     def diagnose(self, syndrome: Syndrome) -> DiagnosisResult:
@@ -473,25 +454,14 @@ class GeneralDiagnoser:
         return boundary
 
 
-def _outcomes(records: np.ndarray) -> list[tuple[int, int, bool]]:
-    """``(nodes_explored, lookups, certified)`` of native probe records."""
-    return [(size, lookups, bool(certified))
-            for size, lookups, certified, _, _ in records.tolist()]
-
-
 class _ProbeLevel:
-    """One partition level of the root search: its probed classes and,
-    built on first native use, their per-node class table."""
+    """One partition level of the root search: its number and probed classes."""
 
-    __slots__ = ("level", "classes", "starts", "_table")
+    __slots__ = ("level", "classes")
 
     def __init__(self, level: int, classes: list[PartitionClass]) -> None:
         self.level = level
         self.classes = classes
-        self.starts = np.array(
-            [cls.representative for cls in classes], dtype=np.int64
-        )
-        self._table: np.ndarray | None | bool = False  # False: not built yet
 
     def class_table(self, csr) -> np.ndarray | None:
         """``int32`` per node: the index of the probed class holding it, or -1.
@@ -501,38 +471,87 @@ class _ProbeLevel:
         can ever add, at about ``|class|·Δ`` predicate calls rather than
         one per node of the network.  ``None`` when a representative lies
         outside its class or two probed classes share a reachable node: the
-        rows-oracle probes then run the level, raising or answering exactly as
-        they always have.
+        rows-oracle probes then run the search, raising or answering exactly
+        as they always have.
         """
-        if self._table is False:
-            self._table = _walk_classes(csr, self.classes)
-        return self._table
+        rows = csr.rows
+        owner: dict[int, int] = {}
+        for k, cls in enumerate(self.classes):
+            contains = cls.contains
+            rep = cls.representative
+            if not 0 <= rep < csr.num_nodes or rep in owner or not contains(rep):
+                return None
+            owner[rep] = k
+            stack = [rep]
+            while stack:
+                for v in rows[stack.pop()]:
+                    held = owner.get(v)
+                    if held == k or not contains(v):
+                        continue
+                    if held is not None:
+                        return None
+                    owner[v] = k
+                    stack.append(v)
+        table = np.full(csr.num_nodes, -1, dtype=np.int32)
+        table[np.fromiter(owner, dtype=np.int64, count=len(owner))] = np.fromiter(
+            owner.values(), dtype=np.int32, count=len(owner)
+        )
+        return table
 
 
-def _walk_classes(csr, classes: list[PartitionClass]) -> np.ndarray | None:
-    rows = csr.rows
-    owner: dict[int, int] = {}
-    for k, cls in enumerate(classes):
-        contains = cls.contains
-        rep = cls.representative
-        if not 0 <= rep < csr.num_nodes or rep in owner or not contains(rep):
-            return None
-        owner[rep] = k
-        stack = [rep]
-        while stack:
-            for v in rows[stack.pop()]:
-                held = owner.get(v)
-                if held == k or not contains(v):
-                    continue
-                if held is not None:
-                    return None
-                owner[v] = k
-                stack.append(v)
-    table = np.full(csr.num_nodes, -1, dtype=np.int32)
-    table[np.fromiter(owner, dtype=np.int64, count=len(owner))] = np.fromiter(
-        owner.values(), dtype=np.int32, count=len(owner)
-    )
-    return table
+class _RootSearchPlan:
+    """The root search's probes in order: every partition level's classes,
+    then the fallback starts with a node budget and without one.
+
+    ``probes`` holds one ``(start, kind, label, partition_level, restrict,
+    max_nodes)`` tuple per probe.  :attr:`native` is the plan as the native
+    kernel reads it, cut after the levels whose class tables are built:
+    walking a level's classes costs up to one predicate call per node, so
+    a level is walked only when a search first reaches it, and the
+    fallback joins once every level is built.  It is ``None`` once a level
+    turns out to have no class table; the rows oracle then runs the rest.
+    """
+
+    __slots__ = ("n", "levels", "probes", "_rows", "_tables", "_lock", "native")
+
+    def __init__(self, n: int, levels: list["_ProbeLevel"], fallback: list[int],
+                 budget: int) -> None:
+        self.n = n
+        self.levels = levels
+        self.probes = [
+            (cls.representative, "partition", cls.label, level.level, cls.contains, None)
+            for level in levels for cls in level.classes
+        ] + [
+            (start, kind, f"node={start}", None, None, max_nodes)
+            for kind, max_nodes in (("fallback", budget), ("fallback-unbudgeted", None))
+            for start in fallback
+        ]
+        ends = np.cumsum([len(level.classes) for level in levels]
+                         + [len(fallback)] * 2).tolist()
+        self._rows = [(end, k, -1) for k, end in enumerate(ends[:len(levels)])] + [
+            (ends[-2], -1, budget), (ends[-1], -1, -1)]
+        self._tables: tuple[np.ndarray, ...] = ()
+        self._lock = threading.Lock()  # searches on executor threads share plans
+        self.native: ProbePlan | None = self._plan()
+
+    def _plan(self) -> ProbePlan:
+        built = len(self._tables)
+        rows = self._rows[:built] if built < len(self.levels) else self._rows
+        end = rows[-1][0] if rows else 0
+        return ProbePlan(self.n, [probe[0] for probe in self.probes[:end]], rows,
+                         self._tables or None)
+
+    def extend(self, csr, ran: ProbePlan) -> None:
+        """Walk the next level's classes into :attr:`native`, unless a
+        concurrent search replaced ``ran`` already."""
+        with self._lock:
+            if self.native is ran:
+                table = self.levels[len(self._tables)].class_table(csr)
+                if table is None:
+                    self.native = None
+                else:
+                    self._tables += (table,)
+                    self.native = self._plan()
 
 
 def diagnose(

@@ -1,21 +1,29 @@
-"""Optional native build of the Set_Builder inner loops.
+"""Optional native build of the seeded diagnosis stages.
 
-``_stacked.c`` has two entry points.  ``stacked_rounds`` is the stacked
-kernel's hot loop: memory-bound element streaming, exactly the shape a C
-compiler turns into a single fused pass, where numpy would need one
-full-array sweep per operator.  It sorts nothing: each round's admissions
+``_stacked.c`` has one entry point per stage, so a batch crosses into C
+once per stage.  ``seeded_build`` is the slot pass: from the sorted fault
+ids (and, for the ``random`` behaviour, the generator words Python drew) it
+writes a seeded syndrome's fault mask, side table and ascending nonzero
+offsets and values, walking the faulty testers and their neighbours in
+tester order, so nothing is sorted.  ``probe_plan`` runs a diagnoser's
+whole healthy-root search (every partition level, then the budgeted and
+unbudgeted fallback): small scalar probes, where the interpreter's
+per-element overhead dominates.  ``stacked_rounds`` is the final
+``Set_Builder`` run of a whole stack, from each root's pair scan to the
+fixpoint: memory-bound element streaming, exactly the shape a C compiler
+turns into a single fused pass.  It sorts nothing: each round's admissions
 are committed through a per-syndrome admitted bitset, whose set bits,
-walked in order, are already the next frontier.  ``probe_level`` runs the
-healthy-root search's small scalar probes, where the interpreter's
-per-element overhead dominates.
+walked in order, are already the next frontier.
 
-Both take each syndrome as a :class:`SyndromeView`, the C ``syndrome_t``
-descriptor, in one of two read modes: a flat result buffer (explicit
-syndromes, shared-memory views), or a fault mask plus a side table of the
-faulty testers' rows (seeded builds, see
+The last two take each syndrome as a :class:`SyndromeView`, the C
+``syndrome_t`` descriptor, in one of two read modes: a flat result buffer
+(explicit syndromes, shared-memory views), or a fault mask plus a side
+table of the faulty testers' rows (seeded builds, see
 :meth:`~repro.backend.array_syndrome.ArraySyndrome.from_faults`).  A
 healthy tester's result is then ``mask[v] | mask[w]``, so a seeded
-syndrome is diagnosed without its buffer ever being written.
+syndrome is diagnosed without its buffer ever being written.  An entry
+answers an input it cannot bound with a negative code; :func:`check`
+raises the matching error.
 
 The source is C99 + libc plus the ``__builtin_ctzll`` intrinsic, which
 every compiler tried here (``cc``, ``gcc``, ``clang``) provides.  When a
@@ -23,10 +31,11 @@ system C compiler is available, ``_stacked.c`` is built once into a tiny
 shared library (cached under the user's cache directory, keyed by source
 hash) and loaded through the stdlib ``ctypes`` — no third-party dependency,
 no install step, nothing added to the environment.  When it is not — or
-when ``REPRO_NO_NATIVE`` is set — both the final run and the probes fall
-back to the rows oracle in ``set_builder.py``, which reads the syndrome's
-buffer (built on first use) and which the test suites pin bit-identical to
-the native passes.
+when ``REPRO_NO_NATIVE`` is set — every stage runs its Python reference
+instead, which the test suites pin bit-identical to the native pass: the
+slot pass transcribed in ``array_syndrome.py``, and the rows oracle in
+``set_builder.py`` for the probes and the final run, which reads the
+syndrome's buffer (built on first use).
 
 The compile is atomic (build to a temp name, ``os.replace`` into the cache)
 so racing processes never load a half-written file, and the build itself
@@ -56,15 +65,19 @@ __all__ = [
     "MISSING_SIDE_ROW",
     "SyndromeView",
     "address",
-    "load_probe_kernel",
-    "load_stacked_kernel",
+    "check",
+    "load_kernel",
     "native_kernel_active",
+    "topology_args",
 ]
 
 _SOURCE = Path(__file__).with_name("_stacked.c")
-#: Both kernels' return code for a mask-mode read of a faulty tester whose
-#: row the side table does not hold (or holds out of bounds).
-MISSING_SIDE_ROW = -4
+#: The entries' negative return codes; ``_stacked.c`` says when each is
+#: returned.  MORE_WORDS asks ``seeded_build``'s caller for more coin words.
+NO_MEMORY, PARENT_NOT_IN_ROW, BAD_NODE, MISSING_SIDE_ROW = -1, -2, -3, -4
+BAD_PLAN, SHORT_BUFFER, BAD_BEHAVIOR, MORE_WORDS = -5, -6, -7, -8
+_NAMES = {code: name for name, code in list(globals().items())
+          if name.isupper() and isinstance(code, int) and code < 0}
 _COMPILERS = ("cc", "gcc", "clang")
 
 #: tri-state memo: "unset" -> not probed yet, None -> unavailable, else the
@@ -149,33 +162,46 @@ class SyndromeView(ctypes.Structure):
 
 
 def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare both entry points with raw-pointer array arguments.
+    """Declare the three entry points with raw-pointer array arguments.
 
     Arrays travel as ``c_void_p`` addresses the callers check once (dtype,
     contiguity, length) before a call: ``ndpointer`` re-validates every
     array on every call, which costs several times a probe's own run time.
     """
     p, i64 = ctypes.c_void_p, ctypes.c_int64
+    build = library.seeded_build
+    build.restype = i64
+    build.argtypes = [
+        p, p, p,    # indptr, indices, pair_indptr
+        i64,        # n
+        p, i64,     # fault_ids, num_faults
+        i64,        # behavior (index in FaultyTesterBehavior.NAMES)
+        p, i64,     # coins (getrandbits words), num_coins
+        p, p,       # mask, side_base
+        p, i64,     # side, side_len
+        p, p, i64,  # offsets, values, capacity
+    ]
     stacked = library.stacked_rounds
     stacked.restype = i64
     stacked.argtypes = [
         p, p, p,    # indptr, indices, pair_indptr
         p,          # syndromes: num_syndromes SyndromeViews
         i64, i64,   # n, num_syndromes
-        p, i64,     # frontier0, frontier0_len
+        p,          # roots
         p, p,       # member, parent
         p, p,       # lookups, rounds
         p, p,       # contributed, contrib_count
     ]
-    probe = library.probe_level
+    probe = library.probe_plan
     probe.restype = i64
     probe.argtypes = [
         p, p, p,    # indptr, indices, pair_indptr
         p,          # syndrome: one SyndromeView
         i64, i64,   # n, delta
         p, i64,     # starts, num_probes
-        p,          # class_of (NULL: unrestricted)
-        i64,        # max_nodes (< 0: none)
+        i64,        # first: the probe to resume from
+        p, i64,     # levels (end, table, budget), num_levels
+        p, i64,     # class_tables, num_tables
         p, p, p,    # mark, parent, tree
         p,          # records
     ]
@@ -211,16 +237,23 @@ def _load_library():
     return _kernel
 
 
-def load_stacked_kernel():
-    """The compiled ``stacked_rounds`` entry point, or ``None``."""
+def load_kernel(name: str):
+    """The compiled entry point ``name`` of ``_stacked.c`` (``seeded_build``,
+    ``probe_plan`` or ``stacked_rounds``), or ``None``."""
     library = _load_library()
-    return None if library is None else library.stacked_rounds
+    return None if library is None else getattr(library, name)
 
 
-def load_probe_kernel():
-    """The compiled ``probe_level`` entry point, or ``None``."""
-    library = _load_library()
-    return None if library is None else library.probe_level
+def check(code: int, entry: str) -> int:
+    """``code`` if a native entry succeeded, else raise its typed error:
+    ``ValueError`` for an input the entry refuses (BAD_NODE, BAD_PLAN,
+    BAD_BEHAVIOR), ``MemoryError`` for NO_MEMORY, ``RuntimeError`` for an
+    inconsistent syndrome, topology or output size."""
+    if code >= 0:
+        return code
+    error = MemoryError if code == NO_MEMORY else (
+        ValueError if code in (BAD_NODE, BAD_PLAN, BAD_BEHAVIOR) else RuntimeError)
+    raise error(f"native {entry} refused its input: {_NAMES.get(code, code)}")
 
 
 def address(array: np.ndarray, dtype, length: int) -> int:
@@ -237,6 +270,17 @@ def address(array: np.ndarray, dtype, length: int) -> int:
     return array.ctypes.data
 
 
+def topology_args(csr) -> tuple[int, int, int]:
+    """The checked ``indptr``, ``indices`` and ``pair_indptr`` addresses of
+    a compiled topology: the first three arguments of every entry."""
+    n = csr.num_nodes
+    return (
+        address(csr.indptr, np.int64, n + 1),
+        address(csr.indices, np.int32, csr.num_entries),
+        address(csr.pair_indptr, np.int64, n + 1),
+    )
+
+
 def native_kernel_active() -> bool:
-    """Whether stacked batches and root-search probes run natively."""
+    """Whether seeded builds, root searches and final runs run natively."""
     return _load_library() is not None

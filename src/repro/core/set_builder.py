@@ -40,7 +40,8 @@ selects the fastest applicable implementation:
   kernel, or the rows path when no C compiler is found;
 * every other run over such a syndrome — restricted, budgeted or stopping
   at the certificate — takes the rows path.  The rows path is also the
-  reference of the native root-search probes (:class:`ProbeScratch`).
+  reference of the native root search (:class:`ProbeScratch`), which runs
+  a diagnoser's whole :class:`ProbePlan` in one call.
 
 So there are two implementations: the native kernel and probes, which
 read a seeded syndrome's fault mask and side table in place, and the rows
@@ -64,11 +65,11 @@ import numpy as np
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork
 from .native import (
-    MISSING_SIDE_ROW,
     SyndromeView,
     address,
-    load_probe_kernel,
-    load_stacked_kernel,
+    check,
+    load_kernel,
+    topology_args,
 )
 from .syndrome import Syndrome
 
@@ -76,6 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - the runtime import is deferred (cycle)
     from ..backend.array_syndrome import ArraySyndrome
 
 __all__ = [
+    "ProbePlan",
     "ProbeScratch",
     "SetBuilderResult",
     "set_builder",
@@ -337,10 +339,44 @@ def _set_builder_oracle(
     )
 
 
-class ProbeScratch:
-    """Caller-owned scratch of the native root-search probes on one topology.
+class ProbePlan:
+    """A root-search probe plan as ``probe_plan`` in ``_stacked.c`` reads it.
 
-    ``probe_level`` in ``_stacked.c`` runs rows-oracle probes without
+    ``starts`` lists every probe's start node in plan order.  ``levels`` is
+    one ``(end, table, budget)`` row per level: the level runs the probes
+    up to ``starts[end]``, its probe ``k`` admits only the nodes ``v`` with
+    ``tables[table][v] == k`` (every node when ``table`` is -1), under a
+    ``budget``-node limit (none when negative).  ``tables`` holds ``n``
+    ``int32`` entries per table.  The arrays are converted (a lossy cast
+    raises ``TypeError``) and checked once here; the kernel checks the
+    plan's consistency before it probes.
+    """
+
+    __slots__ = ("num_probes", "_arrays", "_starts", "_levels")
+
+    def __init__(self, n: int, starts, levels, tables=None) -> None:
+        def array(values, dtype):
+            values = np.asarray(values)
+            if values.size:  # an empty list reads as float64
+                values = values.astype(dtype, casting="safe")
+            return np.ascontiguousarray(values, dtype=dtype)
+
+        starts = array(starts, np.int64)
+        levels = array(levels, np.int64).reshape(-1, 3)
+        tables = array(np.empty(0, np.int32) if tables is None else tables, np.int32)
+        self.num_probes = starts.size
+        self._arrays = (starts, levels, tables)  # alive while their addresses are
+        self._starts = (address(starts, np.int64, starts.size), starts.size)
+        self._levels = (
+            address(levels, np.int64, levels.size), len(levels),
+            address(tables, np.int32, tables.size), tables.size // n,
+        )
+
+
+class ProbeScratch:
+    """Caller-owned scratch of the native root search on one topology.
+
+    ``probe_plan`` in ``_stacked.c`` runs rows-oracle probes without
     allocating: it borrows a zeroed node mask (each probe clears exactly the
     nodes it touched, so the mask is zero again between calls) and two
     node-sized work arrays.  One instance serves any number of consecutive
@@ -360,11 +396,7 @@ class ProbeScratch:
         self._mark = np.zeros(n, dtype=np.uint8)
         self._parent = np.empty(n, dtype=np.int32)
         self._tree = np.empty(n, dtype=np.int32)
-        self._topology = (
-            address(csr.indptr, np.int64, n + 1),
-            address(csr.indices, np.int32, csr.num_entries),
-            address(csr.pair_indptr, np.int64, n + 1),
-        )
+        self._topology = topology_args(csr)
         self._scratch = (
             address(self._mark, np.uint8, n),
             address(self._parent, np.int32, n),
@@ -373,84 +405,40 @@ class ProbeScratch:
 
     @classmethod
     def create(cls, csr) -> "ProbeScratch | None":
-        kernel = load_probe_kernel()
+        kernel = load_kernel("probe_plan")
         return None if kernel is None else cls(csr, kernel)
 
-    def run(
+    def run_plan(
         self,
         syndrome: ArraySyndrome,
-        starts: np.ndarray,
+        plan: ProbePlan,
         diagnosability: int,
-        *,
-        class_of: np.ndarray | None = None,
-        max_nodes: int | None = None,
+        first: int = 0,
     ) -> np.ndarray:
-        """Probe from each of ``starts`` in order until one certifies.
+        """Run ``plan``'s probes from ``first`` on, in one call, until one
+        certifies or the plan ends.
 
-        Probe ``k`` is the rows oracle's ``set_builder(network, syndrome,
-        starts[k], ...)`` with ``stop_on_certificate`` set, restricted to
-        the nodes ``v`` with ``class_of[v] == k`` (unrestricted when
-        ``class_of`` is ``None``), under the ``max_nodes`` budget.  The
-        kernel reads the syndrome through its
+        The kernel reads the syndrome through its
         :meth:`~repro.backend.array_syndrome.ArraySyndrome.native_view`, so
-        a seeded syndrome's buffer is never built.
-        Returns one ``(nodes_explored, lookups, certified, truncated,
-        rounds)`` row per probe run — every probe up to and including the
-        first certified one — and credits the consulted entries to
-        ``syndrome.lookups``.  A mask-mode syndrome whose side table lacks a
-        faulty tester's row raises ``RuntimeError``.
+        a seeded syndrome's buffer is never built.  Returns one
+        ``(nodes_explored, lookups, certified, truncated, rounds)`` row per
+        probe run and credits the consulted entries to ``syndrome.lookups``.
+        A start outside the network or its class raises ``ValueError``; a
+        mask-mode syndrome whose side table lacks a faulty tester's row
+        raises ``RuntimeError``.
         """
-        csr = self.csr
-        n = csr.num_nodes
-        count = len(starts)
-        records = np.empty((count, 5), dtype=np.int64)
-        ran = self._kernel(
+        records = np.empty((plan.num_probes, 5), dtype=np.int64)
+        ran = check(self._kernel(
             *self._topology,
             ctypes.byref(syndrome.native_view()),
-            n, diagnosability,
-            address(starts, np.int64, count), count,
-            None if class_of is None else address(class_of, np.int32, n),
-            -1 if max_nodes is None else max_nodes,
+            self.csr.num_nodes, diagnosability,
+            *plan._starts, first, *plan._levels,
             *self._scratch,
-            address(records, np.int64, records.size),
-        )
-        if ran == MISSING_SIDE_ROW:
-            raise RuntimeError("native probe read a faulty tester without a side row")
-        if ran < 0:
-            raise ValueError("a probe start node lies outside its class or the network")
-        records = records[:ran]
+            records.ctypes.data,
+        ), "probe_plan")
+        records = records[first:ran]
         syndrome.lookups += int(records[:, 1].sum())
         return records
-
-
-def _expand_root_pairs(csr, results: bytes, u0: int) -> tuple[list[int], int]:
-    """Round 1 of :func:`set_builder_many`: scan the root's neighbour pairs.
-
-    ``results`` is the root's row of test results in slot order
-    (:meth:`~repro.backend.array_syndrome.ArraySyndrome.row_values`).
-    Returns ``(added, lookups)`` exactly as the rows oracle produces them —
-    Δ(Δ-1)/2 pair reads with the double-admission suppression; every added
-    node's parent is ``u0``.  Each stacked syndrome runs it in Python
-    because it is tiny; the stacked rounds take over from round 2.
-    """
-    row0 = csr.rows[u0]
-    d0 = len(row0)
-    in_added: set[int] = set()
-    added: list[int] = []
-    lookups = 0
-    for i in range(d0):
-        v = row0[i]
-        for j in range(i + 1, d0):
-            w = row0[j]
-            if v in in_added and w in in_added:
-                continue
-            lookups += 1
-            if results[i * (2 * d0 - i - 1) // 2 + (j - i - 1)] == 0:
-                for node in (v, w):
-                    if node not in in_added:
-                        in_added.add(node)
-                        added.append(node)
-    return added, lookups
 
 
 def _oracle_final(csr, syndrome, u0, diagnosability, materialize):
@@ -477,10 +465,11 @@ def set_builder_many(
 ) -> list[SetBuilderResult]:
     """Run unrestricted ``Set_Builder`` for a whole stack of syndromes at once.
 
-    One compiled topology, ``B`` syndromes, ``B`` start nodes: every round
+    One compiled topology, ``B`` syndromes, ``B`` start nodes, one native
+    call: round 1 scans each root's neighbour pairs, then every round
     expands the *concatenation* of all still-active per-syndrome frontiers in
     a single pass (membership and parents live in flattened ``(B, n)``
-    arrays keyed by ``syndrome * n + node``) in the native C kernel.
+    arrays keyed by ``syndrome * n + node``).
     Syndromes terminate independently — one that adds no nodes in a round
     simply stops contributing candidates while the others keep growing.  A
     width-one stack is how :func:`set_builder` runs every unrestricted,
@@ -535,7 +524,7 @@ def set_builder_many(
             ))
         return results
 
-    native = load_stacked_kernel()
+    native = load_kernel("stacked_rounds")
     if native is None:
         return [
             _oracle_final(csr, syndrome, int(u0), diagnosability, materialize)
@@ -550,47 +539,23 @@ def set_builder_many(
     #: contributors, plus the running per-syndrome distinct-contributor count
     contributed = np.zeros(num_syndromes * n, dtype=bool)
     contrib_count = np.zeros(num_syndromes, dtype=np.int64)
-
-    # ---------------------------------------------------------------- round 1
-    # Per-syndrome scalar root-pair scans (Δ(Δ-1)/2 each — tiny), exactly the
-    # sequential round 1; the stacked frontier starts syndrome-blocked.
-    frontier_parts: list[np.ndarray] = []
-    for b, (syndrome, u0) in enumerate(zip(syndromes, roots)):
-        member_flat[b * n + u0] = True
-        added, root_lookups = _expand_root_pairs(csr, syndrome.row_values(u0), u0)
-        lookups[b] += root_lookups
-        if added:
-            arr = np.asarray(sorted(added), dtype=np.int64)
-            member_flat[b * n + arr] = True
-            parent_flat[b * n + arr] = u0
-            rounds[b] = 1
-            contributed[b * n + u0] = True
-            contrib_count[b] = 1
-            frontier_parts.append(b * n + arr)
-
-    # ------------------------------------------------------------ rounds >= 2
-    if frontier_parts:
-        keys = num_syndromes * n
-        views = (SyndromeView * num_syndromes)(
-            *(syndrome.native_view() for syndrome in syndromes)
-        )
-        frontier0 = np.concatenate(frontier_parts)
-        code = native(
-            address(csr.indptr, np.int64, n + 1),
-            address(csr.indices, np.int32, csr.num_entries),
-            address(csr.pair_indptr, np.int64, n + 1),
-            views,
-            n, num_syndromes,
-            address(frontier0, np.int64, frontier0.size), frontier0.size,
-            address(member_flat.view(np.uint8), np.uint8, keys),
-            address(parent_flat, np.int64, keys),
-            address(lookups, np.int64, num_syndromes),
-            address(rounds, np.int64, num_syndromes),
-            address(contributed.view(np.uint8), np.uint8, keys),
-            address(contrib_count, np.int64, num_syndromes),
-        )
-        if code != 0:
-            raise RuntimeError(f"native stacked kernel failed with code {code}")
+    root_ids = np.asarray(roots, dtype=np.int64)
+    views = (SyndromeView * num_syndromes)(
+        *(syndrome.native_view() for syndrome in syndromes)
+    )
+    keys = num_syndromes * n
+    check(native(
+        *topology_args(csr),
+        views,
+        n, num_syndromes,
+        address(root_ids, np.int64, num_syndromes),
+        address(member_flat.view(np.uint8), np.uint8, keys),
+        address(parent_flat, np.int64, keys),
+        address(lookups, np.int64, num_syndromes),
+        address(rounds, np.int64, num_syndromes),
+        address(contributed.view(np.uint8), np.uint8, keys),
+        address(contrib_count, np.int64, num_syndromes),
+    ), "stacked_rounds")
 
     # ----------------------------------------------------------------- results
     member2d = member_flat.reshape(num_syndromes, n)

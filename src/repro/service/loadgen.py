@@ -291,14 +291,13 @@ def verify_against_direct(spec: LoadSpec, report: LoadReport) -> int:
     the differential suite treats as a hard failure.
     """
     from .executor import resolve_topology, run_direct
-    from .requests import request_key
 
     expected: dict[str, DiagnosisResponse] = {}
     topologies: dict[str, tuple] = {}
     requests = [r for stream in build_client_streams(spec) for r in stream]
     mismatches = 0
     for request, response in zip(requests, report.responses):
-        key = request_key(request)
+        key = request.key
         if key not in expected:
             topo = request.topology_key
             if topo not in topologies:

@@ -326,17 +326,19 @@ class DiagnosisRequest:
     def network_kwargs(self) -> dict[str, int]:
         return dict(self.params)
 
-    @property
+    @cached_property
     def topology_key(self) -> str:
+        """:func:`topology_key` of the request's topology, computed once."""
         return topology_key(self.family, self.params)
 
     @property
     def is_explicit(self) -> bool:
         return self.syndrome_bytes is not None
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Duplicate-suppression key (see :func:`request_key`)."""
+        """Duplicate-suppression key (see :func:`request_key`), computed
+        once and kept on the request like :attr:`digest`."""
         return request_key(self)
 
     @cached_property

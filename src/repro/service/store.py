@@ -44,12 +44,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from .requests import (
-    DIGEST_SCHEMES,
-    DiagnosisRequest,
-    DiagnosisResponse,
-    request_key,
-)
+from .requests import DIGEST_SCHEMES, DiagnosisRequest, DiagnosisResponse
 
 __all__ = ["ResultStore"]
 
@@ -198,7 +193,7 @@ class ResultStore:
             self._conn.execute(
                 "INSERT OR REPLACE INTO request_index "
                 "(request_key, topology_key, syndrome_digest) VALUES (?, ?, ?)",
-                (request_key(request), response.topology_key,
+                (request.key, response.topology_key,
                  response.syndrome_digest),
             )
         self.evict(now=now, commit=False)
@@ -277,7 +272,7 @@ class ResultStore:
             "JOIN results r ON r.topology_key = i.topology_key "
             "AND r.syndrome_digest = i.syndrome_digest "
             "WHERE i.request_key = ?",
-            (request_key(request),),
+            (request.key,),
         ).fetchone()
         if row is None:
             self.misses += 1

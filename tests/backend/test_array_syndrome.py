@@ -98,7 +98,7 @@ class TestSparseFillPin:
     @pytest.mark.parametrize("behavior", FaultyTesterBehavior.NAMES)
     def test_mixed_degree_topology(self, behavior):
         # A hub over a 7-cycle, a pendant and an isolated node: degrees 0, 1,
-        # 3, 4 and 7 all occur, so the fill runs several degree groups.
+        # 3, 4 and 7 all occur, so the slot pass meets rows of every width.
         rows = [list(range(1, 8))]
         for v in range(1, 8):
             rows.append([0, 1 + (v % 7), 1 + ((v - 2) % 7)])

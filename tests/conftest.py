@@ -57,6 +57,17 @@ def cached_network(family: str, size: str = "tiny"):
 ALL_FAMILIES = sorted(FAMILIES)
 
 
+def probe_level(scratch, syndrome, starts, delta, *, class_of=None, max_nodes=None):
+    """One level of native root-search probes: a one-level
+    :class:`~repro.core.set_builder.ProbePlan` run on ``scratch``."""
+    from repro.core.set_builder import ProbePlan
+
+    level = (len(starts), -1 if class_of is None else 0,
+             -1 if max_nodes is None else max_nodes)
+    plan = ProbePlan(scratch.csr.num_nodes, starts, level, class_of)
+    return scratch.run_plan(syndrome, plan, delta)
+
+
 @pytest.fixture(params=ALL_FAMILIES)
 def tiny_network(request):
     """One tiny instance per network family (parametrised fixture)."""

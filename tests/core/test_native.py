@@ -38,7 +38,7 @@ def counting_compile(source, target):
     return real_compile(source, target)
 
 native._compile = counting_compile
-kernel = native.load_stacked_kernel()
+kernel = native.load_kernel("stacked_rounds")
 print("loaded" if kernel is not None else "missing")
 """
 

@@ -1,8 +1,9 @@
 """Native root-search probes and bulk faulty-tester coins.
 
-``probe_level`` (``_stacked.c``) runs the healthy-root search's probes in
-place of the rows oracle, and ``fair_coins`` replaces one
-``rng.randint(0, 1)`` per faulty-tester pair.  Both are pure speedups: the
+``probe_plan`` (``_stacked.c``) runs the healthy-root search's probes in
+place of the rows oracle, a whole plan per call, and ``seeded_build`` keeps
+CPython's ``randint(0, 1)`` answers from bulk-drawn generator words in place
+of one ``rng.randint(0, 1)`` per faulty-tester pair.  Both are pure speedups: the
 probe records, roots, levels, lookup counters and syndrome bytes they
 produce must equal the rows oracle's and the per-call coins' exactly, which
 this module pins on every registry family.  The native probes read seeded
@@ -16,20 +17,22 @@ import random
 import numpy as np
 import pytest
 
-from repro.backend.array_syndrome import ArraySyndrome, fair_coins
+from repro.backend.array_syndrome import ArraySyndrome
 from repro.backend.csr import compile_network
 from repro.core import native
 from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser, _ProbeLevel
 from repro.core.faults import clustered_faults, random_faults, spread_faults
 from repro.core.set_builder import (
+    ProbePlan,
     ProbeScratch,
     certificate_node_budget,
     set_builder,
 )
 from repro.core.syndrome import FaultyTesterBehavior
 from repro.networks.base import PartitionClass
+from repro.networks.hypercube import Hypercube
 
-from ..conftest import cached_network
+from ..conftest import cached_network, probe_level
 
 needs_native = pytest.mark.skipif(
     not native.native_kernel_active(), reason="no C compiler available"
@@ -61,10 +64,12 @@ def _oracle(network, syndrome, u0, delta, restrict=None, max_nodes=None):
             int(result.truncated), result.rounds]
 
 
+def _starts(level):
+    return [cls.representative for cls in level.classes]
+
+
 def _native(scratch, syndrome, starts, delta, **kwargs):
-    return scratch.run(
-        syndrome, np.asarray(starts, dtype=np.int64), delta, **kwargs
-    ).tolist()
+    return probe_level(scratch, syndrome, starts, delta, **kwargs).tolist()
 
 
 @needs_native
@@ -105,7 +110,7 @@ class TestProbeKernelMatchesRowsOracle:
                         expected.append(record)
                 # ... and the whole level, stopping at the first certificate.
                 assert _native(
-                    scratch, syndrome, level.starts, delta, class_of=table
+                    scratch, syndrome, _starts(level), delta, class_of=table
                 ) == expected
 
     def test_lookups_are_credited_and_scratch_is_left_clean(self, q7):
@@ -124,11 +129,63 @@ class TestProbeKernelMatchesRowsOracle:
         syndrome = next(_syndromes(q5))
         table = np.full(csr.num_nodes, -1, dtype=np.int32)
         with pytest.raises(ValueError):
-            scratch.run(syndrome, np.array([3], dtype=np.int64), 5, class_of=table)
+            probe_level(scratch, syndrome, [3], 5, class_of=table)
         with pytest.raises(ValueError):
-            scratch.run(syndrome, np.array([csr.num_nodes], dtype=np.int64), 5)
-        with pytest.raises(ValueError):  # wrong dtype never reaches C
-            scratch.run(syndrome, np.array([0], dtype=np.int32), 5)
+            probe_level(scratch, syndrome, [csr.num_nodes], 5)
+        with pytest.raises(TypeError):  # a non-integer start never reaches C
+            probe_level(scratch, syndrome, np.array([0.0]), 5)
+        with pytest.raises(TypeError):
+            probe_level(scratch, syndrome, [0], 5, class_of=table.astype(np.int64))
+
+
+@needs_native
+class TestPlanRefusals:
+    """``probe_plan`` checks a plan's shape before it runs a probe."""
+
+    @pytest.mark.parametrize("levels", [
+        [(2, -1, -1), (1, -1, -1)],     # ends decrease
+        [(4, -1, -1)],                  # ends past the last probe
+        [(1, -1, -1)],                  # ends before the last probe
+        [(2, 1, -1)],                   # names a table that is not there
+        [(2, -2, -1)],
+    ])
+    def test_malformed_levels(self, q5, levels):
+        csr = compile_network(q5)
+        scratch = ProbeScratch.create(csr)
+        syndrome = next(_syndromes(q5))
+        table = np.zeros((1, csr.num_nodes), dtype=np.int32)
+        plan = ProbePlan(csr.num_nodes, [0, 1], levels, table)
+        before = syndrome.lookups
+        with pytest.raises(ValueError):
+            scratch.run_plan(syndrome, plan, 5)
+        assert syndrome.lookups == before and not scratch._mark.any()
+
+    def test_a_plan_cut_after_a_level_resumes(self, q7):
+        """A plan holding only level 0, then the whole plan from the probe
+        after it, give the records of one run of the whole plan."""
+        csr = compile_network(q7)
+        scratch = ProbeScratch.create(csr)
+        delta = q7.diagnosability()
+        levels = GeneralDiagnoser(q7, max_probes_per_level=2)._probe_levels()
+        assert len(levels) >= 2
+        tables = [level.class_table(csr) for level in levels]
+        starts = [start for level in levels for start in _starts(level)]
+        rows = [(end, k, -1) for k, end in enumerate(
+            np.cumsum([len(level.classes) for level in levels]).tolist())]
+        whole = ProbePlan(csr.num_nodes, starts, rows, tables)
+        cut = ProbePlan(csr.num_nodes, starts[:rows[0][0]], rows[:1], tables[:1])
+        resumed = 0
+        for syndrome in _syndromes(q7):
+            expected = scratch.run_plan(syndrome, whole, delta).tolist()
+            head = scratch.run_plan(syndrome, cut, delta).tolist()
+            assert head == expected[:len(head)]
+            if not head[-1][2]:
+                resumed += 1
+                assert head + scratch.run_plan(
+                    syndrome, whole, delta, first=len(head)).tolist() == expected
+            with pytest.raises(ValueError):
+                scratch.run_plan(syndrome, whole, delta, first=len(starts) + 1)
+        assert resumed
 
 
 class TestRootSearchNativeOnAndOff:
@@ -158,6 +215,21 @@ class TestRootSearchNativeOnAndOff:
 
     def test_partition_search(self, tiny_network, monkeypatch):
         self._compare(tiny_network, monkeypatch)
+
+    def test_a_level_without_a_table_hands_the_rest_to_the_oracle(
+        self, q7, monkeypatch
+    ):
+        csr = compile_network(q7)
+        monkeypatch.setattr(csr, "probe_plans", {})  # no plan from other tests
+        walk = _ProbeLevel.class_table
+        second = GeneralDiagnoser(q7)._probe_levels()[1].level
+        monkeypatch.setattr(_ProbeLevel, "class_table", lambda level, csr: (
+            None if level.level >= second else walk(level, csr)
+        ))
+        active = native.native_kernel_active()
+        self._compare(q7, monkeypatch)
+        [plan] = csr.probe_plans.values()
+        assert (plan.native is None) == active
 
     def test_fallback_search(self, tiny_network, monkeypatch):
         self._compare(tiny_network, monkeypatch, use_partition=False)
@@ -203,20 +275,30 @@ class TestClassTables:
 
 class TestBulkCoins:
     def test_bulk_coins_equal_per_call_randint(self):
-        """A CPython change to ``randint`` must fail here, not shift digests."""
+        """A CPython change to ``randint`` must fail here, not shift digests.
+
+        A ``random`` build's side table is its faulty testers' coins in
+        canonical order: faults 0..m-1 of Q_8 (28 pairs each) or Q_5 (10
+        each) give 10..2996 coins, and some first draws of 2·coins + 64
+        words fall short, so the kernel's ask for more words runs too.
+        """
+        q8, q5 = compile_network(Hypercube(8)), compile_network(Hypercube(5))
+        short_draws = 0
         for seed in range(1000):
-            # k sweeps 1..3000 across the seeds; every tenth seed also
-            # draws the full 3000.
-            sizes = {1, 2, 3, 1 + (seed * 7919) % 3000}
+            sizes = {(q5, 1), (q5, 3), (q8, 1 + (seed * 7919) % 107)}
             if seed % 10 == 0:
-                sizes.add(3000)
+                sizes.add((q8, 107))
             reference = random.Random(seed)
-            expected = [reference.randint(0, 1) for _ in range(max(sizes))]
-            for k in sizes:
-                coins = fair_coins(random.Random(seed), k)
-                assert coins.dtype == np.uint8
-                assert coins.tolist() == expected[:k], (seed, k)
-        assert fair_coins(random.Random(0), 0).size == 0
+            expected = [reference.randint(0, 1) for _ in range(107 * 28)]
+            for csr, m in sizes:
+                side = ArraySyndrome.from_faults(csr, range(m), seed=seed).side
+                assert side.dtype == np.uint8
+                assert side.tolist() == expected[:side.size], (seed, m)
+                draw = 2 * side.size + 64
+                words = np.frombuffer(random.Random(seed).getrandbits(
+                    32 * draw).to_bytes(4 * draw, "little"), dtype="<u4")
+                short_draws += int(np.count_nonzero(words < 1 << 31) < side.size)
+        assert short_draws > 0
 
     def test_behaviour_subclass_keeps_per_pair_delegation(self, q5):
         calls = []

@@ -182,7 +182,7 @@ class TestNativeKernel:
         from repro.core import native
 
         monkeypatch.setattr(native, "_forced_off", True)
-        assert native.load_stacked_kernel() is None
+        assert native.load_kernel("stacked_rounds") is None
         assert native.native_kernel_active() is False
 
     def test_missing_source_degrades_to_none(self, monkeypatch, tmp_path):
@@ -190,15 +190,15 @@ class TestNativeKernel:
 
         monkeypatch.setattr(native, "_kernel", "unset")
         monkeypatch.setattr(native, "_SOURCE", tmp_path / "nope.c")
-        assert native.load_stacked_kernel() is None
+        assert native.load_kernel("stacked_rounds") is None
 
     def test_loaded_kernel_is_memoized(self):
         from repro.core import native
 
-        first = native.load_stacked_kernel()
+        first = native.load_kernel("stacked_rounds")
         if first is None:
             pytest.skip("no C compiler available in this environment")
-        assert native.load_stacked_kernel() is first
+        assert native.load_kernel("stacked_rounds") is first
 
     def test_native_and_oracle_paths_agree_exactly(self, q7, monkeypatch):
         from repro.core import native

@@ -40,6 +40,8 @@ from repro.service import DiagnosisRequest, DiagnosisService, ResultStore
 from repro.service.executor import run_direct
 from repro.service.requests import syndrome_digest
 
+from ..conftest import probe_level
+
 needs_native = pytest.mark.skipif(
     not native.native_kernel_active(), reason="no C compiler available"
 )
@@ -124,8 +126,8 @@ class TestMaskFormAgrees:
             starts = np.asarray(sorted(faults)[:4], dtype=np.int64)
             for max_nodes in (None, max(2, tiny_network.num_nodes // 4)):
                 assert np.array_equal(
-                    scratch.run(syndrome, starts, delta, max_nodes=max_nodes),
-                    scratch.run(explicit, starts, delta, max_nodes=max_nodes),
+                    probe_level(scratch, syndrome, starts, delta, max_nodes=max_nodes),
+                    probe_level(scratch, explicit, starts, delta, max_nodes=max_nodes),
                 ), label
             roots = starts.tolist()
             for mask_run, buffer_run in zip(
@@ -203,7 +205,7 @@ class TestBoundedMaskReads:
         scratch = ProbeScratch.create(syndrome.csr)
         for node in (0, 1):
             with pytest.raises(RuntimeError):
-                scratch.run(syndrome, np.array([node], dtype=np.int64), 5)
+                probe_level(scratch, syndrome, [node], 5)
             assert not scratch._mark.any()
             with pytest.raises(RuntimeError):
                 set_builder_many(q5, [syndrome], [node])

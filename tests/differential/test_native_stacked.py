@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.backend.array_syndrome import ArraySyndrome
-from repro.backend.csr import compile_network
+from repro.backend.csr import CSRAdjacency, compile_network
 from repro.core import native
 from repro.core.faults import clustered_faults, random_faults
 from repro.core.set_builder import set_builder, set_builder_many
@@ -121,41 +121,46 @@ class TestNativeMatchesOracle:
 
 class TestKernelRefusals:
     """The raw entry point refuses inputs that would take it out of bounds:
-    the frontier walk steps the syndrome index instead of dividing, so it
-    needs ascending in-range keys, and a tester must find its parent."""
+    every root must be a node, and every tester must find its tree parent
+    in its row."""
 
-    def _call(self, network, frontier, parent_of):
-        kernel = native.load_stacked_kernel()
+    def _call(self, csr, roots):
+        kernel = native.load_kernel("stacked_rounds")
         if kernel is None:
             pytest.skip("no C compiler available in this environment")
-        csr = compile_network(network)
         n = csr.num_nodes
+        width = len(roots)
         buf = np.zeros(csr.num_pairs, dtype=np.uint8)
-        frontier = np.asarray(frontier, dtype=np.int64)
-        member = np.zeros(n, dtype=np.uint8)
-        parent = np.full(n, -1, dtype=np.int64)
-        for node, tester in parent_of.items():
-            member[[node, tester]] = 1
-            parent[node] = tester
-        lookups, rounds, contrib_count = (np.zeros(1, dtype=np.int64)
+        roots = np.asarray(roots, dtype=np.int64)
+        member = np.zeros(width * n, dtype=np.uint8)
+        parent = np.full(width * n, -1, dtype=np.int64)
+        lookups, rounds, contrib_count = (np.zeros(width, dtype=np.int64)
                                           for _ in range(3))
-        contributed = np.zeros(n, dtype=np.uint8)
-        view = native.SyndromeView(buf=buf.ctypes.data)
-        return kernel(
+        contributed = np.zeros(width * n, dtype=np.uint8)
+        views = (native.SyndromeView * width)(
+            *(native.SyndromeView(buf=buf.ctypes.data) for _ in range(width))
+        )
+        code = kernel(
             csr.indptr.ctypes.data, csr.indices.ctypes.data,
-            csr.pair_indptr.ctypes.data, ctypes.byref(view),
-            n, 1, frontier.ctypes.data, frontier.size,
+            csr.pair_indptr.ctypes.data, views,
+            n, width, roots.ctypes.data,
             member.ctypes.data, parent.ctypes.data,
             lookups.ctypes.data, rounds.ctypes.data,
             contributed.ctypes.data, contrib_count.ctypes.data,
         )
+        return code, member
 
     def test_tree_parent_outside_the_row(self, q5):
-        # 1 and 2 differ in two bits: not Q_5 neighbours.
-        assert self._call(q5, [1], {1: 2}) == -2
-        assert self._call(q5, [1], {1: 0}) == 0
+        # An asymmetric adjacency: the root 0 admits 1 and 2, but 1's row
+        # does not hold 0.
+        rows = [[1, 2], [2, 3], [0, 1], [1]]
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        csr = CSRAdjacency(indptr, [v for row in rows for v in row])
+        assert self._call(csr, [0])[0] == native.PARENT_NOT_IN_ROW
+        assert self._call(compile_network(q5), [0])[0] == 0
 
-    @pytest.mark.parametrize("frontier", [[3, 1], [1, 1], [-1], [32]])
-    def test_frontier_not_ascending_in_range(self, q5, frontier):
-        parent_of = {v: v ^ 1 for v in frontier if 0 <= v < 32}
-        assert self._call(q5, frontier, parent_of) == -3
+    @pytest.mark.parametrize("roots", [[-1], [32], [0, 32]])
+    def test_root_outside_the_network(self, q5, roots):
+        code, member = self._call(compile_network(q5), roots)
+        assert code == native.BAD_NODE
+        assert not member.any()  # refused before anything was written

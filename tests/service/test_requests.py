@@ -67,6 +67,24 @@ class TestKeys:
         ):
             assert syndrome_digest(buffer) == expected
 
+    def test_keys_are_computed_once_per_request(self, monkeypatch):
+        from repro.service import requests as module
+
+        calls = []
+        for name in ("request_key", "topology_key"):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        request = DiagnosisRequest.seeded("star", {"n": 6}, seed=2)
+        for _ in range(3):
+            assert request.key == request_key(request)
+            assert request.topology_key == "star[n=6]"
+        assert sorted(calls) == ["request_key", "topology_key"]
+
     def test_describe_is_stable_and_compact(self):
         request = DiagnosisRequest.seeded("star", {"n": 6}, seed=2)
         assert request.describe() == "star[n=6] random/delta random seed=2"

@@ -24,6 +24,43 @@ class TestParser:
             main(["diagnose", "--family", "unknown_family"])
 
 
+class TestMalformedParameters:
+    """A bad ``--param`` or ``--instance`` is a usage error: one line on
+    stderr naming the family's parameters, exit status 2, no traceback."""
+
+    @staticmethod
+    def _refused(capsys, argv, *fragments):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("repro-diagnose: error: ")
+        for fragment in fragments:
+            assert fragment in err, err
+
+    def test_non_integer_value(self, capsys):
+        self._refused(capsys, ["diagnose", "--param", "dimension=abc"],
+                      "'dimension=abc'", "hypercube takes dimension=INT")
+
+    def test_pair_without_a_value(self, capsys):
+        self._refused(capsys, ["diagnose", "--param", "dimension"],
+                      "bad parameter 'dimension'", "hypercube takes dimension=INT")
+
+    def test_unknown_parameter_name(self, capsys):
+        self._refused(capsys, ["properties", "--family", "star", "--param", "m=5"],
+                      "bad parameter 'm=5'", "star takes n=INT")
+
+    def test_misspelt_instance_parameter(self, capsys):
+        self._refused(capsys, ["load", "--instance", "hypercube:dimnsion=8"],
+                      "bad instance", "'dimnsion=8'", "hypercube takes dimension=INT")
+
+    def test_missing_required_parameter(self, capsys):
+        self._refused(capsys, ["diagnose", "--family", "enhanced_hypercube",
+                               "--param", "k=3"],
+                      "missing parameter 'dimension'",
+                      "enhanced_hypercube takes dimension=INT, k=INT")
+
+
 class TestCommands:
     def test_diagnose_hypercube(self, capsys):
         code = main(["diagnose", "--family", "hypercube", "--param", "dimension=7",
@@ -310,7 +347,7 @@ class TestLoadCommand:
             main(["load", "--clients", "1", "--requests", "1",
                   "--http", "http://127.0.0.1:1"])
 
-    def test_argument_validation(self):
+    def test_argument_validation(self, capsys):
         with pytest.raises(SystemExit, match="--clients"):
             main(["load", "--clients", "0"])
         with pytest.raises(SystemExit, match="--requests"):
@@ -319,10 +356,11 @@ class TestLoadCommand:
             main(["load", "--seed-pool", "0"])
         with pytest.raises(SystemExit, match="--workers"):
             main(["load", "--workers", "0"])
-        with pytest.raises(SystemExit, match="unknown network family"):
-            main(["load", "--instance", "mesh:n=3"])
-        with pytest.raises(SystemExit, match="bad instance"):
-            main(["load", "--instance", "hypercube:dimension"])
+        for instance, message in (("mesh:n=3", "unknown network family"),
+                                  ("hypercube:dimension", "bad instance")):
+            with pytest.raises(SystemExit) as info:
+                main(["load", "--instance", instance])
+            assert info.value.code == 2 and message in capsys.readouterr().err
         for flag in (["--workers", "2"], ["--store", "x.db"]):
             with pytest.raises(SystemExit, match="drives a remote server"):
                 main(["load", "--http", "http://127.0.0.1:1", *flag])
