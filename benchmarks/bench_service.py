@@ -49,6 +49,15 @@ native mask at width 1 with the sets against width 16 light, to be at
 least 3; ``--smoke`` runs one pass per row, gates on ``verified`` only and
 writes nothing.
 
+Beside the table, ``cold_start`` records what a fresh ``serve`` process
+pays before its first answer, from new interpreters (median of
+``COLD_RUNS``): the milliseconds to import what ``serve --http`` imports,
+the number of modules then loaded, the peak RSS (``ru_maxrss``, Linux's
+``VmHWM``) after the imports and after resolving and warming each mix
+topology with one seeded request, and whether that built any topology's
+Python rows (``CSRAdjacency.rows``).  ``--baseline`` files the older run's
+``cold_start`` as its ``before``.
+
 Run with:  PYTHONPATH=src python benchmarks/bench_service.py
 """
 
@@ -62,6 +71,7 @@ import json
 import os
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -80,6 +90,32 @@ REPEATS = {True: 25, False: 3}
 LIGHT_BATCHED_TARGET = 3.0
 STAGES = ("diagnosis.root_search_ms", "kernel.set_builder_ms", "csr.boundary_ms")
 KEY = ("family", "params", "native", "width", "form")
+#: Fresh interpreters per cold-start record (one under ``--smoke``).
+COLD_RUNS = 5
+
+#: One cold start, run as ``python -c COLD_START MIX_JSON``: it prints one
+#: JSON record of :func:`measure_cold_start`'s fields.
+COLD_START = """
+import json, resource, sys, time
+def peak_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+start = time.perf_counter()
+import repro.cli
+from repro.service import DiagnosisRequest, DiagnosisService, HttpFrontend
+import_ms = (time.perf_counter() - start) * 1e3
+modules, import_peak = len(sys.modules), peak_mb()
+from repro.service.executor import resolve_topology, run_batch_local
+rows_built = False
+for family, params in json.loads(sys.argv[1]):
+    network, csr = resolve_topology(family, params)
+    run_batch_local(network, csr, [DiagnosisRequest.seeded(family, params, seed=1)])
+    rows_built = rows_built or csr._rows is not None
+print(json.dumps({
+    "import_ms": round(import_ms, 1), "modules": modules,
+    "peak_rss_import_mb": import_peak, "peak_rss_warm_mb": peak_mb(),
+    "modules_warm": len(sys.modules), "rows_built": rows_built,
+}))
+"""
 
 
 @contextlib.contextmanager
@@ -220,6 +256,21 @@ def measure_layers(mix, *, smoke: bool) -> list[dict]:
     return rows
 
 
+def measure_cold_start(mix, *, runs: int) -> dict:
+    """Median of ``runs`` fresh-interpreter cold starts (see the module
+    docstring), on the ``repro`` this interpreter imports."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    arg = json.dumps([[family, dict(params)] for family, params in mix])
+    records = []
+    for _ in range(runs):
+        out = subprocess.run([sys.executable, "-c", COLD_START, arg], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        records.append(json.loads(out.strip().splitlines()[-1]))
+    return {name: statistics.median(record[name] for record in records)
+            if isinstance(records[0][name], float) else records[-1][name]
+            for name in records[0]}
+
+
 def key(row) -> str:
     return json.dumps([row[name] for name in KEY], sort_keys=True)
 
@@ -249,10 +300,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     smoke = "--smoke" in argv
     mix = SMOKE_MIX if smoke else DEFAULT_MIX
-    before = None
+    before = cold_before = None
     if "--baseline" in argv:
-        previous = Path(argv[argv.index("--baseline") + 1]).read_text()
-        before = json.loads(previous)["layers"]
+        previous = json.loads(Path(argv[argv.index("--baseline") + 1]).read_text())
+        before = previous["layers"]
+        cold_before = previous.get("cold_start", {}).get("after")
+    cold_start = measure_cold_start(mix, runs=1 if smoke else COLD_RUNS)
+    print(f"cold start: {cold_start}")
     rows = measure_layers(mix, smoke=smoke)
     fingerprints = {key(row): row["outcome_sha256"] for row in rows}
     verified = all(row["verified"] for row in rows) and all(
@@ -286,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": sys.version.split()[0],
         "layers": rows,
         "before": before,
+        "cold_start": {"after": cold_start, "before": cold_before},
         **(gate or {"light_batched_target_met": False}),
         "verified": verified,
     }

@@ -30,14 +30,15 @@ exactly once no matter how many trials run on it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+import os
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..networks.base import InterconnectionNetwork
 
-__all__ = ["CSRAdjacency", "compile_network", "compile_count"]
+__all__ = ["CSRAdjacency", "compile_network", "compile_count", "compile_delta_probe"]
 
 #: Process-wide count of full topology walks (CSRAdjacency.from_network).
 #: The worker pool reports the delta observed inside each task, which is how
@@ -49,6 +50,27 @@ _compile_count = 0
 def compile_count() -> int:
     """Number of full adjacency walks this process has performed."""
     return _compile_count
+
+
+def compile_delta_probe() -> Callable[[], dict]:
+    """Snapshot the evidence counters; the returned thunk reports the delta.
+
+    Every served batch, in-process or in a pool task, wraps its work in one
+    probe::
+
+        probe = compile_delta_probe()
+        ...  # resolve + run
+        return results, probe()
+
+    so the coordinator can aggregate per-batch proof that no request
+    recompiled a topology.
+    """
+    compiles_before = _compile_count
+
+    def stats() -> dict:
+        return {"pid": os.getpid(), "compiles": _compile_count - compiles_before}
+
+    return stats
 
 
 class CSRAdjacency:
@@ -114,17 +136,26 @@ class CSRAdjacency:
     # ------------------------------------------------------------ construction
     @classmethod
     def from_network(cls, network: "InterconnectionNetwork") -> "CSRAdjacency":
-        """Compile a network's adjacency into flat arrays (one full walk)."""
+        """Compile a network's adjacency into flat arrays (one full walk).
+
+        Each sorted row is written straight into the ``int32`` index array,
+        sized ``N·Δ`` up front, so no Python list of every neighbour id is
+        built on the way; an irregular network's unused tail is cut off.
+        """
         global _compile_count
         _compile_count += 1
         n = network.num_nodes
         indptr = np.zeros(n + 1, dtype=np.int64)
-        flat: list[int] = []
+        indices = np.empty(n * network.max_degree if n else 0, dtype=np.int32)
+        end = 0
         for v in range(n):
             row = sorted(network.neighbors(v))
-            flat.extend(row)
-            indptr[v + 1] = len(flat)
-        return cls(indptr, np.asarray(flat, dtype=np.int32))
+            indices[end:end + len(row)] = row
+            end += len(row)
+            indptr[v + 1] = end
+        if end < len(indices):
+            indices = indices[:end].copy()
+        return cls(indptr, indices)
 
     # ------------------------------------------------------------------- graph
     def neighbors(self, v: int) -> np.ndarray:
@@ -145,8 +176,14 @@ class CSRAdjacency:
         """Per-node rows as Python tuples — the interpreter-friendly view.
 
         The canonical representation is the flat ``indptr``/``indices`` pair;
-        pure-Python hot loops iterate faster over native tuples than over
-        numpy slices, so this view is materialised once on first use.
+        pure-Python loops iterate faster over native tuples than over numpy
+        slices, so this view is materialised once, on first use.  Its readers
+        are the pure-Python paths: the rows-oracle ``Set_Builder`` (native-off
+        runs, foreign syndromes, direct restricted or budgeted calls), the
+        syndrome's per-test lookups and reference slot pass, the MM-model
+        verifier, the diagnosability search, the baselines and the
+        distributed engine and simulator.  The native serving path reads only the flat arrays, so a
+        serving process never builds it (about 8 MB of tuples on Q_14).
         """
         if self._rows is None:
             flat = self.indices.tolist()

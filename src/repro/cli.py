@@ -57,11 +57,9 @@ import argparse
 import inspect
 import sys
 
-from .analysis.reporting import format_table
 from .core.diagnosis import GeneralDiagnoser
 from .core.faults import clustered_faults, random_faults
 from .core.syndrome import generate_syndrome, syndrome_table_size
-from .networks.properties import verify_theorem1_preconditions
 from .networks.registry import FAMILIES, available_families, cached_network
 
 __all__ = ["main", "build_parser"]
@@ -102,6 +100,22 @@ def _family_params(family: str, pairs: list[str], *, context: str = "") -> dict[
     return params
 
 
+def _family_network(family: str, params: dict[str, int], *, context: str = ""):
+    """The registry's ``family(**params)`` instance, with a diagnosability.
+
+    A parameter out of the family's range (the constructor refuses it, or
+    the instance is too small for the literature's ``δ``) is a one-line
+    usage error that names the family and quotes the refusal.
+    """
+    try:
+        network = cached_network(family, **params)
+        network.diagnosability()
+    except ValueError as exc:
+        given = ", ".join(f"{name}={value}" for name, value in params.items())
+        raise _usage_error(f"{context}no {family} instance with {given}: {exc}") from None
+    return network
+
+
 def _parse_instance(spec: str) -> tuple[str, dict[str, int]]:
     """Parse ``family`` or ``family:name=value,name=value`` mix entries."""
     family, _, rest = spec.partition(":")
@@ -111,7 +125,10 @@ def _parse_instance(spec: str) -> tuple[str, dict[str, int]]:
             f"available: {', '.join(available_families())}"
         )
     pairs = rest.split(",") if rest else []
-    return family, _family_params(family, pairs, context=f"bad instance {spec!r}: ")
+    context = f"bad instance {spec!r}: "
+    params = _family_params(family, pairs, context=context)
+    _family_network(family, params, context=context)
+    return family, params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     params = _family_params(args.family, args.param)
-    network = cached_network(args.family, **params)
+    network = _family_network(args.family, params)
     delta = network.diagnosability()
     count = delta if args.faults is None else args.faults
     if args.placement == "random":
@@ -373,11 +390,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_distributed(args: argparse.Namespace) -> int:
     from .backend.array_syndrome import ArraySyndrome
+    from .backend.csr import compile_network
     from .distributed import ChannelConfig, ProtocolEngine, spread_roots
-    from .networks.registry import compiled_network
 
     params = _family_params(args.family, args.param)
-    network, csr = compiled_network(args.family, **params)
+    network = _family_network(args.family, params)
+    csr = compile_network(network)
     count = network.diagnosability() if args.faults is None else args.faults
     if args.placement == "random":
         faults = random_faults(network, count, seed=args.seed)
@@ -990,6 +1008,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+
     rows = []
     exit_code = 0
     for name, spec in sorted(FAMILIES.items()):
@@ -1013,8 +1033,11 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_properties(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .networks.properties import verify_theorem1_preconditions
+
     params = _family_params(args.family, args.param)
-    network = cached_network(args.family, **params)
+    network = _family_network(args.family, params)
     report = verify_theorem1_preconditions(network, compute_connectivity=args.exact_connectivity)
     print(format_table(
         ["family", "N", "degree", "regular", "δ", "κ (claimed)", "κ (measured)", "Theorem 1 applies"],

@@ -472,9 +472,10 @@ class _ProbeLevel:
         one per node of the network.  ``None`` when a representative lies
         outside its class or two probed classes share a reachable node: the
         rows-oracle probes then run the search, raising or answering exactly
-        as they always have.
+        as they always have.  The walk reads the flat CSR arrays, so the
+        native path never builds :attr:`CSRAdjacency.rows`.
         """
-        rows = csr.rows
+        indptr, indices = csr.indptr, csr.indices
         owner: dict[int, int] = {}
         for k, cls in enumerate(self.classes):
             contains = cls.contains
@@ -484,7 +485,8 @@ class _ProbeLevel:
             owner[rep] = k
             stack = [rep]
             while stack:
-                for v in rows[stack.pop()]:
+                u = stack.pop()
+                for v in indices[indptr[u]:indptr[u + 1]].tolist():
                     held = owner.get(v)
                     if held == k or not contains(v):
                         continue

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only; networkx loads on use
+    import networkx as nx
 
 __all__ = [
     "PartitionClass",
@@ -207,6 +208,8 @@ class InterconnectionNetwork(ABC):
     # ------------------------------------------------------------ conversions
     def to_networkx(self) -> nx.Graph:
         """Materialise the network as a :class:`networkx.Graph` (for tests)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_nodes))
         graph.add_edges_from(self.edges())
@@ -508,6 +511,8 @@ class ExplicitNetwork(InterconnectionNetwork):
 
     def connectivity(self) -> int:
         if self._connectivity is None:
+            import networkx as nx
+
             return nx.node_connectivity(self.to_networkx())
         return self._connectivity
 

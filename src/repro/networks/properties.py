@@ -4,14 +4,14 @@ These utilities verify, on concrete instances, the structural hypotheses the
 paper's Theorem 1 and its Section 5 applications rely on: regularity of the
 stated degree, vertex connectivity at least the diagnosability, and partition
 schemes whose classes are pairwise disjoint, connected, and cover the node
-set.  They back both the test suite and experiment E7.
+set.  They back both the test suite and experiment E7.  The checks that
+compute with :mod:`networkx` import it when they run, so importing this
+module (as :mod:`repro.networks` does) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .base import InterconnectionNetwork, PartitionScheme
 
@@ -59,6 +59,8 @@ def is_regular(network: InterconnectionNetwork) -> bool:
 
 def vertex_connectivity(network: InterconnectionNetwork) -> int:
     """Exact vertex connectivity, computed via networkx (small instances only)."""
+    import networkx as nx
+
     return nx.node_connectivity(network.to_networkx())
 
 
@@ -77,6 +79,8 @@ def check_partition(
     and, when all classes are examined, that they cover the node set.
     Raises ``AssertionError`` on violation (the function backs the tests).
     """
+    import networkx as nx
+
     graph = network.to_networkx()
     seen: set[int] = set()
     examined = 0

@@ -60,7 +60,14 @@ from typing import Callable
 
 import numpy as np
 
-from ..backend.csr import CSRAdjacency, compile_count, compile_network
+# compile_delta_probe lives with the counter it reads, so in-process
+# serving never imports this module; it is re-exported for pool tasks.
+from ..backend.csr import (
+    CSRAdjacency,
+    compile_count,
+    compile_delta_probe,
+    compile_network,
+)
 from .shm import (
     BufferHandle,
     OwnedSegment,
@@ -492,26 +499,6 @@ def worker_network(family: str, params, handle: TopologyHandle | None):
     network = cached_network(family, **dict(params))
     adopt_worker_topology(network, handle)
     return network, compile_network(network)
-
-
-def compile_delta_probe() -> Callable[[], dict]:
-    """Snapshot the evidence counters; the returned thunk reports the delta.
-
-    Every pool task wraps its work in one probe::
-
-        probe = compile_delta_probe()
-        ...  # resolve + run
-        return results, probe()
-
-    so the coordinator can aggregate per-task proof that shared-memory
-    workers never recompiled a topology.
-    """
-    compiles_before = compile_count()
-
-    def stats() -> dict:
-        return {"pid": os.getpid(), "compiles": compile_count() - compiles_before}
-
-    return stats
 
 
 def worker_buffer(handle: BufferHandle) -> np.ndarray:

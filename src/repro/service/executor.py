@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..backend.array_syndrome import ArraySyndrome
+from ..backend.csr import compile_delta_probe, compile_network
 from ..core.diagnosis import DiagnosisError, GeneralDiagnoser
 from ..core.faults import clustered_faults, random_faults, spread_faults
 from ..core.syndrome import FaultyTesterBehavior
@@ -110,19 +111,17 @@ def resolve_topology(family: str, params: dict):
     and its capacity-0 configuration (``serve --cache-capacity 0``) — do
     what they claim to.
 
-    The entry is returned *warmed*: the Python rows and pair bases are
-    materialised here, once per cache entry, never inside a measured batch.
-    The stacked kernel's round 1 reads them on every request.  The root
-    search's native probes read only the flat CSR arrays and a per-level
-    class table, which the first search on a level builds by walking the
-    rows and caches on the compiled topology; without the native library
-    the rows-oracle probes read the rows and pair bases directly.
+    The entry is returned *warmed*: the pair bases, which every seeded
+    build reads, are materialised here, once per cache entry, never inside
+    a measured batch.  The native kernels read only the flat CSR arrays,
+    and the root search's per-level class tables are built from them by
+    the first search that reaches a level and cached on the compiled
+    topology.  The Python rows (:attr:`CSRAdjacency.rows`) are left
+    unbuilt: only native-off runs read them, and they build them on first
+    use.
     """
     network = create_network(family, **params)
-    from ..backend.csr import compile_network
-
     csr = compile_network(network)
-    csr.rows
     csr.pair_base
     return network, csr
 
@@ -238,8 +237,6 @@ def run_batch_local(
     stacked kernel's actual batch
     width (requests whose syndrome failed to construct never reach it).
     """
-    from ..parallel.pool import compile_delta_probe
-
     probe = compile_delta_probe()
     responses, width = _run_requests(network, csr, requests)
     stats = probe()
@@ -284,7 +281,7 @@ def run_batch_task(
     zero-copy views out of its cached mapping and reuses the coordinator's
     digests, never rescanning them.
     """
-    from ..parallel.pool import compile_delta_probe, worker_buffer, worker_network
+    from ..parallel.pool import worker_buffer, worker_network
 
     probe = compile_delta_probe()
     network, csr = worker_network(family, params, handle)

@@ -32,6 +32,32 @@ class TestRowsMatchNeighbors:
         assert csr.min_degree == network.min_degree
 
 
+class TestCompile:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_arrays_equal_a_walk_of_sorted_rows(self, family):
+        """``from_network`` fills the index array row by row; the bytes are
+        exactly those of concatenating every sorted neighbour row."""
+        network = tiny_cached_network(family, "small")
+        csr = CSRAdjacency.from_network(network)
+        rows = [sorted(network.neighbors(v)) for v in range(network.num_nodes)]
+        indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+        indices = [w for row in rows for w in row]
+        assert csr.indptr.tobytes() == np.asarray(indptr, dtype=np.int64).tobytes()
+        assert csr.indices.tobytes() == np.asarray(indices, dtype=np.int32).tobytes()
+        assert csr.indices.base is None  # no oversized buffer pinned behind a view
+
+    def test_irregular_network_keeps_no_unused_tail(self):
+        network = ExplicitNetwork([[1, 2, 3], [0], [0], [0]])
+        csr = CSRAdjacency.from_network(network)
+        assert csr.indptr.tolist() == [0, 3, 4, 5, 6]
+        assert csr.indices.tolist() == [1, 2, 3, 0, 0, 0]
+        assert csr.indices.base is None
+
+    def test_empty_network(self):
+        csr = CSRAdjacency.from_network(ExplicitNetwork([]))
+        assert csr.num_nodes == 0 and csr.indices.size == 0
+
+
 class TestHasEdge:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_bisect_matches_adjacency(self, family):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.backend.array_syndrome import ArraySyndrome
-from repro.backend.csr import compile_network
+from repro.backend.csr import CSRAdjacency, compile_network
 from repro.core import native
 from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser, _ProbeLevel
 from repro.core.faults import clustered_faults, random_faults, spread_faults
@@ -250,6 +250,31 @@ class TestRootSearchNativeOnAndOff:
         assert q7._csr_adjacency is csr and csr.probe_plans
 
 
+def _rows_walk_table(level, csr):
+    """A level's class table from a walk over ``csr.rows``: the reference
+    the flat-array walk of :meth:`_ProbeLevel.class_table` transcribes."""
+    owner: dict[int, int] = {}
+    for k, cls in enumerate(level.classes):
+        rep = cls.representative
+        if rep in owner or not cls.contains(rep):
+            return None
+        owner[rep] = k
+        stack = [rep]
+        while stack:
+            for v in csr.rows[stack.pop()]:
+                held = owner.get(v)
+                if held == k or not cls.contains(v):
+                    continue
+                if held is not None:
+                    return None
+                owner[v] = k
+                stack.append(v)
+    table = np.full(csr.num_nodes, -1, dtype=np.int32)
+    for v, k in owner.items():
+        table[v] = k
+    return table
+
+
 class TestClassTables:
     def test_walk_matches_membership(self, small_network):
         csr = compile_network(small_network)
@@ -260,6 +285,19 @@ class TestClassTables:
                 walked = set(np.flatnonzero(table == k).tolist())
                 assert cls.representative in walked
                 assert all(cls.contains(v) for v in walked)
+
+    def test_flat_walk_equals_the_rows_walk(self, small_network):
+        """The walk over ``indptr``/``indices`` finds every level's table
+        the walk over the Python rows found, and never builds the rows."""
+        compiled = compile_network(small_network)
+        csr = CSRAdjacency(compiled.indptr, compiled.indices)
+        for level in GeneralDiagnoser(small_network)._probe_levels():
+            table = level.class_table(csr)
+            assert csr._rows is None
+            expected = _rows_walk_table(level, compiled)
+            assert expected is not None
+            assert table.dtype == expected.dtype
+            assert table.tobytes() == expected.tobytes()
 
     def test_representative_outside_its_class_falls_back(self, q5):
         outside = PartitionClass(0, 2, lambda v: v in (1, 3))

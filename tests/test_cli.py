@@ -61,6 +61,41 @@ class TestMalformedParameters:
                       "enhanced_hypercube takes dimension=INT, k=INT")
 
 
+class TestOutOfRangeParameters:
+    """A well-formed parameter the family refuses (the constructor, or the
+    literature's ``δ``, rules the instance out) is a usage error as well:
+    one line naming the family and quoting the refusal, exit status 2."""
+
+    _refused = staticmethod(TestMalformedParameters._refused)
+
+    def test_diagnose_constructor_refusal(self, capsys):
+        self._refused(capsys, ["diagnose", "--family", "hypercube",
+                               "--param", "dimension=0"],
+                      "no hypercube instance with dimension=0",
+                      "dimension must be >= 1")
+
+    def test_diagnose_instance_without_diagnosability(self, capsys):
+        self._refused(capsys, ["diagnose", "--family", "hypercube",
+                               "--param", "dimension=3"],
+                      "no hypercube instance with dimension=3", "requires n >= 5")
+
+    def test_properties(self, capsys):
+        self._refused(capsys, ["properties", "--family", "star", "--param", "n=1"],
+                      "no star instance with n=1", "n must be >= 2")
+
+    def test_distributed(self, capsys):
+        self._refused(capsys, ["distributed", "--family", "hypercube",
+                               "--param", "dimension=0"],
+                      "no hypercube instance with dimension=0",
+                      "dimension must be >= 1")
+
+    def test_load_instance(self, capsys):
+        self._refused(capsys, ["load", "--instance", "hypercube:dimension=0"],
+                      "bad instance 'hypercube:dimension=0'",
+                      "no hypercube instance with dimension=0",
+                      "dimension must be >= 1")
+
+
 class TestCommands:
     def test_diagnose_hypercube(self, capsys):
         code = main(["diagnose", "--family", "hypercube", "--param", "dimension=7",
