@@ -205,7 +205,7 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     from repro.networks.registry import create_network
     from repro.parallel import WorkerPool
     from repro.service.executor import run_batch_task
-    from repro.service.requests import DiagnosisRequest
+    from repro.service.requests import DiagnosisRequest, syndrome_digest
 
     build_start = time.perf_counter()
     cube = create_network("hypercube", dimension=n)
@@ -218,8 +218,10 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     syndrome = ArraySyndrome.from_faults(csr, faults, seed=seed)
     generation_s = time.perf_counter() - generation_start
 
-    # The syndrome travels out-of-band (the span below), so the request
-    # carries no bytes of its own — the wire form the service dispatches.
+    # The syndrome travels out-of-band (the span below, with the digest the
+    # coordinator keys it by), so the request carries no bytes of its own —
+    # the wire form the service dispatches.
+    digest = syndrome_digest(*syndrome.digest_source)
     params = (("dimension", n),)
     request = DiagnosisRequest(family="hypercube", params=params)
     with WorkerPool(max_workers=1) as pool:
@@ -230,7 +232,7 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
         task_start = time.perf_counter()
         responses, stats = pool.submit(
             run_batch_task, topology_handle, "hypercube", params, [request],
-            syndrome_handle, [(0, 0, csr.num_pairs)],
+            syndrome_handle, [(0, 0, csr.num_pairs, digest)],
         ).result()
         task_s = time.perf_counter() - task_start
         pool.release(syndrome_handle)
@@ -240,6 +242,7 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     response = responses[0]
     assert response.error is None, response.error
     assert set(response.faulty) == faults
+    assert response.syndrome_digest == digest
 
     reference = GeneralDiagnoser(cube).diagnose(
         ArraySyndrome.from_faults(csr, faults, seed=seed)

@@ -24,12 +24,13 @@ of the row's ``repeats`` passes with garbage collection paused (as
 * ``diagnosis.root_search_ms``, ``kernel.set_builder_ms``,
   ``csr.boundary_ms``: the three stages of ``diagnose_many``, timed one by
   one (the ledger reports the last two per batch, not per request);
-* ``diagnose_many_ms``: the whole light call (``include_sets=False``, as
-  served), and ``unattributed_share``, the part of it the stages of the
+* ``diagnose_many_ms``: the whole call, as served and as ``diagnose()``
+  runs it, and ``unattributed_share``, the part of it the stages of the
   same pass do not cover, median over passes (negative when noise
   favours the whole call, which runs after the stages);
-* ``diagnose_many_sets_ms``: the same call with ``include_sets=True``,
-  which is what ``diagnose()`` runs;
+* ``diagnose_many_sets_ms``: the same call followed by a read of every
+  result's ``healthy_nodes`` and ``tree_parent``, which builds them: what
+  a caller that wants the grown set and the tree pays;
 * ``syndrome.useful_share``: lookups per request over the slots.
 
 With native off, a mask syndrome builds its buffer on its first read, in
@@ -37,7 +38,7 @@ the root search: ``diagnosis.root_search_ms`` and both whole-call columns
 pay for it.
 
 ``verified`` requires each row's answers to be the injected fault sets, its
-light and full calls to agree, and its ``outcome_sha256`` (root, probes,
+two whole-call passes to agree, and its ``outcome_sha256`` (root, probes,
 partition level, lookups, accusations and digest of every seed) to equal
 every other row of its topology: native against the rows oracle, width 1
 against 16, mask against buffer.  ``--baseline PATH`` files an earlier
@@ -45,9 +46,9 @@ run's table as ``before`` (run this script with ``PYTHONPATH`` pointing at
 the older tree's ``src``, and save its JSON aside), and requires every
 ``before`` row's fingerprint to equal its row here.  A full run writes
 ``BENCH_service.json`` and also requires ``light_batched_speedup``, Q_14
-native mask at width 1 with the sets against width 16 light, to be at
-least 3; ``--smoke`` runs one pass per row, gates on ``verified`` only and
-writes nothing.
+native mask at width 1 reading the sets against width 16 without reading
+them, to be at least 3; ``--smoke`` runs one pass per row, gates on
+``verified`` only and writes nothing.
 
 Beside the table, ``cold_start`` records what a fresh ``serve`` process
 pays before its first answer, from new interpreters (median of
@@ -159,12 +160,17 @@ def measure_row(network, csr, faults, raws, *, width, form, repeats) -> dict:
     def stacks(syndromes):
         return [syndromes[i:i + width] for i in range(0, len(syndromes), width)]
 
-    def diagnose(include_sets):
+    def diagnose(read_sets):
         results, elapsed = [], 0.0
         for stack in stacks(build()):
             t0 = clock()
-            results += diagnoser.diagnose_many(stack, include_sets=include_sets)
+            outcomes = diagnoser.diagnose_many(stack)
+            if read_sets:
+                for outcome in outcomes:
+                    if not isinstance(outcome, Exception):
+                        outcome.healthy_nodes, outcome.tree_parent
             elapsed += clock() - t0
+            results += outcomes
         return results, elapsed
 
     def timed_pass():
@@ -182,17 +188,15 @@ def measure_row(network, csr, faults, raws, *, width, form, repeats) -> dict:
             t0 = clock()
             roots = [diagnoser.find_healthy_root(s, scratch=scratch)[0] for s in stack]
             t1 = clock()
-            finals = set_builder_many(
-                network, stack, roots, diagnosability=delta, materialize=False
-            )
+            finals = set_builder_many(network, stack, roots, diagnosability=delta)
             t2 = clock()
             csr.boundary_many([final.member_mask for final in finals])
             t3 = clock()
             for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
                 times[name] += seconds
-        light, times["diagnose_many_ms"] = diagnose(False)
-        full, times["diagnose_many_sets_ms"] = diagnose(True)
-        return times, minflt, light, full, digests
+        plain, times["diagnose_many_ms"] = diagnose(False)
+        read, times["diagnose_many_sets_ms"] = diagnose(True)
+        return times, minflt, plain, read, digests
 
     best: dict[str, float] = {}
     minflt, shares = 0, []
@@ -200,7 +204,7 @@ def measure_row(network, csr, faults, raws, *, width, form, repeats) -> dict:
         gc.collect()
         gc.disable()
         try:
-            times, taken, light, full, digests = timed_pass()
+            times, taken, plain, read, digests = timed_pass()
         finally:
             gc.enable()
         minflt += taken
@@ -209,9 +213,9 @@ def measure_row(network, csr, faults, raws, *, width, form, repeats) -> dict:
             best[name] = min(best.get(name, float("inf")), seconds)
 
     ms = {name: round(seconds * 1e3 / SEEDS, 4) for name, seconds in best.items()}
-    lookups = sum(r.lookups for r in light if not isinstance(r, Exception))
+    lookups = sum(r.lookups for r in plain if not isinstance(r, Exception))
     fingerprint = hashlib.sha256(repr([
-        (outcome(result), digest) for result, digest in zip(light, digests)
+        (outcome(result), digest) for result, digest in zip(plain, digests)
     ]).encode()).hexdigest()
     return {
         "num_nodes": network.num_nodes,
@@ -224,8 +228,8 @@ def measure_row(network, csr, faults, raws, *, width, form, repeats) -> dict:
         "syndrome.useful_share": round(lookups / (SEEDS * csr.num_pairs), 5),
         "outcome_sha256": fingerprint,
         "verified": (
-            [outcome(r) for r in light] == [outcome(r) for r in full]
-            and all(getattr(r, "faulty", None) == f for r, f in zip(light, faults))
+            [outcome(r) for r in plain] == [outcome(r) for r in read]
+            and all(getattr(r, "faulty", None) == f for r, f in zip(plain, faults))
         ),
     }
 
@@ -276,8 +280,9 @@ def key(row) -> str:
 
 
 def light_batched(rows) -> dict | None:
-    """Q_14, native, mask: width 1 with the sets against width 16 light,
-    per request, split into its light-mode and batching factors."""
+    """Q_14, native, mask: width 1 reading the sets against width 16 not
+    reading them, per request, split into its two factors: reading the
+    sets, and batching."""
     cell = {
         row["width"]: row for row in rows
         if row["family"] == "hypercube" and row["params"] == {"dimension": 14}
@@ -285,11 +290,11 @@ def light_batched(rows) -> dict | None:
     }
     if set(cell) != set(WIDTHS):
         return None
-    sets, light, batched = (cell[1]["diagnose_many_sets_ms"],
+    sets, plain, batched = (cell[1]["diagnose_many_sets_ms"],
                             cell[1]["diagnose_many_ms"], cell[16]["diagnose_many_ms"])
     return {
-        "light_mode_speedup": round(sets / light, 2),
-        "batching_speedup": round(light / batched, 2),
+        "read_sets_factor": round(sets / plain, 2),
+        "batching_speedup": round(plain / batched, 2),
         "light_batched_speedup": round(sets / batched, 2),
         "light_batched_target": LIGHT_BATCHED_TARGET,
         "light_batched_target_met": sets / batched >= LIGHT_BATCHED_TARGET,
@@ -319,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['syndrome.build_ms']} digest {row['digest.ms']} root "
             f"{row['diagnosis.root_search_ms']} kernel "
             f"{row['kernel.set_builder_ms']} boundary {row['csr.boundary_ms']} "
-            f"| light {row['diagnose_many_ms']} sets "
+            f"| call {row['diagnose_many_ms']} reading sets "
             f"{row['diagnose_many_sets_ms']} ms/request, verified {row['verified']}"
         )
     gate = light_batched(rows)

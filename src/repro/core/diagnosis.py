@@ -46,7 +46,9 @@ from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork, PartitionClass
 from .set_builder import (
     ProbePlan,
+    BuiltOnFirstRead,
     ProbeScratch,
+    SetBuilderResult,
     certificate_node_budget,
     set_builder,
     set_builder_many,
@@ -102,26 +104,32 @@ class DiagnosisResult:
         Total number of syndrome entries consulted.
     elapsed_seconds:
         Wall-clock time of the whole diagnosis.
+    final:
+        The final ``Set_Builder`` run; unless given, ``healthy_nodes`` and
+        ``tree_parent`` are read from it, and built, on first access.
     """
 
     faulty: frozenset[int]
     healthy_root: int
-    healthy_nodes: frozenset[int]
-    tree_parent: dict[int, int]
+    healthy_nodes: frozenset[int] = BuiltOnFirstRead(lambda r: frozenset(r.final.nodes))
+    tree_parent: dict[int, int] = BuiltOnFirstRead(lambda r: r.final.parent)
     probes: list[ProbeRecord] = field(default_factory=list)
     partition_level: int | None = None
     lookups: int = 0
     elapsed_seconds: float = 0.0
+    final: SetBuilderResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_probes(self) -> int:
         return len(self.probes)
 
     def summary(self) -> str:
-        """One-line human-readable summary."""
+        """One-line human-readable summary (it builds no set)."""
+        nodes = self.__dict__.get("healthy_nodes")
+        size = self.final.size if nodes is None else len(nodes)
         return (
             f"{len(self.faulty)} faults, root={self.healthy_root}, "
-            f"|U_r|={len(self.healthy_nodes)}, probes={self.num_probes}, "
+            f"|U_r|={size}, probes={self.num_probes}, "
             f"lookups={self.lookups}, {self.elapsed_seconds * 1e3:.1f} ms"
         )
 
@@ -333,7 +341,7 @@ class GeneralDiagnoser:
         return outcome
 
     def diagnose_many(
-        self, syndromes: Sequence[Syndrome], *, include_sets: bool = True
+        self, syndromes: Sequence[Syndrome]
     ) -> list["DiagnosisResult | Exception"]:
         """Diagnose a stack of syndromes with one batched final ``Set_Builder``.
 
@@ -357,12 +365,11 @@ class GeneralDiagnoser:
         (object or rows ``Set_Builder``) per item, with the same per-item
         error capture.
 
-        ``include_sets=False`` skips materialising ``healthy_nodes`` and
-        ``tree_parent`` (they come back empty); ``faulty``, ``lookups`` and
-        the probe bookkeeping are always exact.  The serving layer uses this
-        light mode — its responses carry only the accusation set and
-        counters.  ``elapsed_seconds`` on every stacked result is the wall
-        clock of the whole batch call, not a per-item time.
+        A stacked result builds ``healthy_nodes`` and ``tree_parent`` on
+        their first read, so a caller that reads only the accusation set
+        and the counters, as the serving layer does, never pays for them.
+        ``elapsed_seconds`` on every stacked result is the wall clock of
+        the whole batch call, not a per-item time.
         """
         start_time = time.perf_counter()
         outcomes: list[DiagnosisResult | Exception | None] = [None] * len(syndromes)
@@ -398,8 +405,7 @@ class GeneralDiagnoser:
         if stacked:
             batch = [syndromes[pos] for pos in stacked]
             finals = set_builder_many(
-                self.network, batch, roots,
-                diagnosability=self.delta, materialize=include_sets,
+                self.network, batch, roots, diagnosability=self.delta
             )
             boundaries = self.csr.boundary_many(
                 [final.member_mask for final in finals]
@@ -409,12 +415,11 @@ class GeneralDiagnoser:
                 outcomes[pos] = DiagnosisResult(
                     faulty=frozenset(boundaries[k]),
                     healthy_root=roots[k],
-                    healthy_nodes=frozenset(finals[k].nodes),
-                    tree_parent=finals[k].parent,
                     probes=probe_records[k],
                     partition_level=levels[k],
                     lookups=batch[k].lookups - lookups_before[k],
                     elapsed_seconds=elapsed,
+                    final=finals[k],
                 )
         return outcomes
 
@@ -433,12 +438,11 @@ class GeneralDiagnoser:
         return DiagnosisResult(
             faulty=frozenset(self._boundary(final.nodes)),
             healthy_root=root,
-            healthy_nodes=frozenset(final.nodes),
-            tree_parent=final.parent,
             probes=probes,
             partition_level=level,
             lookups=syndrome.lookups - lookups_before,
             elapsed_seconds=time.perf_counter() - start_time,
+            final=final,
         )
 
     def _boundary(self, healthy: set[int]) -> set[int]:

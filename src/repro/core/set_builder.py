@@ -77,6 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - the runtime import is deferred (cycle)
     from ..backend.array_syndrome import ArraySyndrome
 
 __all__ = [
+    "BuiltOnFirstRead",
     "ProbePlan",
     "ProbeScratch",
     "SetBuilderResult",
@@ -96,6 +97,33 @@ def _stack_bytes_per_syndrome(n: int) -> int:
     frontier slot per node, a one-bit-per-node admitted bitset and a
     two-word touched span."""
     return 8 * n + 8 * ((n + 63) // 64) + 16
+
+
+class BuiltOnFirstRead:
+    """A dataclass field that, left at its default ``None``, is made by
+    ``build(result)`` on first read and cached; ``==`` and ``repr`` read it."""
+
+    def __init__(self, build: Callable) -> None:
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the dataclass default
+        value = result.__dict__.get(self.name)
+        if value is None:
+            value = result.__dict__[self.name] = self.build(result)
+        return value
+
+    def __set__(self, result, value) -> None:
+        result.__dict__[self.name] = value
+
+
+def _tree(result: "SetBuilderResult") -> dict[int, int]:
+    child = np.flatnonzero(result.parent_row >= 0)  # -1: the root, or no member
+    return dict(zip(child.tolist(), result.parent_row[child].tolist()))
 
 
 @dataclass
@@ -124,24 +152,30 @@ class SetBuilderResult:
         True iff the run stopped because of the node budget or the
         early-certificate exit rather than reaching the fixpoint
         ``U_r = U_{r+1}``.
+
+    A :func:`set_builder_many` result holds its pass's ``member_mask`` and
+    ``parent_row`` (``t(v)`` per node, -1 off the tree) and builds
+    ``nodes``, ``parent`` and ``contributors`` from them on first read.
     """
 
     root: int
     all_healthy: bool
-    nodes: set[int]
-    parent: dict[int, int]
-    contributors: set[int]
-    rounds: int
-    lookups: int
+    nodes: set[int] = BuiltOnFirstRead(lambda r: set(np.flatnonzero(r.member_mask).tolist()))
+    parent: dict[int, int] = BuiltOnFirstRead(_tree)
+    # A set, not np.unique: numpy 2's first np.unique call imports
+    # numpy.ma (~40 ms), which a process's first read would pay.
+    contributors: set[int] = BuiltOnFirstRead(lambda r: set(r.parent.values()))
+    rounds: int = 0
+    lookups: int = 0
     truncated: bool = False
-    #: boolean membership mask over all nodes (only set by
-    #: :func:`set_builder_many`; lets the driver compute the boundary
-    #: without rebuilding a mask)
-    member_mask: object = field(default=None, compare=False, repr=False)
+    member_mask: np.ndarray | None = field(default=None, compare=False, repr=False)
+    parent_row: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        """``|U_r|``, counted on the mask while ``nodes`` is unbuilt."""
+        nodes = self.__dict__.get("nodes")
+        return int(np.count_nonzero(self.member_mask)) if nodes is None else len(nodes)
 
     def tree_edges(self) -> list[tuple[int, int]]:
         """Edges ``(t(v), v)`` of the tree ``T`` (the paper's healthy spanning tree)."""
@@ -441,7 +475,7 @@ class ProbeScratch:
         return records
 
 
-def _oracle_final(csr, syndrome, u0, diagnosability, materialize):
+def _oracle_final(csr, syndrome, u0, diagnosability):
     """One :func:`set_builder_many` item on the rows oracle (no native
     library): the same run, plus the ``member_mask`` the kernel's results
     carry.  The oracle credits ``syndrome.lookups`` itself."""
@@ -450,8 +484,6 @@ def _oracle_final(csr, syndrome, u0, diagnosability, materialize):
     )
     result.member_mask = np.zeros(csr.num_nodes, dtype=bool)
     result.member_mask[list(result.nodes)] = True
-    if not materialize:
-        result.nodes, result.parent, result.contributors = set(), {}, set()
     return result
 
 
@@ -461,7 +493,6 @@ def set_builder_many(
     roots: Sequence[int],
     *,
     diagnosability: int | None = None,
-    materialize: bool = True,
 ) -> list[SetBuilderResult]:
     """Run unrestricted ``Set_Builder`` for a whole stack of syndromes at once.
 
@@ -483,12 +514,9 @@ def set_builder_many(
     by the differential suite.  Only unrestricted, unbudgeted runs are
     supported — the final network-sized run of the diagnosis algorithm.
 
-    ``materialize=False`` skips building the per-syndrome ``nodes`` /
-    ``parent`` / ``contributors`` Python collections (they come back empty);
-    ``member_mask``, ``rounds``, ``lookups`` and ``all_healthy`` are always
-    exact.  The serving path uses this: it needs only the mask (for the
-    boundary) and the counters, and per-syndrome dict/set construction would
-    otherwise cap the batch speedup.
+    A native result builds its ``nodes`` / ``parent`` / ``contributors``
+    only when first read: they cost several times the pass, and serving
+    reads just the ``member_mask`` (for the boundary) and the counters.
 
     A stack whose native scratch would pass ``_STACK_SCRATCH_BYTES`` runs
     in width slices, one pass each; the results are the same.
@@ -520,14 +548,14 @@ def set_builder_many(
         for lo in range(0, num_syndromes, width):
             results.extend(set_builder_many(
                 network, syndromes[lo:lo + width], roots[lo:lo + width],
-                diagnosability=diagnosability, materialize=materialize,
+                diagnosability=diagnosability,
             ))
         return results
 
     native = load_kernel("stacked_rounds")
     if native is None:
         return [
-            _oracle_final(csr, syndrome, int(u0), diagnosability, materialize)
+            _oracle_final(csr, syndrome, int(u0), diagnosability)
             for syndrome, u0 in zip(syndromes, roots)
         ]
 
@@ -562,30 +590,15 @@ def set_builder_many(
     parent2d = parent_flat.reshape(num_syndromes, n)
     results: list[SetBuilderResult] = []
     for b, syndrome in enumerate(syndromes):
-        if materialize:
-            owned = np.flatnonzero(member2d[b])
-            child = owned[parent2d[b][owned] >= 0]
-            parent_of = parent2d[b][child]
-            nodes = set(owned.tolist())
-            parent_list = parent_of.tolist()
-            parent = dict(zip(child.tolist(), parent_list))
-            # A set, not np.unique: numpy 2's first np.unique call imports
-            # numpy.ma (~40 ms), which a process's first diagnose() would pay.
-            contributors = set(parent_list)
-        else:
-            nodes, parent, contributors = set(), {}, set()
         syndrome.lookups += int(lookups[b])
         results.append(
             SetBuilderResult(
                 root=int(roots[b]),
                 all_healthy=bool(contrib_count[b] > diagnosability),
-                nodes=nodes,
-                parent=parent,
-                contributors=contributors,
                 rounds=int(rounds[b]),
                 lookups=int(lookups[b]),
-                truncated=False,
                 member_mask=member2d[b],
+                parent_row=parent2d[b],
             )
         )
     return results

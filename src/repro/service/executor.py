@@ -126,6 +126,20 @@ def resolve_topology(family: str, params: dict):
     return network, csr
 
 
+def _error_response(request, exc, *, digest="", lookups=0, num_injected=None):
+    return DiagnosisResponse(
+        topology_key=request.topology_key,
+        syndrome_digest=digest,
+        faulty=(),
+        healthy_root=None,
+        lookups=lookups,
+        num_probes=0,
+        partition_level=None,
+        num_faults_injected=num_injected,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _run_requests(
     network,
     csr,
@@ -134,13 +148,13 @@ def _run_requests(
 ) -> tuple[list[DiagnosisResponse], int]:
     """Diagnose one topology group through the stacked kernel.
 
-    Syndrome construction stays per-request (each failure becomes an error
-    *response* — a batch shares execution, never fate), then every syndrome
-    that constructed runs in **one** ``diagnose_many`` call: the batched
-    final ``Set_Builder`` pass whose width is the second return value (the
-    post-slicing kernel width the metrics histogram records).  Per-item
-    failures inside the kernel (a Theorem-1 violation) come back as
-    exception objects and become error responses in place.
+    Diagnoser and syndrome construction stay per-request (each failure
+    becomes an error *response* — a batch shares execution, never fate),
+    then every syndrome that constructed runs in **one** ``diagnose_many``
+    call: the batched final ``Set_Builder`` pass whose width is the second
+    return value (the post-slicing kernel width the metrics histogram
+    records).  Per-item failures inside the kernel (a Theorem-1 violation)
+    come back as exception objects and become error responses in place.
 
     ``explicit_views`` maps request positions to ``(view, digest)`` pairs
     for syndromes shipped out-of-band (shared memory): a flat ``uint8``
@@ -152,8 +166,10 @@ def _run_requests(
     its recorded nonzero offsets and values to :func:`syndrome_digest`, so
     with the native kernels a seeded syndrome's buffer is never built.
     """
-    diagnoser = GeneralDiagnoser(network)
-    delta = network.diagnosability()
+    try:
+        diagnoser = GeneralDiagnoser(network)
+    except (DiagnosisError, ValueError) as exc:
+        return [_error_response(request, exc) for request in requests], 0
     responses: list[DiagnosisResponse | None] = [None] * len(requests)
     syndromes: list[ArraySyndrome] = []
     # (position, num_faults_injected, digest when already known)
@@ -169,7 +185,8 @@ def _run_requests(
                 syndrome = ArraySyndrome(csr, request.syndrome_bytes)
                 digest = request.digest
             else:
-                count = delta if request.fault_count is None else request.fault_count
+                count = (diagnoser.delta if request.fault_count is None
+                         else request.fault_count)
                 faults = PLACEMENTS[request.placement](
                     network, count, seed=request.seed
                 )
@@ -178,22 +195,12 @@ def _run_requests(
                     csr, faults, behavior=request.behavior, seed=request.seed
                 )
         except (DiagnosisError, ValueError) as exc:
-            responses[pos] = DiagnosisResponse(
-                topology_key=request.topology_key,
-                syndrome_digest="",
-                faulty=(),
-                healthy_root=None,
-                lookups=0,
-                num_probes=0,
-                partition_level=None,
-                num_faults_injected=num_injected,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            responses[pos] = _error_response(request, exc, num_injected=num_injected)
             continue
         syndromes.append(syndrome)
         slots.append((pos, num_injected, digest))
 
-    outcomes = diagnoser.diagnose_many(syndromes, include_sets=False)
+    outcomes = diagnoser.diagnose_many(syndromes)
     for (pos, num_injected, digest), syndrome, outcome in zip(
         slots, syndromes, outcomes
     ):
@@ -201,16 +208,9 @@ def _run_requests(
         if digest is None:
             digest = syndrome_digest(*syndrome.digest_source)
         if isinstance(outcome, Exception):
-            responses[pos] = DiagnosisResponse(
-                topology_key=request.topology_key,
-                syndrome_digest=digest,
-                faulty=(),
-                healthy_root=None,
-                lookups=syndrome.lookups,
-                num_probes=0,
-                partition_level=None,
-                num_faults_injected=num_injected,
-                error=f"{type(outcome).__name__}: {outcome}",
+            responses[pos] = _error_response(
+                request, outcome, digest=digest, lookups=syndrome.lookups,
+                num_injected=num_injected,
             )
             continue
         responses[pos] = DiagnosisResponse(

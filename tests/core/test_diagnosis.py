@@ -104,6 +104,27 @@ class TestDiagnosisResult:
             assert cube.has_edge(child, parent)
             assert parent in result.healthy_nodes
 
+    def test_summary_counts_the_grown_set_without_building_it(self, monkeypatch):
+        from repro.core.diagnosis import DiagnosisResult
+        from repro.core.set_builder import SetBuilderResult
+
+        cube = Hypercube(7)
+        faults = random_faults(cube, 5, seed=9)
+        syndrome = generate_syndrome(cube, faults, seed=9, backend="array")
+        result = diagnose(cube, syndrome)
+        built = []
+        for cls, name in [(SetBuilderResult, "nodes"), (SetBuilderResult, "parent"),
+                          (SetBuilderResult, "contributors"),
+                          (DiagnosisResult, "healthy_nodes"),
+                          (DiagnosisResult, "tree_parent")]:
+            field = vars(cls)[name]
+            monkeypatch.setattr(field, "build", lambda result, build=field.build,
+                                name=name: built.append(name) or build(result))
+        assert f"|U_r|={cube.num_nodes - len(faults)}," in result.summary()
+        assert built == []
+        assert len(result.healthy_nodes) == cube.num_nodes - len(faults)
+        assert "healthy_nodes" in built  # the spy sees a read
+
     def test_probe_records_present(self):
         cube = Hypercube(7)
         faults = random_faults(cube, 7, seed=0)

@@ -241,7 +241,7 @@ class TestRootSearchNativeOnAndOff:
     def test_batched_search_matches_single_searches(self, q7):
         csr = compile_network(q7)
         diagnoser = GeneralDiagnoser(q7)
-        batch = diagnoser.diagnose_many(list(_syndromes(q7)), include_sets=False)
+        batch = diagnoser.diagnose_many(list(_syndromes(q7)))
         for syndrome, outcome in zip(_syndromes(q7), batch):
             single = diagnoser.diagnose(syndrome)
             assert outcome.probes == single.probes

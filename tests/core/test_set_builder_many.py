@@ -3,7 +3,7 @@
 The exhaustive cross-family agreement checks live in
 ``tests/differential/test_stacked_kernel.py``; this module pins the kernel's
 contract edges — input validation, width 0/1, duplicate syndromes in one
-batch, the ``materialize=False`` light mode, and ``boundary_many``.
+batch, the sets built on first read, and ``boundary_many``.
 """
 
 from __future__ import annotations
@@ -97,18 +97,22 @@ class TestAgreement:
             assert _signature(result) == _signature(reference)
 
 
-class TestLightMode:
-    def test_materialize_false_keeps_mask_and_counters(self, q5):
+class TestLazySets:
+    def test_sets_unbuilt_until_first_read_then_equal_the_oracle(self, q5):
+        from repro.core import native
+
         reference = _oracle(q5, 11, 0)
-        [light] = set_builder_many(
-            q5, [_syndrome(q5, 11)], [0], materialize=False
-        )
-        assert light.nodes == set() and light.parent == {}
-        assert light.contributors == set()
-        assert np.array_equal(light.member_mask, _mask(q5, reference.nodes))
-        assert light.rounds == reference.rounds
-        assert light.lookups == reference.lookups
-        assert light.all_healthy == reference.all_healthy
+        [result] = set_builder_many(q5, [_syndrome(q5, 11)], [0])
+        unbuilt = all(vars(result)[name] is None
+                      for name in ("nodes", "parent", "contributors"))
+        # The kernel defers the collections; the rows oracle grows them.
+        assert unbuilt == native.native_kernel_active()
+        assert np.array_equal(result.member_mask, _mask(q5, reference.nodes))
+        assert result.rounds == reference.rounds
+        assert result.lookups == reference.lookups
+        assert result.all_healthy == reference.all_healthy
+        assert _signature(result) == _signature(reference)
+        assert vars(result)["nodes"] is not None  # read once, then cached
 
 
 class TestBoundaryMany:

@@ -124,26 +124,22 @@ class TestStackedKernelDifferential:
             if layout[i] is None:
                 assert isinstance(outcome, DiagnosisError)
 
-    def test_light_mode_matches_on_accusations_and_counters(self, tiny_network):
+    def test_sets_are_built_on_first_read_and_match(self, tiny_network):
+        from repro.core import native
+
         csr = compile_network(tiny_network)
         diagnoser = GeneralDiagnoser(tiny_network)
         specs = _specs(tiny_network, 4)
         references = [_reference(diagnoser, spec, csr) for spec in specs]
-        outcomes = diagnoser.diagnose_many(
-            [_build(csr, spec) for spec in specs], include_sets=False
-        )
+        outcomes = diagnoser.diagnose_many([_build(csr, spec) for spec in specs])
         for outcome, reference in zip(outcomes, references):
             if reference[0] == "error":  # a seeded spec that genuinely fails
                 assert _outcome_signature(outcome) == reference
                 continue
-            faulty, root, _, _, probes, level, lookups = reference
-            assert outcome.faulty == faulty
-            assert outcome.healthy_root == root
-            assert list(outcome.probes) == probes
-            assert outcome.partition_level == level
-            assert outcome.lookups == lookups
-            assert outcome.healthy_nodes == frozenset()
-            assert outcome.tree_parent == {}
+            unbuilt = vars(outcome.final)["nodes"] is vars(outcome.final)["parent"] is None
+            assert unbuilt == native.native_kernel_active()
+            assert vars(outcome)["healthy_nodes"] is vars(outcome)["tree_parent"] is None
+            assert _outcome_signature(outcome) == reference
 
 
 class TestSlicingParity:

@@ -62,6 +62,29 @@ class TestEndpoints:
         assert response.lookups == direct.lookups
         assert response.syndrome_digest == direct.syndrome_digest
 
+    def test_undiagnosable_instance_answers_200_with_its_error(self):
+        """Q_3 has no diagnosability: alone it gets a 200 whose ``error`` is
+        set, and in a batched body it never fails Q_7 beside it."""
+        q3 = _request(1, ("hypercube", {"dimension": 3}))
+        q7 = _request(1, ("hypercube", {"dimension": 7}))
+
+        async def inner(client, frontend, service):
+            batched = await client.request(
+                "POST", "/diagnose", {"requests": [q3.to_wire(), q7.to_wire()]}
+            )
+            return batched, await client.diagnose(q3)
+
+        (status, payload), (single_status, single) = _run(_with_frontend(inner))
+        assert status == 200 and single_status == 200
+        failed, answered = payload["responses"]
+        assert failed["error"] == single.error == run_direct(q3).error
+        assert single.error.startswith("ValueError: diagnosability")
+        direct = run_direct(q7)
+        assert answered["error"] is None
+        assert tuple(answered["faulty"]) == direct.faulty
+        assert answered["lookups"] == direct.lookups
+        assert answered["syndrome_digest"] == direct.syndrome_digest
+
     def test_diagnose_batch_body(self):
         requests = [_request(seed) for seed in range(3)]
 

@@ -28,6 +28,9 @@ S5 = ("star", {"n": 5})
 #: A deterministic Theorem-1-violating instance: 14 faults on the 24-node
 #: pancake P_4 leave no certifiable healthy component.
 DOOMED = DiagnosisRequest.seeded("pancake", {"n": 4}, fault_count=14, seed=0)
+#: Q_3 has no diagnosability under the MM model (it needs n >= 5).
+Q3_REQUEST = DiagnosisRequest.seeded("hypercube", {"dimension": 3}, seed=1)
+Q7_REQUEST = DiagnosisRequest.seeded("hypercube", {"dimension": 7}, seed=1)
 
 
 def _request(seed: int = 0, instance=Q6, **kwargs) -> DiagnosisRequest:
@@ -199,6 +202,24 @@ class TestCorrectness:
         direct = run_direct(DOOMED)
         assert responses[0].error == direct.error
 
+    def test_undiagnosable_instance_never_fails_other_requests(self):
+        """Q_3 has no diagnosability: its batch answers with error
+        responses, shaped like a syndrome-construction failure, and Q_7's
+        batch in the same call answers as the direct pipeline does."""
+        failed, answered = _serve(DiagnosisService(), Q3_REQUEST, Q7_REQUEST)
+        assert failed.error == (
+            "ValueError: diagnosability of Q_n under the MM model requires n >= 5"
+        )
+        assert (failed.syndrome_digest, failed.faulty, failed.healthy_root,
+                failed.lookups, failed.num_probes, failed.partition_level,
+                failed.num_faults_injected) == ("", (), None, 0, 0, None, None)
+        assert run_direct(Q3_REQUEST).error == failed.error
+        direct = run_direct(Q7_REQUEST)
+        assert dataclasses.replace(
+            answered, batch_size=direct.batch_size,
+            elapsed_seconds=direct.elapsed_seconds,
+        ) == direct
+
     def test_in_process_batches_never_recompile(self):
         service = DiagnosisService()
         _serve(service, *(_request(seed) for seed in range(5)))
@@ -331,6 +352,57 @@ class TestHashOnce:
         assert scans == [os.getpid()] * len(requests)
         for request, response in zip(requests, responses):
             assert response.syndrome_digest == run_direct(request).syndrome_digest
+
+
+class TestServedBatchesBuildNoSets:
+    """A response carries the accusation set and counters only, so serving
+    never builds a final run's grown set or tree (they are built on first
+    read, and nothing on the serving path reads them)."""
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    def test_no_set_is_built(self, pooled, monkeypatch, tmp_path):
+        import contextlib
+        import os
+
+        from repro.backend.array_syndrome import ArraySyndrome
+        from repro.core.diagnosis import DiagnosisResult, GeneralDiagnoser
+        from repro.core.set_builder import SetBuilderResult
+        from repro.networks.registry import compiled_network
+        from repro.parallel import WorkerPool
+
+        log = tmp_path / "builds.log"
+
+        def spy(cls, name):
+            field = vars(cls)[name]
+            build = field.build
+
+            def logged(result):
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()} {name}\n")
+                return build(result)
+
+            monkeypatch.setattr(field, "build", logged)
+
+        for name in ("nodes", "parent", "contributors"):
+            spy(SetBuilderResult, name)
+        for name in ("healthy_nodes", "tree_parent"):
+            spy(DiagnosisResult, name)
+        requests = [_request(seed) for seed in range(3)] + [_request(1, S5)]
+        executor = WorkerPool(max_workers=1) if pooled else contextlib.nullcontext()
+        with executor as pool:  # forks after the patch
+            service = DiagnosisService(pool=pool)
+            responses = _serve(service, *requests)
+            stats = service.stats()
+        assert stats["pooled"] == pooled and stats["batches"] == 2
+        assert all(response.ok for response in responses)
+        assert not log.exists()
+        # The spy is live: a caller that reads the sets builds them.
+        network, csr = compiled_network(Q6[0], **Q6[1])
+        faults = PLACEMENTS["random"](network, network.diagnosability(), seed=0)
+        result = GeneralDiagnoser(network).diagnose(
+            ArraySyndrome.from_faults(csr, faults, seed=0)
+        )
+        assert result.healthy_nodes and log.read_text().split()[1] == "healthy_nodes"
 
 
 class TestAdmissionControl:

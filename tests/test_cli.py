@@ -194,6 +194,20 @@ class TestServeCommand:
         assert code == 0
         assert "2 from store" in out
 
+    def test_undiagnosable_request_answers_its_own_line(self, capsys, tmp_path):
+        """Q_3 has no diagnosability; its line reports the error and the Q_7
+        line beside it is still answered."""
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"family": "hypercube", "params": {"dimension": 3}, "seed": 1}\n'
+            '{"family": "hypercube", "params": {"dimension": 7}, "seed": 1}\n'
+        )
+        code = main(["serve", "--requests", str(requests)])
+        lines = [line for line in capsys.readouterr().out.splitlines() if " -> " in line]
+        assert code == 0 and len(lines) == 2
+        assert "ValueError: diagnosability" in lines[0]
+        assert "7 faults" in lines[1]
+
     def test_malformed_request_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"family": "hypercube", "nonsense": 1}\n')
