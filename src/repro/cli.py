@@ -687,13 +687,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         requests = _demo_requests(args.demo_requests)
 
     from .service import DiagnosisService
-    from .service.executor import validate_request
-
-    for request in requests:
-        try:
-            validate_request(request)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
 
     pool = None
     if args.workers is not None:

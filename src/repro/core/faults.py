@@ -24,8 +24,8 @@ from typing import Iterator
 
 from ..networks.base import InterconnectionNetwork
 
-__all__ = ["FaultScenario", "random_faults", "clustered_faults", "neighborhood_faults",
-           "spread_faults", "scenario_suite"]
+__all__ = ["FaultScenario", "PLACEMENTS", "random_faults", "clustered_faults",
+           "neighborhood_faults", "spread_faults", "scenario_suite"]
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,15 @@ def spread_faults(
         blocked.update(network.neighbors(candidate))
         blocked.add(candidate)
     return frozenset(chosen)
+
+
+#: The named placements a seeded request or a trial may ask for, each
+#: called as ``placement(network, count, seed=seed)``.
+PLACEMENTS = {
+    "random": random_faults,
+    "clustered": clustered_faults,
+    "spread": spread_faults,
+}
 
 
 def scenario_suite(

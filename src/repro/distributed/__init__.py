@@ -4,8 +4,7 @@ The protocol actually runs here: :class:`~repro.distributed.engine.\
 ProtocolEngine` floods invitations and convergecasts reports as real messages
 over a channel with per-link latency, loss and duplicate-delivery models,
 supports several concurrent known-healthy roots, and records replayable
-traces.  :mod:`repro.distributed.simulator` keeps the legacy single-root API
-(:class:`DistributedSetBuilder`) as a thin shim plus the original analytical
+traces.  :mod:`repro.distributed.simulator` keeps the original analytical
 model (:func:`derived_run_stats`) the engine is property-tested against.
 """
 
@@ -13,7 +12,6 @@ from .engine import GossipOutcome, ProtocolEngine, SetBuilderOutcome, spread_roo
 from .events import ChannelConfig, EventLog, Message, replay_stats
 from .simulator import (
     DistributedRunStats,
-    DistributedSetBuilder,
     derived_run_stats,
     extended_star_gossip_cost,
 )
@@ -21,7 +19,6 @@ from .simulator import (
 __all__ = [
     "ChannelConfig",
     "DistributedRunStats",
-    "DistributedSetBuilder",
     "EventLog",
     "GossipOutcome",
     "Message",

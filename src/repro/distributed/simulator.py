@@ -1,20 +1,18 @@
-"""Compatibility shim over the event-driven protocol engine.
+"""Analytical reference models for the distributed protocol.
 
-.. deprecated::
-    This module no longer *is* the simulator.  The distributed protocol now
-    actually runs — messages, per-link latency, loss, concurrent roots — in
-    :mod:`repro.distributed.engine`; use :class:`~repro.distributed.engine.\
-ProtocolEngine` directly for anything beyond the legacy single-root,
-    reliable-channel statistics.  :class:`DistributedSetBuilder` is kept as a
-    thin adapter so existing callers (and the E9 tables) keep working, and
-    :func:`derived_run_stats` preserves the original *analytical* model —
-    counts derived after the fact from a sequential ``Set_Builder`` run —
-    as the reference the engine's property tests and the backend benchmark
-    compare against.
+The distributed ``Set_Builder`` protocol runs in :mod:`repro.distributed.engine`
+(:class:`~repro.distributed.engine.ProtocolEngine`: messages, per-link
+latency, loss, concurrent roots).  This module keeps the two closed-form
+models it is checked against:
 
-The two agree exactly: for a unit-latency, lossless, single-root run the
-engine's tree, round count and message count coincide with the derived
-model (this equivalence is property-tested in
+* :func:`derived_run_stats` — the original accounting, counts derived after
+  the fact from a sequential ``Set_Builder`` run;
+* :func:`extended_star_gossip_cost` — the flooding cost of Chiang & Tan's
+  extended-star comparator.
+
+The engine and the derived model agree exactly: for a unit-latency,
+lossless, single-root run the engine's tree, round count and message count
+coincide with :func:`derived_run_stats` (property-tested in
 ``tests/distributed/test_engine.py``).
 """
 
@@ -30,7 +28,6 @@ from .engine import ProtocolEngine
 
 __all__ = [
     "DistributedRunStats",
-    "DistributedSetBuilder",
     "derived_run_stats",
     "extended_star_gossip_cost",
 ]
@@ -48,36 +45,6 @@ class DistributedRunStats:
 
     def as_row(self) -> tuple:
         return (self.rounds, self.messages, self.tree_size, self.tree_depth, self.faults_found)
-
-
-class DistributedSetBuilder:
-    """Single-root distributed diagnosis on the reliable synchronous channel.
-
-    .. deprecated::
-        Thin compatibility adapter: each :meth:`run` delegates to
-        :class:`~repro.distributed.engine.ProtocolEngine` with the default
-        (unit-latency, lossless) channel and repackages the outcome as
-        :class:`DistributedRunStats`.  New code should construct a
-        :class:`ProtocolEngine` directly, which also exposes latency/loss
-        models, concurrent roots and trace recording.
-    """
-
-    def __init__(self, network: InterconnectionNetwork, *, diagnosability: int | None = None):
-        self.network = network
-        self.csr = compile_network(network)
-        self.delta = network.diagnosability() if diagnosability is None else int(diagnosability)
-        self.engine = ProtocolEngine(self.csr)
-
-    def run(self, syndrome: Syndrome, root: int) -> DistributedRunStats:
-        """Run the protocol from the known-healthy ``root`` and summarise it."""
-        outcome = self.engine.run_set_builder(syndrome, root)
-        return DistributedRunStats(
-            rounds=outcome.rounds,
-            messages=outcome.messages,
-            tree_size=outcome.tree_size,
-            tree_depth=outcome.tree_depth,
-            faults_found=outcome.faults_found,
-        )
 
 
 def derived_run_stats(

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 from ..backend.array_syndrome import ArraySyndrome
 from ..baselines import ExtendedStarDiagnoser, YangCycleDiagnoser
 from ..core.diagnosis import GeneralDiagnoser
-from ..core.faults import clustered_faults, random_faults, spread_faults
+from ..core.faults import PLACEMENTS
 from ..distributed import ChannelConfig, ProtocolEngine, spread_roots
 from ..networks.registry import compiled_network
 from ..parallel import WorkerPool, spawn_seeds
@@ -65,13 +65,6 @@ __all__ = [
     "PLACEMENTS",
     "ALGORITHMS",
 ]
-
-#: Fault-placement factor levels (see :mod:`repro.core.faults`).
-PLACEMENTS = {
-    "random": random_faults,
-    "clustered": clustered_faults,
-    "spread": spread_faults,
-}
 
 #: Algorithm factor levels: the paper's general algorithm plus the two
 #: comparators of Section 3 (used by experiment E6).

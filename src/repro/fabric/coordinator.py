@@ -288,7 +288,9 @@ class FabricCoordinator:
     def _handle_worker_error(self, link: _WorkerLink, frame: dict) -> None:
         """A worker reported a terminal execution failure for a lease.
 
-        Requests are validated before they are ever queued, so this is an
+        Nothing malformed is ever queued: a ``DiagnosisRequest`` checks
+        its own fields when it is built, and ``DiagnosisService.submit``
+        refuses an oversized topology at admission.  So this is an
         environment problem (e.g. the worker cannot build the topology) —
         retrying the identical work elsewhere may still succeed, so treat
         it exactly like a death of that one lease: requeue it.

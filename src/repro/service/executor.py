@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..backend.array_syndrome import ArraySyndrome
 from ..backend.csr import compile_delta_probe, compile_network
 from ..core.diagnosis import DiagnosisError, GeneralDiagnoser
-from ..core.faults import clustered_faults, random_faults, spread_faults
-from ..core.syndrome import FaultyTesterBehavior
+from ..core.faults import PLACEMENTS
 from ..networks.registry import FAMILIES, create_network
 from .requests import DiagnosisRequest, DiagnosisResponse, syndrome_digest
 
@@ -34,82 +33,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "MAX_TOPOLOGY_NODES",
     "PLACEMENTS",
-    "validate_request",
+    "check_topology_size",
     "resolve_topology",
     "run_batch_local",
     "run_batch_task",
     "run_direct",
 ]
 
-PLACEMENTS = {
-    "random": random_faults,
-    "clustered": clustered_faults,
-    "spread": spread_faults,
-}
 
-
-#: Largest topology a request may name.  Resolving one runs on the
+#: Largest topology this service builds.  Resolving one runs on the
 #: service's execution slot, so a bigger one would stall all serving while
 #: it builds (Q_16 takes about 0.5 s and 100 MB; S_10 or Q_22 take tens of
 #: seconds and gigabytes).  The largest topology served here is Q_14.
 MAX_TOPOLOGY_NODES = 1 << 16
 
 
-def validate_request(request: DiagnosisRequest) -> None:
-    """Reject malformed requests before they reach a queue (fail fast).
+def check_topology_size(family: str, params: dict) -> None:
+    """Refuse a topology over :data:`MAX_TOPOLOGY_NODES`, building nothing.
 
-    Nothing is constructed here: the size check uses the family's
-    node-count formula.  Each formula accepts every parameter set its
-    constructor accepts, so one that raises ``TypeError`` (a wrong
-    parameter name) names a request the constructor refuses as well.
+    Admission and :func:`resolve_topology` both call it.  It reads the
+    family's node-count formula, which accepts every parameter set the
+    constructor accepts; an unknown family or parameter name passes, and
+    the constructor reports it.
     """
-    for name in ("family", "placement", "behavior"):
-        value = getattr(request, name)
-        if not isinstance(value, str):
-            raise ValueError(f"{name!r} must be a string, got {value!r}")
-    spec = FAMILIES.get(request.family)
-    if spec is None:
-        raise ValueError(
-            f"unknown network family {request.family!r}; "
-            f"available: {', '.join(sorted(FAMILIES))}"
-        )
+    spec = FAMILIES.get(family)
     try:
-        nodes = spec.node_count(**request.network_kwargs)
+        nodes = 0 if spec is None else spec.node_count(**params)
     except TypeError:
-        nodes = 0  # the constructor reports the bad name when it runs
+        nodes = 0
     if nodes > MAX_TOPOLOGY_NODES:
         raise ValueError(
-            f"this {request.family} instance has more than "
+            f"this {family} instance has more than "
             f"{MAX_TOPOLOGY_NODES} nodes, the most this service builds"
         )
-    if not request.is_explicit:
-        if request.placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {request.placement!r}; "
-                f"choose from {sorted(PLACEMENTS)}"
-            )
-        if request.behavior not in FaultyTesterBehavior.NAMES:
-            raise ValueError(
-                f"unknown behavior {request.behavior!r}; "
-                f"choose from {FaultyTesterBehavior.NAMES}"
-            )
-        count = request.fault_count
-        if count is not None and (
-            isinstance(count, bool) or not isinstance(count, int) or count < 1
-        ):
-            raise ValueError(
-                f"fault_count must be an integer of at least 1 (or None for "
-                f"delta), got {count!r}"
-            )
 
 
 def resolve_topology(family: str, params: dict):
     """Construct and compile one topology (the service LRU's factory).
 
-    Deliberately bypasses the registry memo: the service's bounded cache is
-    the *only* topology cache on the serving path, so its eviction policy —
-    and its capacity-0 configuration (``serve --cache-capacity 0``) — do
-    what they claim to.
+    An oversized one is refused first, so a fabric worker serving a lease
+    stops at the service's cap too.  Deliberately bypasses the registry
+    memo: the service's bounded cache is the *only* topology cache on the
+    serving path, so its eviction policy — and its capacity-0
+    configuration (``serve --cache-capacity 0``) — do what they claim to.
 
     The entry is returned *warmed*: the pair bases, which every seeded
     build reads, are materialised here, once per cache entry, never inside
@@ -120,6 +86,7 @@ def resolve_topology(family: str, params: dict):
     unbuilt: only native-off runs read them, and they build them on first
     use.
     """
+    check_topology_size(family, params)
     network = create_network(family, **params)
     csr = compile_network(network)
     csr.pair_base
@@ -253,7 +220,6 @@ def run_direct(
     served responses against this byte for byte.  Pass ``network``/``csr``
     to reuse an existing instance; otherwise a fresh one is resolved.
     """
-    validate_request(request)
     if network is None or csr is None:
         network, csr = resolve_topology(request.family, request.network_kwargs)
     return _run_requests(network, csr, [request])[0][0]

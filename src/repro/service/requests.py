@@ -33,6 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
+from ..core.faults import PLACEMENTS
+from ..core.syndrome import FaultyTesterBehavior
+from ..networks.registry import FAMILIES
+
 __all__ = [
     "DEFAULT_TENANT",
     "DIGEST_SCHEMES",
@@ -156,9 +160,7 @@ def syndrome_digest(buffer, offsets=None, values=None) -> str:
         elif 8 * len(offsets) > n:
             offsets = None
         if offsets is None:
-            digest = hashlib.sha256(b"dense-sha256\0" + n.to_bytes(8, "little"))
-            digest.update(view)
-            return f"dense-sha256:{digest.hexdigest()}"
+            return _dense_digest(view)
         values = view[offsets]
     else:
         n = buffer if isinstance(buffer, int) else _byte_view(buffer).size
@@ -173,9 +175,39 @@ def syndrome_digest(buffer, offsets=None, values=None) -> str:
     return f"sparse-sha256:{digest.hexdigest()}"
 
 
+def _dense_digest(view: np.ndarray) -> str:
+    digest = hashlib.sha256(b"dense-sha256\0" + view.size.to_bytes(8, "little"))
+    digest.update(view)
+    return f"dense-sha256:{digest.hexdigest()}"
+
+
+def _binary_digest(buffer) -> str:
+    """:func:`syndrome_digest` of a buffer of 0/1 bytes (one MM result
+    each), else ``ValueError``.  The check rides on the digest's one scan:
+    a sparse body gathers every nonzero byte anyway, a dense one needs a
+    single ``max``."""
+    view = _byte_view(buffer)
+    offsets = _nonzero_offsets(view)
+    values = view if offsets is None else view[offsets]
+    largest = int(values.max(initial=0))
+    if largest > 1:
+        raise ValueError(
+            f"a syndrome holds one 0/1 comparison result per byte; "
+            f"found a byte of {largest}"
+        )
+    if offsets is None:
+        return _dense_digest(view)
+    return syndrome_digest(view.size, offsets, values)
+
+
 @dataclass(frozen=True)
 class DiagnosisRequest:
     """One diagnosis to perform (picklable primitives only).
+
+    A request that exists is well-formed: every way of building one runs
+    :meth:`__post_init__`, which checks each field and raises
+    ``ValueError``.  The node cap is the service's limit, not a field
+    (:func:`~repro.service.executor.check_topology_size`).
 
     ``syndrome_bytes`` switches the request to explicit-syndrome form: the
     service diagnoses that exact buffer and the seeded fields
@@ -197,6 +229,41 @@ class DiagnosisRequest:
     seed: int = 0
     tenant: str = DEFAULT_TENANT
     syndrome_bytes: bytes | None = field(default=None, repr=False)
+    #: :func:`syndrome_digest` of an explicit buffer (``None`` if seeded),
+    #: computed by the constructor's byte check; admission, store, executor
+    #: and pool reuse it, so the buffer is scanned once.
+    digest: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Placement and behaviour are checked in the explicit form too: the
+        # pool path strips a request's bytes, and the rest must stay valid.
+        for name, kind, known in (("family", "network family", FAMILIES),
+                                  ("placement", "placement", PLACEMENTS),
+                                  ("behavior", "behavior", FaultyTesterBehavior.NAMES)):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name!r} must be a string, got {value!r}")
+            if value not in known:
+                raise ValueError(f"unknown {kind} {value!r}; choose from {sorted(known)}")
+        if not isinstance(self.params, tuple) or not all(
+            isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+            for pair in self.params
+        ):
+            raise ValueError(f"'params' must be (name, integer) pairs, got {self.params!r}")
+        for name, value in self.params:
+            if not _is_int(value):
+                raise ValueError(f"param {name!r} must be an integer, got {value!r}")
+        count = self.fault_count
+        if count is not None and not (_is_int(count) and count >= 1):
+            raise ValueError(
+                f"'fault_count' must be an integer of at least 1 (or None for "
+                f"delta), got {count!r}"
+            )
+        if not _is_int(self.seed):
+            raise ValueError(f"'seed' must be an integer, got {self.seed!r}")
+        validate_tenant(self.tenant)
+        if self.syndrome_bytes is not None:
+            object.__setattr__(self, "digest", _binary_digest(self.syndrome_bytes))
 
     @classmethod
     def seeded(
@@ -217,7 +284,7 @@ class DiagnosisRequest:
             fault_count=fault_count,
             behavior=behavior,
             seed=seed,
-            tenant=validate_tenant(tenant),
+            tenant=tenant,
         )
 
     @classmethod
@@ -230,7 +297,7 @@ class DiagnosisRequest:
             family=family,
             params=tuple(sorted(params.items())),
             syndrome_bytes=bytes(buffer),
-            tenant=validate_tenant(tenant),
+            tenant=tenant,
         )
 
     @classmethod
@@ -239,11 +306,13 @@ class DiagnosisRequest:
     ) -> "DiagnosisRequest":
         """Parse the JSON form used by JSONL files and the HTTP frontend.
 
-        ``syndrome_hex`` (hex-encoded flat buffer) switches the parsed
-        request to explicit-syndrome form, mirroring :meth:`from_syndrome`.
-        ``default_tenant`` is the tenant for bodies that name none — the HTTP
-        frontend passes its ``X-Tenant`` header here, so a body-level
-        ``tenant`` field always wins over the connection-level header.
+        Only the JSON shape is checked here; the constructor checks every
+        field.  ``syndrome_hex`` (hex-encoded flat buffer) switches the
+        parsed request to explicit-syndrome form, mirroring
+        :meth:`from_syndrome`.  ``default_tenant`` is the tenant for bodies
+        that name none — the HTTP frontend passes its ``X-Tenant`` header
+        here, so a body-level ``tenant`` field always wins over the
+        connection-level header.
         """
         if not isinstance(payload, dict):
             raise ValueError(f"request must be a JSON object, got {type(payload).__name__}")
@@ -254,18 +323,10 @@ class DiagnosisRequest:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
         if "family" not in payload:
             raise ValueError("request needs a 'family' field")
-        for name in ("family", "placement", "behavior"):
-            if name in payload and not isinstance(payload[name], str):
-                raise ValueError(f"{name!r} must be a string, got {payload[name]!r}")
         params = payload.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object of name -> integer")
-        for name, value in params.items():
-            if not _is_int(value):
-                raise ValueError(
-                    f"param {name!r} must be an integer, got {value!r}"
-                )
-        tenant = validate_tenant(payload.get("tenant", default_tenant))
+        tenant = payload.get("tenant", default_tenant)
         if payload.get("syndrome_hex") is not None:
             seeded_only = {"placement", "fault_count", "behavior", "seed"} & set(payload)
             if seeded_only:
@@ -277,22 +338,14 @@ class DiagnosisRequest:
                 buffer = bytes.fromhex(payload["syndrome_hex"])
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"bad syndrome_hex: {exc}")
-            return cls.from_syndrome(
-                payload["family"], dict(params), buffer, tenant=tenant
-            )
-        fault_count = payload.get("fault_count")
-        seed = payload.get("seed", 0)
-        if not (fault_count is None or _is_int(fault_count)):
-            raise ValueError(f"'fault_count' must be an integer, got {fault_count!r}")
-        if not _is_int(seed):
-            raise ValueError(f"'seed' must be an integer, got {seed!r}")
+            return cls.from_syndrome(payload["family"], params, buffer, tenant=tenant)
         return cls.seeded(
             payload["family"],
-            dict(params),
+            params,
             placement=payload.get("placement", "random"),
-            fault_count=fault_count,
+            fault_count=payload.get("fault_count"),
             behavior=payload.get("behavior", "random"),
-            seed=seed,
+            seed=payload.get("seed", 0),
             tenant=tenant,
         )
 
@@ -340,18 +393,6 @@ class DiagnosisRequest:
         """Duplicate-suppression key (see :func:`request_key`), computed
         once and kept on the request like :attr:`digest`."""
         return request_key(self)
-
-    @cached_property
-    def digest(self) -> str | None:
-        """:func:`syndrome_digest` of an explicit buffer; ``None`` if seeded.
-
-        Computed on first use (admission) and kept on the request, so the
-        store lookup, the in-flight key, the executor and the store commit
-        all reuse one scan of the buffer.
-        """
-        if self.syndrome_bytes is None:
-            return None
-        return syndrome_digest(self.syndrome_bytes)
 
     def describe(self) -> str:
         prefix = "" if self.tenant == DEFAULT_TENANT else f"[{self.tenant}] "

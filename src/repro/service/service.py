@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .cache import LRUCache
-from .executor import resolve_topology, run_batch_local, run_batch_task, validate_request
+from .executor import check_topology_size, resolve_topology, run_batch_local, run_batch_task
 from .fairqueue import TenantQueues
 from .metrics import ServiceMetrics
 from .requests import DiagnosisRequest, DiagnosisResponse
@@ -292,13 +292,14 @@ class DiagnosisService:
         """Serve one request (store -> in-flight -> batched computation)."""
         if self._closed:
             raise RuntimeError("the service is closed")
-        validate_request(request)
+        # The request checked its fields when built; the node cap is ours.
+        check_topology_size(request.family, request.network_kwargs)
         tenant = request.tenant
         loop = asyncio.get_running_loop()
         enqueued_at = loop.time()
-        # Admission keys the request: an explicit buffer's digest is
-        # computed here, once, and cached on the request for the store,
-        # the executor and the pool task.
+        # Admission keys the request.  An explicit buffer's digest was
+        # computed once, by its constructor, and the store, the executor
+        # and the pool task reuse it.
         key = request.key
 
         if self.store is not None:
@@ -525,7 +526,7 @@ class DiagnosisService:
         buffers are laid end to end in one segment and the task carries
         ``(position, offset, size, digest)`` spans instead; the wire
         requests are stripped of their bytes so the task payload stays
-        small, and the admission digest rides along so the worker never
+        small, and each request's digest rides along so the worker never
         rescans a buffer.  The segment is borrowed from the idle list,
         refilled in place (a worker's attach cache keeps its mapping across
         batches) and grown, under a fresh name, when the batch needs more

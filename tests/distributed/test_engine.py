@@ -28,7 +28,6 @@ from repro.core.faults import random_faults
 from repro.core.set_builder import set_builder
 from repro.distributed import (
     ChannelConfig,
-    DistributedSetBuilder,
     ProtocolEngine,
     derived_run_stats,
     extended_star_gossip_cost,
@@ -113,14 +112,6 @@ class TestLegacyEquivalence:
         outcome = ProtocolEngine(csr).run_set_builder(syndrome, 0)
         assert (outcome.rounds, outcome.messages) == (2, 0) == (legacy.rounds, legacy.messages)
         assert outcome.faults_found == len(faults) == legacy.faults_found
-
-    def test_shim_returns_engine_numbers(self):
-        network, csr, faults, syndrome = _instance("hypercube", {"dimension": 6}, 6, 3)
-        root = next(v for v in range(network.num_nodes) if v not in faults)
-        stats = DistributedSetBuilder(network).run(syndrome, root)
-        outcome = ProtocolEngine(csr).run_set_builder(syndrome, root)
-        assert stats.as_row() == (outcome.rounds, outcome.messages, outcome.tree_size,
-                                  outcome.tree_depth, outcome.faults_found)
 
 
 class TestFaultInjection:

@@ -1,9 +1,10 @@
-"""Tests for the legacy simulator API (now a shim over the protocol engine).
+"""The distributed ``Set_Builder`` protocol's single-root contract.
 
-The behavioural contract of :class:`DistributedSetBuilder` is unchanged —
-these tests predate the engine and keep passing through the shim — plus a few
-checks that the shim and the preserved analytical model
-(:func:`derived_run_stats`) stay in agreement.
+These checks predate the event-driven engine: they run the protocol on
+:class:`~repro.distributed.engine.ProtocolEngine`'s default (unit-latency,
+lossless) channel, and check it against the analytical reference models
+:func:`derived_run_stats` and :func:`extended_star_gossip_cost` that
+:mod:`repro.distributed.simulator` keeps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 from repro.core.faults import random_faults
 from repro.core.syndrome import generate_syndrome, syndrome_table_size
 from repro.distributed import (
-    DistributedSetBuilder,
+    ProtocolEngine,
     derived_run_stats,
     extended_star_gossip_cost,
 )
@@ -24,7 +25,7 @@ class TestDistributedSetBuilder:
     def test_fault_free_run_covers_network(self):
         cube = Hypercube(7)
         syndrome = generate_syndrome(cube, frozenset())
-        stats = DistributedSetBuilder(cube).run(syndrome, root=0)
+        stats = ProtocolEngine(cube).run_set_builder(syndrome, 0)
         assert stats.tree_size == cube.num_nodes
         assert stats.tree_depth == 7
         assert stats.faults_found == 0
@@ -32,7 +33,7 @@ class TestDistributedSetBuilder:
     def test_rounds_scale_with_depth_not_size(self):
         cube = Hypercube(9)
         syndrome = generate_syndrome(cube, frozenset())
-        stats = DistributedSetBuilder(cube).run(syndrome, root=0)
+        stats = ProtocolEngine(cube).run_set_builder(syndrome, 0)
         # 2 rounds per growth phase + depth rounds of convergecast.
         assert stats.rounds <= 3 * 9 + 2
         assert stats.rounds < cube.num_nodes
@@ -40,7 +41,7 @@ class TestDistributedSetBuilder:
     def test_messages_linear_in_edges(self):
         cube = Hypercube(8)
         syndrome = generate_syndrome(cube, frozenset())
-        stats = DistributedSetBuilder(cube).run(syndrome, root=0)
+        stats = ProtocolEngine(cube).run_set_builder(syndrome, 0)
         assert stats.messages <= 4 * cube.num_edges()
 
     def test_faults_found_matches_injection(self):
@@ -49,7 +50,7 @@ class TestDistributedSetBuilder:
         syndrome = generate_syndrome(cube, faults, seed=3)
         # Root 0 is healthy for this seed (otherwise pick another).
         root = next(v for v in range(cube.num_nodes) if v not in faults)
-        stats = DistributedSetBuilder(cube).run(syndrome, root=root)
+        stats = ProtocolEngine(cube).run_set_builder(syndrome, root)
         assert stats.faults_found == len(faults)
 
     def test_works_on_kary_ncube(self):
@@ -57,32 +58,37 @@ class TestDistributedSetBuilder:
         faults = random_faults(net, 6, seed=1)
         syndrome = generate_syndrome(net, faults, seed=1)
         root = next(v for v in range(net.num_nodes) if v not in faults)
-        stats = DistributedSetBuilder(net).run(syndrome, root=root)
+        stats = ProtocolEngine(net).run_set_builder(syndrome, root)
         assert stats.faults_found == len(faults)
         assert stats.rounds > 0
 
     def test_as_row(self):
         cube = Hypercube(7)
         syndrome = generate_syndrome(cube, frozenset())
-        stats = DistributedSetBuilder(cube).run(syndrome, root=0)
+        stats = derived_run_stats(cube, syndrome, 0)
         assert len(stats.as_row()) == 5
 
 
-class TestShimAgainstAnalyticalModel:
-    def test_shim_reproduces_derived_stats(self):
-        """The engine-backed shim and the legacy derivation agree exactly."""
+class TestEngineAgainstAnalyticalModel:
+    def test_engine_reproduces_derived_stats(self):
+        """The engine's default channel and the legacy derivation agree exactly."""
         cube = Hypercube(7)
         faults = random_faults(cube, 7, seed=5)
         syndrome = generate_syndrome(cube, faults, seed=5, backend="array")
         root = next(v for v in range(cube.num_nodes) if v not in faults)
-        assert DistributedSetBuilder(cube).run(syndrome, root) == \
-            derived_run_stats(cube, syndrome, root)
+        outcome = ProtocolEngine(cube).run_set_builder(syndrome, root)
+        assert (outcome.rounds, outcome.messages, outcome.tree_size,
+                outcome.tree_depth, outcome.faults_found) == \
+            derived_run_stats(cube, syndrome, root).as_row()
 
-    def test_module_advertises_the_deprecation(self):
+    def test_module_keeps_only_the_reference_models(self):
+        import repro.distributed
         from repro.distributed import simulator
 
-        assert "deprecated" in simulator.__doc__.lower()
-        assert "derived_run_stats" in simulator.__all__
+        assert simulator.__all__ == [
+            "DistributedRunStats", "derived_run_stats", "extended_star_gossip_cost",
+        ]
+        assert not hasattr(repro.distributed, "DistributedSetBuilder")
         assert "engine" in simulator.__doc__
 
 
@@ -100,6 +106,6 @@ class TestGossipCost:
         """The paper's closing claim: its distributed form beats Chiang & Tan's."""
         cube = Hypercube(9)
         syndrome = generate_syndrome(cube, frozenset())
-        stats = DistributedSetBuilder(cube).run(syndrome, root=0)
+        stats = ProtocolEngine(cube).run_set_builder(syndrome, 0)
         _, gossip_messages = extended_star_gossip_cost(cube, radius=3)
         assert stats.messages < gossip_messages

@@ -273,6 +273,40 @@ class TestLeaseCodecs:
         with pytest.raises(ValueError, match=message):
             decoder(frame)
 
+    @pytest.mark.parametrize("field, value", [
+        ("placement", "bogus"), ("fault_count", 0),
+    ])
+    def test_lease_with_a_malformed_request_is_refused(self, field, value):
+        frame = encode_lease(3, self._requests())
+        frame["requests"][1][field] = value
+        with pytest.raises(ValueError, match=rf"lease requests\[1\]: .*{field}"):
+            decode_lease(frame)
+
+    def test_oversized_lease_is_refused_without_building(self, monkeypatch):
+        """A worker applies the service's node cap before it builds."""
+        from repro.fabric.worker import FabricWorker
+        from repro.service import executor
+
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized topology was built")
+
+        monkeypatch.setattr(executor, "create_network", never)
+        sent = []
+
+        class Channel:
+            async def send(self, frame):
+                sent.append(frame)
+
+        frame = encode_lease(
+            5, [DiagnosisRequest.seeded("hypercube", {"dimension": 30})]
+        )
+        worker = FabricWorker("127.0.0.1", 0, worker_id="w")
+        _run(worker._serve_lease(Channel(), frame))
+        [error] = sent
+        assert error["kind"] == "error" and error["lease"] == 5
+        assert "nodes" in error["message"]
+        assert worker.leases_served == 0
+
     def test_data_plane_kinds_cover_the_codecs(self):
         assert encode_lease(1, self._requests())["kind"] in DATA_PLANE_KINDS
         network, csr = resolve_topology("hypercube", {"dimension": 5})

@@ -22,7 +22,7 @@ from repro import (
 from repro.analysis import set_builder_lookup_bound
 from repro.baselines import ExhaustiveDiagnoser, ExtendedStarDiagnoser, YangCycleDiagnoser
 from repro.core.verification import is_consistent_fault_set
-from repro.distributed import DistributedSetBuilder
+from repro.distributed import ProtocolEngine
 from repro.networks import Hypercube, KAryNCube, PancakeGraph, StarGraph
 
 from ..conftest import ALL_FAMILIES, cached_network
@@ -116,7 +116,7 @@ class TestDistributedPipeline:
         faults = random_faults(cube, 8, seed=11)
         syndrome = generate_syndrome(cube, faults, seed=11)
         central = diagnose(cube, syndrome)
-        stats = DistributedSetBuilder(cube).run(
+        stats = ProtocolEngine(cube).run_set_builder(
             generate_syndrome(cube, faults, seed=11), central.healthy_root)
         assert stats.faults_found == len(faults)
         assert stats.tree_size == len(central.healthy_nodes)

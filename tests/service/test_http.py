@@ -208,6 +208,18 @@ class TestErrors:
         assert status_a == 400 and "bogus" in body_a["error"]
         assert status_b == 400 and body_b["error"].startswith("requests[1]:")
 
+    @pytest.mark.parametrize("syndrome_hex", ["02", "ff", "0001ff00"])
+    def test_syndrome_bytes_other_than_0_and_1_are_400(self, syndrome_hex):
+        async def inner(client, frontend, service):
+            return await client.request(
+                "POST", "/diagnose",
+                {"family": "hypercube", "params": {"dimension": 5},
+                 "syndrome_hex": syndrome_hex},
+            )
+
+        status, payload = _run(_with_frontend(inner))
+        assert status == 400 and "0/1" in payload["error"]
+
     def test_empty_batch_rejected(self):
         async def inner(client, frontend, service):
             return await client.request("POST", "/diagnose", {"requests": []})
@@ -644,7 +656,7 @@ class TestWireCodecs:
         seeded = _request(5, placement="clustered", behavior="mimic")
         assert DiagnosisRequest.from_dict(seeded.to_wire()) == seeded
         explicit = DiagnosisRequest.from_syndrome(
-            "hypercube", {"dimension": 5}, b"\x01\x02\x03"
+            "hypercube", {"dimension": 5}, b"\x01\x00\x01"
         )
         assert DiagnosisRequest.from_dict(explicit.to_wire()) == explicit
 

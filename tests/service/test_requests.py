@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backend.array_syndrome import ArraySyndrome
 from repro.backend.csr import compile_network
+from repro.core.faults import random_faults
 from repro.core.syndrome import FaultyTesterBehavior
-from repro.service.executor import PLACEMENTS
+from repro.networks.registry import FAMILIES, compiled_network
+from repro.service.executor import PLACEMENTS, resolve_topology, run_direct
 from repro.service.requests import (
     DIGEST_SCHEMES,
     DiagnosisRequest,
@@ -260,6 +266,111 @@ class TestFromDict:
         assert parsed.fault_count is None
         with pytest.raises(ValueError, match="'seed' must be an integer"):
             DiagnosisRequest.from_dict({"family": "hypercube", "seed": None})
+
+
+class TestConstructorChecks:
+    """Every constructor refuses a malformed request (``ValueError``)."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "'seed' must be an integer"),
+        ("seed", True, "'seed' must be an integer"),
+        ("params", {"dimension": 7.0}, "param 'dimension' must be an integer"),
+        ("tenant", "a b", "forbidden characters"),
+        ("fault_count", 0, "'fault_count' must be an integer of at least 1"),
+        ("placement", "bogus", "unknown placement"),
+        ("behavior", "bogus", "unknown behavior"),
+        ("family", "mesh", "unknown network family"),
+    ])
+    def test_python_built_requests_are_refused(self, field, value, message):
+        fields = {"family": "hypercube", "params": {"dimension": 7}, field: value}
+        with pytest.raises(ValueError, match=message):
+            DiagnosisRequest.seeded(**fields)
+
+    def test_direct_construction_and_replace_are_checked(self):
+        with pytest.raises(ValueError, match="'params' must be"):
+            DiagnosisRequest(family="hypercube", params={"dimension": 7})
+        with pytest.raises(ValueError, match="'params' must be"):
+            DiagnosisRequest(family="hypercube", params=((7, "dimension"),))
+        request = DiagnosisRequest.seeded("hypercube", {"dimension": 7})
+        with pytest.raises(ValueError, match="'seed' must be an integer"):
+            dataclasses.replace(request, seed="3")
+
+    def test_an_oversized_topology_is_a_valid_request(self):
+        """The node cap is a limit of the service, not of a request."""
+        request = DiagnosisRequest.seeded("hypercube", {"dimension": 30})
+        assert request.topology_key == "hypercube[dimension=30]"
+
+    @pytest.mark.parametrize("data", [
+        b"\x02", b"\x00" * 63 + b"\xff", b"\x01\x02" * 64, b"\x02" * 9,
+    ])
+    def test_explicit_bytes_other_than_0_and_1_are_refused(self, data):
+        with pytest.raises(ValueError, match="0/1"):
+            DiagnosisRequest.from_syndrome("star", {"n": 6}, data)
+
+    @pytest.mark.parametrize("data", [bytes(64), b"\x01" + bytes(63), b"\x01" * 64])
+    def test_binary_explicit_bytes_keep_their_digest(self, data):
+        request = DiagnosisRequest.from_syndrome("star", {"n": 6}, data)
+        assert request.digest == syndrome_digest(data) == reference_digest(data)
+        assert dataclasses.replace(request, tenant="acme").digest == request.digest
+
+
+def _explicit_hex() -> str:
+    network, csr = compiled_network("hypercube", dimension=5)
+    syndrome = ArraySyndrome.from_faults(csr, random_faults(network, 3, seed=4), seed=4)
+    return bytes(syndrome.buffer).hex()
+
+
+#: Two valid bodies, one per syndrome form, whose fields the property
+#: below replaces one at a time.
+VALID_BODIES = (
+    {"family": "hypercube", "params": {"dimension": 5}, "placement": "clustered",
+     "fault_count": 3, "behavior": "mimic", "seed": 4, "tenant": "acme"},
+    {"family": "hypercube", "params": {"dimension": 5},
+     "syndrome_hex": _explicit_hex(), "tenant": "acme"},
+)
+WIRE_FIELDS = ("family", "params", "placement", "fault_count", "behavior",
+               "seed", "tenant", "syndrome_hex")
+#: Arbitrary JSON values, plus near-valid ones (known names, small
+#: integers, parameter objects, short binary hex) that reach deeper checks.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+) | st.integers(-2, 12) | st.sampled_from([
+    *FAMILIES, *PLACEMENTS, *FaultyTesterBehavior.NAMES, "", "00", "01", "0102",
+    {"dimension": 6}, {"dimension": 30}, {"n": 5}, {"n": 3, "k": 4}, {},
+])
+
+
+class TestFromDictProperty:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(base=st.sampled_from(VALID_BODIES), field=st.sampled_from(WIRE_FIELDS),
+           value=JSON_VALUES)
+    def test_any_field_value_is_refused_or_answered(self, base, field, value):
+        """``from_dict`` raises ``ValueError`` or returns a request that
+        ``run_direct`` answers without raising.  A topology over 1,024
+        nodes is only constructed; one whose constructor refuses the
+        parameters is the 400 the edge answers for a failed resolve."""
+        body = dict(base, **{field: value})
+        try:
+            request = DiagnosisRequest.from_dict(body)
+        except ValueError:
+            return
+        try:
+            nodes = FAMILIES[request.family].node_count(**request.network_kwargs)
+        except (TypeError, ValueError):
+            nodes = 0
+        if nodes > 1024:
+            return
+        try:
+            network, csr = resolve_topology(request.family, request.network_kwargs)
+        except (TypeError, ValueError):
+            return
+        response = run_direct(request, network=network, csr=csr)
+        assert isinstance(response, DiagnosisResponse)
+        assert response.topology_key == request.topology_key
 
 
 class TestTenant:

@@ -174,21 +174,12 @@ class TestCorrectness:
 
     @pytest.mark.parametrize("fault_count", [2.5, True, "3"])
     def test_non_integer_fault_count_is_refused_before_its_batch(self, fault_count):
-        """A request built in Python skips ``from_dict``; validation still
-        refuses it at submit, so it never reaches (and fails) a batch."""
-        service = DiagnosisService()
+        """A request built in Python skips ``from_dict``; its constructor
+        still refuses it, so it never reaches (and fails) a batch."""
+        with pytest.raises(ValueError, match="fault_count"):
+            _request(0, fault_count=fault_count)
         healthy = _request(1)
-
-        async def run():
-            async with service:
-                return await asyncio.gather(
-                    service.submit(_request(0, fault_count=fault_count)),
-                    service.submit(healthy),
-                    return_exceptions=True,
-                )
-
-        bad, good = asyncio.run(run())
-        assert isinstance(bad, ValueError) and "fault_count" in str(bad)
+        [good] = _serve(DiagnosisService(), healthy)
         assert good.ok and good.faulty == run_direct(healthy).faulty
 
     def test_diagnosis_error_becomes_error_response(self):
@@ -319,14 +310,14 @@ class TestHashOnce:
     def test_in_process_request_scans_once(self, monkeypatch, tmp_path, body):
         import os
 
+        log = tmp_path / "scans.log"
+        self._log_scans(monkeypatch, log)
         if body == "sparse":
             request = self._explicit(seed=1)
         else:  # all ones: the dense body, and a stored DiagnosisError
             request = DiagnosisRequest.from_syndrome(
                 "hypercube", {"dimension": 6}, b"\x01" * (64 * 15)
             )
-        log = tmp_path / "scans.log"
-        self._log_scans(monkeypatch, log)
         store = ResultStore()
         [response] = _serve(DiagnosisService(store=store), request)
         request.describe()
@@ -340,9 +331,9 @@ class TestHashOnce:
 
         from repro.parallel import WorkerPool
 
-        requests = [self._explicit(seed) for seed in (2, 3)]
         log = tmp_path / "scans.log"
         self._log_scans(monkeypatch, log)
+        requests = [self._explicit(seed) for seed in (2, 3)]
         with WorkerPool(max_workers=1) as pool:  # forks after the patch
             service = DiagnosisService(pool=pool, store=ResultStore())
             responses = _serve(service, *requests)
@@ -697,10 +688,9 @@ class TestLifecycleAndValidation:
         asyncio.run(run())
 
     def test_unknown_family_rejected_before_enqueue(self):
-        bad = DiagnosisRequest.seeded("hypercube", {"dimension": 6})
-        bad = DiagnosisRequest(family="mesh", params=(("dimension", 6),))
         with pytest.raises(ValueError, match="unknown network family"):
-            _serve(DiagnosisService(), bad)
+            _serve(DiagnosisService(),
+                   DiagnosisRequest(family="mesh", params=(("dimension", 6),)))
 
     def test_bad_placement_and_behavior_rejected(self):
         with pytest.raises(ValueError, match="unknown placement"):
@@ -714,9 +704,29 @@ class TestLifecycleAndValidation:
     def test_non_string_field_built_in_python_rejected(self, field):
         # from_dict refuses these on the wire; a request built in Python
         # meets the same check before any registry lookup hashes the value.
-        bad = dataclasses.replace(_request(0), **{field: [1]})
         with pytest.raises(ValueError, match=f"'{field}' must be a string"):
-            _serve(DiagnosisService(), bad)
+            _serve(DiagnosisService(),
+                   dataclasses.replace(_request(0), **{field: [1]}))
+
+    def test_oversized_topology_refused_at_admission(self, monkeypatch):
+        """Nothing over the node cap is queued, let alone built."""
+        from repro.service import executor
+
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized topology was built")
+
+        monkeypatch.setattr(executor, "create_network", never)
+        service = DiagnosisService()
+        with pytest.raises(ValueError, match="nodes"):
+            _serve(service, DiagnosisRequest.seeded("hypercube", {"dimension": 30}))
+        assert service.stats()["batches"] == 0
+
+    def test_placements_are_one_table(self):
+        from repro.core import faults
+        from repro.experiments import trials
+        from repro.service import executor
+
+        assert executor.PLACEMENTS is faults.PLACEMENTS is trials.PLACEMENTS
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -231,6 +231,14 @@ class TestServeCommand:
         bad.write_text('{"family": "hypercube", "params": {"dim": 7}}\n')
         with pytest.raises(SystemExit, match="request failed"):
             main(["serve", "--requests", str(bad)])
+        # The node cap is the service's admission limit, not a field check.
+        bad.write_text('{"family": "hypercube", "params": {"dimension": 30}}\n')
+        with pytest.raises(SystemExit, match="request failed: .*nodes"):
+            main(["serve", "--requests", str(bad)])
+        # A seeded field only a JSON line can misspell is a bad request.
+        bad.write_text('{"family": "hypercube", "placement": "ring"}\n')
+        with pytest.raises(SystemExit, match=re.escape(f"{bad}:1: bad request")):
+            main(["serve", "--requests", str(bad)])
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n")
         with pytest.raises(SystemExit, match="no requests"):
