@@ -11,15 +11,9 @@ Two modes:
   (Q_16 and Q_18 — the legacy dict-table path is too slow to field there,
   which is itself the datum), the k-ary and star family rows, the distributed
   engine overhead, and the shared-memory pooled-sweep comparison (serial vs
-  worker pool vs the old per-worker-recompilation fan-out; recorded under
-  the ``pooled_sweep`` key).  Naming only dimensions below 14 (as in
-  ``bench_backend.py 12``) is a reduced run: it skips the frontier, checks
-  every answer and writes nothing.
-
-The pooled sweep is measured *first* and its recompilation baseline runs
-before the coordinator ever compiles the topology: workers are forked, so a
-parent-side compile would be inherited and silently hide the recompilation
-cost being measured.
+  worker pool, recorded under the ``pooled_sweep`` key).  Naming only
+  dimensions below 14 (as in ``bench_backend.py 12``) is a reduced run: it
+  skips the frontier, checks every answer and writes nothing.
 """
 
 from __future__ import annotations
@@ -306,38 +300,30 @@ def measure_families(*, seed: int = 1, repetitions: int = 3) -> list[dict]:
 
 def measure_pooled_sweep(n: int, *, workers: int = 4, trials: int = 6,
                          base_seed: int = 16) -> dict:
-    """A Q_n sweep: serial vs shared-memory pool vs per-worker recompilation.
+    """A Q_n sweep: serial vs the shared-memory worker pool.
 
-    Three phases over the identical trial table (results are bit-identical —
+    Two phases over the identical trial table (results are bit-identical —
     asserted — because every trial self-seeds):
 
-    1. ``respawn``: chunked fan-out with ``share_topology=False``, the old
-       cost model — every worker walks and compiles the topology itself.
-       Measured first, before this process ever compiles Q_n, because forked
-       workers inherit the parent's caches and would otherwise skip the very
-       recompilation being measured.
-    2. ``serial``: the plain in-process run, measured after one unmeasured
+    1. ``serial``: the plain in-process run, measured after one unmeasured
        warm-up pass so one-time costs (compile, pair layout, row
        materialisation) do not bias the serial number upward — forked pool
        workers would inherit that warm state anyway.
-    3. ``pool``: chunked fan-out over the shared-memory worker pool — one
+    2. ``pool``: chunked fan-out over the shared-memory worker pool — one
        coordinator-side compile, zero worker-side compiles (asserted from the
-       per-chunk worker diagnostics).
+       per-chunk worker diagnostics) — measured after one unmeasured run on
+       the same pool, so forking the workers and attaching the topology stay
+       outside the timing as the serial leg's one-time costs do.
 
     The recorded ``speedup_vs_serial`` is honest wall-clock on the current
     machine — ``cpu_count`` is recorded next to it because process-level
-    parallelism cannot beat a warm serial run on a single core;
-    ``speedup_vs_respawn`` isolates what the persistent shared-memory pool
-    buys over the old fan-out at equal worker count, which is visible on any
-    core count.
+    parallelism cannot beat a warm serial run on fewer cores than workers.
     """
     import dataclasses
     import os
 
     from repro.experiments.trials import TrialPlan, TrialSpec
     from repro.parallel import WorkerPool
-
-    from repro.backend import csr as csr_backend
 
     plan = TrialPlan(
         TrialSpec(label=f"Q_{n}", family="hypercube", params=(("dimension", n),),
@@ -348,28 +334,19 @@ def measure_pooled_sweep(n: int, *, workers: int = 4, trials: int = 6,
     def norm(results):
         return [dataclasses.replace(r, elapsed_seconds=0.0) for r in results]
 
-    assert csr_backend.compile_count() == 0, (
-        "the pooled sweep must run before anything compiles in this process"
-    )
-    with WorkerPool(max_workers=workers) as pool:
-        respawn_start = time.perf_counter()
-        respawn_results = plan.run(pool=pool, share_topology=False)
-        respawn_s = time.perf_counter() - respawn_start
-        respawn_compiles = plan.last_run_stats["worker_compiles"]
-    assert respawn_compiles > 0
-
     plan.run()  # warm-up: compile + pair layout + rows, outside the timing
     serial_start = time.perf_counter()
     serial_results = plan.run()
     serial_s = time.perf_counter() - serial_start
 
     with WorkerPool(max_workers=workers) as pool:
+        plan.run(pool=pool)  # warm-up: fork + attach, outside the timing
         pool_start = time.perf_counter()
         pool_results = plan.run(pool=pool)
         pool_s = time.perf_counter() - pool_start
         pool_stats = dict(plan.last_run_stats)
 
-    assert norm(serial_results) == norm(pool_results) == norm(respawn_results)
+    assert norm(serial_results) == norm(pool_results)
     assert pool_stats["worker_compiles"] == 0
     assert all(r.exact for r in serial_results)
 
@@ -377,8 +354,7 @@ def measure_pooled_sweep(n: int, *, workers: int = 4, trials: int = 6,
     return {
         "description": (
             f"Q_{n} sweep, {trials} trials, --workers {workers}: serial vs "
-            "persistent shared-memory pool vs the old per-worker-recompilation "
-            "fan-out (identical results asserted across all three)"
+            "persistent shared-memory pool (identical results asserted)"
         ),
         "dimension": n,
         "trials": trials,
@@ -386,18 +362,14 @@ def measure_pooled_sweep(n: int, *, workers: int = 4, trials: int = 6,
         "cpu_count": os.cpu_count(),
         "serial_s": round(serial_s, 3),
         "pool_s": round(pool_s, 3),
-        "respawn_s": round(respawn_s, 3),
         "worker_compiles_pool": pool_stats["worker_compiles"],
-        "worker_compiles_respawn": respawn_compiles,
         "chunks": pool_stats["chunks"],
         "speedup_vs_serial": speedup_vs_serial,
-        "speedup_vs_respawn": round(respawn_s / pool_s, 2),
         "target_speedup_vs_serial": 2.0,
         "target_met": speedup_vs_serial >= 2.0,
         "note": (
             "speedup_vs_serial needs >= workers physical cores to reach the "
-            "target; on fewer cores the pool can only tie a warm serial run, "
-            "and speedup_vs_respawn is the meaningful number"
+            "target; on fewer cores the pool can only tie a warm serial run"
         ),
     }
 
@@ -438,8 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     dimensions = [int(a) for a in (argv or [])] or [12, 14]
     reduced = max(dimensions) < 14  # CI smoke: skip the expensive frontier
 
-    # The pooled sweep must come first: its recompilation baseline is only
-    # honest while nothing has compiled in this process (see its docstring).
     pooled = measure_pooled_sweep(
         16 if not reduced else max(dimensions),
         workers=4,
@@ -535,10 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         f"Q_{pooled['dimension']} sweep x{pooled['trials']} with "
         f"--workers {pooled['workers']} (cpu_count {pooled['cpu_count']}): "
         f"serial {pooled['serial_s']:.2f} s, pool {pooled['pool_s']:.2f} s "
-        f"({pooled['speedup_vs_serial']}x), respawn baseline "
-        f"{pooled['respawn_s']:.2f} s ({pooled['speedup_vs_respawn']}x vs pool); "
-        f"worker compiles: pool {pooled['worker_compiles_pool']}, "
-        f"respawn {pooled['worker_compiles_respawn']}"
+        f"({pooled['speedup_vs_serial']}x); "
+        f"worker compiles: pool {pooled['worker_compiles_pool']}"
     )
     print(
         f"Q_{distributed['dimension']} distributed: engine "

@@ -3,6 +3,8 @@
 ``python -m repro.experiments``           runs every experiment (E1–E9)
 ``python -m repro.experiments E1 E6``     runs a subset
 ``python -m repro.experiments --markdown`` emits markdown tables (for EXPERIMENTS.md)
+``python -m repro.experiments --workers 2`` runs the pooled experiments on one
+two-worker pool, shared by the whole invocation
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import inspect
 import sys
 
+from ..parallel import WorkerPool
 from .runners import EXPERIMENTS, run_experiment
 
 
@@ -22,34 +25,34 @@ def main(argv: list[str] | None = None) -> int:
                         help="emit GitHub-flavoured markdown tables")
     parser.add_argument("--parallel", action="store_true",
                         help="fan the trial table of each diagnosis experiment out "
-                             "in chunks over a shared-memory worker pool")
+                             "in chunks over one shared-memory worker pool")
     parser.add_argument("--workers", type=int, default=None, metavar="W",
-                        help="pool width for experiments with a pooled mode "
-                             "(E1); implies chunked parallel execution")
+                        help="width of that pool; implies --parallel")
     args = parser.parse_args(argv)
 
     names = [name.upper() for name in args.experiments] or sorted(EXPERIMENTS)
+    pool = (WorkerPool(args.workers)
+            if args.parallel or args.workers is not None else None)
     ok = True
-    for name in names:
-        kwargs = {}
-        runner = EXPERIMENTS.get(name)
-        parameters = (inspect.signature(runner).parameters
-                      if runner is not None else {})
-        if args.parallel and "parallel" in parameters:
-            kwargs["parallel"] = True
-        if args.workers is not None and "workers" in parameters:
-            kwargs["workers"] = args.workers
-        report = run_experiment(name, **kwargs)
-        ok &= report.claims_verified
-        if args.markdown:
-            print(f"### {report.experiment}: {report.title}\n")
-            print(report.to_markdown())
-            if report.notes:
-                print(f"\n{report.notes}")
-            print()
-        else:
-            print(report.to_text())
-            print()
+    try:
+        for name in names:
+            runner = EXPERIMENTS.get(name)
+            takes_pool = (runner is not None
+                          and "pool" in inspect.signature(runner).parameters)
+            report = run_experiment(name, **({"pool": pool} if takes_pool else {}))
+            ok &= report.claims_verified
+            if args.markdown:
+                print(f"### {report.experiment}: {report.title}\n")
+                print(report.to_markdown())
+                if report.notes:
+                    print(f"\n{report.notes}")
+                print()
+            else:
+                print(report.to_text())
+                print()
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return 0 if ok else 1
 
 

@@ -12,10 +12,10 @@ with statistical rigour; these runners exist so that
 The diagnosis experiments (E1–E4, E6 and the root search of E9) run through
 the batched :class:`~repro.experiments.trials.TrialPlan`: the factor-product
 trial table executes against one shared compiled topology per
-``(family, size)`` — instead of rebuilding the network per trial — and can
-optionally fan the topology groups out over a process pool
-(``parallel=True``).  The structural experiments (E5, E7, E8) draw their
-instances from the same registry memo.
+``(family, size)`` — instead of rebuilding the network per trial — and, given
+a ``pool`` (:class:`~repro.parallel.pool.WorkerPool`), fans out in chunks over
+its workers.  The structural experiments (E5, E7, E8) draw their instances
+from the same registry memo.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from ..core.partitions import class_certifies_when_fault_free, minimal_certifyin
 from ..core.set_builder import set_builder
 from ..diagnosability import chang_condition, exact_diagnosability, min_degree_upper_bound
 from ..networks.registry import FAMILIES, cached_network, compiled_network
+from ..parallel import WorkerPool
 from ..workloads.sweeps import (
     CUBE_VARIANT_INSTANCES,
     DISTRIBUTED_LOSS_RATES,
@@ -42,18 +43,18 @@ from ..workloads.sweeps import (
     PERMUTATION_INSTANCES,
 )
 from .reporting import ExperimentReport, _md_cell  # noqa: F401  (re-export shim)
-from .trials import DistributedTrialPlan, TrialPlan, TrialSpec
+from .trials import DistributedTrialSpec, TrialPlan, TrialSpec
 
 __all__ = ["ExperimentReport", "EXPERIMENTS", "run_experiment", "run_all"]
 
 
 # --------------------------------------------------------------------------- E1
 def run_e1(*, dimensions: tuple[int, ...] = (7, 8, 9, 10, 11), seed: int = 0,
-           parallel: bool = False, workers: int | None = None) -> ExperimentReport:
+           pool: WorkerPool | None = None) -> ExperimentReport:
     """E1 (Theorem 2): exactness and O(n·2^n) scaling on hypercubes.
 
-    ``workers`` switches the sweep to *pooled mode*: the trial table fans
-    out in chunks over a persistent shared-memory worker pool
+    A ``pool`` switches the sweep to *pooled mode*: the trial table fans
+    out in chunks over that persistent shared-memory worker pool
     (:class:`~repro.parallel.pool.WorkerPool`), with every topology compiled
     once in the coordinator and mapped zero-copy by the workers.  The rows
     are bit-identical to the serial run — only wall-clock distribution
@@ -65,10 +66,7 @@ def run_e1(*, dimensions: tuple[int, ...] = (7, 8, 9, 10, 11), seed: int = 0,
                   placement="random", fault_count=n, seed=seed + n)
         for n in dimensions
     )
-    if workers is not None:
-        results = plan.run(parallel=True, max_workers=workers)
-    else:
-        results = plan.run(parallel=parallel)
+    results = plan.run(pool=pool)
     rows, models, times = [], [], []
     all_exact = True
     for n, res in zip(dimensions, results):
@@ -112,7 +110,7 @@ def run_e1(*, dimensions: tuple[int, ...] = (7, 8, 9, 10, 11), seed: int = 0,
 
 
 # --------------------------------------------------------------------------- E2
-def run_e2(*, seed: int = 2, parallel: bool = False) -> ExperimentReport:
+def run_e2(*, seed: int = 2, pool: WorkerPool | None = None) -> ExperimentReport:
     """E2 (Theorem 3): the hypercube variants."""
     start = time.perf_counter()
     plan = TrialPlan.from_factors(
@@ -120,7 +118,7 @@ def run_e2(*, seed: int = 2, parallel: bool = False) -> ExperimentReport:
     )
     rows = []
     all_exact = True
-    for res in plan.run(parallel=parallel):
+    for res in plan.run(pool=pool):
         all_exact &= res.exact
         rows.append((res.spec.label, res.spec.scenario, res.num_nodes, res.delta,
                      res.exact, res.lookups, round(res.elapsed_seconds * 1e3, 2)))
@@ -135,13 +133,13 @@ def run_e2(*, seed: int = 2, parallel: bool = False) -> ExperimentReport:
 
 
 # --------------------------------------------------------------------------- E3
-def run_e3(*, seed: int = 5, parallel: bool = False) -> ExperimentReport:
+def run_e3(*, seed: int = 5, pool: WorkerPool | None = None) -> ExperimentReport:
     """E3 (Theorem 4): k-ary n-cubes and augmented k-ary n-cubes."""
     start = time.perf_counter()
     plan = TrialPlan.from_factors(KARY_INSTANCES, seeds=(seed,))
     rows = []
     all_exact = True
-    for res in plan.run(parallel=parallel):
+    for res in plan.run(pool=pool):
         all_exact &= res.exact
         rows.append((res.spec.label, res.num_nodes, res.delta, res.exact,
                      res.lookups, round(res.elapsed_seconds * 1e3, 2)))
@@ -156,13 +154,13 @@ def run_e3(*, seed: int = 5, parallel: bool = False) -> ExperimentReport:
 
 
 # --------------------------------------------------------------------------- E4
-def run_e4(*, seed: int = 7, parallel: bool = False) -> ExperimentReport:
+def run_e4(*, seed: int = 7, pool: WorkerPool | None = None) -> ExperimentReport:
     """E4 (Theorems 5–7): permutation-based families."""
     start = time.perf_counter()
     plan = TrialPlan.from_factors(PERMUTATION_INSTANCES, seeds=(seed,))
     rows = []
     all_exact = True
-    for res in plan.run(parallel=parallel):
+    for res in plan.run(pool=pool):
         all_exact &= res.exact
         rows.append((res.spec.label, res.num_nodes, res.delta, res.exact,
                      res.used_fallback, res.lookups,
@@ -224,7 +222,7 @@ def run_e5(*, seed: int = 13) -> ExperimentReport:
 
 # --------------------------------------------------------------------------- E6
 def run_e6(*, dimensions: tuple[int, ...] = (8, 9, 10), seed: int = 17,
-           parallel: bool = False) -> ExperimentReport:
+           pool: WorkerPool | None = None) -> ExperimentReport:
     """E6 (Sections 3/6): Stewart vs Yang vs extended-star on identical syndromes."""
     start = time.perf_counter()
     plan = TrialPlan.from_factors(
@@ -232,7 +230,7 @@ def run_e6(*, dimensions: tuple[int, ...] = (8, 9, 10), seed: int = 17,
         seeds=(seed,),
         algorithms=("stewart", "yang", "extended_star"),
     )
-    results = plan.run(parallel=parallel)
+    results = plan.run(pool=pool)
     rows = []
     claims = True
     by_dim: dict[str, dict[str, tuple[bool, int]]] = {}
@@ -330,7 +328,7 @@ def run_e8(*, dimensions: tuple[int, ...] = (7, 8, 9, 10, 11, 12)) -> Experiment
 
 # --------------------------------------------------------------------------- E9
 def run_e9(*, dimensions: tuple[int, ...] = (8, 9, 10), seed: int = 31,
-           parallel: bool = False,
+           pool: WorkerPool | None = None,
            loss_rates: tuple[float, ...] = DISTRIBUTED_LOSS_RATES,
            root_counts: tuple[int, ...] = DISTRIBUTED_ROOT_COUNTS,
            latency: str = "fixed:1") -> ExperimentReport:
@@ -349,14 +347,15 @@ def run_e9(*, dimensions: tuple[int, ...] = (8, 9, 10), seed: int = 31,
     fault-free node is ever accused.
     """
     start = time.perf_counter()
-    plan = DistributedTrialPlan.from_factors(
+    plan = TrialPlan.from_factors(
         [(f"Q_{n}", "hypercube", {"dimension": n}) for n in dimensions],
+        spec=DistributedTrialSpec,
         seeds=(seed,),
         loss_rates=loss_rates,
         root_counts=root_counts,
         latencies=(latency,),
     )
-    results = plan.run(parallel=parallel)
+    results = plan.run(pool=pool)
     rows = []
     claims = True
     for res in results:

@@ -82,6 +82,37 @@ def _permutations(n, k=None):
     return math.perm(min(n, 1 << 64), min(n if k is None else k, 64))
 
 
+# Degree formulas, keyed the same way: the largest degree of an instance.
+# The size check reads them only after the node count passed its bound, and
+# one product of even a hostile parameter is cheap, so they need no clamp.
+def _dimension(dimension, **_):
+    return dimension
+
+
+def _dimension_plus_one(dimension, **_):
+    return dimension + 1
+
+
+def _augmented_cube_degree(dimension):
+    return 2 * dimension - 1
+
+
+def _kary_cube_degree(n, k):
+    return 2 * n
+
+
+def _augmented_kary_cube_degree(n, k):
+    return 4 * n - 2
+
+
+def _star_degree(n, k=None):
+    return n - 1
+
+
+def _arrangement_degree(n, k):
+    return k * (n - k)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Metadata describing one network family of the paper's Section 5."""
@@ -94,6 +125,9 @@ class FamilySpec:
     #: the binary cubes, k^n for the k-ary cubes, n!/(n-k)! for the
     #: permutation graphs), computed without building it
     node_count: Callable[..., int]
+    #: maximum node degree of an instance, from the same parameters (d for
+    #: the binary cubes, 2n for the k-ary cubes, n-1 for the star graphs)
+    degree: Callable[..., int]
     #: keyword arguments for a small instance used in documentation/tests
     small: dict = field(default_factory=dict)
     #: keyword arguments for a benchmark-sized instance
@@ -109,6 +143,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "binary n-cube Q_n",
             "Theorem 2",
             _binary_cube,
+            _dimension,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -118,6 +153,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "crossed cube CQ_n",
             "Theorem 3",
             _binary_cube,
+            _dimension,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -127,6 +163,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "twisted cube TQ_n (odd n)",
             "Theorem 3",
             _binary_cube,
+            _dimension,
             small={"dimension": 7},
             medium={"dimension": 9},
         ),
@@ -136,6 +173,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "folded hypercube FQ_n",
             "Theorem 3",
             _binary_cube,
+            _dimension_plus_one,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -145,6 +183,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "enhanced hypercube Q_{n,k}",
             "Theorem 3",
             _binary_cube,
+            _dimension_plus_one,
             small={"dimension": 7, "k": 4},
             medium={"dimension": 10, "k": 6},
         ),
@@ -154,6 +193,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "augmented cube AQ_n",
             "Theorem 3",
             _binary_cube,
+            _augmented_cube_degree,
             small={"dimension": 6},
             medium={"dimension": 9},
         ),
@@ -163,6 +203,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "shuffle-cube SQ_n (n = 4k + 2)",
             "Theorem 3",
             _binary_cube,
+            _dimension,
             small={"dimension": 6},
             medium={"dimension": 10},
         ),
@@ -172,6 +213,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "twisted N-cube TQ'_n",
             "Theorem 3",
             _binary_cube,
+            _dimension,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -181,6 +223,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "k-ary n-cube Q^k_n",
             "Theorem 4",
             _kary_cube,
+            _kary_cube_degree,
             small={"n": 3, "k": 5},
             medium={"n": 3, "k": 8},
         ),
@@ -190,6 +233,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "augmented k-ary n-cube AQ_{n,k}",
             "Theorem 4 (corollary)",
             _kary_cube,
+            _augmented_kary_cube_degree,
             small={"n": 3, "k": 4},
             medium={"n": 3, "k": 8},
         ),
@@ -199,6 +243,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "(n,k)-star graph S_{n,k}",
             "Theorem 5",
             _permutations,
+            _star_degree,
             small={"n": 5, "k": 3},
             medium={"n": 7, "k": 4},
         ),
@@ -208,6 +253,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "star graph S_n",
             "Theorem 5",
             _permutations,
+            _star_degree,
             small={"n": 5},
             medium={"n": 7},
         ),
@@ -217,6 +263,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "pancake graph P_n",
             "Theorem 6",
             _permutations,
+            _star_degree,
             small={"n": 5},
             medium={"n": 7},
         ),
@@ -226,6 +273,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "arrangement graph A_{n,k}",
             "Theorem 7",
             _permutations,
+            _arrangement_degree,
             small={"n": 6, "k": 3},
             medium={"n": 7, "k": 3},
         ),
@@ -235,6 +283,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "locally twisted cube LTQ_n",
             "extension (Section 5 style)",
             _binary_cube,
+            _dimension,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),
@@ -244,6 +293,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "Möbius cube MQ_n",
             "extension (Section 5 style)",
             _binary_cube,
+            _dimension,
             small={"dimension": 7},
             medium={"dimension": 10},
         ),

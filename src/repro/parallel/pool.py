@@ -474,25 +474,23 @@ def worker_topology(handle: TopologyHandle) -> CSRAdjacency:
     return csr
 
 
-def adopt_worker_topology(network, handle: TopologyHandle | None) -> None:
+def adopt_worker_topology(network, handle: TopologyHandle) -> None:
     """Give a worker-side network object the shared compiled topology.
 
     A network without a compiled adjacency (the pool forked before this
     topology was ever compiled) attaches the whole CSR zero-copy, which the
     compile delta proves; a fork-inherited adjacency is kept as it is.
     """
-    if handle is not None and getattr(network, "_csr_adjacency", None) is None:
+    if getattr(network, "_csr_adjacency", None) is None:
         network._csr_adjacency = worker_topology(handle)
 
 
-def worker_network(family: str, params, handle: TopologyHandle | None):
+def worker_network(family: str, params, handle: TopologyHandle):
     """Worker-side ``(network, csr)`` resolution shared by every pool task.
 
     The network object comes from the registry memo (persistent across the
     worker's lifetime); its compiled adjacency is adopted from the shared
-    mapping when a handle is given.  ``handle=None``
-    compiles locally, the per-worker-recompilation baseline the benchmarks
-    keep for comparison.
+    mapping of ``handle``, so the worker never walks the topology itself.
     """
     from ..networks.registry import cached_network
 

@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "MAX_TOPOLOGY_NODES",
+    "MAX_TOPOLOGY_SLOTS",
     "PLACEMENTS",
     "check_topology_size",
     "resolve_topology",
@@ -47,24 +48,42 @@ __all__ = [
 #: seconds and gigabytes).  The largest topology served here is Q_14.
 MAX_TOPOLOGY_NODES = 1 << 16
 
+#: Most comparison pairs (n·Δ(Δ-1)/2 slots, one syndrome byte each) a
+#: topology may have.  The node cap alone admits dense graphs: the
+#: arrangement graph A_{65536,1} is K_65536, with 1.4·10^14 slots.  This
+#: bound is about twice Q_16's 7.9·10^6 slots, the cost the node cap was
+#: sized by: it admits a 2^16-node topology of degree up to 23 (Q_16 and
+#: its degree-17 variants FQ_16 and Q_{16,k}), and Q_14 (1.5·10^6 slots)
+#: and S_7 (7.6·10^4) are far inside it.
+MAX_TOPOLOGY_SLOTS = 1 << 24
+
 
 def check_topology_size(family: str, params: dict) -> None:
-    """Refuse a topology over :data:`MAX_TOPOLOGY_NODES`, building nothing.
+    """Refuse a topology over :data:`MAX_TOPOLOGY_NODES` nodes or
+    :data:`MAX_TOPOLOGY_SLOTS` comparison pairs, building nothing.
 
     Admission and :func:`resolve_topology` both call it.  It reads the
-    family's node-count formula, which accepts every parameter set the
-    constructor accepts; an unknown family or parameter name passes, and
-    the constructor reports it.
+    family's node-count and degree formulas, which accept every parameter
+    set the constructor accepts; an unknown family or parameter name
+    passes, and the constructor reports it.
     """
     spec = FAMILIES.get(family)
+    if spec is None:
+        return
     try:
-        nodes = 0 if spec is None else spec.node_count(**params)
+        nodes = spec.node_count(**params)
+        if nodes > MAX_TOPOLOGY_NODES:
+            raise ValueError(
+                f"this {family} instance has more than "
+                f"{MAX_TOPOLOGY_NODES} nodes, the most this service builds"
+            )
+        degree = spec.degree(**params)
     except TypeError:
-        nodes = 0
-    if nodes > MAX_TOPOLOGY_NODES:
+        return
+    if nodes * degree * (degree - 1) // 2 > MAX_TOPOLOGY_SLOTS:
         raise ValueError(
-            f"this {family} instance has more than "
-            f"{MAX_TOPOLOGY_NODES} nodes, the most this service builds"
+            f"this {family} instance has more than {MAX_TOPOLOGY_SLOTS} "
+            "comparison pairs, the most this service builds"
         )
 
 
@@ -226,7 +245,7 @@ def run_direct(
 
 
 def run_batch_task(
-    handle: "TopologyHandle | None",
+    handle: "TopologyHandle",
     family: str,
     params: tuple,
     requests: Sequence[DiagnosisRequest],

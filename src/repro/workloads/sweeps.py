@@ -144,17 +144,19 @@ def distributed_sweep(
 ):
     """Experiment E9: the engine's factor table over hypercubes.
 
-    Returns a :class:`~repro.experiments.trials.DistributedTrialPlan` whose
-    rows sweep the channel axes (loss rate × root count × latency
-    distribution) on top of the usual topology factor.  The import is
-    deferred because :mod:`repro.experiments` itself consumes the instance
-    tables of this module.
+    Returns a :class:`~repro.experiments.trials.TrialPlan` of
+    :class:`~repro.experiments.trials.DistributedTrialSpec` rows, which
+    sweep the channel axes (loss rate × root count × latency distribution)
+    on top of the usual topology factor.  The import is deferred because
+    :mod:`repro.experiments` itself consumes the instance tables of this
+    module.
     """
-    from ..experiments.trials import DistributedTrialPlan
+    from ..experiments.trials import DistributedTrialSpec, TrialPlan
 
     instances = [(f"Q_{n}", "hypercube", {"dimension": n}) for n in dimensions]
-    return DistributedTrialPlan.from_factors(
+    return TrialPlan.from_factors(
         instances,
+        spec=DistributedTrialSpec,
         seeds=(seed,),
         loss_rates=loss_rates,
         root_counts=root_counts,

@@ -57,6 +57,20 @@ class TestRegistry:
             params = getattr(FAMILIES[name], size)
             assert FAMILIES[name].node_count(**params) == net.num_nodes, name
 
+    @pytest.mark.parametrize("size", ["small", "medium"])
+    def test_degree_formula_matches_the_built_maximum_degree(self, size):
+        from repro.backend.csr import compile_network
+
+        for name, net in default_instances(size).items():
+            spec = FAMILIES[name]
+            params = getattr(spec, size)
+            csr = compile_network(net)
+            degree = spec.degree(**params)
+            assert degree == csr.max_degree == net.max_degree, name
+            # Every family is regular, so the size check's slot count is exact.
+            nodes = spec.node_count(**params)
+            assert nodes * degree * (degree - 1) // 2 == csr.num_pairs, name
+
     def test_node_count_accepts_every_constructor_parameter(self):
         """A formula never refuses what its constructor accepts, so a
         ``TypeError`` from it always means a request the constructor
@@ -69,6 +83,7 @@ class TestRegistry:
                     params.setdefault(parameter.name, parameter.default)
             net = spec.constructor(**params)
             assert spec.node_count(**params) == net.num_nodes, name
+            assert spec.degree(**params) == net.max_degree, name
 
     def test_node_count_stays_small_for_hostile_parameters(self):
         # Clamped: a huge parameter gives a count past any bound, not a

@@ -11,7 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments.trials import DistributedTrialPlan, TrialPlan
+from repro.experiments.trials import DistributedTrialSpec, TrialPlan, TrialSpec
 from repro.parallel import WorkerPool, default_worker_count
 
 
@@ -65,22 +65,12 @@ class TestChunkedTrialPlan:
         for chunk_size in (1, 3, 100):
             assert _norm(two_cube_plan.run(pool=pool, chunk_size=chunk_size)) == reference
 
-    def test_parallel_flag_owns_a_throwaway_pool(self, two_cube_plan):
-        serial = _norm(two_cube_plan.run())
-        assert _norm(two_cube_plan.run(parallel=True, max_workers=2)) == serial
-
-    def test_respawn_baseline_still_correct(self, two_cube_plan):
-        """share_topology=False (the benchmark baseline) changes cost, not results."""
-        serial = _norm(two_cube_plan.run())
-        with WorkerPool(max_workers=2) as pool:
-            baseline = _norm(two_cube_plan.run(pool=pool, share_topology=False))
-        assert baseline == serial
-
 
 class TestChunkedDistributedPlan:
     def test_pooled_equals_serial(self, pool):
-        plan = DistributedTrialPlan.from_factors(
+        plan = TrialPlan.from_factors(
             [("Q_6", "hypercube", {"dimension": 6})],
+            spec=DistributedTrialSpec,
             seeds=(5,),
             loss_rates=(0.0, 0.1),
             root_counts=(1, 2),
@@ -89,6 +79,37 @@ class TestChunkedDistributedPlan:
         pooled = _norm(plan.run(pool=pool, chunk_size=1))
         assert pooled == serial
         assert plan.last_run_stats["worker_compiles"] == 0
+
+
+class TestMixedPlan:
+    """Diagnosis and engine rows in one table, on one topology."""
+
+    @pytest.fixture(scope="class")
+    def mixed_plan(self):
+        params = (("dimension", 6),)
+        return TrialPlan([
+            TrialSpec("Q_6", "hypercube", params, seed=1),
+            DistributedTrialSpec("Q_6", "hypercube", params, seed=1, root_count=2),
+            TrialSpec("Q_6", "hypercube", params, seed=2, algorithm="yang"),
+            DistributedTrialSpec("Q_6", "hypercube", params, seed=2, loss_rate=0.1),
+        ])
+
+    def test_each_row_runs_with_its_own_spec_type(self, mixed_plan):
+        results = mixed_plan.run()
+        assert [r.spec for r in results] == mixed_plan.trials
+        diagnoses, engine_runs = results[::2], results[1::2]
+        assert all(r.exact and r.lookups > 0 for r in diagnoses)
+        assert all(r.messages > 0 and r.gossip_messages > 0 for r in engine_runs)
+        assert len(mixed_plan.groups()) == 2
+
+    def test_pooled_equals_serial(self, pool, mixed_plan):
+        serial = _norm(mixed_plan.run())
+        pooled = _norm(mixed_plan.run(pool=pool, chunk_size=1))
+        assert pooled == serial
+        stats = mixed_plan.last_run_stats
+        assert stats["chunks"] == 4
+        assert stats["worker_compiles"] == 0
+        assert stats["topologies_published"] == 1
 
 
 class TestTopologyShipping:

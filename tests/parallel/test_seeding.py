@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.experiments.trials import TrialPlan
-from repro.parallel import derive_seed, spawn_seeds
+from repro.parallel import WorkerPool, derive_seed, spawn_seeds
 
 
 class TestSpawnSeeds:
@@ -56,7 +56,8 @@ class TestWorkerCountInvariance:
 
         serial = norm(plan.run())
         for workers in (1, 2, 3):
-            pooled = norm(plan.run(parallel=True, max_workers=workers))
+            with WorkerPool(max_workers=workers) as pool:
+                pooled = norm(plan.run(pool=pool))
             assert pooled == serial, f"{workers}-worker run diverged from serial"
 
     def test_spawned_seeds_flow_into_specs(self):

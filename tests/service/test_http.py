@@ -261,6 +261,27 @@ class TestErrors:
         assert next_status == 200
         assert response.faulty == run_direct(_request(2)).faulty
 
+    @pytest.mark.parametrize("params", [{"n": 65536, "k": 1}, {"n": 256, "k": 2}])
+    def test_dense_topology_is_400_before_it_is_built(self, params, monkeypatch):
+        """Within the node cap, but K_65536 and A_{256,2} have 1.4·10^14
+        and 8.4·10^9 comparison pairs: the slot cap refuses both."""
+        from repro.service import executor
+
+        def never(*args, **kwargs):
+            raise AssertionError("a dense topology was built")
+
+        monkeypatch.setattr(executor, "create_network", never)
+
+        async def inner(client, frontend, service):
+            refused = await client.request(
+                "POST", "/diagnose", {"family": "arrangement", "params": params},
+            )
+            return refused, service.stats()["batches"]
+
+        (status, payload), batches = _run(_with_frontend(inner))
+        assert status == 400 and "comparison pairs" in payload["error"]
+        assert batches == 0
+
     def test_execution_errors_stay_in_band(self):
         """A Theorem-1 violation is an error *response* (200), not an HTTP error."""
         doomed = DiagnosisRequest.seeded("pancake", {"n": 4}, fault_count=14)

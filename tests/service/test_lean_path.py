@@ -18,6 +18,7 @@ import pytest
 from repro.backend.array_syndrome import ArraySyndrome
 from repro.core import native
 from repro.core.faults import random_faults
+from repro.networks.registry import cached_network
 from repro.parallel import WorkerPool
 from repro.parallel.pool import worker_network
 from repro.service import DiagnosisRequest
@@ -82,7 +83,14 @@ def _mixed_requests(network, csr, family, params) -> list[DiagnosisRequest]:
 
 
 def _rows_left_unbuilt_in_worker(handle, family, params, requests):
-    """Pool task: serve one batch, then report on the worker's topology."""
+    """Pool task: serve one batch, then report on the worker's topology.
+
+    The worker is forked, so its registry-memo network may carry an
+    adjacency, rows included, that an earlier test built in this process;
+    dropping it first makes the batch run on the handle's CSR, as it does
+    in a worker forked by ``serve``, which never builds rows.
+    """
+    cached_network(family, **dict(params))._csr_adjacency = None
     responses, _ = run_batch_task(handle, family, params, requests)
     _, csr = worker_network(family, params, handle)
     return [response.ok for response in responses], csr._rows is None

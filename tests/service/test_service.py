@@ -18,6 +18,7 @@ from repro.service import (
     RejectedError,
     ResultStore,
 )
+from repro.networks.registry import FAMILIES
 from repro.service.executor import PLACEMENTS, run_direct
 
 Q6 = ("hypercube", {"dimension": 6})
@@ -719,6 +720,24 @@ class TestLifecycleAndValidation:
         service = DiagnosisService()
         with pytest.raises(ValueError, match="nodes"):
             _serve(service, DiagnosisRequest.seeded("hypercube", {"dimension": 30}))
+        assert service.stats()["batches"] == 0
+
+    @pytest.mark.parametrize("params", [{"n": 65536, "k": 1}, {"n": 256, "k": 2}])
+    def test_dense_topology_refused_without_building(self, params, monkeypatch):
+        """A topology within the node cap whose pair layout is not: the
+        admission check and :func:`resolve_topology` both refuse it."""
+        from repro.service import executor
+
+        def never(*args, **kwargs):
+            raise AssertionError("a dense topology was built")
+
+        monkeypatch.setattr(executor, "create_network", never)
+        assert FAMILIES["arrangement"].node_count(**params) <= executor.MAX_TOPOLOGY_NODES
+        with pytest.raises(ValueError, match="comparison pairs"):
+            executor.resolve_topology("arrangement", params)
+        service = DiagnosisService()
+        with pytest.raises(ValueError, match="comparison pairs"):
+            _serve(service, DiagnosisRequest.seeded("arrangement", params))
         assert service.stats()["batches"] == 0
 
     def test_placements_are_one_table(self):

@@ -79,6 +79,33 @@ class TestMainEntryPoint:
         assert "### E8" in out
         assert "| --- |" in out
 
+    def test_one_pool_serves_the_whole_invocation(self, monkeypatch, capsys):
+        import repro.experiments.__main__ as entry
+
+        built, shut, tasks = [], [], []
+
+        class CountingPool(entry.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+            def submit(self, fn, *args, **kwargs):
+                tasks.append(fn.__name__)
+                return super().submit(fn, *args, **kwargs)
+
+            def shutdown(self, **kwargs):
+                shut.append(self)
+                super().shutdown(**kwargs)
+
+        monkeypatch.setattr(entry, "WorkerPool", CountingPool)
+        code = experiments_main(["E2", "E9", "--workers", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(built) == 1 and built[0].max_workers == 1
+        assert shut == built
+        assert tasks and set(tasks) == {"_run_chunk"}
+        assert "E2:" in out and "E9:" in out
+
 
 @pytest.mark.slow
 class TestRunAll:

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
-from repro.experiments.trials import ALGORITHMS, PLACEMENTS, TrialPlan, TrialSpec
+from repro.experiments.trials import (
+    ALGORITHMS,
+    PLACEMENTS,
+    DistributedTrialSpec,
+    TrialPlan,
+    TrialSpec,
+)
 from repro.networks.registry import cached_network
+from repro.parallel import WorkerPool
 
 
 def _hypercube_instances(dims):
@@ -29,13 +38,40 @@ class TestFactorProduct:
         )
         assert [t.algorithm for t in plan.trials] == ["stewart", "yang"]
 
+    def test_distributed_row_order_follows_the_axes(self):
+        axes = {
+            "placements": ("random", "clustered"),
+            "latencies": ("fixed:1", "uniform:1:2"),
+            "loss_rates": (0.0, 0.1),
+            "duplicate_rates": (0.0, 0.05),
+            "root_counts": (1, 2),
+        }
+        plan = TrialPlan.from_factors(
+            _hypercube_instances((6,)), spec=DistributedTrialSpec,
+            gossip_radius=2, **axes,
+        )
+        rows = [(t.placement, t.latency, t.loss_rate, t.duplicate_rate, t.root_count)
+                for t in plan.trials]
+        assert rows == list(product(*axes.values()))
+        assert all(type(t) is DistributedTrialSpec for t in plan.trials)
+        assert {t.gossip_radius for t in plan.trials} == {2}
+
+    def test_factor_the_spec_lacks_is_rejected(self):
+        with pytest.raises(TypeError, match="algorithms"):
+            TrialPlan.from_factors(
+                _hypercube_instances((6,)), spec=DistributedTrialSpec,
+                algorithms=("stewart",),
+            )
+        with pytest.raises(TypeError, match="loss_rates"):
+            TrialPlan.from_factors(_hypercube_instances((6,)), loss_rates=(0.1,))
+
     def test_scenario_names_match_sweep_convention(self):
         spec = TrialSpec("Q_7", "hypercube", (("dimension", 7),), placement="clustered")
         assert spec.scenario == "clustered-max"
         spec = TrialSpec("Q_7", "hypercube", (("dimension", 7),), fault_count=3)
         assert spec.scenario == "random-3"
 
-    def test_groups_share_topology(self):
+    def test_groups_are_per_topology(self):
         plan = TrialPlan.from_factors(
             _hypercube_instances((7, 8)), placements=("random", "clustered")
         )
@@ -92,7 +128,8 @@ class TestExecution:
             _hypercube_instances((7, 8)), placements=("random", "clustered")
         )
         inline = plan.run()
-        parallel = plan.run(parallel=True, max_workers=2)
+        with WorkerPool(max_workers=2) as pool:
+            parallel = plan.run(pool=pool)
         assert [(r.spec, r.exact, r.lookups) for r in inline] == \
                [(r.spec, r.exact, r.lookups) for r in parallel]
 
