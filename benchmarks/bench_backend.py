@@ -1,15 +1,18 @@
-"""Backend benchmark: compiled flat-array diagnosis vs the object reference path.
+"""Backend benchmark: the served diagnosis vs the rows-oracle reference.
 
 Two modes:
 
 * under pytest (``pytest benchmarks -o python_files='bench_*.py'``) the
-  compiled and uncompiled paths are benchmarked on a 12-cube with
+  served path (flat ``ArraySyndrome``, native kernels) and the reference
+  path (the §4.1 rows oracle over the dict table
+  ``TableSyndrome.from_faults``) are benchmarked on a 12-cube with
   ``pytest-benchmark`` statistics;
 * as a script (``PYTHONPATH=src python benchmarks/bench_backend.py``) it
   measures the tracked numbers of ``BENCH_e1.json`` at the repository root:
-  the 12/14-cube legacy-vs-compiled head-to-head, the compiled-only frontier
-  (Q_16 and Q_18 — the legacy dict-table path is too slow to field there,
-  which is itself the datum), the k-ary and star family rows, the distributed
+  the 12/14-cube legacy-vs-compiled head-to-head (``legacy`` is the
+  reference path), the compiled-only frontier (Q_16 and Q_18 — the
+  dict-table reference is too slow to field there, which is itself the
+  datum), the k-ary and star family rows, the distributed
   engine overhead, and the shared-memory pooled-sweep comparison (serial vs
   worker pool, recorded under the ``pooled_sweep`` key).  Naming only
   dimensions below 14 (as in ``bench_backend.py 12``) is a reduced run: it
@@ -27,18 +30,18 @@ import pytest
 
 from repro.core.diagnosis import GeneralDiagnoser
 from repro.core.faults import random_faults
-from repro.core.syndrome import generate_syndrome
+from repro.core.syndrome import TableSyndrome, generate_syndrome
 from repro.networks.registry import compiled_network
 
 
-def _instance(backend: str):
+def _instance(build=generate_syndrome):
     cube, _ = compiled_network("hypercube", dimension=12)
     faults = random_faults(cube, 12, seed=12)
-    return cube, faults, generate_syndrome(cube, faults, seed=12, backend=backend)
+    return cube, faults, build(cube, faults, seed=12)
 
 
 def test_compiled_diagnosis(benchmark):
-    cube, faults, syndrome = _instance("array")
+    cube, faults, syndrome = _instance()
     diagnoser = GeneralDiagnoser(cube)
 
     result = benchmark(diagnoser.diagnose, syndrome)
@@ -48,15 +51,15 @@ def test_compiled_diagnosis(benchmark):
     benchmark.extra_info["path"] = "compiled"
 
 
-def test_uncompiled_diagnosis(benchmark):
-    cube, faults, syndrome = _instance("table")
-    diagnoser = GeneralDiagnoser(cube, compiled=False)
+def test_reference_diagnosis(benchmark):
+    cube, faults, syndrome = _instance(TableSyndrome.from_faults)
+    diagnoser = GeneralDiagnoser(cube)
 
     result = benchmark(diagnoser.diagnose, syndrome)
 
     assert result.faulty == faults
     benchmark.extra_info["experiment"] = "E1-backend"
-    benchmark.extra_info["path"] = "uncompiled"
+    benchmark.extra_info["path"] = "reference"
 
 
 def test_array_syndrome_generation(benchmark):
@@ -71,7 +74,7 @@ def test_array_syndrome_generation(benchmark):
 def test_distributed_engine_run(benchmark):
     from repro.distributed import ProtocolEngine, derived_run_stats
 
-    cube, faults, syndrome = _instance("array")
+    cube, faults, syndrome = _instance()
     root = next(v for v in range(cube.num_nodes) if v not in faults)
     engine = ProtocolEngine(cube)
 
@@ -94,27 +97,30 @@ def _best_of(fn, repetitions: int) -> float:
 
 
 def measure_dimension(n: int, *, seed: int = 1, repetitions: int = 5) -> dict:
-    """Head-to-head legacy vs compiled diagnosis on ``Q_n`` with ``n`` faults."""
+    """Head-to-head reference vs served diagnosis on ``Q_n`` with ``n`` faults.
+
+    ``legacy`` is the reference path: the dict table
+    ``TableSyndrome.from_faults`` and the rows-oracle ``Set_Builder``.
+    """
     cube, csr = compiled_network("hypercube", dimension=n)
     faults = random_faults(cube, n, seed=seed)
 
     table_start = time.perf_counter()
-    table = generate_syndrome(cube, faults, seed=seed, full_table=True)
+    table = TableSyndrome.from_faults(cube, faults, seed=seed)
     table_generation_s = time.perf_counter() - table_start
 
     array_start = time.perf_counter()
-    array = generate_syndrome(cube, faults, seed=seed, backend="array")
+    array = generate_syndrome(cube, faults, seed=seed)
     array_generation_s = time.perf_counter() - array_start
 
-    legacy = GeneralDiagnoser(cube, compiled=False)
-    compiled = GeneralDiagnoser(cube)
-    reference = legacy.diagnose(table)
-    fast = compiled.diagnose(array)
+    diagnoser = GeneralDiagnoser(cube)
+    reference = diagnoser.diagnose(table)
+    fast = diagnoser.diagnose(array)
     assert reference.faulty == fast.faulty == faults
     assert reference.lookups == fast.lookups
 
-    legacy_s = _best_of(lambda: legacy.diagnose(table), max(2, repetitions // 2))
-    compiled_s = _best_of(lambda: compiled.diagnose(array), repetitions)
+    legacy_s = _best_of(lambda: diagnoser.diagnose(table), max(2, repetitions // 2))
+    compiled_s = _best_of(lambda: diagnoser.diagnose(array), repetitions)
     return {
         "dimension": n,
         "num_nodes": cube.num_nodes,
@@ -132,8 +138,8 @@ def measure_dimension(n: int, *, seed: int = 1, repetitions: int = 5) -> dict:
 def measure_compiled_frontier(n: int, *, seed: int = 1, repetitions: int = 3) -> dict:
     """Compiled-only measurement for dimensions past the legacy path's reach.
 
-    At Q_16+ the pre-backend baseline (dict-table syndrome + object
-    traversal) takes minutes just to *generate* its syndrome, so the frontier
+    At Q_16+ the reference path (dict-table syndrome + rows oracle) takes
+    minutes just to *generate* its syndrome, so the frontier
     rows track the compiled pipeline alone: one-time compile cost, vectorised
     syndrome generation, and the diagnose hot path.
     """
@@ -385,7 +391,7 @@ def measure_distributed(n: int, *, seed: int = 1, repetitions: int = 5) -> dict:
 
     cube, csr = compiled_network("hypercube", dimension=n)
     faults = random_faults(cube, n, seed=seed)
-    syndrome = generate_syndrome(cube, faults, seed=seed, backend="array")
+    syndrome = generate_syndrome(cube, faults, seed=seed)
     root = next(v for v in range(cube.num_nodes) if v not in faults)
     engine = ProtocolEngine(csr)
 
@@ -431,8 +437,9 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "bench_backend",
         "experiment": "E1",
         "description": (
-            "GeneralDiagnoser.diagnose head-to-head: object path + dict table "
-            "syndrome (pre-backend baseline) vs compiled CSR + flat ArraySyndrome"
+            "GeneralDiagnoser.diagnose head-to-head: legacy = the reference "
+            "path (TableSyndrome.from_faults dict table + rows-oracle "
+            "Set_Builder) vs compiled = flat ArraySyndrome + native kernels"
         ),
         "target_speedup": 5.0,
         "headline_dimension": headline["dimension"],
@@ -442,8 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         "results": results,
         "compiled_frontier": {
             "description": (
-                "compiled-only rows past the legacy path's reach (its dict-table "
-                "syndrome generation alone takes minutes at Q_16+)"
+                "compiled-only rows past the reference path's reach (its "
+                "dict-table syndrome generation alone takes minutes at Q_16+)"
             ),
             "results": frontier,
         },

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import full_table_size, set_builder_lookup_bound
+from repro.analysis import set_builder_lookup_bound
 from repro.core.set_builder import set_builder
+from repro.core.syndrome import syndrome_table_size
 from repro.networks.registry import create_network
 
 from .conftest import prepared_instance
@@ -48,7 +49,7 @@ def test_set_builder_lookup_accounting(benchmark, label):
 
     result = benchmark(final_run)
 
-    table = full_table_size(network)
+    table = syndrome_table_size(network)
     bound = set_builder_lookup_bound(network.max_degree, result.size)
     root_tests = network.max_degree * (network.max_degree - 1) / 2
     # Claim 1: the Section 6 bound (plus the root's own pair scan) holds.

@@ -3,9 +3,8 @@
 Every benchmark measures the diagnosis step only: the syndrome is fully
 materialised beforehand, which matches the paper's setting ("the syndrome has
 already been obtained") and makes the comparison across algorithms fair (all
-of them read from the same O(1)-lookup store).  The default realisation is
-the flat-array backend (:class:`repro.backend.array_syndrome.ArraySyndrome`);
-pass ``backend="table"`` for the dict-backed table the pre-backend code used.
+of them read from the same O(1)-lookup store): the served flat-array
+realisation, :class:`repro.backend.array_syndrome.ArraySyndrome`.
 """
 
 from __future__ import annotations
@@ -26,17 +25,16 @@ def prepared_instance(
     fault_count: int | None = None,
     seed: int = 0,
     behavior: str = "random",
-    backend: str = "array",
 ) -> tuple[frozenset[int], Syndrome]:
     """Inject faults and materialise the full syndrome (cached per call site)."""
     if faults is None:
         delta = network.diagnosability()
         count = delta if fault_count is None else fault_count
         faults = random_faults(network, count, seed=seed)
-    key = (id(network), faults, seed, behavior, backend)
+    key = (id(network), faults, seed, behavior)
     if key not in _syndrome_cache:
         _syndrome_cache[key] = generate_syndrome(
-            network, faults, behavior=behavior, seed=seed, backend=backend
+            network, faults, behavior=behavior, seed=seed
         )
     return faults, _syndrome_cache[key]
 

@@ -42,7 +42,7 @@ def main() -> None:
             "extended star [8]": lambda s: ExtendedStarDiagnoser(cube).diagnose(s).faulty,
         }
         for name, run in algorithms.items():
-            syndrome = generate_syndrome(cube, faults, seed=5, full_table=True)
+            syndrome = generate_syndrome(cube, faults, seed=5)
             diagnosed, elapsed = timed(run, syndrome)
             rows.append(
                 (

@@ -40,7 +40,6 @@ from .core import (
     FaultScenario,
     FaultyTesterBehavior,
     GeneralDiagnoser,
-    LazySyndrome,
     SetBuilderResult,
     Syndrome,
     TableSyndrome,
@@ -90,7 +89,6 @@ __all__ = [
     "certificate_node_budget",
     "Syndrome",
     "TableSyndrome",
-    "LazySyndrome",
     "FaultyTesterBehavior",
     "generate_syndrome",
     "syndrome_table_size",

@@ -2,7 +2,7 @@
 codebase-aware static analyzer (``python -m repro.analysis``)."""
 
 from .baseline import apply_baseline, load_baseline, save_baseline
-from .formulas import full_table_size, set_builder_lookup_bound, theorem_time_bound
+from .formulas import set_builder_lookup_bound, theorem_time_bound
 from .linting import (
     TOOL_RULE_ID,
     AnalysisReport,
@@ -19,7 +19,6 @@ from .rules import ALL_RULES, default_rules, rule_table
 
 __all__ = [
     "set_builder_lookup_bound",
-    "full_table_size",
     "theorem_time_bound",
     "format_table",
     "ScalingFit",

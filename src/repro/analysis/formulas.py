@@ -5,9 +5,10 @@ measured quantities against:
 
 * ``set_builder_lookup_bound`` — Section 6: the number of syndrome entries
   ``Set_Builder(u0)`` consults is at most ``(Δ - 1)(Δ/2 + |U_r| - 1)``;
-* ``full_table_size`` — the number of entries in the complete syndrome table,
-  ``Σ_u C(deg(u), 2)``, which comparison-based algorithms that scan the whole
-  table (Chiang & Tan's in particular) must consult;
+* :func:`~repro.core.syndrome.syndrome_table_size` (in the core) — the
+  number of entries in the complete syndrome table, ``Σ_u C(deg(u), 2)``,
+  which comparison-based algorithms that scan the whole table (Chiang &
+  Tan's in particular) must consult;
 * ``theorem_time_bound`` — the per-family time bounds of Theorems 2–7,
   expressed as an operation count proportional to ``Δ·N`` (used to check the
   measured scaling shape in experiments E1 and E3).
@@ -16,11 +17,9 @@ measured quantities against:
 from __future__ import annotations
 
 from ..networks.base import InterconnectionNetwork
-from ..core.syndrome import syndrome_table_size
 
 __all__ = [
     "set_builder_lookup_bound",
-    "full_table_size",
     "theorem_time_bound",
 ]
 
@@ -28,11 +27,6 @@ __all__ = [
 def set_builder_lookup_bound(max_degree: int, grown_set_size: int) -> float:
     """Section 6 bound on syndrome lookups: ``(Δ - 1)(Δ/2 + |U_r| - 1)``."""
     return (max_degree - 1) * (max_degree / 2 + grown_set_size - 1)
-
-
-def full_table_size(network: InterconnectionNetwork) -> int:
-    """Entries in the complete syndrome table (``Σ_u C(deg(u), 2)``)."""
-    return syndrome_table_size(network)
 
 
 def theorem_time_bound(network: InterconnectionNetwork) -> int:

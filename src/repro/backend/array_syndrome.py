@@ -15,8 +15,7 @@ the lookup-count accounting of experiment E5/E6) keeps working unchanged.
 A syndrome is held in one of two read modes:
 
 * **buffer mode** — one flat byte buffer over the whole layout.  Explicit
-  syndromes (client bytes, shared-memory views, :meth:`from_syndrome`) are
-  held this way.
+  syndromes (client bytes, shared-memory views) are held this way.
 * **mask mode** — what :meth:`from_faults` builds.  A healthy tester answers
   ``mask[v] | mask[w]`` from the n-byte fault mask, so only the faulty
   testers' rows are stored, in a side table, plus the ascending nonzero
@@ -31,10 +30,11 @@ A mask-form syndrome builds its buffer lazily, once, the first time
 or :meth:`to_table` needs it; the rows oracle reads it that way.  The bytes equal a buffer-mode build entry for entry:
 faulty testers draw their results per the configured
 :class:`~repro.core.syndrome.FaultyTesterBehavior` in the exact canonical
-order of ``LazySyndrome.materialize()`` (testers ascending, sorted rows,
-pairs ``(i, j)`` with ``i < j``), so an ``ArraySyndrome`` agrees with a
-materialised :class:`~repro.core.syndrome.TableSyndrome` built from the
-same faults, behaviour and seed.
+order of :meth:`TableSyndrome.from_faults
+<repro.core.syndrome.TableSyndrome.from_faults>` (testers ascending, sorted
+rows, pairs ``(i, j)`` with ``i < j``), so an ``ArraySyndrome`` agrees with
+that reference table entry for entry for the same faults, behaviour and
+seed.
 """
 
 from __future__ import annotations
@@ -208,8 +208,9 @@ class ArraySyndrome(Syndrome):
         * the fault mask, from which a healthy tester answers
           ``mask[v] | mask[w]``;
         * a side table of the faulty testers' rows, drawn from the seeded
-          generator in the canonical materialisation order, so the bytes
-          reproduce ``LazySyndrome.materialize()`` entry for entry;
+          generator in the canonical order, so the bytes reproduce
+          :meth:`~repro.core.syndrome.TableSyndrome.from_faults` entry for
+          entry;
         * every nonzero slot and its value, already ascending because the
           pair layout is tester-major: the healthy answers of the testers
           next to a fault and the side table's nonzero entries.
@@ -250,18 +251,6 @@ class ArraySyndrome(Syndrome):
         syndrome._buf = None
         syndrome._view = None
         return syndrome
-
-    @classmethod
-    def from_syndrome(cls, topology, syndrome: Syndrome) -> "ArraySyndrome":
-        """Re-encode any syndrome oracle into a buffer-mode syndrome.
-
-        Reads every entry through the oracle's raw ``_result`` (no lookup
-        counting), in the canonical order — for a ``LazySyndrome`` this
-        extends its cache exactly like ``materialize()`` would.
-        """
-        csr = compile_network(topology)
-        values = bytearray(syndrome._result(u, v, w) for u, v, w in _slot_tests(csr))
-        return cls(csr, values, faults=getattr(syndrome, "faults", frozenset()))
 
     # ----------------------------------------------------------- read modes
     @property

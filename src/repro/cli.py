@@ -58,8 +58,8 @@ import inspect
 import sys
 
 from .core.diagnosis import GeneralDiagnoser
-from .core.faults import clustered_faults, random_faults
-from .core.syndrome import generate_syndrome, syndrome_table_size
+from .core.faults import PLACEMENTS, random_faults
+from .core.syndrome import FaultyTesterBehavior, generate_syndrome, syndrome_table_size
 from .networks.registry import FAMILIES, available_families, cached_network
 
 __all__ = ["main", "build_parser"]
@@ -145,17 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="network constructor parameter (repeatable), e.g. dimension=10")
     diag.add_argument("--faults", type=int, default=None,
                       help="number of faults to inject (default: the diagnosability)")
-    diag.add_argument("--placement", choices=["random", "clustered"], default="random")
-    diag.add_argument("--behavior", default="random",
-                      choices=["random", "all_zero", "all_one", "mimic", "anti_mimic"],
+    diag.add_argument("--placement", choices=sorted(PLACEMENTS), default="random")
+    diag.add_argument("--behavior", default="random", choices=FaultyTesterBehavior.NAMES,
                       help="how faulty testers answer their comparison tests")
     diag.add_argument("--seed", type=int, default=0)
-    diag.add_argument("--syndrome", choices=["array", "lazy", "table"], default="array",
-                      help="syndrome realisation: flat-array backend (default), lazy "
-                           "on-demand, or dict table")
-    diag.add_argument("--uncompiled", action="store_true",
-                      help="run the object-based reference path instead of the "
-                           "compiled flat-array backend (for A/B comparison)")
 
     dist = sub.add_parser(
         "distributed",
@@ -166,9 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="network constructor parameter (repeatable), e.g. dimension=8")
     dist.add_argument("--faults", type=int, default=None,
                       help="number of faults to inject (default: the diagnosability)")
-    dist.add_argument("--placement", choices=["random", "clustered"], default="random")
-    dist.add_argument("--behavior", default="random",
-                      choices=["random", "all_zero", "all_one", "mimic", "anti_mimic"])
+    dist.add_argument("--placement", choices=sorted(PLACEMENTS), default="random")
+    dist.add_argument("--behavior", default="random", choices=FaultyTesterBehavior.NAMES)
     dist.add_argument("--seed", type=int, default=0)
     dist.add_argument("--roots", type=int, default=1,
                       help="number of concurrent known-healthy start nodes")
@@ -368,13 +360,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     network = _family_network(args.family, params)
     delta = network.diagnosability()
     count = delta if args.faults is None else args.faults
-    if args.placement == "random":
-        faults = random_faults(network, count, seed=args.seed)
-    else:
-        faults = clustered_faults(network, count, seed=args.seed)
-    syndrome = generate_syndrome(network, faults, behavior=args.behavior, seed=args.seed,
-                                 backend=args.syndrome)
-    result = GeneralDiagnoser(network, compiled=not args.uncompiled).diagnose(syndrome)
+    faults = PLACEMENTS[args.placement](network, count, seed=args.seed)
+    syndrome = generate_syndrome(network, faults, behavior=args.behavior, seed=args.seed)
+    result = GeneralDiagnoser(network).diagnose(syndrome)
     correct = result.faulty == faults
 
     print(f"network          : {args.family} {params} (N={network.num_nodes}, Δ={network.max_degree})")
@@ -397,10 +385,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     network = _family_network(args.family, params)
     csr = compile_network(network)
     count = network.diagnosability() if args.faults is None else args.faults
-    if args.placement == "random":
-        faults = random_faults(network, count, seed=args.seed)
-    else:
-        faults = clustered_faults(network, count, seed=args.seed)
+    faults = PLACEMENTS[args.placement](network, count, seed=args.seed)
     syndrome = ArraySyndrome.from_faults(csr, faults, behavior=args.behavior,
                                          seed=args.seed)
     healthy = [v for v in range(network.num_nodes) if v not in faults]
@@ -1010,7 +995,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         network = cached_network(name, **params)
         delta = network.diagnosability()
         faults = random_faults(network, delta, seed=args.seed)
-        syndrome = generate_syndrome(network, faults, seed=args.seed, backend="array")
+        syndrome = generate_syndrome(network, faults, seed=args.seed)
         result = GeneralDiagnoser(network).diagnose(syndrome)
         correct = result.faulty == faults
         if not correct:

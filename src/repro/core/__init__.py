@@ -12,12 +12,10 @@ from .faults import (
 from .partitions import (
     class_certifies_when_fault_free,
     minimal_certifying_level,
-    probe_plan,
 )
 from .set_builder import SetBuilderResult, certificate_node_budget, set_builder
 from .syndrome import (
     FaultyTesterBehavior,
-    LazySyndrome,
     Syndrome,
     TableSyndrome,
     generate_syndrome,
@@ -37,7 +35,6 @@ __all__ = [
     "neighborhood_faults",
     "spread_faults",
     "scenario_suite",
-    "probe_plan",
     "class_certifies_when_fault_free",
     "minimal_certifying_level",
     "SetBuilderResult",
@@ -45,7 +42,6 @@ __all__ = [
     "certificate_node_budget",
     "Syndrome",
     "TableSyndrome",
-    "LazySyndrome",
     "FaultyTesterBehavior",
     "generate_syndrome",
     "syndrome_table_size",

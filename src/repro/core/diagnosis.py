@@ -145,24 +145,13 @@ class GeneralDiagnoser:
     diagnosability:
         Override for ``δ`` (defaults to ``network.diagnosability()``); the
         actual number of faults must not exceed it.
-    max_probes_per_level:
-        Number of partition classes probed per level (default ``δ + 1``).
     use_partition:
         If False, skip the partition search entirely and go straight to the
         unrestricted probing fallback (used by ablation E8).
-    fallback_probe_budget:
-        Node budget of each fallback probe; defaults to
-        :func:`certificate_node_budget`.
-    compiled:
-        If True (default), compile the topology to the flat-array backend on
-        construction; root-search probes and the final boundary computation
-        then operate on the compiled arrays, and the final ``Set_Builder``
-        over an :class:`~repro.backend.array_syndrome.ArraySyndrome` runs on
-        the stacked kernel.  ``False`` selects the original object-based
-        reference path.
 
-    :meth:`diagnose` is :meth:`diagnose_many` over a one-item stack; only
-    syndromes the stacked kernel cannot take run the sequential reference.
+    The topology is compiled on construction.  :meth:`diagnose` is
+    :meth:`diagnose_many` over a one-item stack; only syndromes the stacked
+    kernel cannot take run the sequential rows oracle.
     """
 
     def __init__(
@@ -170,20 +159,14 @@ class GeneralDiagnoser:
         network: InterconnectionNetwork,
         *,
         diagnosability: int | None = None,
-        max_probes_per_level: int | None = None,
         use_partition: bool = True,
-        fallback_probe_budget: int | None = None,
-        compiled: bool = True,
     ) -> None:
         self.network = network
         self.delta = network.diagnosability() if diagnosability is None else int(diagnosability)
         if self.delta < 1:
             raise ValueError("diagnosability must be at least 1")
-        self.max_probes_per_level = max_probes_per_level
         self.use_partition = use_partition
-        self.fallback_probe_budget = fallback_probe_budget
-        self.compiled = compiled
-        self.csr = compile_network(network) if compiled else None
+        self.csr = compile_network(network)
 
     # ----------------------------------------------------------- root search
     def find_healthy_root(
@@ -238,20 +221,15 @@ class GeneralDiagnoser:
         stacked kernel take."""
         from ..backend.array_syndrome import ArraySyndrome
 
-        return (
-            self.csr is not None
-            and isinstance(syndrome, ArraySyndrome)
-            and syndrome.csr is self.csr
-        )
+        return isinstance(syndrome, ArraySyndrome) and syndrome.csr is self.csr
 
     def _probe_levels(self) -> list["_ProbeLevel"]:
-        """The partition levels the root search probes, in order.
-
-        A level whose classes have one node can never certify and is
-        skipped; a level the network cannot build ends the list.
+        """The partition levels the root search probes, in order, with
+        ``δ + 1`` classes each: the classes are node-disjoint, so one of
+        them is fault-free.  A level whose classes have one node can never
+        certify and is skipped; a level the network cannot build ends the
+        list.
         """
-        count = self.delta + 1 if self.max_probes_per_level is None \
-            else self.max_probes_per_level
         levels: list[_ProbeLevel] = []
         for level in range(self.network.max_partition_level() + 1):
             try:
@@ -261,7 +239,7 @@ class GeneralDiagnoser:
             # Classes of size 1 can never certify; skip useless levels.
             if scheme.class_size <= 1:
                 continue
-            levels.append(_ProbeLevel(level, scheme.first(count)))
+            levels.append(_ProbeLevel(level, scheme.first(self.delta + 1)))
         return levels
 
     def _root_search_plan(self) -> "_RootSearchPlan":
@@ -276,17 +254,12 @@ class GeneralDiagnoser:
         :func:`~repro.core.set_builder.certificate_node_budget`, then once
         more without a budget.
         """
-        network = self.network
-        n = network.num_nodes
-        budget = self.fallback_probe_budget
-        if budget is None:
-            max_degree = self.csr.max_degree if self.csr is not None else network.max_degree
-            budget = certificate_node_budget(self.delta, max_degree)
-        budget = min(budget, n)
-        key = (self.max_probes_per_level, self.delta, self.use_partition, budget)
-        plans = None if self.csr is None else self.csr.probe_plans
-        if plans is not None and key in plans:
+        key = (self.delta, self.use_partition)
+        plans = self.csr.probe_plans
+        if key in plans:
             return plans[key]
+        n = self.csr.num_nodes
+        budget = min(certificate_node_budget(self.delta, self.csr.max_degree), n)
         count = min(self.delta + 1, n)
         stride = max(1, n // count)
         seen: set[int] = set()
@@ -300,15 +273,14 @@ class GeneralDiagnoser:
         plan = _RootSearchPlan(
             n, self._probe_levels() if self.use_partition else [], starts, budget
         )
-        if plans is not None:
-            plans[key] = plan
+        plans[key] = plan
         return plan
 
     def _oracle_probes(
         self, syndrome, plan: "_RootSearchPlan", first: int = 0
     ) -> list[ProbeRecord]:
-        """The plan's probes from ``first`` on, on the oracle flavours of
-        ``Set_Builder``, up to and including the first certified one."""
+        """The plan's probes from ``first`` on, on the rows oracle, up to and
+        including the first certified one."""
         probes: list[ProbeRecord] = []
         for start, kind, label, _, restrict, max_nodes in plan.probes[first:]:
             result = set_builder(
@@ -319,7 +291,6 @@ class GeneralDiagnoser:
                 restrict=restrict,
                 max_nodes=max_nodes,
                 stop_on_certificate=True,
-                compiled=self.compiled,
             )
             probes.append(ProbeRecord(
                 start, kind, label, result.all_healthy, result.size, result.lookups,
@@ -360,10 +331,9 @@ class GeneralDiagnoser:
         raises :class:`DiagnosisError` (or a ``ValueError``) yields the
         *exception object* in its slot — the exact exception :meth:`diagnose`
         raises — while the rest of the stack proceeds.  Syndromes the
-        stacked kernel cannot take (no compiled backend, or not an
-        ``ArraySyndrome`` over this topology) run the sequential reference
-        (object or rows ``Set_Builder``) per item, with the same per-item
-        error capture.
+        stacked kernel cannot take (not an ``ArraySyndrome`` over this
+        topology) run the sequential rows oracle per item, with the same
+        per-item error capture.
 
         A stacked result builds ``healthy_nodes`` and ``tree_parent`` on
         their first read, so a caller that reads only the accusation set
@@ -375,7 +345,7 @@ class GeneralDiagnoser:
         outcomes: list[DiagnosisResult | Exception | None] = [None] * len(syndromes)
         # One probe scratch per call, never per topology: batches on one
         # topology may run concurrently on executor threads.
-        scratch = None if self.csr is None else ProbeScratch.create(self.csr)
+        scratch = ProbeScratch.create(self.csr)
         stacked: list[int] = []
         roots: list[int] = []
         probe_records: list[list[ProbeRecord]] = []
@@ -424,19 +394,13 @@ class GeneralDiagnoser:
         return outcomes
 
     def _diagnose_sequential(self, syndrome: Syndrome) -> DiagnosisResult:
-        """One diagnosis on the oracle flavours of ``Set_Builder``."""
+        """One diagnosis on the rows oracle."""
         start_time = time.perf_counter()
         lookups_before = syndrome.lookups
         root, probes, level = self.find_healthy_root(syndrome)
-        final = set_builder(
-            self.network,
-            syndrome,
-            root,
-            diagnosability=self.delta,
-            compiled=self.compiled,
-        )
+        final = set_builder(self.network, syndrome, root, diagnosability=self.delta)
         return DiagnosisResult(
-            faulty=frozenset(self._boundary(final.nodes)),
+            faulty=frozenset(self.csr.boundary(final.nodes)),
             healthy_root=root,
             probes=probes,
             partition_level=level,
@@ -444,18 +408,6 @@ class GeneralDiagnoser:
             elapsed_seconds=time.perf_counter() - start_time,
             final=final,
         )
-
-    def _boundary(self, healthy: set[int]) -> set[int]:
-        """Nodes adjacent to the healthy set but outside it (Theorem 1: the fault set)."""
-        if self.csr is not None:
-            return self.csr.boundary(healthy)
-        boundary: set[int] = set()
-        network = self.network
-        for u in healthy:
-            for v in network.neighbors(u):
-                if v not in healthy:
-                    boundary.add(v)
-        return boundary
 
 
 class _ProbeLevel:

@@ -3,12 +3,9 @@
 The paper's per-family drivers (e.g. ``Faults_in_Hypercubes``, Section 5)
 locate a certifiably healthy start node by running the restricted
 ``Set_Builder`` on the representatives of a partition of the network into
-many node-disjoint connected classes.  This module provides:
+many node-disjoint connected classes (the diagnoser probes the first
+``δ + 1`` classes of each level).  This module provides:
 
-* :func:`probe_plan` — the ordered list of partition classes a driver probes
-  (the first ``δ + 1`` classes of the chosen scheme, following the paper's
-  observation that a list of ``δ + 1`` representatives suffices whenever the
-  classes outnumber the faults);
 * :func:`class_certifies_when_fault_free` — whether the restricted
   ``Set_Builder`` run on a *fault-free* copy of a class reaches the
   contributor certificate.  The paper implicitly assumes this for its choice
@@ -21,33 +18,14 @@ many node-disjoint connected classes.  This module provides:
 
 from __future__ import annotations
 
-from ..networks.base import InterconnectionNetwork, PartitionClass, PartitionScheme
+from ..networks.base import InterconnectionNetwork, PartitionClass
 from .set_builder import set_builder
-from .syndrome import LazySyndrome
+from .syndrome import generate_syndrome
 
 __all__ = [
-    "probe_plan",
     "class_certifies_when_fault_free",
     "minimal_certifying_level",
 ]
-
-
-def probe_plan(
-    network: InterconnectionNetwork,
-    level: int = 0,
-    *,
-    max_probes: int | None = None,
-) -> list[PartitionClass]:
-    """The partition classes probed by the driver at a given partition level.
-
-    At most ``δ + 1`` classes are returned (or ``max_probes`` if given):
-    because the classes are node-disjoint and there are at most ``δ`` faults,
-    any ``δ + 1`` classes include a fault-free one.
-    """
-    delta = network.diagnosability()
-    scheme: PartitionScheme = network.partition_scheme(level)
-    count = delta + 1 if max_probes is None else max_probes
-    return scheme.first(count)
 
 
 def class_certifies_when_fault_free(
@@ -60,7 +38,7 @@ def class_certifies_when_fault_free(
     when it contains no faults; the outcome is therefore the ground truth for
     whether the paper's probing strategy can succeed on this class.
     """
-    healthy = LazySyndrome(network, frozenset())
+    healthy = generate_syndrome(network, ())
     result = set_builder(
         network,
         healthy,

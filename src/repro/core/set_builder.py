@@ -27,31 +27,24 @@ the certificate fires.
 Execution backends
 ------------------
 The procedure compiles the topology on entry
-(:func:`repro.backend.csr.compile_network`, memoized per instance) and then
-selects the fastest applicable implementation:
+(:func:`repro.backend.csr.compile_network`, memoized per instance) and runs
+one of two implementations:
 
-* the **object** path (``compiled=False``) consults ``network.neighbors`` per
-  call and the **rows** path takes adjacency from the compiled rows; both
-  read results through the abstract :class:`Syndrome` oracle and together
-  form the reference (:func:`_set_builder_oracle`) that transcribes §4.1;
-* an unrestricted, unbudgeted run over an
-  :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same compiled
-  topology is a width-one :func:`set_builder_many` stack — the native C
-  kernel, or the rows path when no C compiler is found;
-* every other run over such a syndrome — restricted, budgeted or stopping
-  at the certificate — takes the rows path.  The rows path is also the
-  reference of the native root search (:class:`ProbeScratch`), which runs
-  a diagnoser's whole :class:`ProbePlan` in one call.
+* the **rows oracle** (:func:`_set_builder_oracle`) transcribes §4.1: it
+  takes adjacency from the compiled sorted rows and reads results through
+  the abstract :class:`Syndrome` oracle.  It runs every restricted,
+  budgeted or certificate-stopping run, every run over a syndrome that is
+  not an :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same
+  compiled topology, and it is the reference of the native root search
+  (:class:`ProbeScratch`), which runs a diagnoser's whole
+  :class:`ProbePlan` in one call;
+* an unrestricted, unbudgeted run over such an ``ArraySyndrome`` is a
+  width-one :func:`set_builder_many` stack — the native C kernel, which
+  reads a seeded syndrome's fault mask and side table in place, or the rows
+  oracle when no C compiler is found.
 
-So there are two implementations: the native kernel and probes, which
-read a seeded syndrome's fault mask and side table in place, and the rows
-path, which reads the syndrome's buffer, built on first use.
-
-All paths implement the same procedure and produce identical results (and
-identical lookup counts) on non-truncated runs; under a ``max_nodes`` budget
-the identity of the truncated frontier may differ between paths because the
-object path visits neighbours in topology order while the compiled paths use
-sorted rows.  The ``all_healthy`` certificate is sound on every path.
+Both produce identical results and identical lookup counts, truncated runs
+included, and the ``all_healthy`` certificate is sound on both.
 """
 
 from __future__ import annotations
@@ -212,7 +205,6 @@ def set_builder(
     restrict: Callable[[int], bool] | None = None,
     max_nodes: int | None = None,
     stop_on_certificate: bool = False,
-    compiled: bool = True,
 ) -> SetBuilderResult:
     """Run ``Set_Builder(u0)`` (or ``Set_Builder(u0, H)`` when ``restrict`` is given).
 
@@ -236,10 +228,6 @@ def set_builder(
         the ``all_healthy`` certificate remains sound).
     stop_on_certificate:
         If True, growth stops as soon as the certificate fires.
-    compiled:
-        If True (default), compile the topology to the flat-array backend on
-        entry and take the fastest applicable path; if False, run the original
-        object-based reference implementation.
     """
     if diagnosability is None:
         diagnosability = network.diagnosability()
@@ -248,32 +236,27 @@ def set_builder(
     if restrict is not None and not restrict(u0):
         raise ValueError("the start node u0 must belong to the restricted subgraph H")
 
-    if compiled:
-        # Deferred import: backend.array_syndrome builds on core.syndrome, so a
-        # module-level import here would close a cycle through the package
-        # __init__ chain.  After the first call this is a sys.modules hit.
-        from ..backend.array_syndrome import ArraySyndrome
+    # Deferred import: backend.array_syndrome builds on core.syndrome, so a
+    # module-level import here would close a cycle through the package
+    # __init__ chain.  After the first call this is a sys.modules hit.
+    from ..backend.array_syndrome import ArraySyndrome
 
-        csr = compile_network(network)
-        if (
-            isinstance(syndrome, ArraySyndrome) and syndrome.csr is csr
-            and restrict is None and max_nodes is None and not stop_on_certificate
-        ):
-            return set_builder_many(
-                network, [syndrome], [u0], diagnosability=diagnosability,
-            )[0]
-        rows = csr.rows
-        neighbors_of: Callable[[int], Sequence[int]] = rows.__getitem__
-    else:
-        neighbors_of = network.neighbors
+    csr = compile_network(network)
+    if (
+        isinstance(syndrome, ArraySyndrome) and syndrome.csr is csr
+        and restrict is None and max_nodes is None and not stop_on_certificate
+    ):
+        return set_builder_many(
+            network, [syndrome], [u0], diagnosability=diagnosability,
+        )[0]
     return _set_builder_oracle(
-        neighbors_of, syndrome, u0, diagnosability, restrict, max_nodes,
+        csr.rows, syndrome, u0, diagnosability, restrict, max_nodes,
         stop_on_certificate,
     )
 
 
 def _set_builder_oracle(
-    neighbors_of: Callable[[int], Sequence[int]],
+    rows: Sequence[Sequence[int]],
     syndrome: Syndrome,
     u0: int,
     diagnosability: int,
@@ -281,11 +264,8 @@ def _set_builder_oracle(
     max_nodes: int | None,
     stop_on_certificate: bool,
 ) -> SetBuilderResult:
-    """The procedure against an abstract syndrome oracle.
-
-    ``neighbors_of`` is either ``network.neighbors`` (the object path) or the
-    compiled CSR rows (no per-call adjacency building).
-    """
+    """The procedure against an abstract syndrome oracle, with adjacency
+    from the compiled topology's sorted ``rows``."""
     lookups_before = syndrome.lookups
     nodes: set[int] = {u0}
     parent: dict[int, int] = {}
@@ -299,8 +279,9 @@ def _set_builder_oracle(
     # ---------------------------------------------------------------- round 1
     # U_1: scan the unordered pairs of u0's neighbours (at most Δ(Δ-1)/2
     # syndrome lookups, matching the accounting of Section 6); a 0-result
-    # admits both members of the pair.
-    neighbors0 = sorted(v for v in neighbors_of(u0) if restrict is None or restrict(v))
+    # admits both members of the pair.  Rows are sorted, so pairs come in
+    # the canonical order.
+    neighbors0 = [v for v in rows[u0] if restrict is None or restrict(v)]
     added_set: set[int] = set()
     for i, v in enumerate(neighbors0):
         if budget_reached():
@@ -335,7 +316,7 @@ def _set_builder_oracle(
         new_set: set[int] = set()
         for u in frontier:  # already sorted: guarantees t(v) is the least contributor
             t_u = parent.get(u, u0)
-            for v in neighbors_of(u):
+            for v in rows[u]:
                 if v in nodes or v in new_set:
                     continue
                 if restrict is not None and not restrict(v):
@@ -480,7 +461,7 @@ def _oracle_final(csr, syndrome, u0, diagnosability):
     library): the same run, plus the ``member_mask`` the kernel's results
     carry.  The oracle credits ``syndrome.lookups`` itself."""
     result = _set_builder_oracle(
-        csr.rows.__getitem__, syndrome, u0, diagnosability, None, None, False,
+        csr.rows, syndrome, u0, diagnosability, None, None, False,
     )
     result.member_mask = np.zeros(csr.num_nodes, dtype=bool)
     result.member_mask[list(result.nodes)] = True

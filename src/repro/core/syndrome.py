@@ -12,17 +12,17 @@ pair ``{v, w}`` of its neighbours and records a result ``s_u(v, w) ∈ {0, 1}``:
 The set of all results is the *syndrome*.  Two realisations are provided:
 
 :class:`TableSyndrome`
-    The complete syndrome stored as a table — this models the paper's setting
+    The complete syndrome stored as a dict — this models the paper's setting
     in which "the syndrome has already been obtained" and makes the size of
     the full table explicit (experiment E5 compares the number of entries the
-    algorithm reads against this size).
+    algorithm reads against this size).  :meth:`TableSyndrome.from_faults`
+    is the readable reference build: it walks ``network.neighbors`` in the
+    canonical order and shares no code with the served build.
 
-:class:`LazySyndrome`
-    Test results are produced on demand from the hidden fault set (with a
-    seeded generator for the arbitrary results of faulty testers) and cached
-    so repeated queries are consistent.  This realisation mirrors the paper's
-    observation (Section 6) that the algorithm can avoid performing or
-    consulting most tests.
+:class:`~repro.backend.array_syndrome.ArraySyndrome`
+    The served realisation over the compiled topology's flat pair layout;
+    :func:`generate_syndrome` returns it.  Its bytes equal the reference
+    table's entry for entry for the same faults, behaviour and seed.
 
 Both count every lookup, which is the basis of the Section 6 cost comparison.
 """
@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..networks.base import InterconnectionNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is deferred (cycle)
+    from ..backend.array_syndrome import ArraySyndrome
 
 __all__ = [
     "FaultyTesterBehavior",
     "Syndrome",
     "TableSyndrome",
-    "LazySyndrome",
     "generate_syndrome",
     "syndrome_table_size",
 ]
@@ -132,6 +134,41 @@ class TableSyndrome(Syndrome):
             _canonical(*key): int(value) for key, value in table.items()
         }
 
+    @classmethod
+    def from_faults(
+        cls,
+        network: InterconnectionNetwork,
+        faults: Iterable[int],
+        *,
+        behavior: FaultyTesterBehavior | str = "random",
+        seed: int | None = 0,
+    ) -> "TableSyndrome":
+        """The full syndrome of a hidden fault set, drawn in canonical order.
+
+        Testers ascending, each tester's sorted neighbours, pairs ``(v, w)``
+        with ``v < w``: a healthy tester answers 1 iff ``v`` or ``w`` is
+        faulty, a faulty one ``behavior.result(...)`` with the seeded
+        generator.  This order fixes which coin each ``random`` answer gets;
+        the served build reproduces it byte for byte.
+        """
+        fault_set = frozenset(int(f) for f in faults)
+        for f in fault_set:
+            if not 0 <= f < network.num_nodes:
+                raise ValueError(f"fault {f} is not a node of the network")
+        if isinstance(behavior, str):
+            behavior = FaultyTesterBehavior(behavior, seed=seed)
+        rng = random.Random(seed)
+        table: dict[tuple[int, int, int], int] = {}
+        for u in range(network.num_nodes):
+            neighbors = sorted(network.neighbors(u))
+            for i, v in enumerate(neighbors):
+                for w in neighbors[i + 1 :]:
+                    value = 1 if (v in fault_set or w in fault_set) else 0
+                    if u in fault_set:
+                        value = behavior.result(u, v, w, value, rng)
+                    table[(u, v, w)] = value
+        return cls(table)
+
     def _result(self, u: int, v: int, w: int) -> int:
         return self._table[(u, v, w)]
 
@@ -153,62 +190,6 @@ class TableSyndrome(Syndrome):
         return TableSyndrome(table)
 
 
-class LazySyndrome(Syndrome):
-    """A syndrome computed on demand from a hidden fault set.
-
-    Results are cached so that repeated lookups of the same test are
-    consistent (the MM model's arbitrary results are arbitrary but fixed for a
-    given syndrome).
-    """
-
-    def __init__(
-        self,
-        network: InterconnectionNetwork,
-        faults: Iterable[int],
-        *,
-        behavior: FaultyTesterBehavior | str = "random",
-        seed: int | None = 0,
-    ) -> None:
-        super().__init__()
-        self.network = network
-        self.faults = frozenset(int(f) for f in faults)
-        for f in self.faults:
-            if not 0 <= f < network.num_nodes:
-                raise ValueError(f"fault {f} is not a node of the network")
-        if isinstance(behavior, str):
-            behavior = FaultyTesterBehavior(behavior, seed=seed)
-        self.behavior = behavior
-        self._rng = random.Random(seed)
-        self._cache: dict[tuple[int, int, int], int] = {}
-
-    def _healthy_result(self, v: int, w: int) -> int:
-        return 1 if (v in self.faults or w in self.faults) else 0
-
-    def _result(self, u: int, v: int, w: int) -> int:
-        key = (u, v, w)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        healthy = self._healthy_result(v, w)
-        if u in self.faults:
-            value = self.behavior.result(u, v, w, healthy, self._rng)
-        else:
-            value = healthy
-        self._cache[key] = value
-        return value
-
-    def materialize(self) -> TableSyndrome:
-        """Materialise the complete syndrome table for this fault set."""
-        table: dict[tuple[int, int, int], int] = {}
-        network = self.network
-        for u in range(network.num_nodes):
-            neighbors = sorted(network.neighbors(u))
-            for i, v in enumerate(neighbors):
-                for w in neighbors[i + 1 :]:
-                    table[(u, v, w)] = self._result(u, v, w)
-        return TableSyndrome(table)
-
-
 def syndrome_table_size(network: InterconnectionNetwork) -> int:
     """Number of entries in the complete syndrome table: ``Σ_u C(deg(u), 2)``."""
     total = 0
@@ -224,40 +205,15 @@ def generate_syndrome(
     *,
     behavior: FaultyTesterBehavior | str = "random",
     seed: int | None = 0,
-    full_table: bool = False,
-    backend: str | None = None,
-) -> Syndrome:
-    """Generate a syndrome for a fault set under the MM model.
+) -> ArraySyndrome:
+    """The syndrome of a fault set under the MM model, as served.
 
-    Parameters
-    ----------
-    network:
-        The interconnection network.
-    faults:
-        The hidden fault set ``F``.
-    behavior:
-        How faulty testers answer (see :class:`FaultyTesterBehavior`).
-    seed:
-        Seed for the arbitrary results of faulty testers.
-    full_table:
-        If True, the whole syndrome table is materialised up front
-        (:class:`TableSyndrome`); otherwise results are produced lazily.
-    backend:
-        Explicit realisation choice overriding ``full_table``: ``"lazy"``,
-        ``"table"`` or ``"array"`` (the flat
-        :class:`~repro.backend.array_syndrome.ArraySyndrome` over the compiled
-        topology — the fast path of the diagnosis pipeline).  All three agree
-        entry for entry for the same faults, behaviour and seed.
+    ``behavior`` says how faulty testers answer (see
+    :class:`FaultyTesterBehavior`) and ``seed`` seeds their arbitrary
+    results.  Returns
+    :meth:`ArraySyndrome.from_faults <repro.backend.array_syndrome.ArraySyndrome.from_faults>`,
+    which equals :meth:`TableSyndrome.from_faults` entry for entry.
     """
-    if backend is not None:
-        if backend == "array":
-            from ..backend.array_syndrome import ArraySyndrome  # deferred: avoids cycle
+    from ..backend.array_syndrome import ArraySyndrome  # deferred: avoids cycle
 
-            return ArraySyndrome.from_faults(network, faults, behavior=behavior, seed=seed)
-        if backend not in ("lazy", "table"):
-            raise ValueError(f"unknown syndrome backend {backend!r}")
-        full_table = backend == "table"
-    lazy = LazySyndrome(network, faults, behavior=behavior, seed=seed)
-    if full_table:
-        return lazy.materialize()
-    return lazy
+    return ArraySyndrome.from_faults(network, faults, behavior=behavior, seed=seed)

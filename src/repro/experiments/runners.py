@@ -23,15 +23,12 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from ..analysis import (
-    fit_against_model,
-    full_table_size,
-    set_builder_lookup_bound,
-)
+from ..analysis import fit_against_model, set_builder_lookup_bound
 from ..backend.array_syndrome import ArraySyndrome
 from ..core.faults import random_faults
 from ..core.partitions import class_certifies_when_fault_free, minimal_certifying_level
 from ..core.set_builder import set_builder
+from ..core.syndrome import syndrome_table_size
 from ..diagnosability import chang_condition, exact_diagnosability, min_degree_upper_bound
 from ..networks.registry import FAMILIES, cached_network, compiled_network
 from ..parallel import WorkerPool
@@ -203,7 +200,7 @@ def run_e5(*, seed: int = 13) -> ExperimentReport:
         result = set_builder(network, syndrome, root, diagnosability=delta)
         bound = set_builder_lookup_bound(csr.max_degree, result.size)
         root_tests = csr.max_degree * (csr.max_degree - 1) / 2
-        table = full_table_size(network)
+        table = syndrome_table_size(network)
         within_bound = result.lookups <= bound + root_tests
         far_below_table = result.lookups < table / 2
         claims &= within_bound and far_below_table
@@ -235,7 +232,7 @@ def run_e6(*, dimensions: tuple[int, ...] = (8, 9, 10), seed: int = 17,
     claims = True
     by_dim: dict[str, dict[str, tuple[bool, int]]] = {}
     for res in results:
-        table = full_table_size(cached_network(res.spec.family, **res.spec.network_kwargs))
+        table = syndrome_table_size(cached_network(res.spec.family, **res.spec.network_kwargs))
         rows.append((res.spec.label, res.spec.algorithm, res.exact, res.lookups,
                      f"{100 * res.lookups / table:.1f}%",
                      round(res.elapsed_seconds * 1e3, 2)))

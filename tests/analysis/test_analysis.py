@@ -9,10 +9,10 @@ from repro.analysis import (
     fit_against_model,
     fit_power_law,
     format_table,
-    full_table_size,
     set_builder_lookup_bound,
     theorem_time_bound,
 )
+from repro.core.syndrome import syndrome_table_size
 from repro.networks import Hypercube, StarGraph
 
 
@@ -20,13 +20,13 @@ class TestFormulas:
     def test_lookup_bound_formula(self):
         assert set_builder_lookup_bound(7, 128) == 6 * (3.5 + 127)
 
-    def test_full_table_size_matches_direct_count(self):
+    def test_syndrome_table_size_matches_direct_count(self):
         cube = Hypercube(6)
         expected = sum(
             len(cube.neighbors(u)) * (len(cube.neighbors(u)) - 1) // 2
             for u in range(cube.num_nodes)
         )
-        assert full_table_size(cube) == expected
+        assert syndrome_table_size(cube) == expected
 
     def test_theorem_bound_specialises_per_family(self):
         assert theorem_time_bound(Hypercube(10)) == 10 * 2**10
@@ -35,10 +35,10 @@ class TestFormulas:
 
     def test_lookup_bound_dominates_measured_lookups(self):
         from repro.core.set_builder import set_builder
-        from repro.core.syndrome import LazySyndrome
+        from repro.core.syndrome import TableSyndrome
 
         cube = Hypercube(9)
-        result = set_builder(cube, LazySyndrome(cube, frozenset()), 0)
+        result = set_builder(cube, TableSyndrome.from_faults(cube, ()), 0)
         bound = set_builder_lookup_bound(cube.max_degree, result.size)
         slack = cube.max_degree * (cube.max_degree - 1) / 2  # the root's own tests
         assert result.lookups <= bound + slack

@@ -8,10 +8,10 @@ from repro.backend import ArraySyndrome, compile_network
 from repro.core.diagnosis import GeneralDiagnoser
 from repro.core.faults import clustered_faults, random_faults, spread_faults
 from repro.core.set_builder import set_builder
-from repro.core.syndrome import FaultyTesterBehavior, LazySyndrome, generate_syndrome
+from repro.core.syndrome import FaultyTesterBehavior, TableSyndrome, generate_syndrome
 from repro.networks import ExplicitNetwork
 
-from ..conftest import ALL_FAMILIES, cached_network
+from ..conftest import ALL_FAMILIES, cached_network, reference_bytes
 
 
 def _tiny_faults(network, seed=0):
@@ -24,7 +24,7 @@ class TestEntryAgreement:
     def test_agrees_with_materialized_table_per_family(self, family):
         network = cached_network(family, "tiny")
         faults = _tiny_faults(network, seed=7)
-        table = LazySyndrome(network, faults, behavior="random", seed=7).materialize()
+        table = TableSyndrome.from_faults(network, faults, behavior="random", seed=7)
         array = ArraySyndrome.from_faults(network, faults, behavior="random", seed=7)
         assert len(array) == len(table)
         for (u, v, w), value in table.items():
@@ -33,31 +33,10 @@ class TestEntryAgreement:
     @pytest.mark.parametrize("behavior", FaultyTesterBehavior.NAMES)
     def test_agrees_for_every_tester_behavior(self, q5, behavior):
         faults = frozenset({0, 3, 17})
-        table = LazySyndrome(q5, faults, behavior=behavior, seed=11).materialize()
+        table = TableSyndrome.from_faults(q5, faults, behavior=behavior, seed=11)
         array = ArraySyndrome.from_faults(q5, faults, behavior=behavior, seed=11)
         for (u, v, w), value in table.items():
             assert array._result(u, v, w) == value
-
-    def test_agrees_with_lazy_on_deterministic_behaviors(self, q5):
-        # With a deterministic faulty-tester behaviour the lazy oracle gives
-        # the same answer in any query order, so direct comparison is valid.
-        faults = frozenset({1, 2})
-        lazy = LazySyndrome(q5, faults, behavior="all_one", seed=0)
-        array = ArraySyndrome.from_faults(q5, faults, behavior="all_one", seed=0)
-        for u in range(q5.num_nodes):
-            row = sorted(q5.neighbors(u))
-            for i, v in enumerate(row):
-                for w in row[i + 1:]:
-                    assert array.lookup(u, v, w) == lazy.lookup(u, v, w)
-
-    def test_from_syndrome_reencodes_table(self, q5):
-        faults = frozenset({4, 9})
-        table = LazySyndrome(q5, faults, seed=3).materialize()
-        array = ArraySyndrome.from_syndrome(q5, table)
-        assert dict(array.items()) == dict(table.items())
-        # A lazy source also carries the hidden fault set across.
-        lazy = LazySyndrome(q5, faults, seed=3)
-        assert ArraySyndrome.from_syndrome(q5, lazy).faults == faults
 
     def test_to_table_round_trips(self, q5):
         faults = frozenset({5})
@@ -70,17 +49,16 @@ class TestEntryAgreement:
 class TestSparseFillPin:
     """The fault-sparse fill is byte-identical to a pair-by-pair reference.
 
-    ``from_syndrome`` over a ``LazySyndrome`` evaluates every test in slot
-    order from the oracle's definition alone, so it shares no code with the
-    per-degree numpy fill it checks.
+    ``TableSyndrome.from_faults`` evaluates every test in the canonical order
+    from the MM model's definition over ``network.neighbors``, so it shares
+    no code with the slot pass it checks.
     """
 
     @staticmethod
     def _assert_pinned(network, faults, behavior, seed):
         fast = ArraySyndrome.from_faults(network, faults, behavior=behavior, seed=seed)
-        lazy = LazySyndrome(network, faults, behavior=behavior, seed=seed)
-        reference = ArraySyndrome.from_syndrome(network, lazy)
-        assert bytes(fast.buffer) == bytes(reference.buffer), (faults, behavior)
+        reference = reference_bytes(network, faults, behavior=behavior, seed=seed)
+        assert bytes(fast.buffer) == reference, (faults, behavior)
         assert fast.faults == frozenset(faults)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -136,20 +114,16 @@ class TestSyndromeApi:
         with pytest.raises(ValueError):
             ArraySyndrome.from_faults(q5, {10_000}, seed=0)
 
-    def test_generate_syndrome_array_backend(self, q5):
-        syndrome = generate_syndrome(q5, {1, 2}, seed=5, backend="array")
+    def test_generate_syndrome_is_the_array_build(self, q5):
+        syndrome = generate_syndrome(q5, {1, 2}, seed=5)
         assert isinstance(syndrome, ArraySyndrome)
-        table = generate_syndrome(q5, {1, 2}, seed=5, backend="table")
-        for (u, v, w), value in table.items():
-            assert syndrome._result(u, v, w) == value
-
-    def test_generate_syndrome_rejects_unknown_backend(self, q5):
-        with pytest.raises(ValueError, match="unknown syndrome backend"):
-            generate_syndrome(q5, set(), backend="quantum")
+        table = TableSyndrome.from_faults(q5, {1, 2}, seed=5)
+        assert dict(syndrome.items()) == dict(table.items())
 
 
 class TestFastPathEquivalence:
-    """Compiled (rows/array/stacked) paths replicate the object path."""
+    """The array paths (rows oracle, stacked kernel) replicate the rows
+    oracle over the reference table."""
 
     @pytest.mark.parametrize("family", ["hypercube", "star", "pancake", "kary_ncube"])
     @pytest.mark.parametrize("placement", [random_faults, clustered_faults])
@@ -158,12 +132,12 @@ class TestFastPathEquivalence:
         delta = network.diagnosability()
         for seed in range(3):
             faults = placement(network, delta, seed=seed)
-            table = generate_syndrome(network, faults, seed=seed, full_table=True)
-            array = generate_syndrome(network, faults, seed=seed, backend="array")
+            table = TableSyndrome.from_faults(network, faults, seed=seed)
+            array = generate_syndrome(network, faults, seed=seed)
             for root in (0, network.num_nodes // 2):
-                reference = set_builder(network, table, root,
-                                        diagnosability=delta, compiled=False)
-                rows = set_builder(network, table, root, diagnosability=delta)
+                reference = set_builder(network, table, root, diagnosability=delta)
+                rows = set_builder(network, array, root, diagnosability=delta,
+                                   max_nodes=network.num_nodes + 1)
                 fast = set_builder(network, array, root, diagnosability=delta)
                 for result in (rows, fast):
                     assert result.nodes == reference.nodes
@@ -176,11 +150,11 @@ class TestFastPathEquivalence:
     def test_restricted_and_budgeted_array_path(self, q7):
         delta = q7.diagnosability()
         faults = random_faults(q7, delta, seed=2)
-        table = generate_syndrome(q7, faults, seed=2, full_table=True)
-        array = generate_syndrome(q7, faults, seed=2, backend="array")
+        table = TableSyndrome.from_faults(q7, faults, seed=2)
+        array = generate_syndrome(q7, faults, seed=2)
         cls = q7.partition_scheme(1).first(1)[0]
         reference = set_builder(q7, table, cls.representative, diagnosability=delta,
-                                restrict=cls.contains, compiled=False)
+                                restrict=cls.contains)
         fast = set_builder(q7, array, cls.representative, diagnosability=delta,
                            restrict=cls.contains)
         assert fast.nodes == reference.nodes
@@ -192,12 +166,10 @@ class TestFastPathEquivalence:
         delta = q7.diagnosability()
         for seed in range(3):
             faults = random_faults(q7, delta, seed=seed)
-            reference = GeneralDiagnoser(q7, compiled=False).diagnose(
-                generate_syndrome(q7, faults, seed=seed, full_table=True)
+            reference = GeneralDiagnoser(q7).diagnose(
+                TableSyndrome.from_faults(q7, faults, seed=seed)
             )
-            fast = GeneralDiagnoser(q7).diagnose(
-                generate_syndrome(q7, faults, seed=seed, backend="array")
-            )
+            fast = GeneralDiagnoser(q7).diagnose(generate_syndrome(q7, faults, seed=seed))
             assert fast.faulty == reference.faulty == faults
             assert fast.healthy_nodes == reference.healthy_nodes
             assert fast.lookups == reference.lookups

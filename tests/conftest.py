@@ -68,6 +68,22 @@ def probe_level(scratch, syndrome, starts, delta, *, class_of=None, max_nodes=No
     return scratch.run_plan(syndrome, plan, delta)
 
 
+def reference_bytes(network, faults, *, behavior="random", seed=0) -> bytes:
+    """The syndrome of ``faults`` in the compiled pair-slot layout, read off
+    the reference table :meth:`~repro.core.syndrome.TableSyndrome.from_faults`,
+    which shares no code with the served build."""
+    from repro.backend.csr import compile_network
+    from repro.core.syndrome import TableSyndrome
+
+    table = TableSyndrome.from_faults(network, faults, behavior=behavior, seed=seed)
+    return bytes(
+        table._result(u, v, w)
+        for u, row in enumerate(compile_network(network).rows)
+        for i, v in enumerate(row)
+        for w in row[i + 1:]
+    )
+
+
 @pytest.fixture(params=ALL_FAMILIES)
 def tiny_network(request):
     """One tiny instance per network family (parametrised fixture)."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser, diagnose
 from repro.core.faults import clustered_faults, neighborhood_faults, random_faults, spread_faults
-from repro.core.syndrome import generate_syndrome
+from repro.core.syndrome import TableSyndrome, generate_syndrome
 from repro.core.verification import assert_mm_semantics
 from repro.networks import ExplicitNetwork, Hypercube
 
@@ -110,7 +110,7 @@ class TestDiagnosisResult:
 
         cube = Hypercube(7)
         faults = random_faults(cube, 5, seed=9)
-        syndrome = generate_syndrome(cube, faults, seed=9, backend="array")
+        syndrome = generate_syndrome(cube, faults, seed=9)
         result = diagnose(cube, syndrome)
         built = []
         for cls, name in [(SetBuilderResult, "nodes"), (SetBuilderResult, "parent"),
@@ -187,13 +187,6 @@ class TestDriverConfiguration:
         with pytest.raises(ValueError):
             GeneralDiagnoser(Hypercube(8), diagnosability=0)
 
-    def test_max_probes_per_level_respected(self):
-        cube = Hypercube(8)
-        faults = clustered_faults(cube, 8, seed=3)
-        syndrome = generate_syndrome(cube, faults, seed=3)
-        result = GeneralDiagnoser(cube, max_probes_per_level=2).diagnose(syndrome)
-        assert result.faulty == faults
-
     def test_diagnosis_error_on_pathological_instance(self):
         # A 6-node cycle with diagnosability forced to 2 and 2 faults placed
         # so that no contributor certificate can ever fire (the healthy part
@@ -216,9 +209,9 @@ class TestSyndromeInteraction:
         result = diagnose(cube, syndrome)
         assert_mm_semantics(cube, syndrome, result.faulty)
 
-    def test_full_table_and_lazy_syndromes_give_same_answer(self):
+    def test_reference_table_and_served_syndromes_give_same_answer(self):
         cube = Hypercube(7)
         faults = random_faults(cube, 7, seed=21)
-        lazy = generate_syndrome(cube, faults, seed=21)
-        table = generate_syndrome(cube, faults, seed=21, full_table=True)
-        assert diagnose(cube, lazy).faulty == diagnose(cube, table).faulty == faults
+        served = generate_syndrome(cube, faults, seed=21)
+        table = TableSyndrome.from_faults(cube, faults, seed=21)
+        assert diagnose(cube, served).faulty == diagnose(cube, table).faulty == faults

@@ -166,7 +166,7 @@ class TestPlanRefusals:
         csr = compile_network(q7)
         scratch = ProbeScratch.create(csr)
         delta = q7.diagnosability()
-        levels = GeneralDiagnoser(q7, max_probes_per_level=2)._probe_levels()
+        levels = GeneralDiagnoser(q7, diagnosability=1)._probe_levels()  # 2 classes
         assert len(levels) >= 2
         tables = [level.class_table(csr) for level in levels]
         starts = [start for level in levels for start in _starts(level)]
@@ -200,17 +200,21 @@ class TestRootSearchNativeOnAndOff:
             outcome = ("error", str(exc))
         return outcome, syndrome.lookups - before
 
-    def _compare(self, network, monkeypatch, **options):
+    def _compare(self, network, monkeypatch, extra_faults=(), **options):
         csr = compile_network(network)
         diagnoser = GeneralDiagnoser(network, **options)
-        syndromes = list(_syndromes(network))
-        doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
-        with_native = [self._search(diagnoser, s) for s in syndromes + [doomed]]
+
+        def searches():
+            syndromes = list(_syndromes(network)) + [
+                ArraySyndrome.from_faults(csr, faults, behavior=behavior, seed=5)
+                for faults in extra_faults for behavior in FaultyTesterBehavior.NAMES
+            ]
+            doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
+            return [self._search(diagnoser, s) for s in syndromes + [doomed]]
+
+        with_native = searches()
         monkeypatch.setattr(native, "_forced_off", True)
-        syndromes = list(_syndromes(network))
-        doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
-        oracle = [self._search(diagnoser, s) for s in syndromes + [doomed]]
-        assert with_native == oracle
+        assert with_native == searches()
         assert with_native[-1][0][0] == "error"
 
     def test_partition_search(self, tiny_network, monkeypatch):
@@ -235,8 +239,13 @@ class TestRootSearchNativeOnAndOff:
         self._compare(tiny_network, monkeypatch, use_partition=False)
 
     def test_narrow_levels_and_small_fallback_budget(self, q7, monkeypatch):
-        self._compare(q7, monkeypatch, max_probes_per_level=2,
-                      fallback_probe_budget=4)
+        # δ = 1 on Q_7: two classes per level and a fallback budget of
+        # δΔ + 2 = 9 nodes.  Faults at every probed representative carry
+        # some searches past level 0 and some through the budgeted fallback.
+        levels = GeneralDiagnoser(q7, diagnosability=1)._probe_levels()
+        representatives = {start for level in levels for start in _starts(level)}
+        self._compare(q7, monkeypatch, extra_faults=[representatives],
+                      diagnosability=1)
 
     def test_batched_search_matches_single_searches(self, q7):
         csr = compile_network(q7)

@@ -4,29 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.diagnosis import GeneralDiagnoser
 from repro.core.partitions import (
     class_certifies_when_fault_free,
     minimal_certifying_level,
-    probe_plan,
 )
 from repro.networks import Hypercube
 
 
 class TestProbePlan:
+    """The partition levels the diagnoser's root search probes."""
+
     def test_at_most_delta_plus_one_classes(self):
         cube = Hypercube(9)
-        plan = probe_plan(cube)
-        assert len(plan) <= cube.diagnosability() + 1
+        for level in GeneralDiagnoser(cube)._probe_levels():
+            assert len(level.classes) <= cube.diagnosability() + 1
 
     def test_classes_are_distinct(self):
         cube = Hypercube(9)
-        plan = probe_plan(cube)
-        representatives = [cls.representative for cls in plan]
-        assert len(set(representatives)) == len(representatives)
-
-    def test_max_probes_override(self):
-        cube = Hypercube(9)
-        assert len(probe_plan(cube, max_probes=3)) == 3
+        for level in GeneralDiagnoser(cube)._probe_levels():
+            representatives = [cls.representative for cls in level.classes]
+            assert len(set(representatives)) == len(representatives)
 
 
 class TestCertificateThreshold:
@@ -52,13 +50,13 @@ class TestCertificateThreshold:
     def test_fault_free_subcube_contributors_are_half_the_class(self):
         """On a fault-free sub-cube the builder tree has exactly 2^(m-1) internal nodes."""
         from repro.core.set_builder import set_builder
-        from repro.core.syndrome import LazySyndrome
+        from repro.core.syndrome import generate_syndrome
 
         cube = Hypercube(10)
         for level in (0, 1, 2):
             cls = cube.partition_scheme(level).first(1)[0]
             result = set_builder(
-                cube, LazySyndrome(cube, frozenset()), cls.representative,
+                cube, generate_syndrome(cube, ()), cls.representative,
                 restrict=cls.contains,
             )
             assert len(result.contributors) == cls.size // 2

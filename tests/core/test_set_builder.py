@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.set_builder import certificate_node_budget, set_builder
-from repro.core.syndrome import LazySyndrome, generate_syndrome
+from repro.core.syndrome import TableSyndrome, generate_syndrome
 from repro.networks import Hypercube, StarGraph
 
 
 def healthy_syndrome(network):
-    return LazySyndrome(network, frozenset())
+    return TableSyndrome.from_faults(network, ())
 
 
 class TestFaultFreeGrowth:

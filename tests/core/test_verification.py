@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.syndrome import generate_syndrome
+from repro.core.syndrome import TableSyndrome, generate_syndrome
 from repro.core.verification import (
     assert_mm_semantics,
     consistent_fault_sets,
@@ -60,7 +60,7 @@ class TestConsistency:
     def test_assert_mm_semantics_rejects_tampered_syndrome(self):
         cube = Hypercube(5)
         faults = {1, 2, 3}
-        table = generate_syndrome(cube, faults, seed=0, full_table=True)
+        table = TableSyndrome.from_faults(cube, faults, seed=0)
         # Flip one healthy tester's result.
         healthy_u = 16
         v, w = sorted(cube.neighbors(healthy_u))[:2]

@@ -2,13 +2,13 @@
 
 For every network family in the registry, this suite generates seeded
 (topology, fault set, syndrome) triples and runs the *same* ``Set_Builder``
-procedure through every execution backend the codebase has grown:
+procedure through every execution backend:
 
-* the original object path (``compiled=False`` — the reference
-  implementation, transcribed from the paper);
-* the compiled-rows path (compiled adjacency, abstract syndrome oracle),
-  over the table and over the ``ArraySyndrome`` itself, which its
-  restricted and budgeted runs take;
+* the rows oracle (the reference, transcribed from the paper) over
+  ``TableSyndrome.from_faults``, which builds the syndrome from the MM
+  model's definition and shares no code with the served layout;
+* the rows oracle over the ``ArraySyndrome`` itself, which its restricted
+  and budgeted runs take;
 * the stacked kernel at width one, native C;
 * the same width-one call with the native library off, which runs the
   rows oracle.
@@ -35,6 +35,7 @@ from repro.core import native
 from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser
 from repro.core.faults import clustered_faults, random_faults
 from repro.core.set_builder import SetBuilderResult, set_builder
+from repro.core.syndrome import TableSyndrome
 from repro.parallel import spawn_seeds
 
 BEHAVIORS = ("random", "all_zero")
@@ -47,7 +48,7 @@ def _family_seeds(network, count: int = 2) -> list[int]:
 
 
 def _triples(network):
-    """Seeded (faults, syndrome) triples over one topology."""
+    """Seeded ``(faults, syndrome, reference table)`` triples over one topology."""
     csr = compile_network(network)
     delta = network.diagnosability()
     for seed in _family_seeds(network):
@@ -57,7 +58,10 @@ def _triples(network):
                 syndrome = ArraySyndrome.from_faults(
                     csr, faults, behavior=behavior, seed=seed
                 )
-                yield faults, syndrome
+                table = TableSyndrome.from_faults(
+                    network, faults, behavior=behavior, seed=seed
+                )
+                yield faults, syndrome, table
 
 
 def _roots(network, faults):
@@ -97,13 +101,11 @@ def _outcome(result) -> tuple:
 
 
 def _all_backends(
-    network, syndrome: ArraySyndrome, root: int, monkeypatch
+    network, syndrome: ArraySyndrome, table: TableSyndrome, root: int, monkeypatch
 ) -> dict[str, dict]:
     """Run one triple through every backend; key → signature."""
-    table = syndrome.to_table()
     runs = {
-        "object": set_builder(network, table, root, compiled=False),
-        "rows": set_builder(network, table, root, compiled=True),
+        "rows": set_builder(network, table, root),
         # An unreachable budget routes the array syndrome to the rows path
         # without changing semantics (the run is never truncated).
         "array-rows": set_builder(
@@ -122,14 +124,16 @@ class TestSetBuilderDifferential:
     def test_every_backend_agrees_on_every_family(self, tiny_network, monkeypatch):
         """The harness headline: every backend, all registry families, seeded triples."""
         checked = 0
-        for faults, syndrome in _triples(tiny_network):
+        for faults, syndrome, table in _triples(tiny_network):
             for root in _roots(tiny_network, faults):
-                signatures = _all_backends(tiny_network, syndrome, root, monkeypatch)
-                reference = signatures.pop("object")
+                signatures = _all_backends(
+                    tiny_network, syndrome, table, root, monkeypatch
+                )
+                reference = signatures.pop("rows")
                 for name, signature in signatures.items():
                     assert signature == reference, (
                         f"{tiny_network.family}: backend {name!r} diverged from the "
-                        f"object reference on faults={sorted(faults)} root={root}"
+                        f"rows reference on faults={sorted(faults)} root={root}"
                     )
                 checked += 1
         assert checked >= 8  # 2 seeds x 2 behaviors x 2 placements (x roots)
@@ -138,7 +142,7 @@ class TestSetBuilderDifferential:
         """Restricted, budgeted and stop-on-certificate array runs bypass the
         stacked kernel for the rows oracle, reading the seeded syndrome's
         lazily built buffer; each must equal the oracle over the table."""
-        for faults, syndrome in _triples(tiny_network):
+        for faults, syndrome, table in _triples(tiny_network):
             for root in _roots(tiny_network, faults):
                 for options in (
                     {"restrict": lambda v, r=root: v == r or v % 3 != 0},
@@ -147,7 +151,7 @@ class TestSetBuilderDifferential:
                 ):
                     runs = [
                         set_builder(tiny_network, s, root, **options)
-                        for s in (syndrome, syndrome.to_table())
+                        for s in (syndrome, table)
                     ]
                     array, rows = (_signature(tiny_network, r) for r in runs)
                     assert array == rows, (tiny_network.family, options, root)
@@ -155,18 +159,6 @@ class TestSetBuilderDifferential:
 
 class TestDiagnosisDifferential:
     """Full-pipeline agreement: the accusation sets of whole diagnoses."""
-
-    def test_compiled_and_object_diagnoses_accuse_identically(self, tiny_network):
-        csr = compile_network(tiny_network)
-        delta = tiny_network.diagnosability()
-        for seed in _family_seeds(tiny_network, count=1):
-            faults = random_faults(tiny_network, delta, seed=seed)
-            syndrome = ArraySyndrome.from_faults(csr, faults, seed=seed)
-            compiled = GeneralDiagnoser(tiny_network).diagnose(syndrome)
-            reference = GeneralDiagnoser(
-                tiny_network, compiled=False
-            ).diagnose(syndrome)
-            assert compiled.faulty == reference.faulty
 
     def test_diagnose_equals_the_rows_oracle_diagnosis(self, tiny_network):
         """``diagnose`` runs the stacked kernel; the rows oracle must give
@@ -179,8 +171,8 @@ class TestDiagnosisDifferential:
             except DiagnosisError as exc:
                 return _outcome(exc)
 
-        for _, syndrome in _triples(tiny_network):
-            assert outcome(syndrome) == outcome(syndrome.to_table())
+        for _, syndrome, table in _triples(tiny_network):
+            assert outcome(syndrome) == outcome(table)
         csr = compile_network(tiny_network)
         doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
         assert outcome(doomed)[0] is DiagnosisError
@@ -189,7 +181,7 @@ class TestDiagnosisDifferential:
     def test_native_off_preserves_the_diagnosis(self, tiny_network, monkeypatch):
         """Native and native-off diagnoses agree exactly, or fail alike."""
         diagnoser = GeneralDiagnoser(tiny_network)
-        for _, syndrome in _triples(tiny_network):
+        for _, syndrome, _ in _triples(tiny_network):
             plain = _outcome(diagnoser.diagnose_many([syndrome])[0])
             with monkeypatch.context() as patch:
                 patch.setattr(native, "_forced_off", True)
@@ -200,7 +192,7 @@ class TestDiagnosisDifferential:
         syndrome gives every slot the rows-oracle diagnosis of its item."""
         csr = compile_network(tiny_network)
         doomed = ArraySyndrome(csr, bytes([1]) * csr.num_pairs)
-        sources = [syndrome for _, syndrome in _triples(tiny_network)]
+        sources = [syndrome for _, syndrome, _ in _triples(tiny_network)]
         sources.insert(1, doomed)
         batch = [s for source in sources for s in (source, source.to_table())]
         diagnoser = GeneralDiagnoser(tiny_network)

@@ -34,13 +34,13 @@ from repro.core import native
 from repro.core.diagnosis import GeneralDiagnoser
 from repro.core.faults import clustered_faults, random_faults, spread_faults
 from repro.core.set_builder import ProbeScratch, set_builder_many
-from repro.core.syndrome import FaultyTesterBehavior, LazySyndrome
+from repro.core.syndrome import FaultyTesterBehavior
 from repro.networks.registry import compiled_network
 from repro.service import DiagnosisRequest, DiagnosisService, ResultStore
 from repro.service.executor import run_direct
 from repro.service.requests import syndrome_digest
 
-from ..conftest import probe_level
+from ..conftest import probe_level, reference_bytes
 
 needs_native = pytest.mark.skipif(
     not native.native_kernel_active(), reason="no C compiler available"
@@ -109,9 +109,7 @@ class TestMaskFormAgrees:
         network, csr = compiled_network("hypercube", dimension=9)
         faults = random_faults(network, network.diagnosability(), seed=2)
         syndrome = ArraySyndrome.from_faults(csr, faults, behavior=Wide(), seed=2)
-        reference = bytes(ArraySyndrome.from_syndrome(
-            csr, LazySyndrome(network, faults, behavior=Wide(), seed=2)
-        ).buffer)
+        reference = reference_bytes(network, faults, behavior=Wide(), seed=2)
         assert syndrome.nonzero_offsets is not None and max(reference) == 3
         assert syndrome_digest(*syndrome.digest_source) == syndrome_digest(reference)
         assert bytes(syndrome.buffer) == reference

@@ -1,4 +1,4 @@
-"""The seeded slot pass ≡ its Python reference ≡ the lazy oracle's bytes.
+"""The seeded slot pass ≡ its Python reference ≡ the reference table's bytes.
 
 ``ArraySyndrome.from_faults`` builds a seeded syndrome's mask form in one
 slot pass: ``seeded_build`` in ``_stacked.c`` for the five stock
@@ -9,8 +9,8 @@ build (more than an eighth of the slots nonzero):
 
 * the C pass and the reference return the same fault mask, side-table
   offsets, side table, nonzero offsets and values;
-* both equal what ``ArraySyndrome.from_syndrome(csr, LazySyndrome(...))``
-  materialises slot by slot: the mask marks the faults, the side table is
+* both equal what ``TableSyndrome.from_faults(...)`` holds, read slot by
+  slot: the mask marks the faults, the side table is
   the faulty testers' rows, the nonzero record is the buffer's nonzero
   bytes, and the digest and the lazily built buffer equal the buffer's;
 * a custom behaviour subclass never reaches the C pass;
@@ -31,8 +31,10 @@ from repro.backend.array_syndrome import ArraySyndrome
 from repro.backend.csr import compile_network
 from repro.core import native
 from repro.core.faults import clustered_faults, random_faults, spread_faults
-from repro.core.syndrome import FaultyTesterBehavior, LazySyndrome
+from repro.core.syndrome import FaultyTesterBehavior
 from repro.service.requests import syndrome_digest
+
+from ..conftest import reference_bytes
 
 needs_native = pytest.mark.skipif(
     not native.native_kernel_active(), reason="no C compiler available"
@@ -67,10 +69,9 @@ def _native(csr, faults, behavior, seed):
     )))
 
 
-def _from_lazy(network, csr, faults, behavior, seed):
-    """The record each field must hold, read off the materialised buffer."""
-    lazy = LazySyndrome(network, faults, behavior=behavior, seed=seed)
-    raw = np.frombuffer(bytes(ArraySyndrome.from_syndrome(csr, lazy).buffer),
+def _from_table(network, csr, faults, behavior, seed):
+    """The record each field must hold, read off the reference table."""
+    raw = np.frombuffer(reference_bytes(network, faults, behavior=behavior, seed=seed),
                         dtype=np.uint8)
     ordered = sorted(faults)
     rows = [raw[csr.pair_indptr[f]:csr.pair_indptr[f + 1]] for f in ordered]
@@ -94,12 +95,12 @@ def _assert_same(record, expected, case):
 
 class TestSlotPassAgrees:
     @needs_native
-    def test_native_pass_equals_reference_and_lazy_bytes(self, tiny_network):
+    def test_native_pass_equals_reference_and_table_bytes(self, tiny_network):
         csr = compile_network(tiny_network)
         dense = False
         for label, faults, behavior, seed in _cases(tiny_network):
             case = (tiny_network.family, label)
-            raw, expected = _from_lazy(tiny_network, csr, faults, behavior, seed)
+            raw, expected = _from_table(tiny_network, csr, faults, behavior, seed)
             _assert_same(_native(csr, faults, behavior, seed), expected, case)
             _assert_same(_reference(csr, faults, behavior, seed), expected, case)
             dense |= 8 * expected["offsets"].size > raw.size
@@ -111,7 +112,7 @@ class TestSlotPassAgrees:
         csr = compile_network(tiny_network)
         for label, faults, behavior, seed in _cases(tiny_network):
             case = (tiny_network.family, label)
-            raw, expected = _from_lazy(tiny_network, csr, faults, behavior, seed)
+            raw, expected = _from_table(tiny_network, csr, faults, behavior, seed)
             syndrome = ArraySyndrome.from_faults(csr, faults, behavior=behavior,
                                                  seed=seed)
             assert np.array_equal(syndrome.fault_mask, expected["mask"]), case
@@ -134,9 +135,8 @@ class TestSlotPassAgrees:
         csr = compile_network(q5)
         faults = {0, 9, 22}
         syndrome = ArraySyndrome.from_faults(csr, faults, behavior=Parity(), seed=3)
-        lazy = LazySyndrome(q5, faults, behavior=Parity(), seed=3)
-        assert bytes(syndrome.buffer) == bytes(
-            ArraySyndrome.from_syndrome(csr, lazy).buffer
+        assert bytes(syndrome.buffer) == reference_bytes(
+            q5, faults, behavior=Parity(), seed=3
         )
 
 

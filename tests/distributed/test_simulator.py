@@ -74,7 +74,7 @@ class TestEngineAgainstAnalyticalModel:
         """The engine's default channel and the legacy derivation agree exactly."""
         cube = Hypercube(7)
         faults = random_faults(cube, 7, seed=5)
-        syndrome = generate_syndrome(cube, faults, seed=5, backend="array")
+        syndrome = generate_syndrome(cube, faults, seed=5)
         root = next(v for v in range(cube.num_nodes) if v not in faults)
         outcome = ProtocolEngine(cube).run_set_builder(syndrome, root)
         assert (outcome.rounds, outcome.messages, outcome.tree_size,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.baselines import ExtendedStarDiagnoser, YangCycleDiagnoser
 from repro.core.diagnosis import GeneralDiagnoser
 from repro.core.set_builder import set_builder
-from repro.core.syndrome import FaultyTesterBehavior, LazySyndrome
+from repro.core.syndrome import FaultyTesterBehavior, generate_syndrome
 from repro.core.verification import assert_mm_semantics, is_consistent_fault_set
 from repro.networks import CrossedCube, Hypercube, StarGraph
 
@@ -49,19 +49,19 @@ class TestSyndromeInvariants:
     @given(faults=fault_sets(Q7, 7), behavior=behaviors, seed=seeds)
     @settings(max_examples=30, **COMMON_SETTINGS)
     def test_generated_syndrome_obeys_mm_semantics(self, faults, behavior, seed):
-        syndrome = LazySyndrome(Q7, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(Q7, faults, behavior=behavior, seed=seed)
         assert_mm_semantics(Q7, syndrome, faults)
 
     @given(faults=fault_sets(Q7, 7), behavior=behaviors, seed=seeds)
     @settings(max_examples=30, **COMMON_SETTINGS)
     def test_true_fault_set_always_consistent(self, faults, behavior, seed):
-        syndrome = LazySyndrome(Q7, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(Q7, faults, behavior=behavior, seed=seed)
         assert is_consistent_fault_set(Q7, syndrome, faults)
 
     @given(faults=fault_sets(S5, 4), behavior=behaviors, seed=seeds)
     @settings(max_examples=20, **COMMON_SETTINGS)
     def test_star_graph_syndromes(self, faults, behavior, seed):
-        syndrome = LazySyndrome(S5, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(S5, faults, behavior=behavior, seed=seed)
         assert_mm_semantics(S5, syndrome, faults)
 
 
@@ -76,7 +76,7 @@ class TestSetBuilderInvariants:
     def test_certificate_soundness_even_beyond_delta_faults(self, faults, behavior, seed, root):
         """If the certificate fires with bound δ = 7 and the actual fault set
         has size ≤ 7, the grown set contains no faulty node."""
-        syndrome = LazySyndrome(Q7, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(Q7, faults, behavior=behavior, seed=seed)
         result = set_builder(Q7, syndrome, root, diagnosability=7)
         if len(faults) <= 7 and result.all_healthy:
             assert result.nodes.isdisjoint(faults)
@@ -85,7 +85,7 @@ class TestSetBuilderInvariants:
     @settings(max_examples=40, **COMMON_SETTINGS)
     def test_healthy_root_grows_only_healthy_nodes(self, faults, behavior, seed):
         root = next(v for v in range(Q7.num_nodes) if v not in faults)
-        syndrome = LazySyndrome(Q7, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(Q7, faults, behavior=behavior, seed=seed)
         result = set_builder(Q7, syndrome, root, diagnosability=7)
         assert result.nodes.isdisjoint(faults)
 
@@ -93,7 +93,7 @@ class TestSetBuilderInvariants:
     @settings(max_examples=30, **COMMON_SETTINGS)
     def test_tree_edges_are_graph_edges(self, faults, seed):
         root = next(v for v in range(Q7.num_nodes) if v not in faults)
-        syndrome = LazySyndrome(Q7, faults, seed=seed)
+        syndrome = generate_syndrome(Q7, faults, seed=seed)
         result = set_builder(Q7, syndrome, root, diagnosability=7)
         for parent, child in result.tree_edges():
             assert Q7.has_edge(parent, child)
@@ -104,21 +104,21 @@ class TestTheorem1Property:
     @given(faults=fault_sets(Q8, 8), behavior=behaviors, seed=seeds)
     @settings(max_examples=40, **COMMON_SETTINGS)
     def test_hypercube_diagnosis_recovers_fault_set(self, faults, behavior, seed):
-        syndrome = LazySyndrome(Q8, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(Q8, faults, behavior=behavior, seed=seed)
         result = GeneralDiagnoser(Q8).diagnose(syndrome)
         assert result.faulty == frozenset(faults)
 
     @given(faults=fault_sets(CQ7, 7), behavior=behaviors, seed=seeds)
     @settings(max_examples=25, **COMMON_SETTINGS)
     def test_crossed_cube_diagnosis_recovers_fault_set(self, faults, behavior, seed):
-        syndrome = LazySyndrome(CQ7, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(CQ7, faults, behavior=behavior, seed=seed)
         result = GeneralDiagnoser(CQ7).diagnose(syndrome)
         assert result.faulty == frozenset(faults)
 
     @given(faults=fault_sets(S5, 4), behavior=behaviors, seed=seeds)
     @settings(max_examples=25, **COMMON_SETTINGS)
     def test_star_graph_diagnosis_recovers_fault_set(self, faults, behavior, seed):
-        syndrome = LazySyndrome(S5, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(S5, faults, behavior=behavior, seed=seed)
         result = GeneralDiagnoser(S5).diagnose(syndrome)
         assert result.faulty == frozenset(faults)
 
@@ -127,13 +127,13 @@ class TestAlgorithmsAgree:
     @given(faults=fault_sets(Q7, 7), behavior=behaviors, seed=seeds)
     @settings(max_examples=15, **COMMON_SETTINGS)
     def test_all_diagnosers_recover_the_fault_set(self, faults, behavior, seed):
-        syndrome = LazySyndrome(Q7, faults, behavior=behavior, seed=seed)
+        syndrome = generate_syndrome(Q7, faults, behavior=behavior, seed=seed)
         stewart = GeneralDiagnoser(Q7).diagnose(syndrome).faulty
         yang = YangCycleDiagnoser(Q7).diagnose(
-            LazySyndrome(Q7, faults, behavior=behavior, seed=seed)
+            generate_syndrome(Q7, faults, behavior=behavior, seed=seed)
         ).faulty
         extended = ExtendedStarDiagnoser(Q7).diagnose(
-            LazySyndrome(Q7, faults, behavior=behavior, seed=seed)
+            generate_syndrome(Q7, faults, behavior=behavior, seed=seed)
         ).faulty
         assert stewart == yang == extended == frozenset(faults)
 

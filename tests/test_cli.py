@@ -7,6 +7,9 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.faults import PLACEMENTS
+from repro.core.syndrome import FaultyTesterBehavior
+from repro.networks import Hypercube
 
 
 class TestParser:
@@ -109,6 +112,23 @@ class TestCommands:
                      "--placement", "clustered", "--behavior", "mimic"])
         assert code == 0
         assert "diagnosed faults" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("command", ["diagnose", "distributed"])
+    def test_every_placement_is_accepted(self, capsys, command, placement):
+        code = main([command, "--family", "hypercube", "--param", "dimension=6",
+                     "--placement", placement, "--seed", "2"])
+        out = capsys.readouterr().out
+        cube = Hypercube(6)
+        faults = PLACEMENTS[placement](cube, cube.diagnosability(), seed=2)
+        assert code == 0
+        assert f"injected faults  : {sorted(faults)}" in out
+
+    @pytest.mark.parametrize("command", ["diagnose", "distributed"])
+    def test_every_behaviour_is_accepted(self, command):
+        for behavior in FaultyTesterBehavior.NAMES:
+            args = build_parser().parse_args([command, "--behavior", behavior])
+            assert args.behavior == behavior
 
     def test_diagnose_uses_registry_small_defaults(self, capsys):
         code = main(["diagnose", "--family", "pancake", "--faults", "2"])
