@@ -59,6 +59,18 @@ topology with one seeded request, and whether that built any topology's
 Python rows (``CSRAdjacency.rows``).  ``--baseline`` files the older run's
 ``cold_start`` as its ``before``.
 
+``slot_turn`` times the in-process serving turn around those stages: a
+``DiagnosisService`` without a pool, filing into a disk ``ResultStore``,
+answers ``SLOT_TURN_ROUNDS`` calls of ``ROUND_SIZE`` seeded requests drawn
+from the mix (the shape of perfbench's ``seeded_mix`` rounds), each one
+``submit_many``, after one warm-up call per topology.  It records the
+median milliseconds per call, the ``run_in_executor`` hops and store
+``put_many`` commits per call, ``cpu_count`` and ``native``; ``verified``
+requires every answer to equal ``run_direct``'s apart from
+``elapsed_seconds`` and ``batch_size``, and ``outcome_sha256`` hashes the
+served wire responses minus ``elapsed_seconds``.  ``--baseline`` files the
+older run's record as its ``before`` and requires equal fingerprints.
+
 Run with:  PYTHONPATH=src python benchmarks/bench_service.py
 """
 
@@ -93,6 +105,9 @@ STAGES = ("diagnosis.root_search_ms", "kernel.set_builder_ms", "csr.boundary_ms"
 KEY = ("family", "params", "native", "width", "form")
 #: Fresh interpreters per cold-start record (one under ``--smoke``).
 COLD_RUNS = 5
+#: Calls of the slot-turn record (a few under ``--smoke``) and their size.
+SLOT_TURN_ROUNDS = 120
+ROUND_SIZE = 8
 
 #: One cold start, run as ``python -c COLD_START MIX_JSON``: it prints one
 #: JSON record of :func:`measure_cold_start`'s fields.
@@ -275,6 +290,89 @@ def measure_cold_start(mix, *, runs: int) -> dict:
             for name in records[0]}
 
 
+def measure_slot_turn(mix, *, rounds: int) -> dict:
+    """The in-process serving turn: per-call time, executor hops and store
+    commits (see the module docstring)."""
+    import asyncio
+    import dataclasses
+    import tempfile
+
+    from repro.core import native
+    from repro.service import DiagnosisRequest, DiagnosisService, ResultStore
+    from repro.service.executor import resolve_topology, run_direct
+    from repro.service.loadgen import LoadSpec, build_client_streams
+
+    stream = build_client_streams(LoadSpec.from_mix(
+        mix, clients=1, requests_per_client=rounds * ROUND_SIZE, seed=7,
+        seed_pool=10**9,
+    ))[0]
+    calls = [stream[i:i + ROUND_SIZE] for i in range(0, len(stream), ROUND_SIZE)]
+    warm = [DiagnosisRequest.seeded(family, params, seed=10**9)
+            for family, params in mix]
+    counts = {"hops": 0, "commits": 0}
+    run_in_executor = asyncio.BaseEventLoop.run_in_executor
+
+    def counted_hop(loop, *args):
+        counts["hops"] += 1
+        return run_in_executor(loop, *args)
+
+    async def serve(store):
+        async with DiagnosisService(store=store) as service:
+            await service.submit_many(warm)
+            counts.update(hops=0, commits=0)
+            answers, times = [], []
+            for call in calls:
+                t0 = time.perf_counter()
+                answers += await service.submit_many(call)
+                times.append(time.perf_counter() - t0)
+            return answers, times
+
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(Path(tmp) / "results.sqlite")
+        put_many = store.put_many
+
+        def counted_commit(pairs):
+            counts["commits"] += 1
+            return put_many(pairs)
+
+        store.put_many = counted_commit
+        asyncio.BaseEventLoop.run_in_executor = counted_hop
+        try:
+            answers, times = asyncio.run(serve(store))
+        finally:
+            asyncio.BaseEventLoop.run_in_executor = run_in_executor
+            store.close()
+    topologies = {}
+    verified = True
+    wire = []
+    for request, answer in zip(stream, answers):
+        network, csr = topologies.setdefault(
+            request.topology_key,
+            resolve_topology(request.family, request.network_kwargs),
+        )
+        direct = run_direct(request, network=network, csr=csr)
+        verified &= answer.source == "computed" and dataclasses.replace(
+            answer, batch_size=direct.batch_size,
+            elapsed_seconds=direct.elapsed_seconds,
+        ) == direct
+        record = answer.to_wire()
+        del record["elapsed_seconds"]
+        wire.append(record)
+    return {
+        "rounds": rounds,
+        "round_size": ROUND_SIZE,
+        "cpu_count": os.cpu_count(),
+        "native": native.native_kernel_active(),
+        "ms_per_call": round(statistics.median(times) * 1e3, 3),
+        "hops_per_call": round(counts["hops"] / rounds, 3),
+        "commits_per_call": round(counts["commits"] / rounds, 3),
+        "outcome_sha256": hashlib.sha256(
+            json.dumps(wire, sort_keys=True).encode()
+        ).hexdigest(),
+        "verified": verified,
+    }
+
+
 def key(row) -> str:
     return json.dumps([row[name] for name in KEY], sort_keys=True)
 
@@ -305,17 +403,24 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     smoke = "--smoke" in argv
     mix = SMOKE_MIX if smoke else DEFAULT_MIX
-    before = cold_before = None
+    before = cold_before = turn_before = None
     if "--baseline" in argv:
         previous = json.loads(Path(argv[argv.index("--baseline") + 1]).read_text())
         before = previous["layers"]
         cold_before = previous.get("cold_start", {}).get("after")
+        turn_before = previous.get("slot_turn", {}).get("after")
     cold_start = measure_cold_start(mix, runs=1 if smoke else COLD_RUNS)
     print(f"cold start: {cold_start}")
+    slot_turn = measure_slot_turn(mix, rounds=4 if smoke else SLOT_TURN_ROUNDS)
+    print(f"slot turn: {slot_turn}")
     rows = measure_layers(mix, smoke=smoke)
     fingerprints = {key(row): row["outcome_sha256"] for row in rows}
-    verified = all(row["verified"] for row in rows) and all(
-        fingerprints.get(key(row)) == row["outcome_sha256"] for row in before or ()
+    verified = (
+        all(row["verified"] for row in rows) and slot_turn["verified"]
+        and all(fingerprints.get(key(row)) == row["outcome_sha256"]
+                for row in before or ())
+        and (turn_before is None
+             or turn_before["outcome_sha256"] == slot_turn["outcome_sha256"])
     )
     for row in rows:
         print(
@@ -346,6 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         "layers": rows,
         "before": before,
         "cold_start": {"after": cold_start, "before": cold_before},
+        "slot_turn": {"after": slot_turn, "before": turn_before},
         **(gate or {"light_batched_target_met": False}),
         "verified": verified,
     }

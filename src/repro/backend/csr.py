@@ -104,6 +104,7 @@ class CSRAdjacency:
         "_pair_base",
         "_shm",
         "probe_plans",
+        "native_args",
     )
 
     def __init__(self, indptr, indices) -> None:
@@ -132,6 +133,10 @@ class CSRAdjacency:
         #: cached here because compiled topologies outlive the per-batch
         #: diagnosers, in the service's cache and in pool workers alike
         self.probe_plans: dict = {}
+        #: the checked native addresses of indptr, indices and pair_indptr,
+        #: filled by the first native call (see core.native.topology_args);
+        #: the three arrays never change after construction
+        self.native_args: tuple[int, int, int] | None = None
 
     # ------------------------------------------------------------ construction
     @classmethod

@@ -721,8 +721,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{response.elapsed_seconds * 1e3:.1f} ms]")
     print(f"\nserved {stats['requests']} requests: "
           f"{stats['computed']} computed in {stats['batches']} batches "
-          f"({stats['coalesced_batches']} coalesced), "
-          f"{stats['store_hits']} from store, "
+          f"({stats['coalesced_batches']} coalesced) in {stats['turns']} "
+          f"turns, {stats['store_hits']} from store, "
           f"{stats['coalesced_duplicates']} coalesced duplicates")
     print(f"worker compiles: {stats['worker_compiles']}, "
           f"topology cache: {stats['topology_cache']}")
@@ -949,7 +949,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
           f"rejections {summary['rejections']})")
     stats = summary["stats"]
     print(f"  batches {stats['batches']} ({stats['coalesced_batches']} coalesced, "
-          f"mean size {stats['mean_batch_size']}), store hits "
+          f"mean size {stats['mean_batch_size']}) in {stats['turns']} turns, "
+          f"store hits "
           f"{stats['store_hits']}, coalesced duplicates "
           f"{stats['coalesced_duplicates']}, worker compiles "
           f"{stats['worker_compiles']}, latency p50/p99 "

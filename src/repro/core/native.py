@@ -272,13 +272,20 @@ def address(array: np.ndarray, dtype, length: int) -> int:
 
 def topology_args(csr) -> tuple[int, int, int]:
     """The checked ``indptr``, ``indices`` and ``pair_indptr`` addresses of
-    a compiled topology: the first three arguments of every entry."""
-    n = csr.num_nodes
-    return (
-        address(csr.indptr, np.int64, n + 1),
-        address(csr.indices, np.int32, csr.num_entries),
-        address(csr.pair_indptr, np.int64, n + 1),
-    )
+    a compiled topology: the first three arguments of every entry.
+
+    The arrays are fixed for the topology's lifetime, so they are checked
+    once, by the first call, and the addresses are kept on ``csr``.
+    """
+    args = csr.native_args
+    if args is None:
+        n = csr.num_nodes
+        args = csr.native_args = (
+            address(csr.indptr, np.int64, n + 1),
+            address(csr.indices, np.int32, csr.num_entries),
+            address(csr.pair_indptr, np.int64, n + 1),
+        )
+    return args
 
 
 def native_kernel_active() -> bool:

@@ -64,33 +64,46 @@ def run_e1(*, dimensions: tuple[int, ...] = (7, 8, 9, 10, 11), seed: int = 0,
         for n in dimensions
     )
     results = plan.run(pool=pool)
-    rows, models, times = [], [], []
+    rows, models, times, lookups = [], [], [], []
     all_exact = True
     for n, res in zip(dimensions, results):
         all_exact &= res.exact
         models.append(n * 2**n)
         times.append(res.elapsed_seconds)
+        lookups.append(res.lookups)
         rows.append((res.spec.label, res.num_nodes, res.num_faults, res.exact,
                      res.lookups, round(res.elapsed_seconds * 1e3, 2)))
-    fit = fit_against_model(models, times)
-    claims = all_exact
+    # The deterministic scaling gate: syndrome lookups, the work the
+    # n·2^n bound counts, in every mode.
+    lookup_fit = fit_against_model(models, lookups)
+    claims = (all_exact
+              and all(count <= model for count, model in zip(lookups, models))
+              and lookup_fit.exponent <= 1.35)
+    lookup_note = (
+        "lookups vs the paper's n·2^n model: at most "
+        f"{max(c / m for c, m in zip(lookups, models)):.2f}·n·2^n per row, "
+        f"fitted exponent {lookup_fit.exponent:.2f} "
+        f"(R^2 = {lookup_fit.r_squared:.3f}).  "
+    )
     if plan.last_run_stats is None:
+        fit = fit_against_model(models, times)
         claims &= fit.exponent <= 1.35
-        scaling_note = (
-            f"time vs the paper's n·2^n model: fitted exponent {fit.exponent:.2f} "
-            f"(R^2 = {fit.r_squared:.3f}); exponent ≈ 1 means the measured scaling "
-            "matches O(n·2^n)."
+        scaling_note = lookup_note + (
+            f"Time vs n·2^n: fitted exponent {fit.exponent:.2f} "
+            f"(R^2 = {fit.r_squared:.3f}), an upper-bound check only: at these "
+            "sizes fixed per-call costs dominate the time, so a flat time "
+            "passes it."
         )
     else:
         # Pooled per-trial timings include worker cold-start (fork, first
         # attachment, row materialisation), which swamps the n·2^n signal —
-        # the scaling gate only means something serial, so pooled mode
-        # checks exactness and the zero-recompilation evidence instead.
+        # the time gate only means something serial, so pooled mode adds
+        # the zero-recompilation evidence instead.
         stats = plan.last_run_stats
         claims &= stats["worker_compiles"] == 0
-        scaling_note = (
-            "scaling fit not gated in pooled mode (pooled timings carry worker "
-            f"cold-start noise; serial runs gate the n·2^n claim).  Pooled "
+        scaling_note = lookup_note + (
+            "Time fit not gated in pooled mode (pooled timings carry worker "
+            f"cold-start noise).  Pooled "
             f"mode: {stats['chunks']} chunks over {len(stats['workers'])} "
             f"workers, {stats['worker_compiles']} worker-side topology "
             "compilations (shared-memory CSR)."

@@ -98,7 +98,8 @@ def render_dashboard(
         (name, service.get(name, 0))
         for name in ("requests", "computed", "store_hits",
                      "coalesced_duplicates", "rejected", "errors", "batches",
-                     "coalesced_batches", "worker_compiles", "pending")
+                     "turns", "coalesced_batches", "worker_compiles",
+                     "pending")
         if name in service
     ))
 

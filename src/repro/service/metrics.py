@@ -145,6 +145,9 @@ class ServiceMetrics:
         self.errors = 0
         self.batches = 0
         self.coalesced_batches = 0  # batches serving >1 request
+        #: execution turns: one pool task or fabric lease (one batch each),
+        #: or one in-process slot turn (every queued topology's batch)
+        self.turns = 0
         self.worker_compiles = 0
         #: batches the fabric declined (no live workers / all retries spent)
         #: that fell through to the local or pooled execution path
@@ -158,7 +161,9 @@ class ServiceMetrics:
         self.workers: dict[str, dict[str, int]] = {}
         #: end-to-end seconds from submit to response, per request
         self.latency = Histogram()
-        #: seconds a batch's requests waited before dispatch
+        #: seconds each request waited from enqueue until its batch started
+        #: to run (in a multi-topology in-process turn, behind the turn's
+        #: earlier batches too)
         self.queue_wait = Histogram()
         #: post-slicing stacked-kernel width per executed batch (requests
         #: whose syndrome failed to construct never reach the kernel)
@@ -247,6 +252,7 @@ class ServiceMetrics:
             "rejected": self.rejected,
             "errors": self.errors,
             "batches": self.batches,
+            "turns": self.turns,
             "coalesced_batches": self.coalesced_batches,
             "mean_batch_size": round(self.batch_size.mean, 3),
             "worker_compiles": self.worker_compiles,

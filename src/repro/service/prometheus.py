@@ -152,6 +152,10 @@ def render_metrics(
     out.sample("response_errors", metrics.errors, suffix="_total")
     out.family("batches", "counter", "Batches dispatched.")
     out.sample("batches", metrics.batches, suffix="_total")
+    out.family("turns", "counter",
+               "Execution turns: one pool task or fabric lease, or one "
+               "in-process slot turn over every queued topology.")
+    out.sample("turns", metrics.turns, suffix="_total")
     out.family("coalesced_batches", "counter",
                "Dispatched batches that served more than one request.")
     out.sample("coalesced_batches", metrics.coalesced_batches, suffix="_total")

@@ -12,9 +12,12 @@ pipeline into amortised batched work:
 3. **Batch coalescing** — a topology's batch forms when an execution slot
    frees, from what queued meanwhile (up to ``max_batch_size``); it
    resolves its compiled topology once (through a bounded LRU) and
-   executes as a single unit — in-process, or as one
+   executes as a single unit — as one
    :class:`~repro.parallel.pool.WorkerPool` task mapping the topology out
-   of shared memory.
+   of shared memory, or in process.  The one in-process slot runs batches
+   one after another, so its *turn* takes every queued topology's batch
+   and runs them all in one executor hop, filing every answer in one store
+   transaction; pool slots run in parallel and take one batch per turn.
 
 Multi-tenancy sits across all three stages: every request carries a
 ``tenant``, each topology's queue is a per-tenant deficit-round-robin
@@ -37,7 +40,9 @@ changes it.
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .cache import LRUCache
@@ -92,6 +97,23 @@ class _Pending:
     enqueued_at: float
 
 
+def _run_groups(groups):
+    """One executor hop of an in-process turn: each group's batch in turn.
+
+    Returns ``(start, outcome)`` per group: when its run began, on the
+    event loop's clock (``time.monotonic``), and its ``(responses, stats)``
+    or the exception that fails it alone.
+    """
+    ran = []
+    for network, csr, requests in groups:
+        start = time.monotonic()
+        try:
+            ran.append((start, run_batch_local(network, csr, requests)))
+        except Exception as exc:
+            ran.append((start, exc))
+    return ran
+
+
 class DiagnosisService:
     """Async front end serving diagnosis requests in coalesced batches.
 
@@ -99,11 +121,12 @@ class DiagnosisService:
     ----------
     pool:
         Optional persistent :class:`~repro.parallel.pool.WorkerPool`; batches
-        then execute as single pool tasks over shared-memory topologies.
-        ``None`` executes batches in-process (on the default thread executor,
-        so the event loop keeps accepting requests mid-batch).  The executor
-        sets the number of batches in flight: one in-process, the pool's
-        ``max_workers`` pooled.
+        then execute as single pool tasks over shared-memory topologies,
+        up to the pool's ``max_workers`` at once, one batch per turn.
+        ``None`` executes in process on the default thread executor (so the
+        event loop keeps accepting requests mid-turn), one turn at a time;
+        a turn there takes every queued topology's batch, runs them in one
+        executor call and files their answers in one store transaction.
     remote:
         Optional :class:`~repro.fabric.coordinator.FabricCoordinator` (or
         anything with its ``has_workers()``/``execute()`` face).  The
@@ -199,7 +222,9 @@ class DiagnosisService:
         #: Execution slots, one per pool worker or a single one in-process
         #: (where it also keeps a resolve on one executor thread from
         #: bleeding into the process-global compile delta a batch measures
-        #: on another); a batch holds one from before it forms until answered.
+        #: on another); a turn holds one from before it forms until answered.
+        #: A pooled turn is one batch; the in-process turn is every queued
+        #: topology's batch (see _take_turn).
         self._slots = asyncio.Semaphore(1 if pool is None else pool.max_workers)
         self._pending: dict[str, TenantQueues] = {}
         self._pending_total = 0
@@ -412,27 +437,46 @@ class DiagnosisService:
             self._prune_locks()
 
     async def _dispatch(self, topology: str) -> None:
-        """Run one batch, taken from the queue once an executor can start it.
+        """Run one turn, taken from the queues once an executor can start it.
 
-        A fabric with live workers takes it at once; any other batch, or one
-        the fabric hands back, first waits for a free slot.
+        A fabric with live workers takes ``topology``'s batch at once; any
+        other turn, or a batch the fabric hands back, first waits for a free
+        slot.
         """
         batch = None
         if self.remote is not None and self.remote.has_workers():
             await asyncio.sleep(0)  # same-tick submissions join, as below
             batch = self._take_batch(topology)
-            if await self._execute_remote(topology, batch):
+            if not batch or await self._execute_remote(topology, batch):
                 return
         # repro: allow[RPR009] the slot stands for the executor itself: a
-        # batch holds it for exactly as long as it occupies that executor,
-        # and the requests queued behind it form the next batch
+        # turn holds it for exactly as long as it occupies that executor,
+        # and the requests queued behind it form the next turn
         async with self._slots:
             if batch is None:
                 # One tick first, so submissions made in the same tick (a
-                # batched /diagnose body, submit_many) share this batch.
+                # batched /diagnose body, submit_many) share this turn.
                 await asyncio.sleep(0)
-                batch = self._take_batch(topology)
-            await self._execute_batch(topology, batch)
+                batch = self._take_turn(topology)
+            if batch:
+                await self._execute_batch(topology, batch)
+
+    def _take_turn(self, topology: str) -> list[_Pending]:
+        """The requests of one slot turn, ``topology``'s batch first.
+
+        Pool slots and fabric workers run batches in parallel, so their
+        turn is ``topology``'s batch alone.  The one in-process slot runs
+        batches one after another, so its turn also takes every other
+        queued topology's batch, and they share one executor hop and one
+        store commit.
+        """
+        batch = self._take_batch(topology)
+        if self.pool is None and not (self.remote is not None
+                                      and self.remote.has_workers()):
+            for other in self._pending:
+                if other != topology:
+                    batch += self._take_batch(other)
+        return batch
 
     # -------------------------------------------------------------- execution
     async def _resolved_topology(self, topology: str, request: DiagnosisRequest):
@@ -466,7 +510,7 @@ class DiagnosisService:
 
         dispatch_time = asyncio.get_running_loop().time()
         try:
-            responses, stats = await self.remote.execute(
+            outcome = await self.remote.execute(
                 topology, [pending.request for pending in batch]
             )
         except FabricUnavailableError:
@@ -475,49 +519,85 @@ class DiagnosisService:
             self.metrics.fabric_fallbacks += 1
             return False
         except Exception as exc:
-            self._fail_batch(batch, exc)
-            return True
-        self._answer_batch(batch, dispatch_time, responses, stats)
+            outcome = exc
+        self.metrics.turns += 1
+        self._record_waits(batch, dispatch_time)
+        self._answer([(batch, outcome)])
         return True
 
     async def _execute_batch(self, topology: str, batch: list[_Pending]) -> None:
-        """Run ``batch`` on the pool, or in-process, and answer its futures."""
+        """Run one slot turn on the pool, or in-process, and answer it.
+
+        ``batch`` holds one topology group on the pool (``topology``'s) and
+        in process every group the turn took, each a contiguous run of one
+        topology's requests.  Every group resolves through the LRU; then
+        the pool runs its one group as one task, or one executor hop runs
+        each group's :func:`run_batch_local` in turn.  A group that fails
+        (its topology does not resolve, its run raises) fails only its own
+        requests.  Each request's queue wait, from enqueue until its group
+        starts to run, is recorded in batch order.
+        """
         loop = asyncio.get_running_loop()
-        requests = [pending.request for pending in batch]
+        turn = []  # (group, its (network, csr) or the exception failing it)
+        for key, members in groupby(batch, key=lambda p: p.request.topology_key):
+            group = list(members)
+            try:
+                entry = await self._resolved_topology(key, group[0].request)
+            except Exception as exc:
+                entry = exc
+            turn.append((group, entry))
+        runs = [(group, entry) for group, entry in turn
+                if not isinstance(entry, Exception)]
+        dispatch_time = loop.time()
         try:
-            network, csr = await self._resolved_topology(topology, requests[0])
-            dispatch_time = loop.time()
-            if self.pool is not None:
-                handle = self.pool.publish_topology(csr)
-                wire_requests, syndrome_handle, spans = self._stage(requests)
-                self._inflight_csr[id(csr)] = self._inflight_csr.get(id(csr), 0) + 1
-                task = None
-                try:
-                    task = self.pool.submit(
-                        run_batch_task, handle, requests[0].family,
-                        requests[0].params, wire_requests, syndrome_handle, spans,
-                    )
-                    responses, stats = await asyncio.wrap_future(task)
-                finally:
-                    remaining = self._inflight_csr[id(csr)] - 1
-                    if remaining:
-                        self._inflight_csr[id(csr)] = remaining
-                    else:
-                        del self._inflight_csr[id(csr)]
-                    # A cancelled wait leaves the task reading the segment:
-                    # it must not be refilled (the pool unlinks it at
-                    # shutdown instead).
-                    if syndrome_handle is not None and (task is None or task.done()):
-                        self._staging.append(syndrome_handle)
-                    self._flush_retired()
+            if not runs:
+                started = []
+            elif self.pool is not None:
+                ((group, (_, csr)),) = runs
+                started = [(dispatch_time, await self._run_pooled(csr, group))]
             else:
-                responses, stats = await loop.run_in_executor(
-                    None, run_batch_local, network, csr, requests
-                )
+                started = await loop.run_in_executor(None, _run_groups, [
+                    (network, csr, [pending.request for pending in group])
+                    for group, (network, csr) in runs
+                ])
         except Exception as exc:
-            self._fail_batch(batch, exc)
-            return
-        self._answer_batch(batch, dispatch_time, responses, stats)
+            started = [(dispatch_time, exc)] * len(runs)
+        started = iter(started)
+        self.metrics.turns += 1
+        outcomes = []
+        for group, entry in turn:
+            if isinstance(entry, Exception):
+                start, outcome = dispatch_time, entry
+            else:
+                start, outcome = next(started)
+            self._record_waits(group, start)
+            outcomes.append((group, outcome))
+        self._answer(outcomes)
+
+    async def _run_pooled(self, csr, batch: list[_Pending]):
+        """One pool task over the published topology: ``(responses, stats)``."""
+        requests = [pending.request for pending in batch]
+        handle = self.pool.publish_topology(csr)
+        wire_requests, syndrome_handle, spans = self._stage(requests)
+        self._inflight_csr[id(csr)] = self._inflight_csr.get(id(csr), 0) + 1
+        task = None
+        try:
+            task = self.pool.submit(
+                run_batch_task, handle, requests[0].family,
+                requests[0].params, wire_requests, syndrome_handle, spans,
+            )
+            return await asyncio.wrap_future(task)
+        finally:
+            remaining = self._inflight_csr[id(csr)] - 1
+            if remaining:
+                self._inflight_csr[id(csr)] = remaining
+            else:
+                del self._inflight_csr[id(csr)]
+            # A cancelled wait leaves the task reading the segment: it must
+            # not be refilled (the pool unlinks it at shutdown instead).
+            if syndrome_handle is not None and (task is None or task.done()):
+                self._staging.append(syndrome_handle)
+            self._flush_retired()
 
     def _stage(self, requests: list[DiagnosisRequest]):
         """Copy a batch's explicit syndromes into an idle staging segment.
@@ -563,25 +643,39 @@ class DiagnosisService:
             if not pending.future.done():
                 pending.future.set_exception(exc)
 
-    def _answer_batch(
-        self, batch: list[_Pending], dispatch_time: float, responses, stats: dict
-    ) -> None:
+    def _record_waits(self, batch: list[_Pending], start: float) -> None:
         for pending in batch:
-            self.metrics.queue_wait.record(dispatch_time - pending.enqueued_at)
-        self.metrics.record_batch(
-            len(batch),
-            compiles=stats["compiles"],
-            kernel_width=stats.get("kernel_width"),
-        )
-        responses = [
-            replace(response, batch_size=len(batch)) for response in responses
-        ]
-        if self.store is not None:
-            # One transaction per batch: a single commit stall, not |batch|.
-            self.store.put_many(
-                [(p.request, r) for p, r in zip(batch, responses)]
+            self.metrics.queue_wait.record(start - pending.enqueued_at)
+
+    def _answer(self, outcomes: list[tuple[list[_Pending], object]]) -> None:
+        """Answer a turn's ``(group, outcome)`` pairs.
+
+        An outcome is the group's ``(responses, stats)``, or the exception
+        that fails the group alone.  Each group is still one batch to the
+        metrics and in its responses' ``batch_size``; the store files every
+        group's rows in one transaction, so a turn costs one commit stall,
+        not one per group or per request.
+        """
+        filed = []
+        for group, outcome in outcomes:
+            if isinstance(outcome, Exception):
+                self._fail_batch(group, outcome)
+                continue
+            responses, stats = outcome
+            self.metrics.record_batch(
+                len(group),
+                compiles=stats["compiles"],
+                kernel_width=stats.get("kernel_width"),
             )
-        for pending, response in zip(batch, responses):
+            filed += zip(group, (
+                replace(response, batch_size=len(group))
+                for response in responses
+            ))
+        if self.store is not None and filed:
+            self.store.put_many(
+                [(pending.request, response) for pending, response in filed]
+            )
+        for pending, response in filed:
             self._inflight.pop(pending.key, None)
             if not pending.future.done():
                 pending.future.set_result(response)

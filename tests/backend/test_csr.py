@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backend import CSRAdjacency, compile_network
+from repro.core import native
 from repro.networks import ExplicitNetwork
 from repro.networks.registry import cached_network, compiled_network
 
@@ -176,3 +177,21 @@ class TestValidation:
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
             CSRAdjacency([0, 2], [1])
+
+
+class TestNativeArgs:
+    def test_checked_once_and_kept_on_the_topology(self, monkeypatch):
+        csr = CSRAdjacency.from_network(cached_network("hypercube", dimension=5))
+        assert csr.native_args is None
+        args = native.topology_args(csr)
+        assert args == (csr.indptr.ctypes.data, csr.indices.ctypes.data,
+                        csr.pair_indptr.ctypes.data)
+        monkeypatch.setattr(native, "address", None)  # a second check fails
+        assert native.topology_args(csr) is args is csr.native_args
+
+    def test_a_bad_array_is_refused_when_filled(self):
+        csr = CSRAdjacency.from_network(cached_network("hypercube", dimension=5))
+        csr.indices = csr.indices.astype(np.int64)
+        with pytest.raises(ValueError, match="contiguous int32"):
+            native.topology_args(csr)
+        assert csr.native_args is None

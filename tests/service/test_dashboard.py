@@ -108,7 +108,8 @@ class TestRendering:
         # Global counters: every (name, value) the service section lists
         # must appear as adjacent cells with the snapshot's exact value.
         for name in ("requests", "computed", "store_hits",
-                     "coalesced_duplicates", "rejected", "errors", "batches"):
+                     "coalesced_duplicates", "rejected", "errors", "batches",
+                     "turns"):
             position = cells.index(name)
             assert cells[position + 1] == str(stats[name]), name
         # Per-tenant rows, column for column.

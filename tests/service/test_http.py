@@ -532,6 +532,28 @@ class TestMetricsEndpoint:
         )
         assert admitted == stats["requests"]
 
+    def test_turns_read_the_same_on_stats_and_metrics(self):
+        """A mixed-topology load: /stats ``turns`` and /metrics
+        ``repro_turns_total`` render the same counter."""
+        star = ("star", {"n": 5})
+
+        async def inner(client, frontend, service):
+            # One batched body over two topologies is one in-process turn.
+            status, _ = await client.request("POST", "/diagnose", {"requests": [
+                _request(seed, instance).to_wire()
+                for seed in range(3) for instance in (Q6, star)
+            ]})
+            assert status == 200
+            for seed in range(2):
+                status, _ = await client.diagnose(_request(10 + seed, star))
+                assert status == 200
+            return await client.metrics_text(), await client.stats()
+
+        text, stats = _run(_with_frontend(inner))
+        turns = parse_metrics_text(text)[("repro_turns_total", ())]
+        assert turns == stats["turns"] == 3
+        assert stats["batches"] == 4
+
     def test_content_type_is_prometheus_text(self):
         async def inner(client, frontend, service):
             client._writer.write(b"GET /metrics HTTP/1.1\r\n\r\n")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
+from collections import Counter
 
 import pytest
 
@@ -882,6 +884,135 @@ class TestWorkConservingDispatch:
         assert all(r.ok for r in responses)
         assert service.stats()["batches"] == len(instances)
         assert 1 <= peak[0] <= pool.max_workers
+
+
+class TestSlotTurns:
+    """The one in-process slot serves every queued topology in one turn."""
+
+    @staticmethod
+    def _count_hops_and_commits(monkeypatch, store):
+        counts = {"hops": 0, "commits": 0}
+        run_in_executor = asyncio.BaseEventLoop.run_in_executor
+        put_many = store.put_many
+
+        def counted_hop(self, *args):
+            counts["hops"] += 1
+            return run_in_executor(self, *args)
+
+        def counted_commit(pairs):
+            counts["commits"] += 1
+            return put_many(pairs)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", counted_hop)
+        monkeypatch.setattr(store, "put_many", counted_commit)
+        return counts
+
+    def test_one_hop_and_one_commit_serve_three_topologies(
+        self, monkeypatch, tmp_path
+    ):
+        q7, s6, q8 = (("hypercube", {"dimension": 7}), ("star", {"n": 6}),
+                      ("hypercube", {"dimension": 8}))
+        requests = [_request(seed, instance)
+                    for seed, instance in enumerate([q7, s6, q8, q7, q8, q7])]
+        store = ResultStore(tmp_path / "results.db")
+        service = DiagnosisService(store=store)
+
+        async def run():
+            async with service:
+                # Resolving a topology costs a hop of its own, once: warm
+                # all three, then count the turn that serves the mix.
+                await service.submit_many(
+                    [_request(100, instance) for instance in (q7, s6, q8)]
+                )
+                warm = service.stats()["turns"]
+                counts.update(hops=0, commits=0)
+                return warm, await service.submit_many(requests)
+
+        counts = self._count_hops_and_commits(monkeypatch, store)
+        warm, responses = asyncio.run(run())
+        assert counts == {"hops": 1, "commits": 1}
+        stats = service.stats()
+        assert warm == 1 and stats["turns"] == 2
+        assert stats["batches"] == 6  # three groups per turn
+        group_sizes = Counter(request.topology_key for request in requests)
+        assert sorted(group_sizes.values()) == [1, 2, 3]
+        for request, response in zip(requests, responses):
+            direct = run_direct(request)
+            assert response.source == "computed"
+            assert response.batch_size == group_sizes[request.topology_key]
+            served = dataclasses.replace(
+                response, batch_size=direct.batch_size,
+                elapsed_seconds=direct.elapsed_seconds,
+            )
+            assert json.dumps(served.to_wire()) == json.dumps(direct.to_wire())
+        assert store.stats()["results"] == len(requests) + 3
+
+    def test_a_group_that_cannot_resolve_fails_alone(self):
+        bad = DiagnosisRequest.seeded("hypercube", {"dimension": 0}, seed=1)
+        service = DiagnosisService()
+
+        async def run():
+            async with service:
+                return await asyncio.gather(
+                    service.submit(bad), service.submit(Q7_REQUEST),
+                    return_exceptions=True,
+                )
+
+        failed, answered = asyncio.run(run())
+        assert isinstance(failed, ValueError)
+        assert "dimension must be >= 1" in str(failed)
+        direct = run_direct(Q7_REQUEST)
+        assert dataclasses.replace(
+            answered, batch_size=direct.batch_size,
+            elapsed_seconds=direct.elapsed_seconds,
+        ) == direct
+        assert answered.batch_size == 1
+        stats = service.stats()
+        assert stats["turns"] == 1 and stats["batches"] == 1
+        assert stats["queue_wait_ms"]["count"] == 2
+
+    def test_pooled_service_sends_one_task_per_topology(self, monkeypatch):
+        from repro.parallel import WorkerPool
+
+        instances = [Q6, S5, ("hypercube", {"dimension": 7})]
+        with WorkerPool(max_workers=2) as pool:
+            submit = pool.submit
+            tasks = []
+
+            def counted(fn, handle, family, params, requests, *rest):
+                tasks.append((family, params, len(requests)))
+                return submit(fn, handle, family, params, requests, *rest)
+
+            monkeypatch.setattr(pool, "submit", counted)
+            service = DiagnosisService(pool=pool)
+            responses = _serve(service, *(
+                _request(seed, instance)
+                for seed in range(2) for instance in instances
+            ))
+        _assert_direct([_request(seed, instance)
+                        for seed in range(2) for instance in instances],
+                       responses)
+        assert sorted(tasks) == sorted(
+            (family, tuple(sorted(params.items())), 2)
+            for family, params in instances
+        )
+        stats = service.stats()
+        assert stats["turns"] == stats["batches"] == len(instances)
+
+    @pytest.mark.parametrize("expectation", [
+        ["--instance", "hypercube:dimension=6", "--clients", "4",
+         "--requests", "3", "--seed-pool", "100000", "--expect-coalesced", "1"],
+        ["--instance", "hypercube:dimension=6", "--instance", "star:n=5",
+         "--clients", "2", "--requests", "6", "--seed-pool", "2",
+         "--expect-store-hits", "1"],
+    ], ids=["coalesced", "store-hits"])
+    def test_load_expectations_still_hold(self, capsys, expectation):
+        from repro.cli import main
+
+        code = main(["load", *expectation, "--verify"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "0 mismatches" in out
 
 
 class TestPooledService:

@@ -21,6 +21,25 @@ class TestRunners:
         assert report.headers[0] == "network"
         assert "n·2^n" in report.notes
 
+    def test_e1_gates_lookups_against_n_2_n(self, monkeypatch):
+        """E1's scaling gate reads the deterministic lookup counts: a row
+        over n·2^n fails the claim whatever the timings say."""
+        import dataclasses
+
+        from repro.experiments.trials import TrialPlan
+
+        run = TrialPlan.run
+
+        def inflated(plan, **kwargs):
+            results = run(plan, **kwargs)
+            last = results[-1]
+            n = dict(last.spec.params)["dimension"]
+            return results[:-1] + [dataclasses.replace(last, lookups=n * 2**n + 1)]
+
+        assert "lookups" in run_e1(dimensions=(7, 8)).notes
+        monkeypatch.setattr(TrialPlan, "run", inflated)
+        assert not run_e1(dimensions=(7, 8)).claims_verified
+
     def test_e5_lookup_claims(self):
         report = run_e5()
         assert report.claims_verified
