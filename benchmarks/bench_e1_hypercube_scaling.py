@@ -6,7 +6,7 @@ algorithm running in ``O(n·2^n)`` time that returns exactly the fault set.
 The benchmark measures the diagnosis time for ``n = 7 .. 11`` with the maximum
 number of faults and verifies (a) exactness on every run and (b) that the
 measured times grow no faster than the ``n·2^n`` model (fitted exponent ≈ 1,
-recorded in EXPERIMENTS.md).
+reported by E1's table).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Paper claim: at most ``2n`` faults in ``Q^k_n`` (resp. ``4n - 2`` in
 ``AQ_{n,k}``) are identified exactly by an ``O(n·k^n)`` algorithm.  Each
 benchmark diagnoses a maximum-size random fault set; exactness is asserted and
-the ``n·k^n`` model value is recorded so EXPERIMENTS.md can report the fitted
+the ``n·k^n`` model value is recorded so E3's table can report the fitted
 scaling shape.
 """
 

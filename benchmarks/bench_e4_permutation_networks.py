@@ -12,7 +12,7 @@ Paper claims:
 Each benchmark diagnoses a maximum-size random fault set and asserts
 exactness.  The arrangement-graph instances also exercise the driver's
 fallback probing, because the paper's "enough classes" assumption does not
-hold there (see EXPERIMENTS.md, Deviations).
+hold there (E4's "fallback probing" column in ``python -m repro.experiments E4``).
 """
 
 from __future__ import annotations

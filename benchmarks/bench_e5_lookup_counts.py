@@ -10,7 +10,7 @@ Paper claims:
 
 Each benchmark runs the final (unrestricted) ``Set_Builder`` from a healthy
 root, times it, and asserts both halves of the claim.  The measured
-lookups-to-table ratio is recorded for EXPERIMENTS.md.
+lookups-to-table ratio is what E5's table reports.
 """
 
 from __future__ import annotations

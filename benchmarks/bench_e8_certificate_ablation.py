@@ -1,4 +1,4 @@
-"""Experiment E8 (ablation, DESIGN.md §4.5): partition class size vs. certificate.
+"""Experiment E8 (ablation): partition class size vs. certificate.
 
 The paper chooses the smallest sub-network with more nodes than the
 diagnosability (e.g. the minimal ``m`` with ``2^m > n`` for ``Q_m ⊂ Q_n``) and

@@ -28,10 +28,13 @@ The package is organised as:
   diagnoser in the spirit of Chiang & Tan);
 * :mod:`repro.diagnosability` — diagnosability bounds and conditions
   (Section 2 and reference [6]);
-* :mod:`repro.analysis` — operation accounting and the analytical cost
-  formulas of Sections 4.2 and 6;
-* :mod:`repro.distributed` — a round-based simulation of the distributed
-  self-diagnosis sketched in the paper's further-research section.
+* :mod:`repro.analysis` — the codebase-aware static analyzer
+  (``python -m repro.analysis``), plus the analytical cost formulas of
+  Sections 4.2 and 6 and the scaling fits the experiments report;
+* :mod:`repro.distributed` — the event-driven
+  :class:`~repro.distributed.engine.ProtocolEngine`, which runs the
+  distributed self-diagnosis sketched in the paper's further-research
+  section as real messages over a modelled channel.
 """
 
 from .core import (

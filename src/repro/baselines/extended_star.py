@@ -8,7 +8,7 @@ unlike the paper's, must consult essentially the whole syndrome table and
 must construct an extended star at every node.
 
 The precise decision rule of [8] is not part of the reproduced text, so this
-module implements a documented reconstruction (DESIGN.md §4.2) that keeps the
+module implements a reconstruction, documented below, that keeps the
 two properties the paper's Section 6 comparison relies on — per-node local
 work bounded by ``O(Δ)`` branches of constant depth, and consultation of the
 full syndrome table — and is validated for output correctness against the

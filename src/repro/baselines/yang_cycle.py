@@ -2,7 +2,7 @@
 
 The paper's Section 3 reviews Yang's hypercube-specific algorithm, which this
 module reconstructs from that review (the original reference is not part of
-the reproduced text; see DESIGN.md §4.3):
+the reproduced text):
 
 1. Decompose ``Q_n`` into ``2^{n-m}`` node-disjoint cycles: the Gray-code
    Hamiltonian cycles of the sub-cubes ``Q_m(v)`` obtained by fixing the

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven sub-commands cover the common workflows:
+Eight sub-commands cover the common workflows:
 
 ``repro-diagnose diagnose``
     Inject a fault set into a chosen network, generate the MM-model syndrome
@@ -49,11 +49,16 @@ Seven sub-commands cover the common workflows:
     ``--http URL`` drives the same closed-loop load over the wire against a
     running ``serve --http`` frontend, counting (and retrying) 429-shed
     requests.
+
+``repro-diagnose lint``
+    Run the codebase-aware static analyzer; its arguments are forwarded
+    verbatim to ``python -m repro.analysis``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import sys
 
@@ -569,31 +574,24 @@ def _validate_serve_args(args: argparse.Namespace) -> None:
         raise SystemExit("--heartbeat-interval must be positive")
 
 
-def _make_store(args: argparse.Namespace):
-    from .service import ResultStore
+@contextlib.contextmanager
+def _service_factory(args: argparse.Namespace):
+    """The ``serve`` flags' optional worker pool and store, torn down on
+    exit, and a factory for the :class:`DiagnosisService` over them (to be
+    called inside the event loop).  The pool module is imported only under
+    ``--workers``, so in-process serving never loads it."""
+    from .service import DiagnosisService, ResultStore
 
-    if args.store is None:
-        return None
-    return ResultStore(
-        args.store, ttl_seconds=args.store_ttl, max_rows=args.store_max_rows
-    )
+    pool = store = None
+    try:
+        if args.workers is not None:
+            from .parallel import WorkerPool
 
-
-def _serve_http(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from .service import DiagnosisService, HttpFrontend
-
-    pool = None
-    if args.workers is not None:
-        from .parallel import WorkerPool
-
-        pool = WorkerPool(max_workers=args.workers)
-    store = _make_store(args)
-
-    async def _run() -> dict:
-        service = DiagnosisService(
+            pool = WorkerPool(max_workers=args.workers)
+        if args.store is not None:
+            store = ResultStore(args.store, ttl_seconds=args.store_ttl,
+                                max_rows=args.store_max_rows)
+        yield lambda: DiagnosisService(
             pool=pool,
             max_batch_size=args.max_batch,
             topology_cache_capacity=args.cache_capacity,
@@ -602,6 +600,21 @@ def _serve_http(args: argparse.Namespace) -> int:
             max_queue_per_tenant=args.max_queue_per_tenant,
             tenant_weights=_parse_tenant_weights(args.tenant_weight),
         )
+    finally:
+        if pool is not None:
+            pool.shutdown()
+        if store is not None:
+            store.close()
+
+
+def _serve_http(args: argparse.Namespace) -> int:
+    import asyncio
+    import signal
+
+    from .service import HttpFrontend
+
+    async def _run(make_service) -> dict:
+        service = make_service()
         coordinator = None
         if args.fabric_port is not None:
             from .fabric import FabricCoordinator
@@ -641,13 +654,8 @@ def _serve_http(args: argparse.Namespace) -> int:
         stats["http"] = frontend.stats()
         return stats
 
-    try:
-        stats = asyncio.run(_run())
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if store is not None:
-            store.close()
+    with _service_factory(args) as make_service:
+        stats = asyncio.run(_run(make_service))
     print(f"served {stats['http']['requests']} HTTP requests "
           f"({stats['http']['shed']} shed with 429, "
           f"{stats['http']['client_errors']} client errors) over "
@@ -671,32 +679,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit("--demo-requests must be at least 1")
         requests = _demo_requests(args.demo_requests)
 
-    from .service import DiagnosisService
-
-    pool = None
-    if args.workers is not None:
-        from .parallel import WorkerPool
-
-        pool = WorkerPool(max_workers=args.workers)
-    store = _make_store(args)
-
-    async def _serve():
-        async with DiagnosisService(
-            pool=pool,
-            max_batch_size=args.max_batch,
-            topology_cache_capacity=args.cache_capacity,
-            store=store,
-            max_queue_depth=args.max_queue,
-            max_queue_per_tenant=args.max_queue_per_tenant,
-            tenant_weights=_parse_tenant_weights(args.tenant_weight),
-        ) as service:
+    async def _serve(make_service):
+        async with make_service() as service:
             responses = await service.submit_many(requests)
             return responses, service.stats()
 
     from .service import RejectedError
 
     try:
-        responses, stats = asyncio.run(_serve())
+        with _service_factory(args) as make_service:
+            responses, stats = asyncio.run(_serve(make_service))
     except RejectedError as exc:
         # A JSONL stream submits everything at once, so a tight --max-queue
         # sheds part of its own input — an operator error, not a crash.
@@ -708,11 +700,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # e.g. a params name the constructor rejects, only detectable once
         # the topology is actually built.
         raise SystemExit(f"request failed: {exc}")
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if store is not None:
-            store.close()
 
     for request, response in zip(requests, responses):
         status = f"{len(response.faulty)} faults" if response.ok else response.error

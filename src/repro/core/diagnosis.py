@@ -14,7 +14,7 @@ and a syndrome produced by a fault set ``F`` with ``|F| ≤ δ``, the algorithm
    exactly the fault set ``F``.
 
 The driver follows the paper but adds two robustness refinements that the
-paper glosses over (DESIGN.md §4.5):
+paper glosses over:
 
 * if no representative of the level-0 partition certifies (possible when the
   smallest admissible classes are too small for the contributor certificate),

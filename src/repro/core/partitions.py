@@ -10,8 +10,8 @@ many node-disjoint connected classes (the diagnoser probes the first
   ``Set_Builder`` run on a *fault-free* copy of a class reaches the
   contributor certificate.  The paper implicitly assumes this for its choice
   of class size; the assumption fails for the smallest admissible classes
-  (DESIGN.md §4.5), and this predicate is what the driver and the E8 ablation
-  use to quantify that gap;
+  (see :mod:`repro.core.diagnosis`), and this predicate is what the driver
+  and the E8 ablation use to quantify that gap;
 * :func:`minimal_certifying_level` — the smallest partition level whose
   fault-free classes certify.
 """

@@ -1,4 +1,4 @@
-"""Experiment runners regenerating every table of EXPERIMENTS.md."""
+"""Experiment runners: every E1–E9 table (``python -m repro.experiments``)."""
 
 from .reporting import ExperimentReport
 from .runners import EXPERIMENTS, run_all, run_experiment

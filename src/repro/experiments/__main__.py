@@ -2,7 +2,7 @@
 
 ``python -m repro.experiments``           runs every experiment (E1–E9)
 ``python -m repro.experiments E1 E6``     runs a subset
-``python -m repro.experiments --markdown`` emits markdown tables (for EXPERIMENTS.md)
+``python -m repro.experiments --markdown`` emits the same tables as markdown
 ``python -m repro.experiments --workers 2`` runs the pooled experiments on one
 two-worker pool, shared by the whole invocation
 """
@@ -17,7 +17,8 @@ from ..parallel import WorkerPool
 from .runners import EXPERIMENTS, run_experiment
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for ``python -m repro.experiments``."""
     parser = argparse.ArgumentParser(prog="python -m repro.experiments")
     parser.add_argument("experiments", nargs="*", default=[],
                         help="experiment ids (default: all of E1..E9)")
@@ -28,7 +29,11 @@ def main(argv: list[str] | None = None) -> int:
                              "in chunks over one shared-memory worker pool")
     parser.add_argument("--workers", type=int, default=None, metavar="W",
                         help="width of that pool; implies --parallel")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     names = [name.upper() for name in args.experiments] or sorted(EXPERIMENTS)
     pool = (WorkerPool(args.workers)

@@ -30,7 +30,7 @@ class ExperimentReport:
         return f"{table}\n{footer}"
 
     def to_markdown(self) -> str:
-        """The table in GitHub-flavoured markdown (used to refresh EXPERIMENTS.md)."""
+        """The table in GitHub-flavoured markdown (``--markdown``)."""
         head = "| " + " | ".join(self.headers) + " |"
         sep = "| " + " | ".join("---" for _ in self.headers) + " |"
         body = [

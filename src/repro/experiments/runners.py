@@ -1,12 +1,12 @@
-"""Experiment runners: regenerate every table of EXPERIMENTS.md programmatically.
+"""Experiment runners: regenerate every experiment table programmatically.
 
-Each function reproduces one experiment of DESIGN.md §5 (E1–E9) at laptop
+Each function reproduces one experiment (E1–E9) at laptop
 scale and returns a formatted text table plus the raw rows.  The
 ``pytest-benchmark`` modules under ``benchmarks/`` measure the same quantities
 with statistical rigour; these runners exist so that
 
 * ``python -m repro.experiments`` (or ``repro-diagnose`` users) can regenerate
-  the EXPERIMENTS.md tables in one command without pytest, and
+  every table in one command without pytest (``--markdown`` for markdown), and
 * the test suite can assert the *claims* behind every experiment cheaply.
 
 The diagnosis experiments (E1–E4, E6 and the root search of E9) run through

@@ -1,6 +1,6 @@
 """Batched trial planning for the experiment layer.
 
-Every experiment of DESIGN.md §5 is, at its core, a *factor product*: a set of
+Every experiment (E1–E9) is, at its core, a *factor product*: a set of
 network instances × fault placements × seeds × behaviours × (algorithms, or
 the protocol engine's channel axes), with one run per combination.  A
 :class:`TrialPlan` materialises the whole trial table up front — in the style

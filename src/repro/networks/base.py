@@ -197,7 +197,7 @@ class InterconnectionNetwork(ABC):
         smallest classes satisfying the counting argument of Section 5);
         higher levels coarsen the partition (classes grow, their number
         shrinks), which the diagnosis driver uses as an escalation ladder when
-        the certificate threshold is not reached (see DESIGN.md §4.5).
+        the certificate threshold is not reached (see :mod:`repro.core.diagnosis`).
         A ``ValueError`` is raised when no coarser partition exists.
         """
 
@@ -214,10 +214,6 @@ class InterconnectionNetwork(ABC):
         graph.add_nodes_from(range(self.num_nodes))
         graph.add_edges_from(self.edges())
         return graph
-
-    def adjacency_lists(self) -> list[tuple[int, ...]]:
-        """Materialise all adjacency lists (used by cost-sensitive callers)."""
-        return [tuple(self.neighbors(v)) for v in range(self.num_nodes)]
 
     # ---------------------------------------------------------------- dunders
     def __len__(self) -> int:

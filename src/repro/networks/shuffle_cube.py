@@ -9,7 +9,7 @@ and leading nibble ``p ⊕ d`` for the four offsets ``d`` in the class's offset
 set ``V_{u_1 u_0}``.
 
 The defining reference [17] is not part of the reproduced paper's text, so the
-four offset sets used here are a documented reconstruction (DESIGN.md §4.4):
+four offset sets used here are a reconstruction, documented here:
 
 * ``V_00 = {0001, 0010, 0100, 1000}``
 * ``V_01 = {0011, 0110, 1100, 1001}``
@@ -94,8 +94,9 @@ class ShuffleCube(DimensionalNetwork):
 
         For ``SQ_6`` no such ``m < n`` exists with ``2^m > 6`` (the only
         candidate is ``m = 2``); the diagnosis driver copes by falling back to
-        unrestricted probing (DESIGN.md §4.5), so here we simply return the
-        largest admissible sub-dimension below the required size.
+        unrestricted probing (see :mod:`repro.core.diagnosis`), so here we
+        simply return the largest admissible sub-dimension below the required
+        size.
         """
         delta = self.diagnosability()
         best = 2

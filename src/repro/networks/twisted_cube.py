@@ -17,7 +17,7 @@ consequently the partition levels of this class step the sub-dimension in
 increments of two (see :meth:`TwistedCube.partition_scheme`).
 
 The defining reference [15] is not part of the reproduced paper's text; the
-construction above is a documented reconstruction (DESIGN.md §4.4) and every
+construction above is a reconstruction, and every
 property the diagnosis algorithm relies on — regularity, connectivity ≥
 diagnosability, partition into connected copies — is verified by the test
 suite.

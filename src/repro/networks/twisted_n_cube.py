@@ -11,7 +11,7 @@ edges ``{000, 001}`` and ``{100, 101}`` replaced by ``{000, 101}`` and
 ``{100, 001}``.
 
 The defining reference [13] is not part of the reproduced paper's text; this
-construction is a documented reconstruction (DESIGN.md §4.4) that satisfies
+construction is a reconstruction that satisfies
 exactly the properties the paper's argument uses: ``n``-regularity, the
 ``Q_{n-1}`` / ``TQ'_{n-1}`` partition, and connectivity ``n`` (verified
 computationally by the test suite for small ``n``).

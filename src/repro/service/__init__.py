@@ -1,8 +1,9 @@
 """`repro.service` — the serving layer: batched, coalesced, cached diagnosis.
 
-Everything below this package still runs one diagnosis at a time; this
-subsystem turns the paper's :class:`~repro.core.diagnosis.GeneralDiagnoser`
-into a throughput engine for *streams* of requests:
+Below this package, :meth:`~repro.core.diagnosis.GeneralDiagnoser.diagnose_many`
+already runs a whole batch of syndromes as one stacked kernel pass; this
+subsystem forms those batches from *streams* of requests and files their
+answers:
 
 * :mod:`~repro.service.requests` — :class:`DiagnosisRequest` /
   :class:`DiagnosisResponse`, plus the canonical topology / request keys and

@@ -111,10 +111,6 @@ class LoadSpec:
             tenant=validate_tenant(tenant),
         )
 
-    @property
-    def total_requests(self) -> int:
-        return self.clients * self.requests_per_client
-
 
 def build_client_streams(spec: LoadSpec) -> list[list[DiagnosisRequest]]:
     """Every client's request sequence (deterministic, client-count stable).

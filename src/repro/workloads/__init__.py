@@ -2,7 +2,7 @@
 
 The fault-placement primitives live in :mod:`repro.core.faults`; this package
 re-exports them and adds the sweep generators the benchmark harness iterates
-over (one sweep per experiment of DESIGN.md §5).
+over (one sweep per experiment E1–E9 of :mod:`repro.experiments`).
 """
 
 from .sweeps import (

@@ -3,7 +3,7 @@
 A sweep is a list of :class:`SweepPoint` objects: a network instance plus the
 fault scenarios to run on it.  Keeping the sweeps here (rather than inline in
 the benchmark modules) makes the experiment inputs reusable from the examples
-and the CLI and keeps DESIGN.md §5's experiment index executable.
+and the CLI and keeps the E1–E9 experiment index executable.
 
 The instance tables (``CUBE_VARIANT_INSTANCES`` etc.) are the single source of
 truth shared with the batched experiment runner

@@ -30,7 +30,7 @@ class TestProbePlan:
 class TestCertificateThreshold:
     @pytest.mark.parametrize("n", [7, 9, 12])
     def test_paper_choice_does_not_certify(self, n):
-        """DESIGN.md §4.5: the paper's minimal sub-cube (2^m > n) never reaches
+        """The paper's minimal sub-cube (2^m > n) never reaches
         the contributor certificate — its fault-free Set_Builder tree has only
         2^(m-1) ≤ n internal nodes."""
         cube = Hypercube(n)

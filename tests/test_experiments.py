@@ -1,4 +1,4 @@
-"""Tests for the experiment runners (the EXPERIMENTS.md regeneration machinery)."""
+"""Tests for the experiment runners (``python -m repro.experiments``)."""
 
 from __future__ import annotations
 
