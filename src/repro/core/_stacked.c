@@ -1,10 +1,11 @@
 /* Native stages of a seeded diagnosis, one call each: the seeded slot pass
  * (`seeded_build`), the healthy-root search (`probe_plan`) and the final
- * stacked Set_Builder run (`stacked_rounds`).  Each must stay bit-identical
- * to its reference in Python — the slot pass to `_reference_slot_pass` in
- * array_syndrome.py, the other two to the rows oracle `_set_builder_oracle`
- * in set_builder.py — and the differential suite pins all three on every
- * family.
+ * stacked Set_Builder run (`stacked_rounds`).  The last two share one
+ * transcription of paper §4.1, `run_one`.  Each entry must stay
+ * bit-identical to its reference in Python — the slot pass to
+ * `_reference_slot_pass` in array_syndrome.py, the other two to the rows
+ * oracle `_set_builder_oracle` in set_builder.py — and the differential
+ * suite pins all three on every family.
  *
  * Read modes.  Each syndrome arrives as a `syndrome_t`.  Buffer mode
  * (`buf` set) is the flat pair-layout buffer, tester u's row at
@@ -15,7 +16,7 @@
  * `fault_ids`.  `tester_row` finds a tester's row once per tester and
  * `read_result` reads one result in either mode.  A faulty tester missing
  * from `fault_ids`, or a side row that would overrun `side_len`, is never
- * read: the kernels return MISSING_SIDE_ROW instead.
+ * read: the entries return MISSING_SIDE_ROW instead.
  *
  * Every entry checks the inputs it cannot bound before it reads through
  * them and answers a violation with one of the negative codes below
@@ -251,52 +252,56 @@ more_words:
 }
 
 /* ------------------------------------------------------------------------
- * The stacked Set_Builder kernel.
+ * Set_Builder.
  *
- * One `stacked_rounds` call runs every round, the root's pair scan
- * included, for a whole batch of syndromes over one compiled CSR topology.
- * Per syndrome it must stay bit-identical to the rows oracle.  The flat
- * order that keeps a whole stack's rounds identical to the sequential
- * procedure:
+ * `run_one` runs one Set_Builder(u0[, H]) to its end: the rows oracle
+ * `_set_builder_oracle` in set_builder.py, transcribed statement for
+ * statement, so that restricted, budget-truncated and certificate-stopped
+ * runs agree too.  `probe_plan` calls it once per probe and `stacked_rounds`
+ * once per stacked syndrome.
  *
- *   - Round 1 scans each root's neighbour pairs (i, j), i < j, in slot
- *     order, skips a pair whose members were both admitted already, and
- *     admits both members of a 0-result.
- *   - Later rounds visit testers in frontier order (ascending flat keys
- *     `syndrome * n + node`, so syndrome-blocked and node-ascending), and
- *     each tester's row positions in ascending order.  That flat order is
- *     what makes first-zero admission and lookup discounting deterministic.
- *   - A candidate occurrence is *consulted* (counted against its syndrome's
- *     lookup budget) iff its key has not already been admitted this round;
- *     the occurrence that admits a key is its first 0-result, and it is
- *     consulted too.  Members as of round start are never candidates.
- *   - The admitted keys, ascending, form the next round's frontier.
+ *   - Round 1 scans the root's allowed neighbour pairs (i, j), i < j, in
+ *     slot order, skips a pair whose members were both admitted already,
+ *     admits both members of a 0-result, and compares the budget against
+ *     the round-start set size (1).
+ *   - Later rounds visit the frontier ascending and each tester's sorted row
+ *     in order; members and nodes admitted this round are skipped before
+ *     the class test, and the budget is checked before every lookup.  A
+ *     tester u reads s_u(v, t(u)), so its row must hold its tree parent
+ *     t(u); when it does not, the run stops with PARENT_NOT_IN_ROW.
+ *   - A round commits its admissions; the certificate stop (when asked
+ *     for) and the budget stop are checked at round start.
  *
- * `member` doubles as the per-round scoreboard: 0 = outside the set,
- * 1 = member, 2 = admitted this round (committed back to 1 before the next
- * round begins, so the caller only ever sees 0/1).  First-zero admission
- * makes the admitting tester the key's only writer, so `parent` is written
- * on the spot.
+ * First-zero admission makes the admitting tester a node's only writer, so
+ * `mark` and `parent` are written on the spot.  A tester is on the frontier
+ * once, so the distinct contributors are the testers that admitted a node.
  *
- * Nothing is sorted.  An admission also sets the node's bit in its
- * syndrome's admitted bitset (ceil(n/64) words) and widens that syndrome's
- * touched-word span.  The commit pass walks the syndromes in ascending
- * order and each span's words with count-trailing-zeros, clearing them as
- * it goes, so the next frontier comes out in ascending flat-key order —
- * the order a sort of the admissions would give.  It costs at most
- * ceil(n/64) words per syndrome per round, and in practice only the
- * touched span.  Scratch: 8 bytes per flat key (the frontier), one bit per
- * flat key (the bitsets) and two words per syndrome (the spans).
+ * Nothing is sorted.  An admission also sets the node's bit in the round's
+ * bitset (ceil(n/64) words) and widens its touched-word span; the commit
+ * walks that span with count-trailing-zeros, clearing it as it goes, so the
+ * next frontier comes out ascending.
+ *
+ * Scratch: `mark` (n bytes, nonzero = in the set) must be zero on entry,
+ * `parent` (n int32) gets t(v) for every admitted v, `tree` (n int32) gets
+ * the set in admission-round order, so each round's frontier is one sorted
+ * segment, and `bits` must be zero on entry and is zero again on return.
+ * The first record[0] nodes of `tree` are the set, after a refusal too.
+ *
+ * The run's record is RECORD_FIELDS int64: (nodes_explored, lookups,
+ * certified, truncated, rounds).  Returns 0, or MISSING_SIDE_ROW or
+ * PARENT_NOT_IN_ROW.
  * ------------------------------------------------------------------------ */
-/* Admit node v of the syndrome whose flat keys start at bn, with tester u;
- * `bits` is that syndrome's admitted bitset, `lo`/`hi` its touched span. */
+#define RECORD_FIELDS 5
+
+/* Admit v with tester u: mark it, set t(v) = u and v's bit in the round's
+ * bitset, and widen the bitset's touched-word span [*lo, *hi). */
 static inline void admit(
-    uint8_t *member, int64_t *parent, uint64_t *bits, int64_t *lo, int64_t *hi,
-    int64_t bn, int64_t v, int64_t u)
+    uint8_t *mark, int32_t *parent, uint64_t *bits, int64_t *lo, int64_t *hi,
+    int32_t v, int32_t u)
 {
     int64_t word = v >> 6;
-    member[bn + v] = 2;
-    parent[bn + v] = u;
+    mark[v] = 1;
+    parent[v] = u;
     bits[word] |= (uint64_t)1 << (v & 63);
     if (word < *lo)
         *lo = word;
@@ -304,282 +309,55 @@ static inline void admit(
         *hi = word + 1;
 }
 
-/* Commit a round: syndromes ascending, each span's bits ascending, so the
- * next frontier `cur` is the admissions in ascending flat-key order (empty
- * when nothing was admitted, which ends the run).  Returns its length. */
-static int64_t commit(
-    int64_t n, int64_t num_syndromes, int64_t words, uint64_t *admitted,
-    int64_t *span_lo, int64_t *span_hi, uint8_t *member, const int64_t *parent,
-    int64_t *cur, int64_t *rounds, uint8_t *contributed, int64_t *contrib_count)
+/* Commit a round: write its admissions to `out` ascending, clear the
+ * span's words and empty the span.  Returns the number written. */
+static int64_t commit(uint64_t *bits, int64_t *lo, int64_t *hi, int32_t *out)
 {
-    int64_t cur_len = 0;
-    for (int64_t b = 0, bn = 0; b < num_syndromes; b++, bn += n) {
-        if (span_lo[b] >= span_hi[b])
-            continue;
-        rounds[b]++;
-        uint64_t *bits = admitted + b * words;
-        for (int64_t word = span_lo[b]; word < span_hi[b]; word++) {
-            uint64_t set = bits[word];
-            bits[word] = 0;
-            while (set) {
-                int64_t kv = bn + word * 64 + __builtin_ctzll(set);
-                set &= set - 1;
-                member[kv] = 1;
-                cur[cur_len++] = kv;
-                int64_t cu = bn + parent[kv];
-                if (!contributed[cu]) {
-                    contributed[cu] = 1;
-                    contrib_count[b]++;
-                }
-            }
-        }
-        span_lo[b] = words;
-        span_hi[b] = 0;
+    int64_t count = 0;
+    for (int64_t word = *lo; word < *hi; word++) {
+        for (uint64_t set = bits[word]; set; set &= set - 1)
+            out[count++] = (int32_t)(word * 64 + __builtin_ctzll(set));
+        bits[word] = 0;
     }
-    return cur_len;
+    *lo = INT64_MAX;
+    *hi = 0;
+    return count;
 }
 
-/* Returns 0 on success, or NO_MEMORY, PARENT_NOT_IN_ROW, BAD_NODE (a root
- * outside [0, n)) or MISSING_SIDE_ROW. */
-int64_t stacked_rounds(
-    const int64_t *indptr,          /* n + 1 */
-    const int32_t *indices,         /* num_entries, rows sorted ascending */
-    const int64_t *pair_indptr,     /* n + 1, per-node pair-slot base */
-    const syndrome_t *syndromes,    /* num_syndromes read descriptors */
-    int64_t n,
-    int64_t num_syndromes,
-    const int64_t *roots,           /* num_syndromes start nodes */
-    uint8_t *member,                /* num_syndromes * n, zero on entry */
-    int64_t *parent,                /* num_syndromes * n */
-    int64_t *lookups,               /* num_syndromes */
-    int64_t *rounds,                /* num_syndromes */
-    uint8_t *contributed,           /* num_syndromes * n */
-    int64_t *contrib_count)         /* num_syndromes */
-{
-    for (int64_t b = 0; b < num_syndromes; b++) {
-        if (roots[b] < 0 || roots[b] >= n)
-            return BAD_NODE;
-    }
-    int64_t words = (n + 63) / 64;
-    int64_t *cur = malloc((size_t)(num_syndromes * n) * sizeof(int64_t));
-    uint64_t *admitted = calloc((size_t)(num_syndromes * words), sizeof(uint64_t));
-    /* Touched-word span [span_lo, span_hi) of each syndrome's bitset. */
-    int64_t *span_lo = malloc((size_t)num_syndromes * 2 * sizeof(int64_t));
-    int64_t *span_hi = span_lo + num_syndromes;
-    int64_t rc = 0;
-    if (cur == NULL || admitted == NULL || span_lo == NULL) {
-        rc = NO_MEMORY;
-        goto done;
-    }
-    for (int64_t b = 0; b < num_syndromes; b++) {
-        span_lo[b] = words;
-        span_hi[b] = 0;
-    }
-
-    /* Round 1: each root's pair scan.  member is 2 exactly for the nodes
-     * this scan admitted (the root is 1 and not in its own row). */
-    for (int64_t b = 0, bn = 0; b < num_syndromes; b++, bn += n) {
-        int64_t u0 = roots[b];
-        int64_t lo = indptr[u0];
-        int64_t d = indptr[u0 + 1] - lo;
-        int bad = 0;
-        const uint8_t *row = tester_row(syndromes + b, pair_indptr, u0, &bad);
-        if (bad) {
-            rc = MISSING_SIDE_ROW;
-            goto done;
-        }
-        const uint8_t *mask = syndromes[b].mask;
-        uint64_t *bits = admitted + b * words;
-        member[bn + u0] = 1;
-        int64_t consulted = 0;
-        for (int64_t i = 0; i < d; i++) {
-            int64_t v = indices[lo + i];
-            for (int64_t j = i + 1; j < d; j++) {
-                int64_t w = indices[lo + j];
-                if (member[bn + v] == 2 && member[bn + w] == 2)
-                    continue;
-                consulted++;
-                if (read_result(row, mask, i, j, d, v, w) == 0) {
-                    if (member[bn + v] != 2)
-                        admit(member, parent, bits, span_lo + b, span_hi + b,
-                              bn, v, u0);
-                    if (member[bn + w] != 2)
-                        admit(member, parent, bits, span_lo + b, span_hi + b,
-                              bn, w, u0);
-                }
-            }
-        }
-        lookups[b] += consulted;
-    }
-    int64_t cur_len = commit(n, num_syndromes, words, admitted, span_lo,
-                             span_hi, member, parent, cur, rounds, contributed,
-                             contrib_count);
-
-    /* Rounds >= 2. */
-    while (cur_len > 0) {
-        int64_t b = 0, bn = 0;
-        for (int64_t t = 0; t < cur_len; t++) {
-            int64_t key = cur[t];
-            while (key >= bn + n) { /* ascending keys: step, never divide */
-                b++;
-                bn += n;
-            }
-            int64_t u = key - bn;
-            int64_t p = parent[key];
-            int64_t lo = indptr[u];
-            int64_t d = indptr[u + 1] - lo;
-
-            /* The tester's sorted row holds its tree parent exactly once. */
-            int64_t pp = -1;
-            for (int64_t w = 0; w < d; w++) {
-                if (indices[lo + w] == p) {
-                    pp = w;
-                    break;
-                }
-            }
-            if (pp < 0) {
-                rc = PARENT_NOT_IN_ROW;
-                goto done;
-            }
-
-            int bad = 0;
-            const uint8_t *row = tester_row(syndromes + b, pair_indptr, u, &bad);
-            if (bad) {
-                rc = MISSING_SIDE_ROW;
-                goto done;
-            }
-            const uint8_t *mask = syndromes[b].mask;
-            uint64_t *bits = admitted + b * words;
-            int64_t consulted = 0;
-            for (int64_t w = 0; w < d; w++) {
-                int64_t v = indices[lo + w];
-                if (member[bn + v]) /* member, or already admitted this round */
-                    continue;
-                consulted++;
-                if (read_result(row, mask, w, pp, d, v, p) == 0)
-                    admit(member, parent, bits, span_lo + b, span_hi + b,
-                          bn, v, u);
-            }
-            lookups[b] += consulted;
-        }
-        cur_len = commit(n, num_syndromes, words, admitted, span_lo, span_hi,
-                         member, parent, cur, rounds, contributed,
-                         contrib_count);
-    }
-
-done:
-    free(cur);
-    free(admitted);
-    free(span_lo);
-    return rc;
-}
-
-/* ------------------------------------------------------------------------
- * The healthy-root search.
- *
- * `probe_plan` runs the diagnosis driver's whole probe plan — every
- * partition level, then the fallback attempts — in order and stops at the
- * first probe whose contributor certificate fires.  Each probe is the rows
- * oracle `_set_builder_oracle` in set_builder.py, transcribed statement for
- * statement, with stop_on_certificate set, so that budget-truncated runs
- * agree too:
- *
- *   - Round 1 scans the root's allowed neighbour pairs in row order, skips
- *     a pair whose members were both admitted already, and compares the
- *     budget against the round-start tree size (1).
- *   - Later rounds visit the frontier ascending and each row in sorted
- *     order; tree and newly admitted nodes are skipped before the
- *     restriction test, and the budget is checked before every lookup.
- *   - A round commits its admissions, then updates the certificate; the
- *     certificate stop and the budget stop are checked at round start.
- *
- * The plan is `num_levels` rows of PLAN_FIELDS int64: (end, table, budget).
- * Level l runs the probes starts[end of level l-1 .. end); its probe k
- * admits only nodes v with class_tables[table * n + v] == k, or every node
- * when table is -1; budget < 0 means no node budget.  A plan may hold
- * only the levels whose class tables the caller has built so far (the
- * driver walks a level's classes only when a search first reaches it); it
- * then resumes with a longer plan from probe `first`.
- *
- * Scratch is caller-owned and never allocated here: `mark` (n bytes) must
- * be all zero on entry and is all zero again on return, because each probe
- * clears exactly the nodes it touched; `parent` and `tree` (n int32 each)
- * carry no state between calls.  `tree` holds the probe's nodes in
- * admission-round order, so each round's frontier is one sorted segment.
- *
- * Probes run from index `first`.  Record t holds probe t's PROBE_FIELDS
- * int64: (nodes_explored, lookups, certified, truncated, rounds).  Returns
- * the index after the last probe run — the certified one or the plan's
- * last — or BAD_PLAN, BAD_NODE (both checked before any probe runs) or
- * MISSING_SIDE_ROW.
- * ------------------------------------------------------------------------ */
-#define PLAN_FIELDS 3
-#define PROBE_FIELDS 5
-
-static void sort_nodes(int32_t *a, int64_t len)
-{
-    if (len <= 16) {
-        for (int64_t i = 1; i < len; i++) {
-            int32_t x = a[i];
-            int64_t j = i;
-            for (; j > 0 && a[j - 1] > x; j--)
-                a[j] = a[j - 1];
-            a[j] = x;
-        }
-        return;
-    }
-    /* In-place heapsort: no allocation, O(len log len) worst case. */
-    for (int64_t start = len / 2 - 1, end = len; end > 1;) {
-        int64_t root;
-        if (start >= 0) {
-            root = start--;
-        } else {
-            end--;
-            int32_t t = a[0];
-            a[0] = a[end];
-            a[end] = t;
-            root = 0;
-        }
-        for (int64_t child; (child = 2 * root + 1) < end; root = child) {
-            if (child + 1 < end && a[child + 1] > a[child])
-                child++;
-            if (a[root] >= a[child])
-                break;
-            int32_t t = a[root];
-            a[root] = a[child];
-            a[child] = t;
-        }
-    }
-}
-
-/* One probe; 0, or MISSING_SIDE_ROW with `mark` cleared again. */
-static int probe_one(
+static int64_t run_one(
     const int64_t *indptr, const int32_t *indices, const int64_t *pair_indptr,
-    const syndrome_t *syn, int64_t delta, int64_t u0,
-    const int32_t *class_of, int32_t cls, int64_t max_nodes,
-    uint8_t *mark, int32_t *parent, int32_t *tree, int64_t *record)
+    const syndrome_t *syn, int64_t delta, int32_t u0,
+    const int32_t *class_of,        /* NULL, or admit only class_of[v] == cls */
+    int32_t cls,
+    int64_t max_nodes,              /* < 0: no node budget */
+    int stop_on_certificate,
+    uint8_t *mark, int32_t *parent, int32_t *tree, uint64_t *bits,
+    int64_t *record)
 {
     const int budgeted = max_nodes >= 0;
     const uint8_t *mask = syn->mask;
-    int64_t lookups = 0, rounds = 0, contributors = 0;
-    int truncated = 0, certified = 0, bad = 0;
+    int64_t lookups = 0, rounds = 0, contributors = 0, rc = 0;
+    int64_t span_lo = INT64_MAX, span_hi = 0;
+    int truncated = 0, bad = 0;
 
     mark[u0] = 1;
-    tree[0] = (int32_t)u0;
-    int64_t tree_count = 1;
+    tree[0] = u0;
+    int64_t size = 1; /* |U| as of round start */
 
-    /* Round 1: the root's allowed neighbour pairs.  `mark` is 1 exactly for
-     * the root and the nodes admitted so far, and the root is not in its
-     * own row, so mark[v] is the `in_added` flag here. */
+    /* Round 1: the root's allowed neighbour pairs.  The root is not in its
+     * own row, so mark[v] here says this scan admitted v. */
     int64_t lo0 = indptr[u0];
     int64_t d0 = indptr[u0 + 1] - lo0;
     const uint8_t *row0 = tester_row(syn, pair_indptr, u0, &bad);
-    int64_t added = 0;
-    for (int64_t a = 0; a < d0 && !bad; a++) {
+    if (bad) {
+        rc = MISSING_SIDE_ROW;
+        goto done;
+    }
+    for (int64_t a = 0; a < d0; a++) {
         int32_t v = indices[lo0 + a];
         if (class_of && class_of[v] != cls)
             continue;
-        if (budgeted && tree_count >= max_nodes) {
+        if (budgeted && size >= max_nodes) {
             truncated = 1;
             break;
         }
@@ -591,108 +369,149 @@ static int probe_one(
                 continue;
             lookups++;
             if (read_result(row0, mask, a, b, d0, v, w) == 0) {
-                int32_t pair[2] = {v, w};
-                for (int k = 0; k < 2; k++) {
-                    int32_t node = pair[k];
-                    if (!mark[node] && !(budgeted && tree_count >= max_nodes)) {
-                        mark[node] = 1;
-                        tree[1 + added++] = node;
-                        parent[node] = (int32_t)u0;
-                    }
-                }
+                if (!mark[v])
+                    admit(mark, parent, bits, &span_lo, &span_hi, v, u0);
+                if (!mark[w])
+                    admit(mark, parent, bits, &span_lo, &span_hi, w, u0);
             }
         }
     }
-    tree_count += added;
-    if (bad)
-        goto clear;
-    if (added) {
+    size += commit(bits, &span_lo, &span_hi, tree + 1);
+    if (size > 1) {
         rounds = 1;
         contributors = 1;
     }
-    if (contributors > delta)
-        certified = 1;
-    sort_nodes(tree + 1, added);
 
-    /* Rounds >= 2: frontier tree[f_lo, f_hi); admissions append after it. */
-    int64_t f_lo = 1, f_hi = 1 + added;
+    /* Rounds >= 2: the frontier is tree[f_lo, f_hi); a round's admissions
+     * commit after it. */
+    int64_t f_lo = 1, f_hi = size;
     while (f_hi > f_lo) {
-        if (certified) {
-            truncated = 1;
-            break;
-        }
-        if (budgeted && tree_count >= max_nodes) {
+        if ((stop_on_certificate && contributors > delta)
+            || (budgeted && size >= max_nodes)) {
             truncated = 1;
             break;
         }
         int64_t new_count = 0;
-        for (int64_t t = f_lo; t < f_hi; t++) {
-            int32_t u = tree[t];
+        for (int64_t t = f_lo; t < f_hi && !truncated; t++) {
+            int32_t u = tree[t], p = parent[u];
             int64_t lo = indptr[u];
             int64_t d = indptr[u + 1] - lo;
             const uint8_t *row = tester_row(syn, pair_indptr, u, &bad);
-            if (bad)
+            int64_t pp = 0; /* the sorted row holds t(u) once */
+            while (pp < d && indices[lo + pp] != p)
+                pp++;
+            if (bad || pp == d) {
+                rc = bad ? MISSING_SIDE_ROW : PARENT_NOT_IN_ROW;
                 break;
-            /* bisect_left of the tester's tree parent in its sorted row */
-            int32_t t_u = parent[u];
-            int64_t pos_t = 0, hi = d;
-            while (pos_t < hi) {
-                int64_t mid = (pos_t + hi) / 2;
-                if (indices[lo + mid] < t_u)
-                    pos_t = mid + 1;
-                else
-                    hi = mid;
             }
-            int contributed = 0;
+            int64_t before = new_count;
             for (int64_t pos = 0; pos < d; pos++) {
                 int32_t v = indices[lo + pos];
-                if (mark[v])
+                if (mark[v]) /* a member, or admitted this round */
                     continue;
                 if (class_of && class_of[v] != cls)
                     continue;
-                if (budgeted && tree_count + new_count >= max_nodes) {
+                if (budgeted && size + new_count >= max_nodes) {
                     truncated = 1;
                     break;
                 }
                 lookups++;
-                if (read_result(row, mask, pos, pos_t, d, v, t_u) == 0) {
-                    mark[v] = 1;
-                    tree[f_hi + new_count++] = v;
-                    parent[v] = u;
-                    contributed = 1;
+                if (read_result(row, mask, pos, pp, d, v, p) == 0) {
+                    admit(mark, parent, bits, &span_lo, &span_hi, v, u);
+                    new_count++;
                 }
             }
-            contributors += contributed;
-            if (truncated)
-                break;
+            contributors += new_count > before;
         }
-        if (bad) {
-            tree_count += new_count;
+        size += commit(bits, &span_lo, &span_hi, tree + f_hi);
+        if (rc || size == f_hi)
             break;
-        }
-        if (new_count == 0)
-            break;
-        tree_count += new_count;
         rounds++;
-        if (contributors > delta)
-            certified = 1;
-        sort_nodes(tree + f_hi, new_count);
         f_lo = f_hi;
-        f_hi += new_count;
+        f_hi = size;
         if (truncated)
             break;
     }
 
-clear:
-    for (int64_t t = 0; t < tree_count; t++)
-        mark[tree[t]] = 0;
-    record[0] = tree_count;
+done:
+    record[0] = size;
     record[1] = lookups;
-    record[2] = certified;
+    record[2] = contributors > delta;
     record[3] = truncated;
     record[4] = rounds;
-    return bad ? MISSING_SIDE_ROW : 0;
+    return rc;
 }
+
+/* ------------------------------------------------------------------------
+ * The stacked final run.
+ *
+ * One `stacked_rounds` call runs the unrestricted, unbudgeted Set_Builder
+ * of every syndrome of a stack over one compiled CSR topology, one
+ * `run_one` per syndrome: syndrome b's set and tree are written to
+ * member[b * n ..] and parent[b * n ..], its record to
+ * records[b * RECORD_FIELDS ..].  The tree and bitset scratch is allocated
+ * once per call and serves every syndrome, so it does not grow with the
+ * stack.
+ *
+ * Returns 0, or NO_MEMORY, BAD_NODE (a root outside [0, n), checked before
+ * anything is written), PARENT_NOT_IN_ROW or MISSING_SIDE_ROW.
+ * ------------------------------------------------------------------------ */
+int64_t stacked_rounds(
+    const int64_t *indptr,          /* n + 1 */
+    const int32_t *indices,         /* num_entries, rows sorted ascending */
+    const int64_t *pair_indptr,     /* n + 1, per-node pair-slot base */
+    const syndrome_t *syndromes,    /* num_syndromes read descriptors */
+    int64_t n,
+    int64_t num_syndromes,
+    int64_t delta,
+    const int64_t *roots,           /* num_syndromes start nodes */
+    uint8_t *member,                /* num_syndromes * n, zero on entry */
+    int32_t *parent,                /* num_syndromes * n */
+    int64_t *records)               /* num_syndromes * RECORD_FIELDS */
+{
+    for (int64_t b = 0; b < num_syndromes; b++) {
+        if (roots[b] < 0 || roots[b] >= n)
+            return BAD_NODE;
+    }
+    int32_t *tree = malloc((size_t)n * sizeof(int32_t));
+    uint64_t *bits = calloc((size_t)(n + 63) / 64, sizeof(uint64_t));
+    int64_t rc = tree == NULL || bits == NULL ? NO_MEMORY : 0;
+    for (int64_t b = 0; b < num_syndromes && !rc; b++)
+        rc = run_one(indptr, indices, pair_indptr, syndromes + b, delta,
+                     (int32_t)roots[b], NULL, 0, -1, 0, member + b * n,
+                     parent + b * n, tree, bits, records + b * RECORD_FIELDS);
+    free(tree);
+    free(bits);
+    return rc;
+}
+
+/* ------------------------------------------------------------------------
+ * The healthy-root search.
+ *
+ * `probe_plan` runs the diagnosis driver's whole probe plan — every
+ * partition level, then the fallback attempts — in order, one certificate-
+ * stopping `run_one` per probe, and stops at the first probe whose
+ * contributor certificate fires.
+ *
+ * The plan is `num_levels` rows of PLAN_FIELDS int64: (end, table, budget).
+ * Level l runs the probes starts[end of level l-1 .. end); its probe k
+ * admits only nodes v with class_tables[table * n + v] == k, or every node
+ * when table is -1; budget < 0 means no node budget.  A plan may hold
+ * only the levels whose class tables the caller has built so far (the
+ * driver walks a level's classes only when a search first reaches it); it
+ * then resumes with a longer plan from probe `first`.
+ *
+ * Scratch is caller-owned and never allocated here.  `mark` (n bytes) and
+ * `bits` (ceil(n/64) words) must be all zero on entry and are all zero
+ * again on return, because each probe clears the nodes it touched;
+ * `parent` and `tree` (n int32 each) carry no state between calls.
+ *
+ * Probes run from index `first`; record t is probe t's run record.  Returns
+ * the index after the last probe run — the certified one or the plan's
+ * last — or BAD_PLAN, BAD_NODE (both checked before any probe runs),
+ * PARENT_NOT_IN_ROW or MISSING_SIDE_ROW.
+ * ------------------------------------------------------------------------ */
+#define PLAN_FIELDS 3
 
 int64_t probe_plan(
     const int64_t *indptr,          /* n + 1 */
@@ -711,7 +530,8 @@ int64_t probe_plan(
     uint8_t *mark,                  /* n, zero on entry and on return */
     int32_t *parent,                /* n */
     int32_t *tree,                  /* n */
-    int64_t *records)               /* num_probes * PROBE_FIELDS */
+    uint64_t *bits,                 /* ceil(n/64), zero on entry and return */
+    int64_t *records)               /* num_probes * RECORD_FIELDS */
 {
     int64_t begin = 0;
     if (first < 0 || first > num_probes)
@@ -738,11 +558,15 @@ int64_t probe_plan(
         const int64_t *level = levels + l * PLAN_FIELDS;
         const int32_t *class_of = level[1] < 0 ? NULL : class_tables + level[1] * n;
         for (int64_t t = begin > first ? begin : first; t < level[0]; t++) {
-            int64_t *record = records + t * PROBE_FIELDS;
-            if (probe_one(indptr, indices, pair_indptr, syn, delta, starts[t],
-                          class_of, (int32_t)(t - begin), level[2], mark,
-                          parent, tree, record))
-                return MISSING_SIDE_ROW;
+            int64_t *record = records + t * RECORD_FIELDS;
+            int64_t rc = run_one(indptr, indices, pair_indptr, syn, delta,
+                                 (int32_t)starts[t], class_of,
+                                 (int32_t)(t - begin), level[2], 1, mark,
+                                 parent, tree, bits, record);
+            for (int64_t k = 0; k < record[0]; k++)
+                mark[tree[k]] = 0;
+            if (rc)
+                return rc;
             if (record[2])
                 return t + 1;
         }

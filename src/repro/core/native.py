@@ -9,11 +9,12 @@ tester order, so nothing is sorted.  ``probe_plan`` runs a diagnoser's
 whole healthy-root search (every partition level, then the budgeted and
 unbudgeted fallback): small scalar probes, where the interpreter's
 per-element overhead dominates.  ``stacked_rounds`` is the final
-``Set_Builder`` run of a whole stack, from each root's pair scan to the
-fixpoint: memory-bound element streaming, exactly the shape a C compiler
-turns into a single fused pass.  It sorts nothing: each round's admissions
-are committed through a per-syndrome admitted bitset, whose set bits,
-walked in order, are already the next frontier.
+``Set_Builder`` run of a whole stack, syndrome after syndrome, from each
+root's pair scan to the fixpoint, over one node-sized scratch.  Both run
+one C transcription of the procedure, which takes the class filter, the
+node budget and the certificate stop as arguments.  It sorts nothing: a
+round's admissions are committed through an admitted bitset, whose set
+bits, walked in order, are already the next frontier.
 
 The last two take each syndrome as a :class:`SyndromeView`, the C
 ``syndrome_t`` descriptor, in one of two read modes: a flat result buffer
@@ -187,10 +188,10 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
         p, p, p,    # indptr, indices, pair_indptr
         p,          # syndromes: num_syndromes SyndromeViews
         i64, i64,   # n, num_syndromes
+        i64,        # delta
         p,          # roots
         p, p,       # member, parent
-        p, p,       # lookups, rounds
-        p, p,       # contributed, contrib_count
+        p,          # records
     ]
     probe = library.probe_plan
     probe.restype = i64
@@ -203,6 +204,7 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
         p, i64,     # levels (end, table, budget), num_levels
         p, i64,     # class_tables, num_tables
         p, p, p,    # mark, parent, tree
+        p,          # bits
         p,          # records
     ]
     return library

@@ -27,21 +27,24 @@ the certificate fires.
 Execution backends
 ------------------
 The procedure compiles the topology on entry
-(:func:`repro.backend.csr.compile_network`, memoized per instance) and runs
-one of two implementations:
+(:func:`repro.backend.csr.compile_network`, memoized per instance) and has
+two transcriptions of §4.1:
 
-* the **rows oracle** (:func:`_set_builder_oracle`) transcribes §4.1: it
-  takes adjacency from the compiled sorted rows and reads results through
-  the abstract :class:`Syndrome` oracle.  It runs every restricted,
-  budgeted or certificate-stopping run, every run over a syndrome that is
-  not an :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same
-  compiled topology, and it is the reference of the native root search
-  (:class:`ProbeScratch`), which runs a diagnoser's whole
-  :class:`ProbePlan` in one call;
-* an unrestricted, unbudgeted run over such an ``ArraySyndrome`` is a
-  width-one :func:`set_builder_many` stack — the native C kernel, which
-  reads a seeded syndrome's fault mask and side table in place, or the rows
-  oracle when no C compiler is found.
+* the **rows oracle** (:func:`_set_builder_oracle`), the readable
+  reference: it takes adjacency from the compiled sorted rows and reads
+  results through the abstract :class:`Syndrome` oracle.  It runs every
+  restricted, budgeted or certificate-stopping call of :func:`set_builder`
+  and every run over a syndrome that is not an
+  :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same compiled
+  topology;
+* the **native run** in ``_stacked.c``, which reads an ``ArraySyndrome``'s
+  buffer, or a seeded syndrome's fault mask and side table, in place.  Its
+  two entries call it: the root search (:class:`ProbeScratch`) runs a
+  diagnoser's whole :class:`ProbePlan` in one call, and
+  :func:`set_builder_many` runs a stack's final runs in one call — an
+  unrestricted, unbudgeted :func:`set_builder` run over such a syndrome is
+  a width-one stack.  Without a C compiler both fall back to the rows
+  oracle.
 
 Both produce identical results and identical lookup counts, truncated runs
 included, and the ``all_healthy`` certificate is sound on both.
@@ -78,19 +81,6 @@ __all__ = [
     "set_builder_many",
     "certificate_node_budget",
 ]
-
-#: Scratch bound of one stacked pass: the native kernel allocates
-#: :func:`_stack_bytes_per_syndrome` per stacked syndrome, so wider stacks
-#: run in width slices below this.
-_STACK_SCRATCH_BYTES = 256 << 20
-
-
-def _stack_bytes_per_syndrome(n: int) -> int:
-    """Native scratch of one stacked syndrome over ``n`` nodes: an 8-byte
-    frontier slot per node, a one-bit-per-node admitted bitset and a
-    two-word touched span."""
-    return 8 * n + 8 * ((n + 63) // 64) + 16
-
 
 class BuiltOnFirstRead:
     """A dataclass field that, left at its default ``None``, is made by
@@ -392,16 +382,18 @@ class ProbeScratch:
     """Caller-owned scratch of the native root search on one topology.
 
     ``probe_plan`` in ``_stacked.c`` runs rows-oracle probes without
-    allocating: it borrows a zeroed node mask (each probe clears exactly the
-    nodes it touched, so the mask is zero again between calls) and two
-    node-sized work arrays.  One instance serves any number of consecutive
-    calls on one thread; concurrent callers each need their own.
+    allocating: it borrows a zeroed node mask and a zeroed one-bit-per-node
+    admitted bitset (each probe clears exactly what it touched, so both are
+    zero again between calls) and two node-sized work arrays.  One instance
+    serves any number of consecutive calls on one thread; concurrent
+    callers each need their own.
     :meth:`create` returns ``None`` when the native library is unavailable,
     and the rows oracle then stays the probe path.
     """
 
     __slots__ = (
-        "csr", "_kernel", "_mark", "_parent", "_tree", "_topology", "_scratch",
+        "csr", "_kernel", "_mark", "_parent", "_tree", "_bits", "_topology",
+        "_scratch",
     )
 
     def __init__(self, csr, kernel) -> None:
@@ -411,11 +403,13 @@ class ProbeScratch:
         self._mark = np.zeros(n, dtype=np.uint8)
         self._parent = np.empty(n, dtype=np.int32)
         self._tree = np.empty(n, dtype=np.int32)
+        self._bits = np.zeros((n + 63) // 64, dtype=np.uint64)
         self._topology = topology_args(csr)
         self._scratch = (
             address(self._mark, np.uint8, n),
             address(self._parent, np.int32, n),
             address(self._tree, np.int32, n),
+            address(self._bits, np.uint64, self._bits.size),
         )
 
     @classmethod
@@ -439,8 +433,8 @@ class ProbeScratch:
         ``(nodes_explored, lookups, certified, truncated, rounds)`` row per
         probe run and credits the consulted entries to ``syndrome.lookups``.
         A start outside the network or its class raises ``ValueError``; a
-        mask-mode syndrome whose side table lacks a faulty tester's row
-        raises ``RuntimeError``.
+        mask-mode syndrome whose side table lacks a faulty tester's row, or
+        a tester whose row lacks its tree parent, raises ``RuntimeError``.
         """
         records = np.empty((plan.num_probes, 5), dtype=np.int64)
         ran = check(self._kernel(
@@ -478,15 +472,14 @@ def set_builder_many(
     """Run unrestricted ``Set_Builder`` for a whole stack of syndromes at once.
 
     One compiled topology, ``B`` syndromes, ``B`` start nodes, one native
-    call: round 1 scans each root's neighbour pairs, then every round
-    expands the *concatenation* of all still-active per-syndrome frontiers in
-    a single pass (membership and parents live in flattened ``(B, n)``
-    arrays keyed by ``syndrome * n + node``).
-    Syndromes terminate independently — one that adds no nodes in a round
-    simply stops contributing candidates while the others keep growing.  A
+    call: ``stacked_rounds`` runs each syndrome's procedure in turn, from
+    its root's pair scan to the fixpoint, with the transcription the
+    root-search probes use, over one node-sized scratch that serves the
+    whole stack.  Each syndrome's set and tree land in its row of a
+    ``(B, n)`` membership array and a ``(B, n)`` ``int32`` parent array.  A
     width-one stack is how :func:`set_builder` runs every unrestricted,
-    unbudgeted array run.  Without the native library each syndrome runs
-    on the rows oracle instead, one after another.
+    unbudgeted array run.  Without the native library each syndrome runs on
+    the rows oracle instead, one after another.
 
     Results are **bit-identical** per syndrome to the rows oracle,
     ``set_builder(network, syndrome.to_table(), root)`` (grown set, parents,
@@ -498,9 +491,6 @@ def set_builder_many(
     A native result builds its ``nodes`` / ``parent`` / ``contributors``
     only when first read: they cost several times the pass, and serving
     reads just the ``member_mask`` (for the boundary) and the counters.
-
-    A stack whose native scratch would pass ``_STACK_SCRATCH_BYTES`` runs
-    in width slices, one pass each; the results are the same.
     """
     from ..backend.array_syndrome import ArraySyndrome
 
@@ -522,16 +512,6 @@ def set_builder_many(
     for u0 in roots:
         if not 0 <= u0 < n:
             raise ValueError(f"start node {u0} is not a node of the network")
-    width = max(1, _STACK_SCRATCH_BYTES // _stack_bytes_per_syndrome(n))
-    if num_syndromes > width:
-        # Stack items are independent: slicing the width changes no result.
-        results: list[SetBuilderResult] = []
-        for lo in range(0, num_syndromes, width):
-            results.extend(set_builder_many(
-                network, syndromes[lo:lo + width], roots[lo:lo + width],
-                diagnosability=diagnosability,
-            ))
-        return results
 
     native = load_kernel("stacked_rounds")
     if native is None:
@@ -540,46 +520,37 @@ def set_builder_many(
             for syndrome, u0 in zip(syndromes, roots)
         ]
 
-    member_flat = np.zeros(num_syndromes * n, dtype=bool)
-    parent_flat = np.full(num_syndromes * n, -1, dtype=np.int64)
-    rounds = np.zeros(num_syndromes, dtype=np.int64)
-    lookups = np.zeros(num_syndromes, dtype=np.int64)
-    #: flat ``syndrome * n + tester`` flags of testers already counted as
-    #: contributors, plus the running per-syndrome distinct-contributor count
-    contributed = np.zeros(num_syndromes * n, dtype=bool)
-    contrib_count = np.zeros(num_syndromes, dtype=np.int64)
+    member = np.zeros((num_syndromes, n), dtype=bool)
+    parent = np.full((num_syndromes, n), -1, dtype=np.int32)
+    #: one ``(nodes_explored, lookups, certified, truncated, rounds)`` row
+    #: per syndrome, as a probe record
+    records = np.empty((num_syndromes, 5), dtype=np.int64)
     root_ids = np.asarray(roots, dtype=np.int64)
     views = (SyndromeView * num_syndromes)(
         *(syndrome.native_view() for syndrome in syndromes)
     )
-    keys = num_syndromes * n
     check(native(
         *topology_args(csr),
         views,
-        n, num_syndromes,
+        n, num_syndromes, diagnosability,
         address(root_ids, np.int64, num_syndromes),
-        address(member_flat.view(np.uint8), np.uint8, keys),
-        address(parent_flat, np.int64, keys),
-        address(lookups, np.int64, num_syndromes),
-        address(rounds, np.int64, num_syndromes),
-        address(contributed.view(np.uint8), np.uint8, keys),
-        address(contrib_count, np.int64, num_syndromes),
+        address(member.view(np.uint8), np.uint8, member.size),
+        address(parent, np.int32, parent.size),
+        address(records, np.int64, records.size),
     ), "stacked_rounds")
 
-    # ----------------------------------------------------------------- results
-    member2d = member_flat.reshape(num_syndromes, n)
-    parent2d = parent_flat.reshape(num_syndromes, n)
     results: list[SetBuilderResult] = []
     for b, syndrome in enumerate(syndromes):
-        syndrome.lookups += int(lookups[b])
+        _, lookups, certified, _, rounds = records[b].tolist()
+        syndrome.lookups += lookups
         results.append(
             SetBuilderResult(
                 root=int(roots[b]),
-                all_healthy=bool(contrib_count[b] > diagnosability),
-                rounds=int(rounds[b]),
-                lookups=int(lookups[b]),
-                member_mask=member2d[b],
-                parent_row=parent2d[b],
+                all_healthy=bool(certified),
+                rounds=rounds,
+                lookups=lookups,
+                member_mask=member[b],
+                parent_row=parent[b],
             )
         )
     return results

@@ -37,16 +37,27 @@ def is_consistent_fault_set(
     recorded result equals ``0`` exactly when both ``v`` and ``w`` are outside
     ``F``.  Results of faulty testers are unconstrained.
     """
-    fault_set = frozenset(candidate)
+    return _first_mismatch(network, syndrome, frozenset(candidate)) is None
+
+
+def _first_mismatch(
+    network: InterconnectionNetwork,
+    syndrome: Syndrome,
+    fault_set: frozenset[int],
+) -> tuple[int, int, int, int, int] | None:
+    """The first ``(u, v, w, actual, expected)``, testers ascending and
+    pairs in slot order, where a healthy tester's result contradicts the MM
+    model for ``fault_set``; ``None`` when there is none."""
     rows = compile_network(network).rows
     for u in range(network.num_nodes):
         if u in fault_set:
             continue
         for v, w in combinations(rows[u], 2):
             expected = 0 if (v not in fault_set and w not in fault_set) else 1
-            if syndrome.lookup(u, v, w) != expected:
-                return False
-    return True
+            actual = syndrome.lookup(u, v, w)
+            if actual != expected:
+                return u, v, w, actual, expected
+    return None
 
 
 def consistent_fault_sets(
@@ -79,14 +90,9 @@ def assert_mm_semantics(
     Raises ``AssertionError`` when some healthy tester's result contradicts
     the model (used by the tests of the syndrome generators).
     """
-    fault_set = frozenset(faults)
-    rows = compile_network(network).rows
-    for u in range(network.num_nodes):
-        if u in fault_set:
-            continue
-        for v, w in combinations(rows[u], 2):
-            expected = 0 if (v not in fault_set and w not in fault_set) else 1
-            actual = syndrome.lookup(u, v, w)
-            assert actual == expected, (
-                f"healthy tester {u}: s_{u}({v},{w}) = {actual}, expected {expected}"
-            )
+    mismatch = _first_mismatch(network, syndrome, frozenset(faults))
+    if mismatch is not None:
+        u, v, w, actual, expected = mismatch
+        raise AssertionError(
+            f"healthy tester {u}: s_{u}({v},{w}) = {actual}, expected {expected}"
+        )

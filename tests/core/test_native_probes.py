@@ -160,6 +160,23 @@ class TestPlanRefusals:
             scratch.run_plan(syndrome, plan, 5)
         assert syndrome.lookups == before and not scratch._mark.any()
 
+    @pytest.mark.parametrize("form", ["buffer", "mask"])
+    def test_tree_parent_outside_the_row(self, form):
+        # An asymmetric adjacency: root 2 admits 0 and 3, but 3's row does
+        # not hold 2, so its s_3(v, t(3)) has no slot to read.
+        rows = [[2], [3], [0, 3], [0, 1]]
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        csr = CSRAdjacency(indptr, [v for row in rows for v in row])
+        syndrome = (ArraySyndrome(csr, bytes(csr.num_pairs)) if form == "buffer"
+                    else ArraySyndrome.from_faults(csr, ()))
+        scratch = ProbeScratch.create(csr)
+        plan = ProbePlan(csr.num_nodes, [2], [(1, -1, -1)])
+        before = syndrome.lookups
+        with pytest.raises(RuntimeError, match="PARENT_NOT_IN_ROW"):
+            scratch.run_plan(syndrome, plan, 1)
+        assert syndrome.lookups == before
+        assert not scratch._mark.any() and not scratch._bits.any()
+
     def test_a_plan_cut_after_a_level_resumes(self, q7):
         """A plan holding only level 0, then the whole plan from the probe
         after it, give the records of one run of the whole plan."""

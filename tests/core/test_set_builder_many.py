@@ -8,8 +8,6 @@ batch, the sets built on first read, and ``boundary_many``.
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -221,34 +219,3 @@ class TestNativeKernel:
         for a, b in zip(with_native, with_oracle):
             assert _signature(a) == _signature(b)
             assert np.array_equal(a.member_mask, b.member_mask)
-
-
-class TestScratchBound:
-    """Stacks whose scratch would pass ``_STACK_SCRATCH_BYTES`` run in width
-    slices; stack items are independent, so slicing changes no result."""
-
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_sliced_stack_matches_one_pass(self, q7, monkeypatch, width):
-        module = importlib.import_module("repro.core.set_builder")
-        seeds, roots = list(range(7)), [0, 5, 9, 40, 77, 100, 127]
-        whole = set_builder_many(q7, [_syndrome(q7, s) for s in seeds], roots)
-        n = compile_network(q7).num_nodes
-        monkeypatch.setattr(
-            module, "_STACK_SCRATCH_BYTES",
-            width * module._stack_bytes_per_syndrome(n),
-        )
-        calls = []
-        real = module.set_builder_many
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[1]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, "set_builder_many", counting)
-        syndromes = [_syndrome(q7, s) for s in seeds]
-        sliced = counting(q7, syndromes, roots)
-        assert calls[1:] == [min(width, 7 - lo) for lo in range(0, 7, width)]
-        for a, b, syndrome in zip(whole, sliced, syndromes):
-            assert _signature(a) == _signature(b)
-            assert np.array_equal(a.member_mask, b.member_mask)
-            assert syndrome.lookups == a.lookups

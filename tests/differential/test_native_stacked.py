@@ -133,20 +133,16 @@ class TestKernelRefusals:
         buf = np.zeros(csr.num_pairs, dtype=np.uint8)
         roots = np.asarray(roots, dtype=np.int64)
         member = np.zeros(width * n, dtype=np.uint8)
-        parent = np.full(width * n, -1, dtype=np.int64)
-        lookups, rounds, contrib_count = (np.zeros(width, dtype=np.int64)
-                                          for _ in range(3))
-        contributed = np.zeros(width * n, dtype=np.uint8)
+        parent = np.full(width * n, -1, dtype=np.int32)
+        records = np.zeros((width, 5), dtype=np.int64)
         views = (native.SyndromeView * width)(
             *(native.SyndromeView(buf=buf.ctypes.data) for _ in range(width))
         )
         code = kernel(
             csr.indptr.ctypes.data, csr.indices.ctypes.data,
             csr.pair_indptr.ctypes.data, views,
-            n, width, roots.ctypes.data,
-            member.ctypes.data, parent.ctypes.data,
-            lookups.ctypes.data, rounds.ctypes.data,
-            contributed.ctypes.data, contrib_count.ctypes.data,
+            n, width, 1, roots.ctypes.data,
+            member.ctypes.data, parent.ctypes.data, records.ctypes.data,
         )
         return code, member
 
@@ -158,6 +154,18 @@ class TestKernelRefusals:
         csr = CSRAdjacency(indptr, [v for row in rows for v in row])
         assert self._call(csr, [0])[0] == native.PARENT_NOT_IN_ROW
         assert self._call(compile_network(q5), [0])[0] == 0
+
+    def test_refusal_reaches_the_caller_and_credits_nothing(self):
+        # Root 2 admits 0 and 3; 3's row does not hold 2.
+        rows = [[2], [3], [0, 3], [0, 1]]
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        csr = CSRAdjacency(indptr, [v for row in rows for v in row])
+        if native.load_kernel("stacked_rounds") is None:
+            pytest.skip("no C compiler available in this environment")
+        syndromes = [ArraySyndrome(csr, bytes(csr.num_pairs)) for _ in range(2)]
+        with pytest.raises(RuntimeError, match="PARENT_NOT_IN_ROW"):
+            set_builder_many(csr, syndromes, [0, 2], diagnosability=1)
+        assert [syndrome.lookups for syndrome in syndromes] == [0, 0]
 
     @pytest.mark.parametrize("roots", [[-1], [32], [0, 32]])
     def test_root_outside_the_network(self, q5, roots):
