@@ -159,7 +159,7 @@ def measure_row(network, csr, faults, raws, *, width, form, repeats) -> dict:
     """One row of the table, on the current native setting."""
     from repro.backend.array_syndrome import ArraySyndrome
     from repro.core.diagnosis import GeneralDiagnoser
-    from repro.core.set_builder import ProbeScratch, set_builder_many
+    from repro.core.set_builder import set_builder_many
     from repro.service.requests import syndrome_digest
 
     diagnoser = GeneralDiagnoser(network)
@@ -199,9 +199,8 @@ def measure_row(network, csr, faults, raws, *, width, form, repeats) -> dict:
         digests = [syndrome_digest(*s.digest_source) for s in syndromes]
         times["digest.ms"] = clock() - t0
         for stack in stacks(syndromes):
-            scratch = ProbeScratch.create(csr)
             t0 = clock()
-            roots = [diagnoser.find_healthy_root(s, scratch=scratch)[0] for s in stack]
+            roots = [diagnoser.find_healthy_root(s)[0] for s in stack]
             t1 = clock()
             finals = set_builder_many(network, stack, roots, diagnosability=delta)
             t2 = clock()

@@ -501,15 +501,15 @@ int64_t stacked_rounds(
  * driver walks a level's classes only when a search first reaches it); it
  * then resumes with a longer plan from probe `first`.
  *
- * Scratch is caller-owned and never allocated here.  `mark` (n bytes) and
- * `bits` (ceil(n/64) words) must be all zero on entry and are all zero
- * again on return, because each probe clears the nodes it touched;
- * `parent` and `tree` (n int32 each) carry no state between calls.
+ * The call allocates its own scratch once and frees it on every return
+ * path, as `stacked_rounds` does: a node mask, zero between probes because
+ * each probe clears the nodes it touched, the parent and tree arrays
+ * (n int32 each) and the admitted bitset, which `run_one` leaves zero.
  *
  * Probes run from index `first`; record t is probe t's run record.  Returns
  * the index after the last probe run — the certified one or the plan's
- * last — or BAD_PLAN, BAD_NODE (both checked before any probe runs),
- * PARENT_NOT_IN_ROW or MISSING_SIDE_ROW.
+ * last — or BAD_PLAN, BAD_NODE (both checked before anything is
+ * allocated), NO_MEMORY, PARENT_NOT_IN_ROW or MISSING_SIDE_ROW.
  * ------------------------------------------------------------------------ */
 #define PLAN_FIELDS 3
 
@@ -527,10 +527,6 @@ int64_t probe_plan(
     int64_t num_levels,
     const int32_t *class_tables,    /* num_tables * n probed-class indices */
     int64_t num_tables,
-    uint8_t *mark,                  /* n, zero on entry and on return */
-    int32_t *parent,                /* n */
-    int32_t *tree,                  /* n */
-    uint64_t *bits,                 /* ceil(n/64), zero on entry and return */
     int64_t *records)               /* num_probes * RECORD_FIELDS */
 {
     int64_t begin = 0;
@@ -553,24 +549,38 @@ int64_t probe_plan(
     if (begin != num_probes)
         return BAD_PLAN;
 
+    uint8_t *mark = calloc((size_t)n, 1);
+    int32_t *parent = malloc((size_t)n * sizeof(int32_t));
+    int32_t *tree = malloc((size_t)n * sizeof(int32_t));
+    uint64_t *bits = calloc((size_t)(n + 63) / 64, sizeof(uint64_t));
+    int64_t rc = num_probes;
+    if (mark == NULL || parent == NULL || tree == NULL || bits == NULL) {
+        rc = NO_MEMORY;
+        goto out;
+    }
     begin = 0;
     for (int64_t l = 0; l < num_levels; l++) {
         const int64_t *level = levels + l * PLAN_FIELDS;
         const int32_t *class_of = level[1] < 0 ? NULL : class_tables + level[1] * n;
         for (int64_t t = begin > first ? begin : first; t < level[0]; t++) {
             int64_t *record = records + t * RECORD_FIELDS;
-            int64_t rc = run_one(indptr, indices, pair_indptr, syn, delta,
-                                 (int32_t)starts[t], class_of,
-                                 (int32_t)(t - begin), level[2], 1, mark,
-                                 parent, tree, bits, record);
+            int64_t refused = run_one(indptr, indices, pair_indptr, syn, delta,
+                                      (int32_t)starts[t], class_of,
+                                      (int32_t)(t - begin), level[2], 1, mark,
+                                      parent, tree, bits, record);
             for (int64_t k = 0; k < record[0]; k++)
                 mark[tree[k]] = 0;
-            if (rc)
-                return rc;
-            if (record[2])
-                return t + 1;
+            if (refused || record[2]) {
+                rc = refused ? refused : t + 1;
+                goto out;
+            }
         }
         begin = level[0];
     }
-    return num_probes;
+out:
+    free(mark);
+    free(parent);
+    free(tree);
+    free(bits);
+    return rc;
 }

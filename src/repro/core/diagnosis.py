@@ -44,12 +44,14 @@ import numpy as np
 
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork, PartitionClass
+from .native import native_kernel_active
 from .set_builder import (
     ProbePlan,
     BuiltOnFirstRead,
-    ProbeScratch,
     SetBuilderResult,
     certificate_node_budget,
+    kernel_reads,
+    run_probe_plan,
     set_builder,
     set_builder_many,
 )
@@ -150,8 +152,12 @@ class GeneralDiagnoser:
         unrestricted probing fallback (used by ablation E8).
 
     The topology is compiled on construction.  :meth:`diagnose` is
-    :meth:`diagnose_many` over a one-item stack; only syndromes the stacked
-    kernel cannot take run the sequential rows oracle.
+    :meth:`diagnose_many` over a one-item stack, and every syndrome takes
+    the one path: :meth:`find_healthy_root`, then one
+    :func:`~repro.core.set_builder.set_builder_many` call and one
+    :meth:`~repro.backend.csr.CSRAdjacency.boundary_many` call for the
+    stack.  Each step runs natively over what the kernel reads and on the
+    rows oracle otherwise.
     """
 
     def __init__(
@@ -170,34 +176,31 @@ class GeneralDiagnoser:
 
     # ----------------------------------------------------------- root search
     def find_healthy_root(
-        self, syndrome: Syndrome, *, scratch: ProbeScratch | None = None
+        self, syndrome: Syndrome
     ) -> tuple[int, list[ProbeRecord], int | None]:
         """Locate a certifiably healthy node.
 
         Returns ``(root, probe_records, partition_level)`` where
         ``partition_level`` is ``None`` if the fallback probing found the
-        root.  Raises :class:`DiagnosisError` if every probe fails.
+        root.  Raises :class:`DiagnosisError` if every probe fails, and
+        ``ValueError`` for a syndrome laid out over another topology.
 
         The probes follow this diagnoser's :class:`_RootSearchPlan`: every
         partition level, then the budgeted and the unbudgeted fallback.
-        Over an :class:`~repro.backend.array_syndrome.ArraySyndrome` on this
-        diagnoser's compiled topology the whole search is one native
-        ``probe_plan`` call when the native library is available, plus one
-        more each time a search on the topology first reaches a level whose
-        class table is not built yet; the records, root, level and lookup
-        counts are those of the rows-oracle probes it replaces.  ``scratch``
-        lets a caller diagnosing many syndromes on one thread reuse one
-        :class:`~repro.core.set_builder.ProbeScratch`.
+        Over a syndrome the kernel reads
+        (:func:`~repro.core.set_builder.kernel_reads`) the whole search is
+        one native :func:`~repro.core.set_builder.run_probe_plan` call when
+        the native library is available, plus one more each time a search
+        on the topology first reaches a level whose class table is not
+        built yet; the records, root, level and lookup counts are those of
+        the rows-oracle probes it replaces.
         """
         plan = self._root_search_plan()
-        if not self._on_compiled_arrays(syndrome):
-            scratch = None
-        elif scratch is None:
-            scratch = ProbeScratch.create(self.csr)
+        native = kernel_reads(self.csr, syndrome) and native_kernel_active()
         probes: list[ProbeRecord] = []
-        while scratch is not None and (native := plan.native) is not None:
+        while native and (ran := plan.native) is not None:
             first = len(probes)
-            records = scratch.run_plan(syndrome, native, self.delta, first)
+            records = run_probe_plan(self.csr, syndrome, ran, self.delta, first)
             probes += [
                 ProbeRecord(start, kind, label, bool(certified), size, lookups)
                 for (start, kind, label, _, _, _), (size, lookups, certified, _, _)
@@ -205,7 +208,7 @@ class GeneralDiagnoser:
             ]
             if len(probes) == len(plan.probes) or (probes and probes[-1].certified):
                 break
-            plan.extend(self.csr, native)  # the run reached the unbuilt levels
+            plan.extend(self.csr, ran)  # the run reached the unbuilt levels
         else:  # no native plan (any more): the rows oracle runs the rest
             probes += self._oracle_probes(syndrome, plan, len(probes))
         if probes and probes[-1].certified:
@@ -214,14 +217,6 @@ class GeneralDiagnoser:
             "no probe produced the all-healthy certificate; the instance violates "
             "the hypotheses of Theorem 1 (or the healthy component is too small)"
         )
-
-    def _on_compiled_arrays(self, syndrome: Syndrome) -> bool:
-        """Whether ``syndrome`` is an ArraySyndrome over this diagnoser's
-        compiled topology — the only input the native probes and the
-        stacked kernel take."""
-        from ..backend.array_syndrome import ArraySyndrome
-
-        return isinstance(syndrome, ArraySyndrome) and syndrome.csr is self.csr
 
     def _probe_levels(self) -> list["_ProbeLevel"]:
         """The partition levels the root search probes, in order, with
@@ -328,86 +323,51 @@ class GeneralDiagnoser:
         ``tests/differential``).
 
         Failures never poison batch mates: a syndrome whose root search
-        raises :class:`DiagnosisError` (or a ``ValueError``) yields the
-        *exception object* in its slot — the exact exception :meth:`diagnose`
-        raises — while the rest of the stack proceeds.  Syndromes the
-        stacked kernel cannot take (not an ``ArraySyndrome`` over this
-        topology) run the sequential rows oracle per item, with the same
-        per-item error capture.
+        raises :class:`DiagnosisError`, or a ``ValueError`` (a syndrome laid
+        out over another topology, say), yields the *exception object* in
+        its slot — the exact exception :meth:`diagnose` raises — while the
+        rest of the stack proceeds.
 
-        A stacked result builds ``healthy_nodes`` and ``tree_parent`` on
+        A native result builds ``healthy_nodes`` and ``tree_parent`` on
         their first read, so a caller that reads only the accusation set
         and the counters, as the serving layer does, never pays for them.
-        ``elapsed_seconds`` on every stacked result is the wall clock of
-        the whole batch call, not a per-item time.
+        ``elapsed_seconds`` on every result is the wall clock of the whole
+        batch call, not a per-item time.
         """
         start_time = time.perf_counter()
         outcomes: list[DiagnosisResult | Exception | None] = [None] * len(syndromes)
-        # One probe scratch per call, never per topology: batches on one
-        # topology may run concurrently on executor threads.
-        scratch = ProbeScratch.create(self.csr)
-        stacked: list[int] = []
-        roots: list[int] = []
-        probe_records: list[list[ProbeRecord]] = []
-        levels: list[int | None] = []
-        lookups_before: list[int] = []
+        searched: list[tuple[int, int, list[ProbeRecord], int | None, int]] = []
         for pos, syndrome in enumerate(syndromes):
-            if not self._on_compiled_arrays(syndrome):
-                try:
-                    outcomes[pos] = self._diagnose_sequential(syndrome)
-                except (DiagnosisError, ValueError) as exc:
-                    outcomes[pos] = exc
-                continue
             before = syndrome.lookups
             try:
-                root, probes, level = self.find_healthy_root(
-                    syndrome, scratch=scratch
-                )
+                root, probes, level = self.find_healthy_root(syndrome)
             except (DiagnosisError, ValueError) as exc:
                 outcomes[pos] = exc
                 continue
-            stacked.append(pos)
-            roots.append(root)
-            probe_records.append(probes)
-            levels.append(level)
-            lookups_before.append(before)
+            searched.append((pos, root, probes, level, before))
+        if not searched:
+            return outcomes
 
-        if stacked:
-            batch = [syndromes[pos] for pos in stacked]
-            finals = set_builder_many(
-                self.network, batch, roots, diagnosability=self.delta
-            )
-            boundaries = self.csr.boundary_many(
-                [final.member_mask for final in finals]
-            )
-            elapsed = time.perf_counter() - start_time
-            for k, pos in enumerate(stacked):
-                outcomes[pos] = DiagnosisResult(
-                    faulty=frozenset(boundaries[k]),
-                    healthy_root=roots[k],
-                    probes=probe_records[k],
-                    partition_level=levels[k],
-                    lookups=batch[k].lookups - lookups_before[k],
-                    elapsed_seconds=elapsed,
-                    final=finals[k],
-                )
-        return outcomes
-
-    def _diagnose_sequential(self, syndrome: Syndrome) -> DiagnosisResult:
-        """One diagnosis on the rows oracle."""
-        start_time = time.perf_counter()
-        lookups_before = syndrome.lookups
-        root, probes, level = self.find_healthy_root(syndrome)
-        final = set_builder(self.network, syndrome, root, diagnosability=self.delta)
-        return DiagnosisResult(
-            faulty=frozenset(self.csr.boundary(final.nodes)),
-            healthy_root=root,
-            probes=probes,
-            partition_level=level,
-            lookups=syndrome.lookups - lookups_before,
-            elapsed_seconds=time.perf_counter() - start_time,
-            final=final,
+        batch = [syndromes[pos] for pos, *_ in searched]
+        finals = set_builder_many(
+            self.network, batch, [root for _, root, *_ in searched],
+            diagnosability=self.delta,
         )
+        boundaries = self.csr.boundary_many([final.member_mask for final in finals])
+        elapsed = time.perf_counter() - start_time
+        for (pos, root, probes, level, before), syndrome, final, faulty in zip(
+            searched, batch, finals, boundaries
+        ):
+            outcomes[pos] = DiagnosisResult(
+                faulty=frozenset(faulty),
+                healthy_root=root,
+                probes=probes,
+                partition_level=level,
+                lookups=syndrome.lookups - before,
+                elapsed_seconds=elapsed,
+                final=final,
+            )
+        return outcomes
 
 
 class _ProbeLevel:

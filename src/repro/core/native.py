@@ -10,7 +10,8 @@ whole healthy-root search (every partition level, then the budgeted and
 unbudgeted fallback): small scalar probes, where the interpreter's
 per-element overhead dominates.  ``stacked_rounds`` is the final
 ``Set_Builder`` run of a whole stack, syndrome after syndrome, from each
-root's pair scan to the fixpoint, over one node-sized scratch.  Both run
+root's pair scan to the fixpoint, over one node-sized scratch.  Each of
+the two allocates its scratch on entry and frees it on return.  Both run
 one C transcription of the procedure, which takes the class filter, the
 node budget and the certificate stop as arguments.  It sorts nothing: a
 round's admissions are committed through an admitted bitset, whose set
@@ -203,8 +204,6 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
         i64,        # first: the probe to resume from
         p, i64,     # levels (end, table, budget), num_levels
         p, i64,     # class_tables, num_tables
-        p, p, p,    # mark, parent, tree
-        p,          # bits
         p,          # records
     ]
     return library

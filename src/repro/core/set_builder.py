@@ -34,30 +34,34 @@ two transcriptions of §4.1:
   reference: it takes adjacency from the compiled sorted rows and reads
   results through the abstract :class:`Syndrome` oracle.  It runs every
   restricted, budgeted or certificate-stopping call of :func:`set_builder`
-  and every run over a syndrome that is not an
-  :class:`~repro.backend.array_syndrome.ArraySyndrome` on the same compiled
-  topology;
+  and every run over a syndrome the kernel cannot read;
 * the **native run** in ``_stacked.c``, which reads an ``ArraySyndrome``'s
   buffer, or a seeded syndrome's fault mask and side table, in place.  Its
-  two entries call it: the root search (:class:`ProbeScratch`) runs a
-  diagnoser's whole :class:`ProbePlan` in one call, and
-  :func:`set_builder_many` runs a stack's final runs in one call — an
-  unrestricted, unbudgeted :func:`set_builder` run over such a syndrome is
-  a width-one stack.  Without a C compiler both fall back to the rows
-  oracle.
+  two entries call it, each allocating and freeing its own scratch:
+  :func:`run_probe_plan` runs a diagnoser's whole :class:`ProbePlan` in one
+  call, and :func:`set_builder_many` runs a stack's final runs in one call
+  — every unrestricted, unbudgeted :func:`set_builder` run is a width-one
+  stack.  Without a C compiler both fall back to the rows oracle.
 
-Both produce identical results and identical lookup counts, truncated runs
-included, and the ``all_healthy`` certificate is sound on both.
+:func:`kernel_reads` is the one test of whether the kernel can read a
+syndrome; it refuses a syndrome laid out over another topology.  Both
+transcriptions produce identical results and identical lookup counts,
+truncated runs included, and the ``all_healthy`` certificate is sound on
+both.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+# The module, not the class: this import runs while backend.array_syndrome
+# may still be importing core (its first import closes the cycle), and the
+# class is read on use.
+from ..backend import array_syndrome as _array_syndrome
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork
 from .native import (
@@ -69,14 +73,12 @@ from .native import (
 )
 from .syndrome import Syndrome
 
-if TYPE_CHECKING:  # pragma: no cover - the runtime import is deferred (cycle)
-    from ..backend.array_syndrome import ArraySyndrome
-
 __all__ = [
     "BuiltOnFirstRead",
     "ProbePlan",
-    "ProbeScratch",
     "SetBuilderResult",
+    "kernel_reads",
+    "run_probe_plan",
     "set_builder",
     "set_builder_many",
     "certificate_node_budget",
@@ -203,7 +205,8 @@ def set_builder(
     network:
         The interconnection network ``G``.
     syndrome:
-        The syndrome oracle ``s``.
+        The syndrome oracle ``s``; one laid out over another topology
+        raises ``ValueError`` (:func:`kernel_reads`).
     u0:
         The start node.
     diagnosability:
@@ -226,22 +229,39 @@ def set_builder(
     if restrict is not None and not restrict(u0):
         raise ValueError("the start node u0 must belong to the restricted subgraph H")
 
-    # Deferred import: backend.array_syndrome builds on core.syndrome, so a
-    # module-level import here would close a cycle through the package
-    # __init__ chain.  After the first call this is a sys.modules hit.
-    from ..backend.array_syndrome import ArraySyndrome
-
-    csr = compile_network(network)
-    if (
-        isinstance(syndrome, ArraySyndrome) and syndrome.csr is csr
-        and restrict is None and max_nodes is None and not stop_on_certificate
-    ):
+    if restrict is None and max_nodes is None and not stop_on_certificate:
         return set_builder_many(
             network, [syndrome], [u0], diagnosability=diagnosability,
         )[0]
+    csr = compile_network(network)
+    kernel_reads(csr, syndrome)  # refuses a syndrome of another layout
     return _set_builder_oracle(
         csr.rows, syndrome, u0, diagnosability, restrict, max_nodes,
         stop_on_certificate,
+    )
+
+
+def kernel_reads(csr, syndrome: Syndrome) -> bool:
+    """Whether the native kernel can read ``syndrome`` over the compiled
+    topology ``csr``: true for an
+    :class:`~repro.backend.array_syndrome.ArraySyndrome` laid out over
+    ``csr`` (the same object, or equal ``indptr`` and ``indices``), false
+    for any other :class:`Syndrome`, which the rows oracle reads.
+
+    An ``ArraySyndrome`` laid out over another topology raises
+    ``ValueError``: its slots answer other tests, so no path may read it.
+    """
+    if not isinstance(syndrome, _array_syndrome.ArraySyndrome):
+        return False
+    layout = syndrome.csr
+    if layout is csr or (
+        np.array_equal(layout.indptr, csr.indptr)
+        and np.array_equal(layout.indices, csr.indices)
+    ):
+        return True
+    raise ValueError(
+        f"the syndrome is laid out over {layout!r}, not over this network's "
+        f"compiled topology {csr!r}"
     )
 
 
@@ -378,82 +398,46 @@ class ProbePlan:
         )
 
 
-class ProbeScratch:
-    """Caller-owned scratch of the native root search on one topology.
+def run_probe_plan(
+    csr,
+    syndrome: _array_syndrome.ArraySyndrome,
+    plan: ProbePlan,
+    delta: int,
+    first: int = 0,
+) -> np.ndarray:
+    """Run ``plan``'s probes from ``first`` on over the compiled topology
+    ``csr``, in one native ``probe_plan`` call, until one certifies or the
+    plan ends.
 
-    ``probe_plan`` in ``_stacked.c`` runs rows-oracle probes without
-    allocating: it borrows a zeroed node mask and a zeroed one-bit-per-node
-    admitted bitset (each probe clears exactly what it touched, so both are
-    zero again between calls) and two node-sized work arrays.  One instance
-    serves any number of consecutive calls on one thread; concurrent
-    callers each need their own.
-    :meth:`create` returns ``None`` when the native library is unavailable,
-    and the rows oracle then stays the probe path.
+    ``syndrome`` must be one :func:`kernel_reads` accepts over ``csr``, and
+    the native library must be loaded.  The kernel reads the syndrome
+    through its
+    :meth:`~repro.backend.array_syndrome.ArraySyndrome.native_view`, so a
+    seeded syndrome's buffer is never built, and allocates and frees its
+    own scratch, so concurrent calls share nothing.  Returns one
+    ``(nodes_explored, lookups, certified, truncated, rounds)`` row per
+    probe run and credits the consulted entries to ``syndrome.lookups``.  A
+    start outside the network or its class raises ``ValueError``; a
+    mask-mode syndrome whose side table lacks a faulty tester's row, or a
+    tester whose row lacks its tree parent, raises ``RuntimeError``.
     """
-
-    __slots__ = (
-        "csr", "_kernel", "_mark", "_parent", "_tree", "_bits", "_topology",
-        "_scratch",
-    )
-
-    def __init__(self, csr, kernel) -> None:
-        n = csr.num_nodes
-        self.csr = csr
-        self._kernel = kernel
-        self._mark = np.zeros(n, dtype=np.uint8)
-        self._parent = np.empty(n, dtype=np.int32)
-        self._tree = np.empty(n, dtype=np.int32)
-        self._bits = np.zeros((n + 63) // 64, dtype=np.uint64)
-        self._topology = topology_args(csr)
-        self._scratch = (
-            address(self._mark, np.uint8, n),
-            address(self._parent, np.int32, n),
-            address(self._tree, np.int32, n),
-            address(self._bits, np.uint64, self._bits.size),
-        )
-
-    @classmethod
-    def create(cls, csr) -> "ProbeScratch | None":
-        kernel = load_kernel("probe_plan")
-        return None if kernel is None else cls(csr, kernel)
-
-    def run_plan(
-        self,
-        syndrome: ArraySyndrome,
-        plan: ProbePlan,
-        diagnosability: int,
-        first: int = 0,
-    ) -> np.ndarray:
-        """Run ``plan``'s probes from ``first`` on, in one call, until one
-        certifies or the plan ends.
-
-        The kernel reads the syndrome through its
-        :meth:`~repro.backend.array_syndrome.ArraySyndrome.native_view`, so
-        a seeded syndrome's buffer is never built.  Returns one
-        ``(nodes_explored, lookups, certified, truncated, rounds)`` row per
-        probe run and credits the consulted entries to ``syndrome.lookups``.
-        A start outside the network or its class raises ``ValueError``; a
-        mask-mode syndrome whose side table lacks a faulty tester's row, or
-        a tester whose row lacks its tree parent, raises ``RuntimeError``.
-        """
-        records = np.empty((plan.num_probes, 5), dtype=np.int64)
-        ran = check(self._kernel(
-            *self._topology,
-            ctypes.byref(syndrome.native_view()),
-            self.csr.num_nodes, diagnosability,
-            *plan._starts, first, *plan._levels,
-            *self._scratch,
-            records.ctypes.data,
-        ), "probe_plan")
-        records = records[first:ran]
-        syndrome.lookups += int(records[:, 1].sum())
-        return records
+    records = np.empty((plan.num_probes, 5), dtype=np.int64)
+    ran = check(load_kernel("probe_plan")(
+        *topology_args(csr),
+        ctypes.byref(syndrome.native_view()),
+        csr.num_nodes, delta,
+        *plan._starts, first, *plan._levels,
+        records.ctypes.data,
+    ), "probe_plan")
+    records = records[first:ran]
+    syndrome.lookups += int(records[:, 1].sum())
+    return records
 
 
 def _oracle_final(csr, syndrome, u0, diagnosability):
-    """One :func:`set_builder_many` item on the rows oracle (no native
-    library): the same run, plus the ``member_mask`` the kernel's results
-    carry.  The oracle credits ``syndrome.lookups`` itself."""
+    """One :func:`set_builder_many` item on the rows oracle: the same run,
+    plus the ``member_mask`` the kernel's results carry.  The oracle
+    credits ``syndrome.lookups`` itself."""
     result = _set_builder_oracle(
         csr.rows, syndrome, u0, diagnosability, None, None, False,
     )
@@ -464,7 +448,7 @@ def _oracle_final(csr, syndrome, u0, diagnosability):
 
 def set_builder_many(
     network: InterconnectionNetwork,
-    syndromes: Sequence["ArraySyndrome"],
+    syndromes: Sequence[Syndrome],
     roots: Sequence[int],
     *,
     diagnosability: int | None = None,
@@ -478,8 +462,10 @@ def set_builder_many(
     whole stack.  Each syndrome's set and tree land in its row of a
     ``(B, n)`` membership array and a ``(B, n)`` ``int32`` parent array.  A
     width-one stack is how :func:`set_builder` runs every unrestricted,
-    unbudgeted array run.  Without the native library each syndrome runs on
-    the rows oracle instead, one after another.
+    unbudgeted run.  Without the native library, or when the kernel cannot
+    read every syndrome of the stack (:func:`kernel_reads`), each syndrome
+    runs on the rows oracle instead, one after another; a syndrome laid
+    out over another topology raises ``ValueError``.
 
     Results are **bit-identical** per syndrome to the rows oracle,
     ``set_builder(network, syndrome.to_table(), root)`` (grown set, parents,
@@ -487,13 +473,12 @@ def set_builder_many(
     which is also credited to each syndrome's ``lookups`` counter), pinned
     by the differential suite.  Only unrestricted, unbudgeted runs are
     supported — the final network-sized run of the diagnosis algorithm.
+    Every result carries its ``member_mask``.
 
     A native result builds its ``nodes`` / ``parent`` / ``contributors``
     only when first read: they cost several times the pass, and serving
     reads just the ``member_mask`` (for the boundary) and the counters.
     """
-    from ..backend.array_syndrome import ArraySyndrome
-
     if len(syndromes) != len(roots):
         raise ValueError("need exactly one start node per syndrome")
     num_syndromes = len(syndromes)
@@ -502,19 +487,14 @@ def set_builder_many(
     csr = compile_network(network)
     if diagnosability is None:
         diagnosability = network.diagnosability()
-    for syndrome in syndromes:
-        if not isinstance(syndrome, ArraySyndrome) or syndrome.csr is not csr:
-            raise ValueError(
-                "set_builder_many needs ArraySyndromes over this network's "
-                "compiled topology"
-            )
+    readable = [kernel_reads(csr, syndrome) for syndrome in syndromes]
     n = csr.num_nodes
     for u0 in roots:
         if not 0 <= u0 < n:
             raise ValueError(f"start node {u0} is not a node of the network")
 
     native = load_kernel("stacked_rounds")
-    if native is None:
+    if native is None or not all(readable):
         return [
             _oracle_final(csr, syndrome, int(u0), diagnosability)
             for syndrome, u0 in zip(syndromes, roots)

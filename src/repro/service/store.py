@@ -24,6 +24,12 @@ Eviction runs inside the batch's transaction: one commit covers the new
 rows *and* whatever they pushed out, and a restart re-enforces the policy
 against whatever the previous process left behind.
 
+The rows are recomputable caches, so the store never migrates them.  The
+schema carries one :data:`REVISION`, kept in SQLite's ``user_version``; a
+database below it (an older schema, or rows under an older digest scheme)
+opens empty, with both tables dropped and recreated, and a change to the
+schema, the digest scheme or the payload bumps the constant.
+
 SQLite is the storage engine because it is in the standard library, it is
 crash-safe, and a service restart keeps its accumulated answers — the store
 is the only part of the serving layer that outlives the process.  On-disk
@@ -46,30 +52,34 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from .requests import DIGEST_SCHEMES, DiagnosisRequest, DiagnosisResponse
+from .requests import DiagnosisRequest, DiagnosisResponse
 
-__all__ = ["ResultStore"]
+__all__ = ["REVISION", "ResultStore"]
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS results (
+#: The schema revision ``user_version`` records: 1 is scheme-tagged digests
+#: with ``last_used`` stamps.
+REVISION = 1
+
+_SCHEMA = f"""
+BEGIN;
+DROP TABLE IF EXISTS results;
+DROP TABLE IF EXISTS request_index;
+CREATE TABLE results (
     topology_key    TEXT NOT NULL,
     syndrome_digest TEXT NOT NULL,
     payload         TEXT NOT NULL,
     last_used       REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (topology_key, syndrome_digest)
 );
-CREATE TABLE IF NOT EXISTS request_index (
+CREATE TABLE request_index (
     request_key     TEXT PRIMARY KEY,
     topology_key    TEXT NOT NULL,
     syndrome_digest TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS results_last_used ON results (last_used);
+CREATE INDEX results_last_used ON results (last_used);
+PRAGMA user_version = {REVISION};
+COMMIT;
 """
-
-#: Rows whose digest names no current scheme predate the canonical form.
-_STALE_DIGEST = " AND ".join(
-    f"syndrome_digest NOT GLOB '{scheme}:*'" for scheme in DIGEST_SCHEMES
-)
 
 
 class ResultStore:
@@ -119,34 +129,12 @@ class ResultStore:
             self.evict()
 
     def _migrate(self) -> None:
-        """Bring an older database up to date, in place.
-
-        Pre-eviction databases gain ``last_used``.  Inherited rows are
-        stamped *now*, not 0: to a fresh TTL policy they are "just seen",
-        not "idle since the epoch" — otherwise enabling ``ttl_seconds`` on
-        an upgraded store would wipe it at open.
-
-        Rows filed under a digest without a current scheme tag (the bare
-        hex of the dense digest) are deleted, from both tables: seeded
-        request keys did not change, so such a row would serve a digest no
-        computation produces any more, and an explicit request would miss
-        it and file a duplicate.  The store only caches recomputable
-        answers, so nothing is lost.
-        """
-        columns = [
-            row[1]
-            for row in self._conn.execute("PRAGMA table_info(results)").fetchall()
-        ]
-        if columns and "last_used" not in columns:
-            self._conn.execute(
-                "ALTER TABLE results ADD COLUMN last_used REAL NOT NULL DEFAULT 0"
-            )
-            self._conn.execute(
-                "UPDATE results SET last_used = ?", (self._clock(),)
-            )
-        self._conn.executescript(_SCHEMA)
-        for table in ("results", "request_index"):
-            self._conn.execute(f"DELETE FROM {table} WHERE {_STALE_DIGEST}")
+        """Open the tables at :data:`REVISION`.  A database below it is
+        reset: both tables dropped and recreated, empty, then stamped, in
+        one transaction."""
+        (revision,) = self._conn.execute("PRAGMA user_version").fetchone()
+        if revision < REVISION:
+            self._conn.executescript(_SCHEMA)
 
     # ----------------------------------------------------------------- writes
     def put(self, request: DiagnosisRequest, response: DiagnosisResponse) -> None:

@@ -57,15 +57,15 @@ def cached_network(family: str, size: str = "tiny"):
 ALL_FAMILIES = sorted(FAMILIES)
 
 
-def probe_level(scratch, syndrome, starts, delta, *, class_of=None, max_nodes=None):
-    """One level of native root-search probes: a one-level
-    :class:`~repro.core.set_builder.ProbePlan` run on ``scratch``."""
-    from repro.core.set_builder import ProbePlan
+def probe_level(csr, syndrome, starts, delta, *, class_of=None, max_nodes=None):
+    """One level of native root-search probes over the compiled topology
+    ``csr``: a one-level :class:`~repro.core.set_builder.ProbePlan` run."""
+    from repro.core.set_builder import ProbePlan, run_probe_plan
 
     level = (len(starts), -1 if class_of is None else 0,
              -1 if max_nodes is None else max_nodes)
-    plan = ProbePlan(scratch.csr.num_nodes, starts, level, class_of)
-    return scratch.run_plan(syndrome, plan, delta)
+    plan = ProbePlan(csr.num_nodes, starts, level, class_of)
+    return run_probe_plan(csr, syndrome, plan, delta)
 
 
 def reference_bytes(network, faults, *, behavior="random", seed=0) -> bytes:

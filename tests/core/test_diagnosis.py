@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backend.array_syndrome import ArraySyndrome
+from repro.backend.csr import compile_network
+from repro.core import native
 from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser, diagnose
 from repro.core.faults import clustered_faults, neighborhood_faults, random_faults, spread_faults
+from repro.core.set_builder import set_builder
 from repro.core.syndrome import TableSyndrome, generate_syndrome
 from repro.core.verification import assert_mm_semantics
 from repro.networks import ExplicitNetwork, Hypercube
@@ -215,3 +219,49 @@ class TestSyndromeInteraction:
         served = generate_syndrome(cube, faults, seed=21)
         table = TableSyndrome.from_faults(cube, faults, seed=21)
         assert diagnose(cube, served).faulty == diagnose(cube, table).faulty == faults
+
+
+class TestForeignLayout:
+    """A syndrome laid out over another compiled topology answers other
+    tests, so every entry refuses it, native on and off; a topology
+    compiled twice is the same layout and is read."""
+
+    @pytest.fixture(params=["native", "oracle"], autouse=True)
+    def mode(self, request, monkeypatch):
+        if request.param == "oracle":
+            monkeypatch.setattr(native, "_forced_off", True)
+
+    @staticmethod
+    def _syndromes():
+        q7, q5 = Hypercube(7), Hypercube(5)
+        s = ArraySyndrome.from_faults(compile_network(q7), [1, 2, 40], seed=3)
+        t = ArraySyndrome.from_faults(compile_network(q5), [3, 9], seed=3)
+        return q7, q5, s, t
+
+    def test_every_entry_refuses_it(self):
+        _, q5, s, _ = self._syndromes()
+        with pytest.raises(ValueError, match="compiled topology"):
+            GeneralDiagnoser(q5).diagnose(s)
+        with pytest.raises(ValueError, match="compiled topology"):
+            set_builder(q5, s, 0)
+        with pytest.raises(ValueError, match="compiled topology"):
+            set_builder(q5, s, 0, stop_on_certificate=True)
+        assert s.lookups == 0
+
+    def test_a_batch_keeps_its_other_answers(self):
+        q7, _, s, t = self._syndromes()
+        answer, refusal = GeneralDiagnoser(q7).diagnose_many([s, t])
+        assert answer.faulty == frozenset({1, 2, 40})
+        assert isinstance(refusal, ValueError)
+        assert "compiled topology" in str(refusal)
+
+    def test_a_topology_compiled_twice_is_read(self):
+        _, q5, _, t = self._syndromes()
+        twin = Hypercube(5)
+        assert compile_network(twin) is not compile_network(q5)
+        copy = ArraySyndrome.from_faults(compile_network(q5), [3, 9], seed=3)
+        on_twin = GeneralDiagnoser(twin).diagnose(t)
+        on_first = GeneralDiagnoser(q5).diagnose(copy)
+        assert on_twin.faulty == on_first.faulty == frozenset({3, 9})
+        assert on_twin.probes == on_first.probes
+        assert on_twin.lookups == on_first.lookups == t.lookups

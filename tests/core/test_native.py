@@ -1,4 +1,5 @@
-"""Native kernel build: cross-process compile lock and cache behaviour.
+"""Native kernel build: cross-process compile lock and cache behaviour,
+and the kernel entries' scratch lifetime.
 
 Regression: the first-use compile had no inter-process lock, so several
 processes starting on a cold cache (a worker pool warming up, parallel test
@@ -9,6 +10,8 @@ cold cache directory and count actual compiler runs.
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import os
 import shutil
 import subprocess
@@ -105,3 +108,80 @@ def test_build_lock_degrades_without_fcntl(tmp_path, monkeypatch):
     with native._build_lock(target):
         pass  # lock-free fallback: context manager is a no-op
     assert not target.with_suffix(".lock").exists()
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost",
+    )]
+
+
+def _malloc_bytes_in_use():
+    """A reader of the C heap's bytes in use, or ``None`` when none sees a
+    1 MiB ``malloc``: AddressSanitizer's allocator count when its runtime
+    is loaded (it replaces ``malloc`` and answers ``mallinfo`` with zeros),
+    else glibc's ``mallinfo2()`` ``uordblks + hblkhd``."""
+    libc = ctypes.CDLL(None)
+    libc.malloc.restype = ctypes.c_void_p
+    libc.free.argtypes = [ctypes.c_void_p]
+    in_use = getattr(libc, "__sanitizer_get_current_allocated_bytes", None)
+    if in_use is not None:
+        in_use.restype = ctypes.c_size_t
+    else:
+        mallinfo2 = getattr(libc, "mallinfo2", None)
+        if mallinfo2 is None:
+            return None
+        mallinfo2.restype = _Mallinfo2
+
+        def in_use() -> int:
+            info = mallinfo2()
+            return info.uordblks + info.hblkhd
+
+    before = in_use()
+    block = libc.malloc(1 << 20)
+    moved = in_use() - before
+    libc.free(block)
+    return in_use if moved >= 1 << 20 else None
+
+
+@pytest.mark.skipif(not native.native_kernel_active(), reason="no C compiler available")
+def test_allocating_entries_free_their_scratch():
+    """``probe_plan`` and ``stacked_rounds`` allocate their scratch per
+    call; 300 answered and 300 refused calls of each leave glibc's bytes
+    in use where they were.  The refusal is MISSING_SIDE_ROW, returned
+    after the allocation: faulty testers 0 and 1 answer all zeros, so a
+    run from 0 admits 1 and then reads 1's row, which the side table lost.
+    """
+    from repro.backend.array_syndrome import ArraySyndrome
+    from repro.core.faults import random_faults
+    from repro.core.set_builder import ProbePlan, run_probe_plan, set_builder_many
+    from repro.networks.hypercube import Hypercube
+
+    in_use = _malloc_bytes_in_use()
+    if in_use is None:
+        pytest.skip("no reader of this process's malloc bytes in use")
+    q10 = Hypercube(10)
+    answered = ArraySyndrome.from_faults(q10, random_faults(q10, 10, seed=1), seed=1)
+    refused = ArraySyndrome.from_faults(q10, {0, 1}, behavior="all_zero")
+    keep = refused.side_ids != 1
+    refused.side_ids = refused.side_ids[keep]
+    refused.side_base = refused.side_base[keep]
+    csr = answered.csr
+    plan = ProbePlan(csr.num_nodes, [0, 5, 9], [(3, -1, -1)])
+
+    def calls():
+        run_probe_plan(csr, answered, plan, 10)
+        set_builder_many(q10, [answered], [0])
+        with pytest.raises(RuntimeError, match="MISSING_SIDE_ROW"):
+            run_probe_plan(csr, refused, plan, 10)
+        with pytest.raises(RuntimeError, match="MISSING_SIDE_ROW"):
+            set_builder_many(q10, [refused], [0])
+
+    calls()  # warm every cache the calls fill
+    gc.collect()
+    before = in_use()
+    for _ in range(300):
+        calls()
+    gc.collect()
+    assert in_use() - before <= 64 << 10

@@ -24,8 +24,8 @@ from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser, _ProbeLevel
 from repro.core.faults import clustered_faults, random_faults, spread_faults
 from repro.core.set_builder import (
     ProbePlan,
-    ProbeScratch,
     certificate_node_budget,
+    run_probe_plan,
     set_builder,
 )
 from repro.core.syndrome import FaultyTesterBehavior
@@ -68,8 +68,8 @@ def _starts(level):
     return [cls.representative for cls in level.classes]
 
 
-def _native(scratch, syndrome, starts, delta, **kwargs):
-    return probe_level(scratch, syndrome, starts, delta, **kwargs).tolist()
+def _native(csr, syndrome, starts, delta, **kwargs):
+    return probe_level(csr, syndrome, starts, delta, **kwargs).tolist()
 
 
 @needs_native
@@ -79,18 +79,17 @@ class TestProbeKernelMatchesRowsOracle:
         delta = tiny_network.diagnosability()
         diagnoser = GeneralDiagnoser(tiny_network)
         levels = diagnoser._probe_levels()
-        scratch = ProbeScratch.create(csr)
         n = csr.num_nodes
         starts = sorted({0, n // 3, n - 1})
         budgets = (1, 2, certificate_node_budget(delta, csr.max_degree))
         for syndrome in _syndromes(tiny_network):
             for u0 in starts:
-                assert _native(scratch, syndrome, [u0], delta) == [
+                assert _native(csr, syndrome, [u0], delta) == [
                     _oracle(tiny_network, syndrome, u0, delta)
                 ]
                 for budget in budgets:
                     assert _native(
-                        scratch, syndrome, [u0], delta, max_nodes=budget
+                        csr, syndrome, [u0], delta, max_nodes=budget
                     ) == [_oracle(tiny_network, syndrome, u0, delta,
                                   max_nodes=budget)]
             for level in levels:
@@ -103,39 +102,36 @@ class TestProbeKernelMatchesRowsOracle:
                     record = _oracle(tiny_network, syndrome, cls.representative,
                                      delta, restrict=cls.contains)
                     assert _native(
-                        scratch, syndrome, [cls.representative], delta,
+                        csr, syndrome, [cls.representative], delta,
                         class_of=single,
                     ) == [record]
                     if not expected or not expected[-1][2]:
                         expected.append(record)
                 # ... and the whole level, stopping at the first certificate.
                 assert _native(
-                    scratch, syndrome, _starts(level), delta, class_of=table
+                    csr, syndrome, _starts(level), delta, class_of=table
                 ) == expected
 
-    def test_lookups_are_credited_and_scratch_is_left_clean(self, q7):
+    def test_lookups_are_credited(self, q7):
         csr = compile_network(q7)
         syndrome = next(_syndromes(q7))
-        scratch = ProbeScratch.create(csr)
         before = syndrome.lookups
-        records = _native(scratch, syndrome, [0, 5, 9], q7.diagnosability(),
+        records = _native(csr, syndrome, [0, 5, 9], q7.diagnosability(),
                           max_nodes=2)
         assert syndrome.lookups - before == sum(r[1] for r in records)
-        assert not scratch._mark.any()
 
     def test_start_outside_its_class_is_rejected(self, q5):
         csr = compile_network(q5)
-        scratch = ProbeScratch.create(csr)
         syndrome = next(_syndromes(q5))
         table = np.full(csr.num_nodes, -1, dtype=np.int32)
         with pytest.raises(ValueError):
-            probe_level(scratch, syndrome, [3], 5, class_of=table)
+            probe_level(csr, syndrome, [3], 5, class_of=table)
         with pytest.raises(ValueError):
-            probe_level(scratch, syndrome, [csr.num_nodes], 5)
+            probe_level(csr, syndrome, [csr.num_nodes], 5)
         with pytest.raises(TypeError):  # a non-integer start never reaches C
-            probe_level(scratch, syndrome, np.array([0.0]), 5)
+            probe_level(csr, syndrome, np.array([0.0]), 5)
         with pytest.raises(TypeError):
-            probe_level(scratch, syndrome, [0], 5, class_of=table.astype(np.int64))
+            probe_level(csr, syndrome, [0], 5, class_of=table.astype(np.int64))
 
 
 @needs_native
@@ -151,14 +147,13 @@ class TestPlanRefusals:
     ])
     def test_malformed_levels(self, q5, levels):
         csr = compile_network(q5)
-        scratch = ProbeScratch.create(csr)
         syndrome = next(_syndromes(q5))
         table = np.zeros((1, csr.num_nodes), dtype=np.int32)
         plan = ProbePlan(csr.num_nodes, [0, 1], levels, table)
         before = syndrome.lookups
         with pytest.raises(ValueError):
-            scratch.run_plan(syndrome, plan, 5)
-        assert syndrome.lookups == before and not scratch._mark.any()
+            run_probe_plan(csr, syndrome, plan, 5)
+        assert syndrome.lookups == before
 
     @pytest.mark.parametrize("form", ["buffer", "mask"])
     def test_tree_parent_outside_the_row(self, form):
@@ -169,19 +164,16 @@ class TestPlanRefusals:
         csr = CSRAdjacency(indptr, [v for row in rows for v in row])
         syndrome = (ArraySyndrome(csr, bytes(csr.num_pairs)) if form == "buffer"
                     else ArraySyndrome.from_faults(csr, ()))
-        scratch = ProbeScratch.create(csr)
         plan = ProbePlan(csr.num_nodes, [2], [(1, -1, -1)])
         before = syndrome.lookups
         with pytest.raises(RuntimeError, match="PARENT_NOT_IN_ROW"):
-            scratch.run_plan(syndrome, plan, 1)
+            run_probe_plan(csr, syndrome, plan, 1)
         assert syndrome.lookups == before
-        assert not scratch._mark.any() and not scratch._bits.any()
 
     def test_a_plan_cut_after_a_level_resumes(self, q7):
         """A plan holding only level 0, then the whole plan from the probe
         after it, give the records of one run of the whole plan."""
         csr = compile_network(q7)
-        scratch = ProbeScratch.create(csr)
         delta = q7.diagnosability()
         levels = GeneralDiagnoser(q7, diagnosability=1)._probe_levels()  # 2 classes
         assert len(levels) >= 2
@@ -193,15 +185,15 @@ class TestPlanRefusals:
         cut = ProbePlan(csr.num_nodes, starts[:rows[0][0]], rows[:1], tables[:1])
         resumed = 0
         for syndrome in _syndromes(q7):
-            expected = scratch.run_plan(syndrome, whole, delta).tolist()
-            head = scratch.run_plan(syndrome, cut, delta).tolist()
+            expected = run_probe_plan(csr, syndrome, whole, delta).tolist()
+            head = run_probe_plan(csr, syndrome, cut, delta).tolist()
             assert head == expected[:len(head)]
             if not head[-1][2]:
                 resumed += 1
-                assert head + scratch.run_plan(
-                    syndrome, whole, delta, first=len(head)).tolist() == expected
+                assert head + run_probe_plan(
+                    csr, syndrome, whole, delta, first=len(head)).tolist() == expected
             with pytest.raises(ValueError):
-                scratch.run_plan(syndrome, whole, delta, first=len(starts) + 1)
+                run_probe_plan(csr, syndrome, whole, delta, first=len(starts) + 1)
         assert resumed
 
 

@@ -33,7 +33,7 @@ from repro.backend.csr import compile_network
 from repro.core import native
 from repro.core.diagnosis import GeneralDiagnoser
 from repro.core.faults import clustered_faults, random_faults, spread_faults
-from repro.core.set_builder import ProbeScratch, set_builder_many
+from repro.core.set_builder import set_builder_many
 from repro.core.syndrome import FaultyTesterBehavior
 from repro.networks.registry import compiled_network
 from repro.service import DiagnosisRequest, DiagnosisService, ResultStore
@@ -118,14 +118,13 @@ class TestMaskFormAgrees:
     def test_faulty_rooted_probes_and_runs_read_the_side_table(self, tiny_network):
         csr = compile_network(tiny_network)
         delta = tiny_network.diagnosability()
-        scratch = ProbeScratch.create(csr)
         for label, faults, syndrome in _cases(tiny_network):
             explicit = _explicit(syndrome)
             starts = np.asarray(sorted(faults)[:4], dtype=np.int64)
             for max_nodes in (None, max(2, tiny_network.num_nodes // 4)):
                 assert np.array_equal(
-                    probe_level(scratch, syndrome, starts, delta, max_nodes=max_nodes),
-                    probe_level(scratch, explicit, starts, delta, max_nodes=max_nodes),
+                    probe_level(csr, syndrome, starts, delta, max_nodes=max_nodes),
+                    probe_level(csr, explicit, starts, delta, max_nodes=max_nodes),
                 ), label
             roots = starts.tolist()
             for mask_run, buffer_run in zip(
@@ -135,7 +134,6 @@ class TestMaskFormAgrees:
                 assert mask_run == buffer_run, (tiny_network.family, label)
                 assert np.array_equal(mask_run.member_mask, buffer_run.member_mask)
             assert syndrome.lookups == explicit.lookups
-        assert not scratch._mark.any()
 
 
 @needs_native
@@ -200,11 +198,9 @@ class TestBoundedMaskReads:
 
     @staticmethod
     def _assert_refused(q5, syndrome):
-        scratch = ProbeScratch.create(syndrome.csr)
         for node in (0, 1):
             with pytest.raises(RuntimeError):
-                probe_level(scratch, syndrome, [node], 5)
-            assert not scratch._mark.any()
+                probe_level(syndrome.csr, syndrome, [node], 5)
             with pytest.raises(RuntimeError):
                 set_builder_many(q5, [syndrome], [node])
 

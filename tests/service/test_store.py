@@ -219,51 +219,46 @@ class TestEviction:
             bounded.put(_request(9), _response(digest=_digest("f")))
             assert len(bounded) <= 2
 
-    @staticmethod
-    def _legacy_database(path) -> None:
-        """A pre-eviction schema (no ``last_used``) holding one result.
-
-        The row carries a current-scheme digest, so these tests see the
-        column migration apart from the stale-digest purge
-        (:class:`TestDigestUpgrade`).
-        """
+    def test_a_database_below_the_revision_opens_empty_and_stamped(self, tmp_path):
+        """A pre-eviction schema (no ``last_used``) and the current schema
+        without a revision stamp each hold one current-scheme row; both open
+        empty and stamped.  A stamped store keeps its rows across reopen."""
         import sqlite3
 
-        conn = sqlite3.connect(path)
-        conn.executescript(
-            "CREATE TABLE results ("
-            " topology_key TEXT NOT NULL, syndrome_digest TEXT NOT NULL,"
-            " payload TEXT NOT NULL, PRIMARY KEY (topology_key, syndrome_digest));"
-            "CREATE TABLE request_index ("
-            " request_key TEXT PRIMARY KEY, topology_key TEXT NOT NULL,"
-            " syndrome_digest TEXT NOT NULL);"
-        )
-        conn.execute(
-            "INSERT INTO results VALUES (?, ?, ?)",
-            ("hypercube[dimension=5]", _digest("a"),
-             _response(digest=_digest("a")).to_payload()),
-        )
-        conn.commit()
-        conn.close()
+        from repro.service.store import REVISION
 
-    def test_migration_adds_last_used_to_old_databases(self, tmp_path):
-        path = tmp_path / "old.db"
-        self._legacy_database(path)
-        with ResultStore(path) as store:
-            assert len(store) == 1
-            assert store.get_by_digest("hypercube[dimension=5]", _digest("a")) is not None
-
-    def test_migration_treats_inherited_rows_as_fresh_under_ttl(self, tmp_path):
-        """Enabling a TTL on an upgraded store must not wipe it at open:
-        migrated rows are stamped 'now', not 'idle since the epoch'."""
-        path = tmp_path / "old.db"
-        self._legacy_database(path)
-        clock = FakeClock()
-        with ResultStore(path, ttl_seconds=10, clock=clock) as store:
-            assert len(store) == 1  # survived the at-open sweep
-            clock.advance(60)  # ...but expires once genuinely idle
-            assert store.evict() == 1
-            assert len(store) == 0
+        last_used = " last_used REAL NOT NULL DEFAULT 0,"
+        for name, column in (("pre-eviction.db", ""), ("unstamped.db", last_used)):
+            path = tmp_path / name
+            conn = sqlite3.connect(path)
+            conn.executescript(
+                "CREATE TABLE results ("
+                " topology_key TEXT NOT NULL, syndrome_digest TEXT NOT NULL,"
+                f" payload TEXT NOT NULL,{column}"
+                " PRIMARY KEY (topology_key, syndrome_digest));"
+                "CREATE TABLE request_index ("
+                " request_key TEXT PRIMARY KEY, topology_key TEXT NOT NULL,"
+                " syndrome_digest TEXT NOT NULL);"
+            )
+            conn.execute(
+                "INSERT INTO results (topology_key, syndrome_digest, payload)"
+                " VALUES (?, ?, ?)",
+                ("hypercube[dimension=5]", _digest("a"),
+                 _response(digest=_digest("a")).to_payload()),
+            )
+            conn.execute(
+                "INSERT INTO request_index VALUES (?, ?, ?)",
+                (_request(0).key, "hypercube[dimension=5]", _digest("a")),
+            )
+            conn.commit()
+            conn.close()
+            with ResultStore(path) as store:
+                assert len(store) == 0 and store.request_count() == 0, name
+                version = store._conn.execute("PRAGMA user_version").fetchone()[0]
+                assert version == REVISION
+                store.put(_request(0), _response(_digest("a")))
+            with ResultStore(path) as store:
+                assert len(store) == 1 and store.get(_request(0)) is not None
 
     def test_unbounded_store_hits_do_not_write(self, tmp_path):
         """No eviction policy: a hit is read-only (no per-hit commit stall)."""
@@ -288,8 +283,8 @@ class TestDigestUpgrade:
     Seeded request keys did not change, so an inherited row would answer a
     seeded request with a bare-hex digest no computation produces any
     more, while the explicit form of the same syndrome (whose key did
-    change) would miss it and file a duplicate.  The migration deletes
-    every row and index entry whose digest names no current scheme.
+    change) would miss it and file a duplicate.  Such a database is below
+    the store's revision, so it opens empty.
     """
 
     PARAMS = {"dimension": 5}
